@@ -9,64 +9,77 @@ type t = {
   objective_offset : int;
 }
 
-(* Normalise [terms <= rhs] into positive-weight literals: a term [c*x]
-   with [c < 0] becomes [|c| * ~x] and lifts the bound by [|c|]. *)
-let normalise_le terms rhs =
-  let lits, bound =
-    List.fold_left
-      (fun (lits, bound) (c, v) ->
-        if c > 0 then ((c, Lit.pos v) :: lits, bound)
-        else if c < 0 then ((-c, Lit.neg v) :: lits, bound - c)
-        else (lits, bound))
-      ([], rhs) terms
-  in
-  (List.rev lits, bound)
+(* The clausifier reads row [i] straight from the model's flat term
+   storage; model variable [v] is solver variable [base + v].
 
-(* Duplicate weighted literals into a unit-weight multiset.  Weights in
-   mapping models are tiny (|c| <= a handful), so this is cheap. *)
-let expand lits = List.concat_map (fun (w, l) -> List.init w (fun _ -> l)) lits
-
-let encode_le solver terms rhs =
-  let lits, bound = normalise_le terms rhs in
-  let units = expand lits in
-  let n = List.length units in
+   [encode_le ~sign rhs] encodes [sum (sign * c_k) x_k <= rhs].  Each
+   term is read as a positive-weight literal — [c * x] with [c < 0]
+   becomes [|c| * ~x] and lifts the bound by [|c|] — and a weight-[w]
+   literal counts as [w] unit copies (weights in mapping models are a
+   handful at most).  The cheapest adequate device is then chosen. *)
+let encode_le solver model i ~base ~sign rhs =
+  let len = Model.row_len model i in
+  let bound = ref rhs and n = ref 0 in
+  for k = 0 to len - 1 do
+    let c = sign * Model.row_coef model i k in
+    if c < 0 then bound := !bound - c;
+    n := !n + abs c
+  done;
+  let bound = !bound and n = !n in
   if bound < 0 then Solver.add_clause solver [] (* infeasible row *)
   else if bound >= n then () (* trivially true *)
-  else if bound = 0 then List.iter (fun l -> Solver.add_clause solver [ Lit.negate l ]) units
-  else if bound = n - 1 then
-    (* "not all true": a single clause over the complements *)
-    Solver.add_clause solver (List.map Lit.negate units)
-  else if bound = 1 then Card.at_most_one solver units
-  else Card.at_most_k solver units bound
+  else begin
+    let units = Array.make n 0 and j = ref 0 in
+    for k = 0 to len - 1 do
+      let c = sign * Model.row_coef model i k in
+      let l = Lit.make (base + Model.row_var model i k) (c > 0) in
+      for _ = 1 to abs c do
+        units.(!j) <- l;
+        incr j
+      done
+    done;
+    if bound = n - 1 then
+      (* "not all true": a single clause over the complements *)
+      Solver.add_clause solver (Array.to_list (Array.map Lit.negate units))
+    else
+      (* unit clauses at bound 0, an at-most-one ladder at 1, a
+         sequential counter above *)
+      Card.at_most_k_array solver units bound
+  end
 
-let is_unit_sum terms = List.for_all (fun (c, _) -> c = 1) terms
-
-let encode_row solver (row : Model.row) =
-  match row.sense with
-  | Model.Le -> encode_le solver row.terms row.rhs
-  | Model.Ge -> encode_le solver (List.map (fun (c, v) -> (-c, v)) row.terms) (-row.rhs)
+let encode_row solver model ~base i =
+  let rhs = Model.row_rhs model i in
+  match Model.row_sense model i with
+  | Model.Le -> encode_le solver model i ~base ~sign:1 rhs
+  | Model.Ge -> encode_le solver model i ~base ~sign:(-1) (-rhs)
   | Model.Eq ->
-      if row.rhs = 1 && is_unit_sum row.terms && List.length row.terms >= 1 then
-        Card.exactly_one solver (List.map (fun (_, v) -> Lit.pos v) row.terms)
+      let len = Model.row_len model i in
+      let unit_sum = ref (len >= 1) in
+      for k = 0 to len - 1 do
+        if Model.row_coef model i k <> 1 then unit_sum := false
+      done;
+      if rhs = 1 && !unit_sum then begin
+        (* exactly one: the clause over the literals, then at most one *)
+        let lits = Array.init len (fun k -> Lit.pos (base + Model.row_var model i k)) in
+        Solver.add_clause solver (Array.to_list lits);
+        Card.at_most_k_array solver lits 1
+      end
       else begin
-        encode_le solver row.terms row.rhs;
-        encode_le solver (List.map (fun (c, v) -> (-c, v)) row.terms) (-row.rhs)
+        encode_le solver model i ~base ~sign:1 rhs;
+        encode_le solver model i ~base ~sign:(-1) (-rhs)
       end
 
-(* Shared clausification body: model variable [v] lives at solver
-   variable [base + v].  [base = 0] is the classic whole-solver layout
-   of {!encode}; a non-zero base is how {!encode_into} stacks several
-   models into one resident solver. *)
+(* Shared clausification body: [base = 0] is the classic whole-solver
+   layout of {!encode}; a non-zero base is how {!encode_into} stacks
+   several models into one resident solver. *)
 let encode_block solver ~base model =
   for v = 0 to Model.nvars model - 1 do
     let p = Model.branch_priority model v in
     if p <> 0.0 then Solver.set_activity solver (base + v) p
   done;
-  let shift (row : Model.row) =
-    if base = 0 then row
-    else { row with Model.terms = List.map (fun (c, v) -> (c, base + v)) row.Model.terms }
-  in
-  Model.iter_rows model (fun _ row -> encode_row solver (shift row))
+  for i = 0 to Model.nrows model - 1 do
+    encode_row solver model ~base i
+  done
 
 (* Seed polarities from the model's phase hints by trial propagation,
    so auxiliary encoding variables also receive phases consistent
@@ -148,11 +161,11 @@ let encode_grouped model =
         (g, l))
       (Model.groups model)
   in
-  Model.iter_rows model
-    (fun _ (row : Model.row) ->
-      (match row.Model.group with
-      | None -> Solver.set_guard solver None
-      | Some g -> Solver.set_guard solver (Some (Lit.negate (Hashtbl.find sel g))));
-      encode_row solver row);
+  for i = 0 to Model.nrows model - 1 do
+    (match Model.row_group model i with
+    | None -> Solver.set_guard solver None
+    | Some g -> Solver.set_guard solver (Some (Lit.negate (Hashtbl.find sel g))));
+    encode_row solver model ~base:0 i
+  done;
   Solver.set_guard solver None;
   { g_solver = solver; selectors }

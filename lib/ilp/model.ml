@@ -346,16 +346,17 @@ let set_objective t obj =
 let objective t = t.obj
 let nrows t = Veci.size t.row_off
 
-(* Row [i]'s pair offset and count: rows are contiguous in [tbuf], so
-   a row ends where the next one (or the open pending row) starts. *)
+(* Row [i]'s end offset in [tbuf]: rows are contiguous, so a row ends
+   where the next one (or the open pending row) starts. *)
+let row_stop t i =
+  if i + 1 < Veci.size t.row_off then Veci.unsafe_get t.row_off (i + 1)
+  else if t.pending >= 0 then t.pending
+  else Veci.size t.tbuf
+
+(* Row [i]'s pair offset and count. *)
 let row_extent t i =
   let off = Veci.unsafe_get t.row_off i in
-  let stop =
-    if i + 1 < Veci.size t.row_off then Veci.unsafe_get t.row_off (i + 1)
-    else if t.pending >= 0 then t.pending
-    else Veci.size t.tbuf
-  in
-  (off, (stop - off) / 2)
+  (off, (row_stop t i - off) / 2)
 
 let row t i =
   if i < 0 || i >= nrows t then invalid_arg "Model.row: out of range";
@@ -373,6 +374,13 @@ let row t i =
     sense = sense_of_code (Veci.get t.row_sense i);
     rhs = Veci.get t.row_rhs i;
   }
+
+let row_len t i = (row_stop t i - Veci.get t.row_off i) / 2
+let row_coef t i k = Veci.get t.tbuf (Veci.get t.row_off i + (2 * k))
+let row_var t i k = Veci.get t.tbuf (Veci.get t.row_off i + (2 * k) + 1)
+let row_sense t i = sense_of_code (Veci.get t.row_sense i)
+let row_rhs t i = Veci.get t.row_rhs i
+let row_group t i = Vec.get t.row_groups i
 
 let rows t = List.init (nrows t) (row t)
 let iter_rows t f =

@@ -138,8 +138,8 @@ val objective : t -> objective
 (** The current objective. *)
 
 val rows : t -> row list
-(** All rows, in insertion order (freshly allocated list; prefer
-    {!iter_rows} or {!row} on hot paths). *)
+(** All rows, in insertion order (freshly allocated list; hot paths
+    use the flat row access below). *)
 
 val row : t -> int -> row
 (** Row [i] in insertion order.
@@ -151,6 +151,28 @@ val iter_rows : t -> (int -> row -> unit) -> unit
 
 val nrows : t -> int
 (** Number of rows. *)
+
+(** {2 Flat row access}
+
+    Read-only views of row [i] straight from the flat term storage, for
+    the passes that walk every row (presolve, clausification) and must
+    not materialise a {!row} per visit.  Terms are in {!add_row}'s
+    normal form: variables strictly ascending, coefficients non-zero.
+    Indices are not range-checked: pass [0 <= i < nrows t] and
+    [0 <= k < row_len t i]. *)
+
+val row_len : t -> int -> int
+(** Number of terms of row [i]. *)
+
+val row_coef : t -> int -> int -> int
+(** Coefficient of the [k]-th term of row [i]. *)
+
+val row_var : t -> int -> int -> var
+(** Variable of the [k]-th term of row [i]. *)
+
+val row_sense : t -> int -> sense
+val row_rhs : t -> int -> int
+val row_group : t -> int -> string option
 
 (** {1 Evaluation} — used by checkers and the reference solver. *)
 

@@ -5,8 +5,7 @@ let at_least_one solver lits =
   | [] -> Solver.add_clause solver [] (* unsatisfiable *)
   | _ -> Solver.add_clause solver lits
 
-let pairwise solver lits =
-  let arr = Array.of_list lits in
+let pairwise solver arr =
   let n = Array.length arr in
   for i = 0 to n - 2 do
     for j = i + 1 to n - 1 do
@@ -16,8 +15,8 @@ let pairwise solver lits =
 
 (* Sinz's sequential counter specialised to k = 1: a ladder of "some
    x_1..x_i is true" flags. *)
-let sequential_amo solver lits =
-  match Array.of_list lits with
+let sequential_amo solver arr =
+  match arr with
   | [||] | [| _ |] -> ()
   | arr ->
       let n = Array.length arr in
@@ -30,25 +29,26 @@ let sequential_amo solver lits =
       done;
       Solver.add_clause solver [ Lit.negate arr.(n - 1); Lit.negate s.(n - 2) ]
 
-let at_most_one ?encoding solver lits =
-  let n = List.length lits in
+let at_most_one_array ?encoding solver arr =
+  let n = Array.length arr in
   if n >= 2 then
     match encoding with
-    | Some Pairwise -> pairwise solver lits
-    | Some Sequential -> sequential_amo solver lits
-    | None -> if n <= 6 then pairwise solver lits else sequential_amo solver lits
+    | Some Pairwise -> pairwise solver arr
+    | Some Sequential -> sequential_amo solver arr
+    | None -> if n <= 6 then pairwise solver arr else sequential_amo solver arr
+
+let at_most_one ?encoding solver lits = at_most_one_array ?encoding solver (Array.of_list lits)
 
 let exactly_one ?encoding solver lits =
   at_least_one solver lits;
   at_most_one ?encoding solver lits
 
-let at_most_k solver lits k =
+let at_most_k_array solver arr k =
   if k < 0 then invalid_arg "Card.at_most_k: negative bound";
-  let arr = Array.of_list lits in
   let n = Array.length arr in
   if k = 0 then Array.iter (fun l -> Solver.add_clause solver [ Lit.negate l ]) arr
   else if n > k then begin
-    if k = 1 then at_most_one solver lits
+    if k = 1 then at_most_one_array solver arr
     else begin
       (* Sinz 2005: s.(i).(j) == "at least j+1 of x_0..x_i are true". *)
       let s = Array.init (n - 1) (fun _ -> Array.init k (fun _ -> Lit.pos (Solver.new_var solver))) in
@@ -69,6 +69,8 @@ let at_most_k solver lits k =
       Solver.add_clause solver [ Lit.negate arr.(n - 1); Lit.negate s.(n - 2).(k - 1) ]
     end
   end
+
+let at_most_k solver lits k = at_most_k_array solver (Array.of_list lits) k
 
 let at_least_k solver lits k =
   if k <= 0 then ()

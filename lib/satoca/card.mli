@@ -22,6 +22,10 @@ val exactly_one : ?encoding:encoding -> Solver.t -> Lit.t list -> unit
 val at_most_k : Solver.t -> Lit.t list -> int -> unit
 (** Sequential-counter encoding of [sum lits <= k].  [k >= 0]. *)
 
+val at_most_k_array : Solver.t -> Lit.t array -> int -> unit
+(** {!at_most_k} over an array (not retained), for callers that gather
+    literals without building a list. *)
+
 val at_least_k : Solver.t -> Lit.t list -> int -> unit
 (** [sum lits >= k], by [at_most (n-k)] on the negated literals. *)
 

@@ -71,6 +71,7 @@ type t = {
   mutable proof : Proof.t option;  (* DRAT sink; None = no logging *)
   mutable failed : int list;    (* failed assumptions of the last solve_with *)
   mutable guard : int;          (* literal appended to every added clause, or -1 *)
+  mutable cbuf : int array;     (* add_clause's normalisation buffer *)
   (* inprocessing state *)
   mutable frozen : Bytes.t;     (* var -> must never be eliminated *)
   mutable elim : Bytes.t;       (* var -> currently eliminated by BVE *)
@@ -86,11 +87,15 @@ type t = {
   mutable n_substituted : int;
 }
 
+(* Most literals watch a handful of clauses; start small and let the
+   vector double. *)
+let new_watch_list () = Veci.create ~capacity:4 ()
+
 let create () =
   {
     nvars = 0;
     clauses = Vec.create ~dummy:dummy_clause ();
-    watches = Array.init 2 (fun _ -> Veci.create ());
+    watches = Array.make 2 (Veci.create ~capacity:1 ());
     assigns = Array.make 1 (-1);
     phase = Bytes.make 1 '\000';
     level = Array.make 1 0;
@@ -119,6 +124,7 @@ let create () =
     proof = None;
     failed = [];
     guard = -1;
+    cbuf = Array.make 16 0;
     frozen = Bytes.make 1 '\000';
     elim = Bytes.make 1 '\000';
     elim_stack = [];
@@ -220,7 +226,11 @@ let grow_arrays t needed =
     t.elim <- grow_bytes t.elim;
     t.heap <- grow_int t.heap 0;
     t.heap_pos <- grow_int t.heap_pos (-1);
-    let w = Array.init (2 * cap') (fun i -> if i < 2 * cap then t.watches.(i) else Veci.create ()) in
+    (* slots past [nvars] hold a placeholder until their variable is
+       allocated: lists are made per variable, not per slot of
+       capacity *)
+    let w = Array.make (2 * cap') (Veci.create ~capacity:1 ()) in
+    Array.blit t.watches 0 w 0 (2 * t.nvars);
     t.watches <- w
   end
 
@@ -300,23 +310,27 @@ let set_phase t v b =
   if v < 0 || v >= t.nvars then invalid_arg "Solver.set_phase: unknown variable";
   Bytes.set t.phase v (if b then '\001' else '\000')
 
-let new_var t =
-  let v = t.nvars in
-  grow_arrays t (v + 1);
-  t.nvars <- v + 1;
-  t.assigns.(v) <- -1;
-  t.reason.(v) <- -1;
-  t.var_act.(v) <- 0.;
-  heap_insert t v;
-  v
+(* Allocate variables [first .. first + n - 1], growing the
+   per-variable arrays once for the whole block. *)
+let alloc_vars t n =
+  let first = t.nvars in
+  grow_arrays t (first + n);
+  for v = first to first + n - 1 do
+    t.watches.(2 * v) <- new_watch_list ();
+    t.watches.((2 * v) + 1) <- new_watch_list ();
+    t.nvars <- v + 1;
+    t.assigns.(v) <- -1;
+    t.reason.(v) <- -1;
+    t.var_act.(v) <- 0.;
+    heap_insert t v
+  done;
+  first
+
+let new_var t = alloc_vars t 1
 
 let new_vars t n =
   if n <= 0 then invalid_arg "Solver.new_vars: non-positive count";
-  let first = new_var t in
-  for _ = 2 to n do
-    ignore (new_var t)
-  done;
-  first
+  alloc_vars t n
 
 (* ---------------- values ---------------- *)
 
@@ -613,46 +627,109 @@ let set_guard t g =
   | None -> ());
   t.guard <- (match g with None -> -1 | Some l -> l)
 
+(* Sort [buf.(0 .. n-1)] ascending and drop duplicates in place;
+   returns the new length.  Clauses are short, so insertion sort
+   covers the common case. *)
+let sort_uniq_prefix buf n =
+  if n <= 16 then
+    for a = 1 to n - 1 do
+      let x = buf.(a) in
+      let b = ref (a - 1) in
+      while !b >= 0 && buf.(!b) > x do
+        buf.(!b + 1) <- buf.(!b);
+        decr b
+      done;
+      buf.(!b + 1) <- x
+    done
+  else begin
+    let sorted = Array.sub buf 0 n in
+    Array.sort Int.compare sorted;
+    Array.blit sorted 0 buf 0 n
+  end;
+  if n = 0 then 0
+  else begin
+    let w = ref 1 in
+    for r = 1 to n - 1 do
+      if buf.(r) <> buf.(!w - 1) then begin
+        buf.(!w) <- buf.(r);
+        incr w
+      end
+    done;
+    !w
+  end
+
+(* Copy [lits] into [buf] from index [i]; returns the end index. *)
+let rec gather buf i = function
+  | [] -> i
+  | l :: rest ->
+      buf.(i) <- l;
+      gather buf (i + 1) rest
+
+let prefix_list buf n =
+  let rec go i acc = if i < 0 then acc else go (i - 1) (buf.(i) :: acc) in
+  go (n - 1) []
+
 let add_clause t lits =
-  let lits = if t.guard < 0 then lits else t.guard :: lits in
   if t.ok then begin
     cancel_until t 0;
+    (* gather guard and literals into the reusable buffer *)
+    let len = List.length lits + if t.guard < 0 then 0 else 1 in
+    if len > Array.length t.cbuf then t.cbuf <- Array.make (max len (2 * Array.length t.cbuf)) 0;
+    let buf = t.cbuf in
+    let n =
+      if t.guard < 0 then gather buf 0 lits
+      else begin
+        buf.(0) <- t.guard;
+        gather buf 1 lits
+      end
+    in
     (* normalise: sort, dedupe, drop tautologies and false-at-root lits *)
-    let lits = List.sort_uniq compare lits in
-    List.iter
-      (fun l ->
-        if l lsr 1 >= t.nvars then invalid_arg "Solver.add_clause: unknown variable")
-      lits;
+    let n = sort_uniq_prefix buf n in
+    for i = 0 to n - 1 do
+      if buf.(i) lsr 1 >= t.nvars then invalid_arg "Solver.add_clause: unknown variable"
+    done;
     (* a clause over an eliminated variable reactivates it (and every
        variable eliminated after it) before the clause is attached *)
-    List.iter (fun l -> ensure_active t (l lsr 1)) lits;
+    for i = 0 to n - 1 do
+      ensure_active t (buf.(i) lsr 1)
+    done;
     (* the normalised clause is logically the caller's clause; log it as
        a proof axiom before any root-level strengthening *)
-    (match t.proof with Some p -> Proof.log_input p lits | None -> ());
-    let tautology =
-      List.exists (fun l -> List.mem (Lit.negate l) lits) lits
-      || List.exists (fun l -> lit_val t l = 1) lits
-    in
-    if not tautology then begin
-      let kept = List.filter (fun l -> lit_val t l <> 0) lits in
+    (match t.proof with Some p -> Proof.log_input p (prefix_list buf n) | None -> ());
+    (* sorted and deduplicated, a literal sits right before its
+       complement, if present *)
+    let tautology = ref false in
+    for i = 0 to n - 1 do
+      if lit_val t buf.(i) = 1 || (i + 1 < n && buf.(i + 1) = buf.(i) lxor 1) then
+        tautology := true
+    done;
+    if not !tautology then begin
+      let w = ref 0 in
+      for i = 0 to n - 1 do
+        if lit_val t buf.(i) <> 0 then begin
+          buf.(!w) <- buf.(i);
+          incr w
+        end
+      done;
+      let w = !w in
       (* dropping root-false literals is a unit-propagation inference;
          the strengthened clause is a derived (RUP) step *)
       (match t.proof with
-      | Some p when kept <> lits -> Proof.log_add p kept
+      | Some p when w < n -> Proof.log_add p (prefix_list buf w)
       | _ -> ());
-      match kept with
-      | [] -> t.ok <- false
-      | [ l ] ->
-          enqueue t l (-1);
-          if propagate t >= 0 then begin
-            (match t.proof with Some p -> Proof.log_add p [] | None -> ());
-            t.ok <- false
-          end
-      | lits ->
-          let arr = Array.of_list lits in
-          let c = { lits = arr; activity = 0.; learnt = false; deleted = false } in
-          Vec.push t.clauses c;
-          attach t (Vec.size t.clauses - 1)
+      if w = 0 then t.ok <- false
+      else if w = 1 then begin
+        enqueue t buf.(0) (-1);
+        if propagate t >= 0 then begin
+          (match t.proof with Some p -> Proof.log_add p [] | None -> ());
+          t.ok <- false
+        end
+      end
+      else begin
+        let c = { lits = Array.sub buf 0 w; activity = 0.; learnt = false; deleted = false } in
+        Vec.push t.clauses c;
+        attach t (Vec.size t.clauses - 1)
+      end
     end
   end
 

@@ -697,6 +697,69 @@ let test_lit_encoding () =
   Alcotest.(check int) "dimacs neg" (-4) (Lit.to_dimacs (Lit.neg 3));
   Alcotest.(check int) "of_dimacs" (Lit.neg 0) (Lit.of_dimacs (-1))
 
+(* ---------------- add_clause normalisation ---------------- *)
+
+let stored s = List.init (Solver.n_clause_slots s) (Solver.clause_view s)
+let clause_list = Alcotest.(list (array int))
+
+let test_add_clause_dedupes () =
+  let s = Solver.create () in
+  ignore (Solver.new_vars s 30);
+  Solver.add_clause s [ Lit.pos 2; Lit.neg 0; Lit.pos 2; Lit.neg 0; Lit.pos 1 ];
+  (* past the short-clause sort: 30 literals, reversed, each twice *)
+  let long = List.init 30 (fun v -> Lit.neg (29 - v)) in
+  Solver.add_clause s (long @ long);
+  Alcotest.check clause_list "sorted, duplicates merged"
+    [ [| Lit.neg 0; Lit.pos 1; Lit.pos 2 |]; Array.init 30 Lit.neg ]
+    (stored s)
+
+let test_add_clause_tautology () =
+  let s = Solver.create () in
+  ignore (Solver.new_vars s 3);
+  Solver.add_clause s [ Lit.pos 1; Lit.pos 0; Lit.neg 1 ];
+  Alcotest.check clause_list "l or ~l dropped" [] (stored s);
+  (* under a guard, the guard literal joins the clause first *)
+  Solver.set_guard s (Some (Lit.neg 2));
+  Solver.add_clause s [ Lit.pos 0; Lit.neg 0 ];
+  Alcotest.check clause_list "guarded tautology dropped" [] (stored s);
+  Solver.add_clause s [ Lit.pos 2; Lit.pos 0 ];
+  Alcotest.check clause_list "guard against its complement dropped" [] (stored s);
+  Solver.add_clause s [ Lit.pos 0; Lit.pos 1 ];
+  Solver.set_guard s None;
+  Alcotest.check clause_list "non-tautology keeps the guard"
+    [ [| Lit.pos 0; Lit.pos 1; Lit.neg 2 |] ]
+    (stored s)
+
+let test_add_clause_root_true_dropped () =
+  let s = Solver.create () in
+  ignore (Solver.new_vars s 3);
+  Solver.add_clause s [ Lit.pos 0 ];
+  Solver.add_clause s [ Lit.pos 1; Lit.pos 0; Lit.pos 2 ];
+  Alcotest.check clause_list "satisfied at the root, not stored" [] (stored s);
+  Alcotest.(check bool) "still sat" true (Solver.solve s = Solver.Sat)
+
+let test_add_clause_root_false_logged () =
+  let s = Solver.create () in
+  let proof = Cgra_satoca.Proof.create () in
+  Solver.set_proof s (Some proof);
+  ignore (Solver.new_vars s 3);
+  Solver.add_clause s [ Lit.neg 0 ];
+  Solver.add_clause s [ Lit.pos 2; Lit.pos 0; Lit.pos 1 ];
+  Alcotest.check clause_list "root-false literal removed" [ [| Lit.pos 1; Lit.pos 2 |] ] (stored s);
+  Alcotest.(check bool) "input logged sorted, strengthened clause logged as derived" true
+    (Cgra_satoca.Proof.events proof
+    = Cgra_satoca.Proof.
+        [
+          Input [ Lit.neg 0 ];
+          Input [ Lit.pos 0; Lit.pos 1; Lit.pos 2 ];
+          Add [ Lit.pos 1; Lit.pos 2 ];
+        ]);
+  Solver.add_clause s [ Lit.neg 1 ];
+  Solver.add_clause s [ Lit.neg 2 ];
+  Alcotest.(check bool) "unsat" true (Solver.solve s = Solver.Unsat);
+  Alcotest.(check bool) "refutation checks" true
+    (Cgra_satoca.Drat.check proof = Cgra_satoca.Drat.Valid)
+
 let suites =
   [
     ( "sat:basic",
@@ -713,6 +776,16 @@ let suites =
         Alcotest.test_case "deadline" `Quick test_deadline_unknown;
         Alcotest.test_case "stats" `Quick test_stats_accumulate;
         Alcotest.test_case "lit encoding" `Quick test_lit_encoding;
+      ] );
+    ( "sat:add_clause",
+      [
+        Alcotest.test_case "duplicates merged, literals sorted" `Quick test_add_clause_dedupes;
+        Alcotest.test_case "tautologies dropped, with and without guard" `Quick
+          test_add_clause_tautology;
+        Alcotest.test_case "clause true at the root dropped" `Quick
+          test_add_clause_root_true_dropped;
+        Alcotest.test_case "root-false literals dropped and logged" `Quick
+          test_add_clause_root_false_logged;
       ] );
     ( "sat:card",
       [
