@@ -6,12 +6,15 @@ type clause = {
   lits : int array;        (* mutated: watched literals kept at 0 and 1 *)
   key : int list;          (* sorted literals, for deletion matching *)
   mutable deleted : bool;
-  watched : bool;          (* false for satisfied-at-install / unit clauses *)
 }
 
 type state = {
-  mutable assigns : Bytes.t;     (* var -> 'u' | 't' | 'f' *)
-  mutable watches : Veci.t array; (* true literal -> indices of clauses watching its negation *)
+  mutable assigns : int array;   (* var -> 1 true / -1 false / 0 unassigned *)
+  mutable watches : Veci.t array;
+      (* true literal -> (watch entry, blocker) pairs of the clauses
+         watching its negation; the entry is the clause index, or its
+         complement [lnot ci] for a binary clause, whose blocker is
+         then always the other literal *)
   mutable clauses : clause array;
   mutable n_clauses : int;
   by_key : (int list, int list ref) Hashtbl.t;
@@ -22,7 +25,7 @@ type state = {
 
 let create () =
   {
-    assigns = Bytes.make 0 'u';
+    assigns = [||];
     watches = [||];
     clauses = [||];
     n_clauses = 0;
@@ -32,13 +35,13 @@ let create () =
     refuted = false;
   }
 
-let nvars st = Bytes.length st.assigns
+let nvars st = Array.length st.assigns
 
 let ensure_var st v =
   if v >= nvars st then begin
     let n = max (v + 1) (max 16 (2 * nvars st)) in
-    let assigns = Bytes.make n 'u' in
-    Bytes.blit st.assigns 0 assigns 0 (nvars st);
+    let assigns = Array.make n 0 in
+    Array.blit st.assigns 0 assigns 0 (nvars st);
     let watches = Array.init (2 * n) (fun l ->
         if l < Array.length st.watches then st.watches.(l) else Veci.create ())
     in
@@ -46,78 +49,108 @@ let ensure_var st v =
     st.watches <- watches
   end
 
-(* 1 = true, -1 = false, 0 = unassigned *)
+(* 1 = true, -1 = false, 0 = unassigned: a variable's value is its
+   positive literal's, negated for the negative literal.  [value] is
+   the unchecked read of the propagation loop. *)
+let value assigns l =
+  let v = Array.unsafe_get assigns (l lsr 1) in
+  if l land 1 = 0 then v else -v
+
 let lit_val st l =
-  match Bytes.get st.assigns (Lit.var l) with
-  | 'u' -> 0
-  | 't' -> if Lit.sign l then 1 else -1
-  | _ -> if Lit.sign l then -1 else 1
+  let v = st.assigns.(Lit.var l) in
+  if Lit.sign l then v else -v
 
 let enqueue st l =
-  Bytes.set st.assigns (Lit.var l) (if Lit.sign l then 't' else 'f');
+  st.assigns.(Lit.var l) <- (if Lit.sign l then 1 else -1);
   Veci.push st.trail l
 
 (* Two-watched-literal unit propagation from the current queue head.
    Returns [true] on conflict, leaving the trail intact so the caller
-   can backtrack (assumption checks) or latch refutation (root). *)
+   can backtrack (assumption checks) or latch refutation (root).  The
+   watch list's pairs are rewritten in place through its backing array
+   ([j] is the write cursor); a true blocker skips the clause, and a
+   binary clause is decided from its blocker alone. *)
 let propagate st =
+  let assigns = st.assigns and watches = st.watches and clauses = st.clauses in
   let conflict = ref false in
   while (not !conflict) && st.head < Veci.size st.trail do
     let p = Veci.get st.trail st.head in
     st.head <- st.head + 1;
-    let wl = st.watches.(p) in
-    let n = Veci.size wl in
-    let keep = ref 0 in
-    let i = ref 0 in
-    while !i < n do
-      let ci = Veci.get wl !i in
-      incr i;
-      let c = st.clauses.(ci) in
-      if not c.deleted then begin
-        let lits = c.lits in
-        let false_lit = Lit.negate p in
-        if lits.(0) = false_lit then begin
-          lits.(0) <- lits.(1);
-          lits.(1) <- false_lit
-        end;
-        if lit_val st lits.(0) = 1 then begin
-          Veci.set wl !keep ci;
-          incr keep
-        end
-        else begin
-          let len = Array.length lits in
-          let k = ref 2 in
-          while !k < len && lit_val st lits.(!k) = -1 do incr k done;
-          if !k < len then begin
-            lits.(1) <- lits.(!k);
-            lits.(!k) <- false_lit;
-            Veci.push st.watches.(Lit.negate lits.(1)) ci
-          end
-          else begin
-            Veci.set wl !keep ci;
-            incr keep;
-            if lit_val st lits.(0) = -1 then begin
-              (* conflict: keep the rest of the watch list untouched *)
-              while !i < n do
-                Veci.set wl !keep (Veci.get wl !i);
-                incr keep;
-                incr i
-              done;
-              conflict := true
+    let false_lit = Lit.negate p in
+    let wl = watches.(p) in
+    let ws = Veci.data wl and n = Veci.size wl in
+    let i = ref 0 and j = ref 0 in
+    while !i < n && not !conflict do
+      let e = Array.unsafe_get ws !i and blocker = Array.unsafe_get ws (!i + 1) in
+      i := !i + 2;
+      if value assigns blocker = 1 then begin
+        Array.unsafe_set ws !j e;
+        Array.unsafe_set ws (!j + 1) blocker;
+        j := !j + 2
+      end
+      else begin
+        let c = clauses.(if e < 0 then lnot e else e) in
+        (* a deleted clause leaves its watches lazily *)
+        if not c.deleted then begin
+          (* the literal the clause now forces, or -1 when it is
+             satisfied or has moved its watch *)
+          let forced =
+            if e < 0 then blocker
+            else begin
+              let lits = c.lits in
+              if lits.(0) = false_lit then begin
+                lits.(0) <- lits.(1);
+                lits.(1) <- false_lit
+              end;
+              let first = lits.(0) in
+              if value assigns first = 1 then begin
+                Array.unsafe_set ws !j e;
+                Array.unsafe_set ws (!j + 1) first;
+                j := !j + 2;
+                -1
+              end
+              else begin
+                let len = Array.length lits in
+                let k = ref 2 in
+                while !k < len && value assigns lits.(!k) = -1 do incr k done;
+                if !k < len then begin
+                  lits.(1) <- lits.(!k);
+                  lits.(!k) <- false_lit;
+                  let moved = watches.(Lit.negate lits.(1)) in
+                  Veci.push moved e;
+                  Veci.push moved first;
+                  -1
+                end
+                else first
+              end
             end
-            else if lit_val st lits.(0) = 0 then enqueue st lits.(0)
+          in
+          if forced >= 0 then begin
+            Array.unsafe_set ws !j e;
+            Array.unsafe_set ws (!j + 1) blocker;
+            j := !j + 2;
+            match value assigns forced with
+            | 0 -> enqueue st forced
+            | _ -> conflict := true
           end
         end
       end
     done;
-    Veci.shrink wl !keep
+    (* on conflict, keep the rest of the watch list untouched *)
+    while !i < n do
+      Array.unsafe_set ws !j (Array.unsafe_get ws !i);
+      Array.unsafe_set ws (!j + 1) (Array.unsafe_get ws (!i + 1));
+      j := !j + 2;
+      i := !i + 2
+    done;
+    Veci.shrink wl !j
   done;
   !conflict
 
 let backtrack st mark =
   while Veci.size st.trail > mark do
     let l = Veci.pop st.trail in
-    Bytes.set st.assigns (Lit.var l) 'u'
+    st.assigns.(Lit.var l) <- 0
   done;
   st.head <- mark
 
@@ -185,14 +218,14 @@ let install st lits =
         let key = sorted_key lits in
         if !slot = 0 then begin
           (* all literals false at root: immediate contradiction *)
-          let ci = push_clause st { lits = arr; key; deleted = false; watched = false } in
+          let ci = push_clause st { lits = arr; key; deleted = false } in
           register_key st key ci;
           st.refuted <- true
         end
         else if !slot = 1 || lit_val st arr.(0) = 1 || lit_val st arr.(1) = 1 then begin
           (* unit or already satisfied: roots only grow, so no watches
              are ever needed for this clause *)
-          let ci = push_clause st { lits = arr; key; deleted = false; watched = false } in
+          let ci = push_clause st { lits = arr; key; deleted = false } in
           register_key st key ci;
           if lit_val st arr.(0) = 0 then begin
             enqueue st arr.(0);
@@ -200,10 +233,13 @@ let install st lits =
           end
         end
         else begin
-          let ci = push_clause st { lits = arr; key; deleted = false; watched = true } in
+          let ci = push_clause st { lits = arr; key; deleted = false } in
           register_key st key ci;
-          Veci.push st.watches.(Lit.negate arr.(0)) ci;
-          Veci.push st.watches.(Lit.negate arr.(1)) ci
+          let e = if len = 2 then lnot ci else ci in
+          Veci.push st.watches.(Lit.negate arr.(0)) e;
+          Veci.push st.watches.(Lit.negate arr.(0)) arr.(1);
+          Veci.push st.watches.(Lit.negate arr.(1)) e;
+          Veci.push st.watches.(Lit.negate arr.(1)) arr.(0)
         end
   end
 

@@ -5,17 +5,31 @@
      [watches.(Lit.negate lits.(0))] and [watches.(Lit.negate lits.(1))],
      so when a literal p is assigned true, [watches.(p)] lists exactly
      the clauses that just lost a watched literal.
+   - Each watch is a (entry, blocker) pair.  A long clause's entry is
+     its index c; a binary clause's entry is tagged as [lnot c] (always
+     negative) and its blocker is always its other literal, so
+     propagation decides it from that literal's value alone.  A
+     clause's length never changes, so the tag is fixed at [attach].
    - The reason clause of an implied literal has that literal at
-     position 0.
+     position 0; the binary path swaps it there too.
    - [trail_lim] holds the trail height at each decision; level 0 facts
-     are permanent. *)
+     are permanent.
+
+   The library is compiled with [-opaque] in dune's default profile, so
+   no call into [Veci], [Vec] or [Lit] is inlined.  [propagate] therefore
+   reads the backing arrays of the trail, the clause vector and each
+   watch list once per propagated literal ([Veci.data], [Vec.data]) and
+   indexes them directly.  Those arrays stay valid while they are used:
+   no clause is added during propagation, a moved watch goes to another
+   literal's list, and the trail, which [enqueue] pushes onto, is
+   fetched afresh for each literal. *)
 
 module Veci = Cgra_util.Veci
 module Vec = Cgra_util.Vec
 module Deadline = Cgra_util.Deadline
 
 type clause = {
-  mutable lits : int array;
+  lits : int array;  (* fixed length: a binary clause stays binary *)
   mutable activity : float;
   learnt : bool;
   mutable deleted : bool;
@@ -391,28 +405,33 @@ let cancel_until t lvl =
 
 (* ---------------- clause attachment ---------------- *)
 
-(* Watch lists hold (clause index, blocker literal) pairs flattened as
+(* Watch lists hold (watch entry, blocker literal) pairs flattened as
    two consecutive ints; a true blocker lets propagation skip the
-   clause without touching its literals. *)
+   clause without touching its literals.  A binary clause's entry is
+   tagged (see the header). *)
+
+let watch_entry c ci = if Array.length c.lits = 2 then lnot ci else ci
 
 let attach t ci =
   let c = Vec.get t.clauses ci in
-  Veci.push t.watches.(Lit.negate c.lits.(0)) ci;
+  let e = watch_entry c ci in
+  Veci.push t.watches.(Lit.negate c.lits.(0)) e;
   Veci.push t.watches.(Lit.negate c.lits.(0)) c.lits.(1);
-  Veci.push t.watches.(Lit.negate c.lits.(1)) ci;
+  Veci.push t.watches.(Lit.negate c.lits.(1)) e;
   Veci.push t.watches.(Lit.negate c.lits.(1)) c.lits.(0)
 
 let detach t ci =
   let c = Vec.get t.clauses ci in
+  let e = watch_entry c ci in
   let remove wl =
     let n = Veci.size wl in
     let rec go i =
       if i < n then
-        if Veci.get wl i = ci then begin
+        if Veci.get wl i = e then begin
           (* remove the pair by moving the last pair into its place *)
-          let last_ci = Veci.get wl (n - 2) and last_bl = Veci.get wl (n - 1) in
+          let last_e = Veci.get wl (n - 2) and last_bl = Veci.get wl (n - 1) in
           if i < n - 2 then begin
-            Veci.set wl i last_ci;
+            Veci.set wl i last_e;
             Veci.set wl (i + 1) last_bl
           end;
           Veci.shrink wl (n - 2)
@@ -426,106 +445,118 @@ let detach t ci =
 
 (* ---------------- propagation ---------------- *)
 
-exception Conflict of int
-
+(* Unit propagation to fixpoint; returns the conflicting clause's index,
+   or -1.  Literal evaluation, the new-watch search and [enqueue] are
+   written out inline (see the header for why): literal [l] is true
+   when [assigns.(var l) = (l land 1) lxor 1] and false when
+   [assigns.(var l) = l land 1]. *)
 let propagate t =
-  let assigns = t.assigns in
-  (* -1 unassigned / 0 false / 1 true, reading flat state directly *)
-  let litv l =
-    let v = Array.unsafe_get assigns (l lsr 1) in
-    if v < 0 then -1 else v lxor (l land 1)
-  in
-  try
-    while t.trail_head < Veci.size t.trail do
-      let p = Veci.get t.trail t.trail_head in
-      t.trail_head <- t.trail_head + 1;
-      t.propagations <- t.propagations + 1;
-      let wl = t.watches.(p) in
-      (* Rebuild the (clause, blocker) pair list in place: [keep] is
-         the write cursor; clauses that move their watch elsewhere are
-         dropped from this list. *)
-      let keep = ref 0 in
-      let n = Veci.size wl in
-      let i = ref 0 in
-      (try
-         while !i < n do
-           let ci = Veci.unsafe_get wl !i in
-           let blocker = Veci.unsafe_get wl (!i + 1) in
-           i := !i + 2;
-           if litv blocker = 1 then begin
-             (* satisfied without touching the clause *)
-             Veci.unsafe_set wl !keep ci;
-             Veci.unsafe_set wl (!keep + 1) blocker;
-             keep := !keep + 2
-           end
-           else begin
-             let c = Vec.get t.clauses ci in
-             if c.deleted then () (* drop lazily *)
-             else begin
-               let lits = c.lits in
-               let false_lit = p lxor 1 in
-               if Array.unsafe_get lits 0 = false_lit then begin
-                 Array.unsafe_set lits 0 (Array.unsafe_get lits 1);
-                 Array.unsafe_set lits 1 false_lit
-               end;
-               let first = Array.unsafe_get lits 0 in
-               if litv first = 1 then begin
-                 (* satisfied; keep watching with the true literal as
-                    the new blocker *)
-                 Veci.unsafe_set wl !keep ci;
-                 Veci.unsafe_set wl (!keep + 1) first;
-                 keep := !keep + 2
-               end
-               else begin
-                 (* look for a new watch *)
-                 let len = Array.length lits in
-                 let rec find k =
-                   if k >= len then -1
-                   else if litv (Array.unsafe_get lits k) <> 0 then k
-                   else find (k + 1)
-                 in
-                 let k = find 2 in
-                 if k >= 0 then begin
-                   let w = Array.unsafe_get lits k in
-                   Array.unsafe_set lits 1 w;
-                   Array.unsafe_set lits k false_lit;
-                   Veci.push t.watches.(w lxor 1) ci;
-                   Veci.push t.watches.(w lxor 1) first
-                   (* not kept in this list *)
-                 end
-                 else if litv first = 0 then begin
-                   (* conflict: copy the remaining watchers and bail *)
-                   Veci.unsafe_set wl !keep ci;
-                   Veci.unsafe_set wl (!keep + 1) blocker;
-                   keep := !keep + 2;
-                   while !i < n do
-                     Veci.unsafe_set wl !keep (Veci.unsafe_get wl !i);
-                     Veci.unsafe_set wl (!keep + 1) (Veci.unsafe_get wl (!i + 1));
-                     keep := !keep + 2;
-                     i := !i + 2
-                   done;
-                   raise (Conflict ci)
-                 end
-                 else begin
-                   (* unit *)
-                   Veci.unsafe_set wl !keep ci;
-                   Veci.unsafe_set wl (!keep + 1) blocker;
-                   keep := !keep + 2;
-                   enqueue t first ci
-                 end
-               end
-             end
-           end
-         done;
-         Veci.shrink wl !keep
-       with Conflict ci ->
-         Veci.shrink wl !keep;
-         raise (Conflict ci))
+  let assigns = t.assigns and level = t.level and reason = t.reason in
+  let watches = t.watches and trail = t.trail in
+  let clauses = Vec.data t.clauses in
+  let dl = decision_level t in
+  let head = ref t.trail_head and tsize = ref (Veci.size trail) in
+  let confl = ref (-1) in
+  while !confl < 0 && !head < !tsize do
+    let p = (Veci.data trail).(!head) in
+    incr head;
+    t.propagations <- t.propagations + 1;
+    let false_lit = p lxor 1 in
+    let wl = watches.(p) in
+    let ws = Veci.data wl in
+    let n = Veci.size wl in
+    (* Rebuild the pair list in place: [j] is the write cursor; clauses
+       that move their watch elsewhere are dropped from this list. *)
+    let i = ref 0 and j = ref 0 in
+    while !i < n && !confl < 0 do
+      let e = Array.unsafe_get ws !i and blocker = Array.unsafe_get ws (!i + 1) in
+      i := !i + 2;
+      if Array.unsafe_get assigns (blocker lsr 1) = (blocker land 1) lxor 1 then begin
+        (* satisfied without touching the clause *)
+        Array.unsafe_set ws !j e;
+        Array.unsafe_set ws (!j + 1) blocker;
+        j := !j + 2
+      end
+      else begin
+        let ci = if e < 0 then lnot e else e in
+        let c = clauses.(ci) in
+        if not c.deleted (* a deleted clause is dropped lazily *) then begin
+          let lits = c.lits in
+          (* keep the false literal at position 1, so that a literal the
+             clause implies ends up at position 0 *)
+          if Array.unsafe_get lits 0 = false_lit then begin
+            Array.unsafe_set lits 0 (Array.unsafe_get lits 1);
+            Array.unsafe_set lits 1 false_lit
+          end;
+          (* [implied]: the literal the clause implies or conflicts on, or
+             -1 when it is satisfied or has moved its watch *)
+          let implied =
+            if e < 0 then blocker (* binary: the blocker is position 0 *)
+            else begin
+              let first = Array.unsafe_get lits 0 in
+              if Array.unsafe_get assigns (first lsr 1) = (first land 1) lxor 1 then begin
+                (* satisfied; keep watching with the true literal as
+                   the new blocker *)
+                Array.unsafe_set ws !j e;
+                Array.unsafe_set ws (!j + 1) first;
+                j := !j + 2;
+                -1
+              end
+              else begin
+                (* look for a new watch: a literal past position 1 that
+                   is not false *)
+                let len = Array.length lits in
+                let k = ref 2 in
+                while
+                  !k < len
+                  &&
+                  let l = Array.unsafe_get lits !k in
+                  Array.unsafe_get assigns (l lsr 1) = l land 1
+                do
+                  incr k
+                done;
+                if !k < len then begin
+                  let w = Array.unsafe_get lits !k in
+                  Array.unsafe_set lits 1 w;
+                  Array.unsafe_set lits !k false_lit;
+                  let wl' = watches.(w lxor 1) in
+                  Veci.push wl' e;
+                  Veci.push wl' first;
+                  -1
+                end
+                else first
+              end
+            end
+          in
+          if implied >= 0 then begin
+            Array.unsafe_set ws !j e;
+            Array.unsafe_set ws (!j + 1) blocker;
+            j := !j + 2;
+            let v = implied lsr 1 in
+            if Array.unsafe_get assigns v < 0 then begin
+              (* enqueue *)
+              assigns.(v) <- (implied land 1) lxor 1;
+              level.(v) <- dl;
+              reason.(v) <- ci;
+              Veci.push trail implied;
+              incr tsize
+            end
+            else confl := ci
+          end
+        end
+      end
     done;
-    -1
-  with Conflict ci ->
-    t.trail_head <- Veci.size t.trail;
-    ci
+    (* after a conflict, keep the watchers not yet visited *)
+    while !i < n do
+      Array.unsafe_set ws !j (Array.unsafe_get ws !i);
+      Array.unsafe_set ws (!j + 1) (Array.unsafe_get ws (!i + 1));
+      j := !j + 2;
+      i := !i + 2
+    done;
+    Veci.shrink wl !j
+  done;
+  t.trail_head <- !tsize;
+  !confl
 
 let seed_phases t lits =
   if t.ok then begin

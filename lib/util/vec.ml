@@ -4,6 +4,7 @@ let create ?(capacity = 16) ~dummy () =
   { data = Array.make (max capacity 1) dummy; size = 0; dummy }
 
 let size t = t.size
+let data t = t.data
 
 let get t i =
   assert (i < t.size);

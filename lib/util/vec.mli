@@ -3,9 +3,15 @@
 type 'a t
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** [dummy] fills unused capacity; it is never observable. *)
+(** [dummy] fills unused capacity; only {!data} exposes it. *)
 
 val size : 'a t -> int
+
+val data : 'a t -> 'a array
+(** The backing array, as {!Veci.data}: elements [0 .. size t - 1] are
+    the vector's, the rest holds [dummy].  Valid until the next
+    {!push}, which may move the elements to a new array. *)
+
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit

@@ -14,6 +14,7 @@ let set t i x =
   assert (i < t.size);
   Array.unsafe_set t.data i x
 
+let data t = t.data
 let unsafe_get t i = Array.unsafe_get t.data i
 let unsafe_set t i x = Array.unsafe_set t.data i x
 

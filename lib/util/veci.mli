@@ -1,8 +1,8 @@
 (** Growable arrays, used in the SAT solver's hot paths.
 
     [Veci] is an unboxed-int vector; [Vec] is its polymorphic sibling.
-    Both trade bounds-checking niceties for speed: indexing is unchecked
-    beyond what the OCaml runtime enforces. *)
+    {!get} and {!set} assert that the index is below {!size}; the
+    [unsafe_] variants and {!data} skip that check for hot loops. *)
 
 type t
 
@@ -13,6 +13,14 @@ val make : int -> int -> t
 val size : t -> int
 val get : t -> int -> int
 val set : t -> int -> int -> unit
+
+val data : t -> int array
+(** The backing array: elements [0 .. size t - 1] are the vector's,
+    the rest is spare capacity.  A hot loop in another module reads it
+    once and then indexes it directly, instead of paying an
+    out-of-line call per element.  Reads and writes through it are
+    seen by the vector until the next {!push}, which may move the
+    elements to a new array; after that the returned array is stale. *)
 
 (** Unchecked {!get}, for hot loops. *)
 val unsafe_get : t -> int -> int

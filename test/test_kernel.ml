@@ -1,0 +1,221 @@
+(* The propagation kernel: the search it drives must stay exactly the
+   same, and its binary-clause fast path must be sound. *)
+
+module Solver = Cgra_satoca.Solver
+module Lit = Cgra_satoca.Lit
+module Proof = Cgra_satoca.Proof
+module Drat = Cgra_satoca.Drat
+module Inprocess = Cgra_satoca.Inprocess
+module Encode = Cgra_ilp.Encode
+
+(* ---------------- search-identity pins ---------------- *)
+
+(* Conflicts, propagations and decisions of one cold solve of the paper
+   formulation, with every inprocessing pass on.  Any change to one of
+   these numbers means the solver explores a different search tree: a
+   kernel change must leave all three untouched.  A cell names a paper
+   architecture at [size], or a gallery preset (size 0). *)
+let test_search_pins () =
+  List.iter
+    (fun (bench, arch, size, ii, conflicts, propagations, decisions) ->
+      let dfg = Option.get (Cgra_dfg.Benchmarks.by_name bench) in
+      let config =
+        match Cgra_arch.Library.find_config ~size arch with
+        | Some c -> c
+        | None -> Option.get (Cgra_arch.Library.find_gallery arch)
+      in
+      let a = Cgra_arch.Library.make config in
+      let mrrg = Cgra_mrrg.Build.elaborate a ~ii in
+      let f = Cgra_core.Formulation.build ~objective:Cgra_core.Formulation.Feasibility dfg mrrg in
+      let e = Encode.encode ~inprocess:Inprocess.all_on f.Cgra_core.Formulation.model in
+      ignore (Solver.solve e.Encode.solver);
+      let st = Solver.stats e.Encode.solver in
+      let label =
+        Printf.sprintf "%s@%s/ii%d" bench (Cgra_arch.Library.name_of_config config) ii
+      in
+      Alcotest.(check (triple int int int))
+        (label ^ " (conflicts, propagations, decisions)")
+        (conflicts, propagations, decisions)
+        (st.Solver.conflicts, st.Solver.propagations, st.Solver.decisions))
+    [
+      ("mac", "homo-orth", 4, 1, 273, 312390, 1657);
+      ("mult_10", "homo-orth", 2, 1, 2790, 698254, 3695);
+      ("cos_4", "homo-orth", 2, 2, 902, 1592302, 1562);
+      ("2x2-p", "homo-torus-8x8", 0, 1, 307, 705650, 7935);
+    ]
+
+(* ---------------- binary-heavy differential properties ---------------- *)
+
+(* Random CNFs shaped like the mapper's: at least four binary clauses
+   (over two distinct variables) for every clause of three to five
+   literals, so most watch entries take the binary path. *)
+let gen_binary_heavy =
+  let open QCheck2.Gen in
+  let* nvars = int_range 2 10 in
+  let var = int_range 0 (nvars - 1) in
+  let binary =
+    let* v = var and* d = int_range 1 (nvars - 1) and* s1 = bool and* s2 = bool in
+    return [ Lit.make v s1; Lit.make ((v + d) mod nvars) s2 ]
+  in
+  let* bins = list_size (int_range 1 40) binary in
+  let* longs =
+    list_size (int_range 0 (List.length bins / 4)) (list_size (int_range 3 5) (map2 Lit.make var bool))
+  in
+  let* clauses = shuffle_l (bins @ longs) in
+  return (nvars, clauses)
+
+let print_cnf (nvars, clauses) = Cgra_satoca.Dimacs.print ~nvars clauses
+
+(* Plain CDCL, and every inprocessing pass forced at the start of the
+   solve, whose strengthenings and resolvents re-attach clauses as
+   binary ones mid-search. *)
+let configs = [ Inprocess.all_off; Inprocess.only [ `Substitute; `Subsume; `Probe; `Varelim ] ]
+
+let solve_logged config nvars clauses =
+  let s = Solver.create () in
+  let proof = Proof.create () in
+  Solver.set_proof s (Some proof);
+  Inprocess.install ~config s;
+  ignore (Solver.new_vars s nvars);
+  List.iter (Solver.add_clause s) clauses;
+  (Solver.solve s, s, proof)
+
+let prop_binary_heavy_agrees =
+  QCheck2.Test.make ~name:"binary-heavy CNF: verdict = brute force, models satisfy" ~count:400
+    ~print:print_cnf gen_binary_heavy (fun (nvars, clauses) ->
+      let expected = Test_sat.brute_force_sat nvars clauses in
+      List.for_all
+        (fun config ->
+          match solve_logged config nvars clauses with
+          | Solver.Sat, s, _ -> expected && Test_sat.model_satisfies s clauses
+          | Solver.Unsat, _, _ -> not expected
+          | Solver.Unknown, _, _ -> false)
+        configs)
+
+let prop_binary_heavy_drat =
+  QCheck2.Test.make ~name:"binary-heavy CNF: every proof checks" ~count:400 ~print:print_cnf
+    gen_binary_heavy (fun (nvars, clauses) ->
+      List.for_all
+        (fun config ->
+          match solve_logged config nvars clauses with
+          | Solver.Unsat, _, proof -> Drat.check proof = Drat.Valid
+          | Solver.Sat, _, proof -> Drat.check ~require_empty:false proof = Drat.Valid
+          | Solver.Unknown, _, _ -> false)
+        configs)
+
+(* ---------------- binary watch entries ---------------- *)
+
+let result = Alcotest.testable (fun fmt r ->
+    Format.pp_print_string fmt
+      (match r with Solver.Sat -> "Sat" | Solver.Unsat -> "Unsat" | Solver.Unknown -> "Unknown"))
+    ( = )
+
+let sorted l = List.sort compare l
+
+(* a, b, c = variables 0, 1, 2.  Deciding a then b runs into
+   (~a | ~b | c) & (~a | ~b | ~c), so the first conflict learns the
+   binary clause (~b | ~a) and it becomes the reason of ~b at once.
+   Assuming b afterwards makes it fire the other way round: it must
+   then imply ~a with ~a moved to position 0, which final-conflict
+   analysis relies on when it walks back from ~a to the decision b. *)
+let test_binary_learnt_reason () =
+  let a = Lit.pos 0 and b = Lit.pos 1 and c = Lit.pos 2 in
+  let s = Solver.create () in
+  let proof = Proof.create () in
+  Solver.set_proof s (Some proof);
+  ignore (Solver.new_vars s 3);
+  Solver.set_random_freq s 0.;
+  Solver.add_clause s [ Lit.negate a; Lit.negate b; c ];
+  Solver.add_clause s [ Lit.negate a; Lit.negate b; Lit.negate c ];
+  Solver.set_activity s 0 3.;
+  Solver.set_activity s 1 2.;
+  Solver.set_phase s 0 true;
+  Solver.set_phase s 1 true;
+  Alcotest.check result "sat" Solver.Sat (Solver.solve s);
+  let learnt =
+    List.filter
+      (fun ci -> Solver.clause_is_learnt s ci && Array.length (Solver.clause_view s ci) = 2)
+      (List.init (Solver.n_clause_slots s) Fun.id)
+  in
+  let ci =
+    match learnt with [ ci ] -> ci | _ -> Alcotest.fail "expected one binary learnt clause"
+  in
+  Alcotest.(check (array int)) "asserting literal first" [| Lit.negate b; Lit.negate a |]
+    (Solver.clause_view s ci);
+  Alcotest.(check bool) "a true, b false" true (Solver.lit_value s a && not (Solver.lit_value s b));
+  Alcotest.check result "b assumed: sat" Solver.Sat (Solver.solve_with ~assumptions:[ b ] s);
+  Alcotest.(check bool) "b implies ~a" false (Solver.lit_value s a);
+  Alcotest.check result "b and a assumed: unsat" Solver.Unsat
+    (Solver.solve_with ~assumptions:[ b; a ] s);
+  Alcotest.(check (array int)) "implied literal moved to position 0"
+    [| Lit.negate a; Lit.negate b |] (Solver.clause_view s ci);
+  Alcotest.(check (list int)) "both assumptions blamed" (sorted [ a; b ])
+    (sorted (Solver.failed_assumptions s));
+  Solver.add_clause s [ a ];
+  Solver.add_clause s [ b ];
+  Alcotest.check result "unsat" Solver.Unsat (Solver.solve s);
+  Alcotest.(check bool) "refutation checks" true (Drat.check proof = Drat.Valid)
+
+(* Three binary clauses share the watch list of x0; deleting the middle
+   one must take its tagged entries out of both lists for good, and
+   leave the other two firing. *)
+let test_binary_deleted () =
+  let x = Lit.pos in
+  let s = Solver.create () in
+  ignore (Solver.new_vars s 4);
+  List.iter (Solver.add_clause s)
+    [ [ Lit.neg 0; x 1 ]; [ Lit.neg 0; x 2 ]; [ Lit.neg 0; x 3 ] ];
+  let implies target = Solver.solve_with ~assumptions:[ x 0; Lit.negate target ] s in
+  Alcotest.check result "x0 -> x2 before" Solver.Unsat (implies (x 2));
+  Alcotest.(check bool) "root state" true (Solver.simp_prepare s);
+  Solver.simp_delete s 1;
+  Alcotest.(check (array int)) "slot emptied" [||] (Solver.clause_view s 1);
+  for _ = 1 to 3 do
+    Alcotest.check result "x0 -> x2 gone" Solver.Sat (implies (x 2));
+    Alcotest.check result "x2 -> x0 gone" Solver.Sat
+      (Solver.solve_with ~assumptions:[ Lit.neg 2; x 0 ] s);
+    Alcotest.check result "x0 -> x1 kept" Solver.Unsat (implies (x 1));
+    Alcotest.check result "x0 -> x3 kept" Solver.Unsat (implies (x 3))
+  done
+
+(* (~x0 | x1 | x2) strengthened on x2 becomes the binary (~x0 | x1):
+   the new clause is attached with tagged binary entries, and the
+   implication x0 -> x1 must fire through them in both directions. *)
+let test_strengthened_to_binary () =
+  let s = Solver.create () in
+  let proof = Proof.create () in
+  Solver.set_proof s (Some proof);
+  ignore (Solver.new_vars s 3);
+  Solver.add_clause s [ Lit.neg 0; Lit.pos 1; Lit.pos 2 ];
+  Alcotest.check result "ternary: x0 & ~x1 sat" Solver.Sat
+    (Solver.solve_with ~assumptions:[ Lit.pos 0; Lit.neg 1 ] s);
+  Alcotest.(check bool) "root state" true (Solver.simp_prepare s);
+  Solver.simp_strengthen s 0 (Lit.pos 2);
+  let slots =
+    List.init (Solver.n_clause_slots s) (fun ci -> sorted (Array.to_list (Solver.clause_view s ci)))
+  in
+  Alcotest.(check (list (list int))) "ternary replaced by its binary"
+    [ []; [ Lit.neg 0; Lit.pos 1 ] ] slots;
+  Alcotest.check result "x0 -> x1" Solver.Unsat
+    (Solver.solve_with ~assumptions:[ Lit.pos 0; Lit.neg 1 ] s);
+  Alcotest.check result "~x1 -> ~x0" Solver.Unsat
+    (Solver.solve_with ~assumptions:[ Lit.neg 1; Lit.pos 0 ] s);
+  Alcotest.check result "x0 assumed: sat" Solver.Sat (Solver.solve_with ~assumptions:[ Lit.pos 0 ] s);
+  Alcotest.(check bool) "x1 implied" true (Solver.lit_value s (Lit.pos 1));
+  Solver.add_clause s [ Lit.pos 0 ];
+  Solver.add_clause s [ Lit.neg 1 ];
+  Alcotest.check result "unsat" Solver.Unsat (Solver.solve s);
+  Alcotest.(check bool) "refutation checks" true (Drat.check proof = Drat.Valid)
+
+let suites =
+  [
+    ( "sat:kernel",
+      [
+        Alcotest.test_case "search pins" `Quick test_search_pins;
+        Alcotest.test_case "binary learnt clause as a reason" `Quick test_binary_learnt_reason;
+        Alcotest.test_case "deleted binary clause never fires" `Quick test_binary_deleted;
+        Alcotest.test_case "ternary strengthened to binary" `Quick test_strengthened_to_binary;
+      ]
+      @ List.map QCheck_alcotest.to_alcotest [ prop_binary_heavy_agrees; prop_binary_heavy_drat ]
+    );
+  ]
