@@ -130,8 +130,7 @@ let solve_external ?deadline ~objective ~explain (b : Backend.t)
       Mapped (mapping, info ~objective_value ~proven_optimal ~certified:true ())
 
 let map ?(objective = Formulation.Feasibility) ?engine ?backend ?formulation ?deadline
-    ?cancel ?prune ?(warm_start = 5.0) ?(certify = false) ?(explain = false) ?inprocess
-    dfg mrrg =
+    ?cancel ?prune ?(warm_start = 5.0) ?(certify = false) ?(explain = false) dfg mrrg =
   let engine, external_backend, formulation =
     match backend with
     | None -> (engine, None, formulation)
@@ -187,9 +186,7 @@ let map ?(objective = Formulation.Feasibility) ?engine ?backend ?formulation ?de
   | Some b -> solve_external ?deadline ~objective ~explain b f ~build_seconds ~build_phases
   | None ->
   let proof = if certify then Some (Proof.create ()) else None in
-  let report =
-    Solve.solve_report ?deadline ?engine ?proof ?inprocess f.Formulation_intf.model
-  in
+  let report = Solve.solve_report ?deadline ?engine ?proof f.Formulation_intf.model in
   let proof_steps = match proof with Some p -> Proof.n_steps p | None -> 0 in
   let info ?diagnosis ~objective_value ~proven_optimal ~certified () =
     {

@@ -49,9 +49,8 @@ type info = {
           [Timeout] and for uncertified [Infeasible] runs *)
   proof_steps : int;             (** DRAT derivation steps logged; 0 unless certifying *)
   inprocess : (string * int) list;
-      (** per-pass SAT inprocessing counters ([subsumed],
-          [strengthened], [eliminated], [probed_failed], [substituted])
-          of the solver behind the verdict; empty when no in-process
+      (** SAT inprocessing counters ([probed_failed]) of the solver
+          behind the verdict; empty when no in-process
           SAT solver ran (external backends, pure B&B feasible
           answers) *)
   diagnosis : diagnosis option;
@@ -75,7 +74,6 @@ val map :
   ?warm_start:float ->
   ?certify:bool ->
   ?explain:bool ->
-  ?inprocess:Cgra_satoca.Inprocess.config ->
   Dfg.t ->
   Mrrg.t ->
   result

@@ -32,7 +32,7 @@ type report = {
   sat_calls : int;       (** SAT invocations (descent steps); 0 for other engines *)
   presolve_fixed : int;  (** variables eliminated by presolve *)
   inprocess : (string * int) list;
-      (** per-pass inprocessing counters of the SAT solver that
+      (** inprocessing counters of the SAT solver that
           produced (or certified) the verdict — see
           {!Cgra_satoca.Solver.inprocess_counters}; empty when no SAT
           solver ran *)

@@ -1,198 +1,31 @@
 (* Binary implication graph over the live binary clauses.
 
    A binary clause (a | b) contributes the two implication edges
-   ~a -> b and ~b -> a.  Two things are read off the graph:
+   ~a -> b and ~b -> a.  Its source literals ("roots": out-edges but no
+   in-edges) are the highest-yield candidates for failed-literal
+   probing — a failed root kills its whole implication cone.  Only the
+   presence of in- and out-edges matters for that, so the graph is never
+   materialised. *)
 
-   - its source literals ("roots": out-edges but no in-edges), which are
-     the highest-yield candidates for failed-literal probing — a failed
-     root kills its whole implication cone;
-   - its strongly connected components, whose members are pairwise
-     equivalent literals.  Each class is collapsed onto one
-     representative by adding the two equivalence binaries and rewriting
-     every other occurrence, which both shrinks clauses and merges VSIDS
-     activity onto one variable.
-
-   All derived clauses are RUP against the database at the moment they
-   are logged (chains of binary propagations), so DRAT certificates stay
-   checkable; see docs/INPROCESSING.md for the step-by-step argument. *)
-
-let live_binaries solver =
-  let out = ref [] in
-  let n = Solver.n_clause_slots solver in
-  for ci = 0 to n - 1 do
+let roots solver =
+  let nlits = 2 * Solver.nvars solver in
+  let has_out = Array.make nlits false and has_in = Array.make nlits false in
+  for ci = 0 to Solver.n_clause_slots solver - 1 do
     let arr = Solver.clause_view solver ci in
     if
       Array.length arr = 2
       && Solver.root_value solver arr.(0) = -1
       && Solver.root_value solver arr.(1) = -1
-    then out := (arr.(0), arr.(1)) :: !out
-  done;
-  !out
-
-(* adjacency lists over literal nodes, built from the binary clauses *)
-let implication_adj solver =
-  let nlits = 2 * Solver.nvars solver in
-  let adj = Array.make nlits [] in
-  List.iter
-    (fun (a, b) ->
-      adj.(Lit.negate a) <- b :: adj.(Lit.negate a);
-      adj.(Lit.negate b) <- a :: adj.(Lit.negate b))
-    (live_binaries solver);
-  adj
-
-let roots solver =
-  let nlits = 2 * Solver.nvars solver in
-  let adj = implication_adj solver in
-  let has_in = Array.make nlits false in
-  Array.iter (List.iter (fun dst -> has_in.(dst) <- true)) adj;
-  let out = ref [] in
-  for l = nlits - 1 downto 0 do
-    if adj.(l) <> [] && not has_in.(l) then out := l :: !out
-  done;
-  !out
-
-(* Iterative Tarjan: returns the SCC id of every literal node.  Ids are
-   assigned in reverse topological order, which is irrelevant here — we
-   only use membership. *)
-let scc_ids adj =
-  let n = Array.length adj in
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let comp = Array.make n (-1) in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let next_comp = ref 0 in
-  (* explicit DFS frames: (node, remaining successors) *)
-  let frames = ref [] in
-  let push_node v =
-    index.(v) <- !next_index;
-    lowlink.(v) <- !next_index;
-    incr next_index;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    frames := (v, ref adj.(v)) :: !frames
-  in
-  for start = 0 to n - 1 do
-    if index.(start) < 0 then begin
-      push_node start;
-      while !frames <> [] do
-        let v, succs = List.hd !frames in
-        match !succs with
-        | w :: rest ->
-            succs := rest;
-            if index.(w) < 0 then push_node w
-            else if on_stack.(w) then
-              lowlink.(v) <- min lowlink.(v) index.(w)
-        | [] ->
-            frames := List.tl !frames;
-            (match !frames with
-            | (parent, _) :: _ -> lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
-            | [] -> ());
-            if lowlink.(v) = index.(v) then begin
-              let continue = ref true in
-              while !continue do
-                match !stack with
-                | w :: rest ->
-                    stack := rest;
-                    on_stack.(w) <- false;
-                    comp.(w) <- !next_comp;
-                    if w = v then continue := false
-                | [] -> continue := false
-              done;
-              incr next_comp
-            end
-      done
+    then begin
+      let a = arr.(0) and b = arr.(1) in
+      has_out.(Lit.negate a) <- true;
+      has_out.(Lit.negate b) <- true;
+      has_in.(a) <- true;
+      has_in.(b) <- true
     end
   done;
-  (comp, !next_comp)
-
-let substitute solver ~budget =
-  let nlits = 2 * Solver.nvars solver in
-  if nlits > 0 then begin
-    let adj = implication_adj solver in
-    let comp, ncomp = scc_ids adj in
-    (* group literals by component *)
-    let members = Array.make ncomp [] in
-    for l = nlits - 1 downto 0 do
-      members.(comp.(l)) <- l :: members.(comp.(l))
-    done;
-    let subst = Array.init nlits (fun l -> l) in
-    let contradiction = ref None in
-    Array.iter
-      (fun ms ->
-        match ms with
-        | [] | [ _ ] -> ()
-        | rep :: _ when !contradiction = None ->
-            (* skip classes already mapped through their mirror class *)
-            if List.for_all (fun l -> subst.(l) = l) ms then begin
-              if List.exists (fun l -> comp.(Lit.negate l) = comp.(l)) ms then
-                (* l and ~l equivalent: the instance is unsatisfiable *)
-                contradiction := Some rep
-              else
-                List.iter
-                  (fun l ->
-                    if l <> rep then begin
-                      subst.(l) <- rep;
-                      subst.(Lit.negate l) <- Lit.negate rep
-                    end)
-                  ms
-            end
-        | _ -> ())
-      members;
-    match !contradiction with
-    | Some l ->
-        (* both units are RUP via the implication chains l -> .. -> ~l
-           and back; together they close the instance *)
-        ignore (Solver.simp_add solver [ Lit.negate l ]);
-        if Solver.ok solver then ignore (Solver.simp_add solver [ l ])
-    | None ->
-        let mapped_vars =
-          List.sort_uniq compare
-            (List.init nlits Fun.id
-            |> List.filter (fun l -> subst.(l) <> l)
-            |> List.map (fun l -> l lsr 1))
-        in
-        if mapped_vars <> [] then begin
-          (* 1. pin each class together with its two equivalence
-             binaries, which must survive the rewrite: they are what
-             defines the substituted variable's value in any model *)
-          let keep = Hashtbl.create 16 in
-          List.iter
-            (fun v ->
-              let p = Lit.pos v in
-              let r = subst.(p) in
-              let c1 = Solver.simp_add solver [ Lit.negate p; r ] in
-              let c2 = Solver.simp_add solver [ p; Lit.negate r ] in
-              if c1 >= 0 then Hashtbl.replace keep c1 ();
-              if c2 >= 0 then Hashtbl.replace keep c2 ())
-            mapped_vars;
-          (* 2. rewrite every other clause mentioning a mapped literal *)
-          let n = Solver.n_clause_slots solver in
-          let spent = ref 0 in
-          let ci = ref 0 in
-          while !ci < n && !spent < budget && Solver.ok solver do
-            let i = !ci in
-            incr ci;
-            if not (Hashtbl.mem keep i) then begin
-              let arr = Solver.clause_view solver i in
-              if Array.length arr > 0 && Array.exists (fun l -> subst.(l) <> l) arr
-              then begin
-                incr spent;
-                let image =
-                  List.sort_uniq compare
-                    (Array.to_list (Array.map (fun l -> subst.(l)) arr))
-                in
-                let tauto =
-                  List.exists (fun l -> List.mem (Lit.negate l) image) image
-                in
-                (* a tautological image means the clause is entailed by
-                   the equivalence binaries alone: plain deletion *)
-                if not tauto then ignore (Solver.simp_add solver image);
-                Solver.simp_delete solver i;
-                Solver.note_substituted solver
-              end
-            end
-          done
-        end
-  end
+  let out = ref [] in
+  for l = nlits - 1 downto 0 do
+    if has_out.(l) && not has_in.(l) then out := l :: !out
+  done;
+  !out

@@ -1,21 +1,12 @@
-(** Binary implication graph: probing roots and equivalent-literal
-    substitution.
+(** Binary implication graph: the roots failed-literal probing starts
+    from.
 
     Built on the fly from the live binary clauses: (a | b) contributes
     the edges [~a -> b] and [~b -> a].  Part of the inprocessing layer
-    (see {!Inprocess}); both entry points require the quiescent root
-    state established by {!Solver.simp_prepare}. *)
+    (see {!Inprocess}); requires the quiescent root state established
+    by {!Solver.simp_prepare}. *)
 
 val roots : Solver.t -> Lit.t list
 (** Source literals of the implication graph — out-edges but no
     in-edges.  These are the candidates {!Probe} assumes: a failed root
     refutes its entire implication cone at once. *)
-
-val substitute : Solver.t -> budget:int -> unit
-(** Collapse each strongly connected component of the graph (a class of
-    pairwise-equivalent literals) onto one representative: adds the two
-    defining equivalence binaries per substituted variable, rewrites
-    every other occurrence (at most [budget] clauses), and detects the
-    [l ~ ~l] contradiction, closing the instance.  Every addition is
-    RUP at the moment it is logged, so certificates stay checkable.
-    Bumps the [substituted] counter per rewritten clause. *)

@@ -118,12 +118,7 @@ module Totalizer = struct
         merge solver (tree solver left) (tree solver right)
 
   let build solver lits =
-    let outputs = tree solver lits in
-    (* outputs are interface literals: later bound assertions and
-       assumption framing address them directly, so inprocessing must
-       never eliminate them *)
-    Array.iter (fun l -> Solver.set_frozen solver (Lit.var l) true) outputs;
-    { solver; outputs; bound = max_int }
+    { solver; outputs = tree solver lits; bound = max_int }
 
   let outputs t = t.outputs
 

@@ -1,88 +1,34 @@
-(* The inprocessing scheduler: decides when and how much simplification
-   to run.  The solver fires the installed hook at the start of every
-   solve and after every Luby restart; the scheduler rate-limits actual
-   work by the conflict counter so the passes amortise against search,
-   and hands each pass a deduction budget so a single invocation stays
-   bounded on any instance size. *)
+(* The inprocessing scheduler: decides when and how much failed-literal
+   probing to run.  The solver fires the installed hook at the start of
+   every solve and after every Luby restart; the scheduler rate-limits
+   actual work by the conflict counter so probing amortises against
+   search, and hands each round a propagation budget so a single
+   invocation stays bounded on any instance size. *)
 
 type config = {
   enabled : bool;
-  substitute : bool;
-  subsume : bool;
-  probe : bool;
-  varelim : bool;
-  interval : int;  (* min conflicts between two full rounds *)
-  heavy_every : int;  (* subsume/varelim only every Nth due round *)
-  subsume_budget : int;  (* candidate subset tests per round *)
+  interval : int;  (* min conflicts between two rounds *)
   probe_budget : int;  (* propagations per round *)
-  varelim_budget : int;  (* resolution operations per round *)
-  varelim_max_occ : int;
-  varelim_growth : int;
 }
 
-let all_on =
-  {
-    enabled = true;
-    substitute = true;
-    subsume = true;
-    probe = true;
-    varelim = true;
-    interval = 1000;
-    heavy_every = 16;
-    subsume_budget = 20_000;
-    probe_budget = 120_000;
-    varelim_budget = 20_000;
-    varelim_max_occ = 12;
-    varelim_growth = 0;
-  }
-
+let all_on = { enabled = true; interval = 1000; probe_budget = 120_000 }
 let all_off = { all_on with enabled = false }
 
-type pass = [ `Substitute | `Subsume | `Probe | `Varelim ]
+(* The fuzzers want probing to actually run on small, quickly-decided
+   instances: a round at the start of every solve and after every
+   restart. *)
+let eager = { all_on with interval = 0 }
 
-let only passes =
-  (* The fuzzers want the pass under test to actually run on small,
-     quickly-decided instances: fire a round at the start of every
-     solve and after every restart, heavy passes included. *)
-  let base =
-    {
-      all_on with
-      substitute = false;
-      subsume = false;
-      probe = false;
-      varelim = false;
-      interval = 0;
-      heavy_every = 1;
-    }
-  in
-  List.fold_left
-    (fun c p ->
-      match p with
-      | `Substitute -> { c with substitute = true }
-      | `Subsume -> { c with subsume = true }
-      | `Probe -> { c with probe = true }
-      | `Varelim -> { c with varelim = true })
-    base passes
-
-(* CGRA_INPROCESS: unset/"on" = everything; "off"/"0"/"none" =
-   disabled; otherwise a comma-separated pass list, e.g.
-   "subsume,probe".  Unknown names are ignored. *)
+(* CGRA_INPROCESS: unset/"on" = [all_on]; "off"/"0"/"none" = disabled;
+   otherwise a comma-separated pass list, e.g. "probe".  Probing is the
+   only pass; other names are ignored. *)
 let default () =
   match Sys.getenv_opt "CGRA_INPROCESS" with
   | None | Some "" | Some "on" | Some "1" -> all_on
   | Some ("off" | "0" | "none") -> all_off
   | Some spec ->
-      let passes =
-        String.split_on_char ',' spec
-        |> List.filter_map (fun s ->
-               match String.trim s with
-               | "substitute" -> Some `Substitute
-               | "subsume" -> Some `Subsume
-               | "probe" -> Some `Probe
-               | "varelim" -> Some `Varelim
-               | _ -> None)
-      in
-      if passes = [] then all_off else only passes
+      if List.exists (fun s -> String.trim s = "probe") (String.split_on_char ',' spec) then eager
+      else all_off
 
 let install ?config solver =
   let cfg = match config with Some c -> c | None -> default () in
@@ -93,10 +39,9 @@ let install ?config solver =
        instances (decided in a few hundred conflicts) never pay for
        simplification they cannot amortise.  [interval = 0] forces a
        round at the start of every solve and after every restart — the
-       differential fuzzers use that to exercise the passes on small
+       differential fuzzers use that to exercise probing on small
        instances. *)
     let last_conflicts = ref 0 in
-    let round = ref 0 in
     (* Probing backs off exponentially while it finds nothing: an
        instance whose binary-graph roots never fail would otherwise
        burn the full propagation budget every round for zero
@@ -108,25 +53,14 @@ let install ?config solver =
       let due = st.conflicts - !last_conflicts >= cfg.interval in
       if due && Solver.simp_prepare s then begin
         last_conflicts := st.conflicts;
-        incr round;
-        (* Light passes every round; the occurrence-indexed heavy
-           passes (index rebuild dominates their cost) every Nth. *)
-        let heavy = cfg.heavy_every <= 1 || !round mod cfg.heavy_every = 0 in
-        if heavy && cfg.substitute then Bin_graph.substitute s ~budget:cfg.subsume_budget;
-        if cfg.probe && Solver.ok s then begin
-          incr probe_round;
-          if !probe_round mod !probe_stride = 0 then begin
-            let before = (Solver.stats s).Solver.probed_failed in
-            Probe.run s ~budget:cfg.probe_budget;
-            if (Solver.stats s).Solver.probed_failed = before then
-              probe_stride := min 16 (2 * !probe_stride)
-            else probe_stride := 1
-          end
-        end;
-        if heavy && cfg.subsume && Solver.ok s then Subsume.run s ~budget:cfg.subsume_budget;
-        if heavy && cfg.varelim && Solver.ok s then
-          Varelim.run s ~budget:cfg.varelim_budget ~max_occ:cfg.varelim_max_occ
-            ~growth:cfg.varelim_growth
+        incr probe_round;
+        if !probe_round mod !probe_stride = 0 then begin
+          let before = (Solver.stats s).Solver.probed_failed in
+          Probe.run s ~budget:cfg.probe_budget;
+          if (Solver.stats s).Solver.probed_failed = before then
+            probe_stride := min 16 (2 * !probe_stride)
+          else probe_stride := 1
+        end
       end
     in
     Solver.set_inprocess solver (Some hook)

@@ -1,52 +1,37 @@
-(** Inprocessing scheduler: bounded simplification between restarts.
+(** Inprocessing scheduler: bounded failed-literal probing between
+    restarts.
 
     Installs a hook the solver fires at the start of every solve and
-    after every Luby restart; each due round runs, in order,
-    equivalent-literal substitution ({!Bin_graph}), failed-literal
-    probing ({!Probe}), subsumption / self-subsuming resolution
-    ({!Subsume}) and bounded variable elimination ({!Varelim}), each
-    under its own deduction budget.  Every clause the passes add or
-    delete flows through the solver's {!Proof} sink, so DRAT
-    certificates remain checkable by {!Drat.check}; eliminated
-    variables are reconstructed into the model before it is read.
-    Per-pass work is reported in {!Solver.stats}. *)
+    after every Luby restart; each due round runs failed-literal
+    probing ({!Probe}) over the roots of the binary implication graph
+    ({!Bin_graph}) under a propagation budget, backing off while it
+    finds nothing.  Every unit a probe derives flows through the
+    solver's {!Proof} sink, so DRAT certificates remain checkable by
+    {!Drat.check}.  The work done is reported in {!Solver.stats}
+    ([probed_failed]). *)
 
 type config = {
   enabled : bool;
-  substitute : bool;
-  subsume : bool;
-  probe : bool;
-  varelim : bool;
   interval : int;  (** min conflicts between two rounds *)
-  heavy_every : int;
-      (** run the heavy passes (subsume, varelim) only every Nth due
-          round; the light passes (substitute, probe) run every round.
-          Probing pays off when it fires early and often, while the
-          occurrence-indexed passes must amortise their index rebuild
-          against much more search.  [1] = every round. *)
-  subsume_budget : int;  (** candidate subset tests per round *)
   probe_budget : int;  (** propagations per round *)
-  varelim_budget : int;  (** resolution operations per round *)
-  varelim_max_occ : int;  (** skip variables occurring more often *)
-  varelim_growth : int;  (** max net new clauses per elimination *)
 }
 
 val all_on : config
-(** Every pass enabled with the default budgets. *)
+(** Probing with the default interval and budget. *)
 
 val all_off : config
-(** Inprocessing disabled entirely (the pre-inprocessing solver). *)
+(** Inprocessing disabled entirely (the plain CDCL solver). *)
 
-type pass = [ `Probe | `Substitute | `Subsume | `Varelim ]
-
-val only : pass list -> config
-(** [all_on] restricted to the given passes — what the per-pass
-    differential fuzzers run. *)
+val eager : config
+(** [all_on] with a round at the start of every solve and after every
+    restart ([interval = 0]) — what the differential fuzzers run, so
+    probing fires even on small, quickly-decided instances. *)
 
 val default : unit -> config
 (** [all_on], overridden by the [CGRA_INPROCESS] environment variable:
-    ["off"]/["0"]/["none"] disables everything; a comma-separated pass
-    list (e.g. ["subsume,probe"]) enables just those passes. *)
+    ["off"]/["0"]/["none"] disables inprocessing; a comma-separated
+    pass list selects {!eager} when it names ["probe"] (the only pass)
+    and disables inprocessing otherwise — other names are ignored. *)
 
 val install : ?config:config -> Solver.t -> unit
 (** Install the scheduler on a solver (replacing any previous hook);

@@ -23,7 +23,7 @@ let run solver ~budget =
           if Solver.root_value solver l = -1 && Solver.probe_lit solver l then begin
             Solver.note_probed_failed solver;
             (* the failed assumption's negation is a root fact *)
-            ignore (Solver.simp_add solver [ Lit.negate l ])
+            Solver.simp_add_unit solver (Lit.negate l)
           end;
           go rest
         end

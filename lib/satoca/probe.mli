@@ -2,7 +2,7 @@
 
     Assumes each root literal of {!Bin_graph} on a throwaway decision
     level; when propagation fails, asserts the negation as a root unit
-    (a RUP step by definition).  Part of the inprocessing layer (see
+    (a RUP step by definition).  The only inprocessing pass (see
     {!Inprocess}). *)
 
 val run : Solver.t -> budget:int -> unit

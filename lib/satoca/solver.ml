@@ -45,11 +45,7 @@ type stats = {
   propagations : int;
   restarts : int;
   learnt : int;
-  subsumed : int;
-  strengthened : int;
-  eliminated : int;
   probed_failed : int;
-  substituted : int;
 }
 
 type t = {
@@ -86,19 +82,8 @@ type t = {
   mutable failed : int list;    (* failed assumptions of the last solve_with *)
   mutable guard : int;          (* literal appended to every added clause, or -1 *)
   mutable cbuf : int array;     (* add_clause's normalisation buffer *)
-  (* inprocessing state *)
-  mutable frozen : Bytes.t;     (* var -> must never be eliminated *)
-  mutable elim : Bytes.t;       (* var -> currently eliminated by BVE *)
-  mutable elim_stack : (int * int array list) list;
-      (* newest first; each entry is (var, clauses containing it at
-         elimination time, pivot literal stored first) — consumed LIFO
-         both by model reconstruction and by reintroduction *)
   mutable inprocess : (t -> unit) option;  (* fired at solve start + restarts *)
-  mutable n_subsumed : int;
-  mutable n_strengthened : int;
-  mutable n_eliminated : int;
   mutable n_probed_failed : int;
-  mutable n_substituted : int;
 }
 
 (* Most literals watch a handful of clauses; start small and let the
@@ -139,15 +124,8 @@ let create () =
     failed = [];
     guard = -1;
     cbuf = Array.make 16 0;
-    frozen = Bytes.make 1 '\000';
-    elim = Bytes.make 1 '\000';
-    elim_stack = [];
     inprocess = None;
-    n_subsumed = 0;
-    n_strengthened = 0;
-    n_eliminated = 0;
     n_probed_failed = 0;
-    n_substituted = 0;
   }
 
 let set_proof t proof = t.proof <- proof
@@ -177,11 +155,7 @@ let stats t =
     propagations = t.propagations;
     restarts = t.restarts;
     learnt = t.n_learnt;
-    subsumed = t.n_subsumed;
-    strengthened = t.n_strengthened;
-    eliminated = t.n_eliminated;
     probed_failed = t.n_probed_failed;
-    substituted = t.n_substituted;
   }
 
 (* Per-solve deltas: subtract the monotone counters; [learnt] is a gauge
@@ -193,21 +167,10 @@ let stats_delta ~(now : stats) ~(before : stats) : stats =
     propagations = now.propagations - before.propagations;
     restarts = now.restarts - before.restarts;
     learnt = now.learnt;
-    subsumed = now.subsumed - before.subsumed;
-    strengthened = now.strengthened - before.strengthened;
-    eliminated = now.eliminated - before.eliminated;
     probed_failed = now.probed_failed - before.probed_failed;
-    substituted = now.substituted - before.substituted;
   }
 
-let inprocess_counters st =
-  [
-    ("subsumed", st.subsumed);
-    ("strengthened", st.strengthened);
-    ("eliminated", st.eliminated);
-    ("probed_failed", st.probed_failed);
-    ("substituted", st.substituted);
-  ]
+let inprocess_counters st = [ ("probed_failed", st.probed_failed) ]
 
 (* ---------------- variable allocation ---------------- *)
 
@@ -236,8 +199,6 @@ let grow_arrays t needed =
     t.var_act <- grow_float t.var_act;
     t.phase <- grow_bytes t.phase;
     t.seen <- grow_bytes t.seen;
-    t.frozen <- grow_bytes t.frozen;
-    t.elim <- grow_bytes t.elim;
     t.heap <- grow_int t.heap 0;
     t.heap_pos <- grow_int t.heap_pos (-1);
     (* slots past [nvars] hold a placeholder until their variable is
@@ -280,7 +241,7 @@ let rec heap_down t i =
   end
 
 let heap_insert t v =
-  if t.heap_pos.(v) < 0 && Bytes.get t.elim v = '\000' then begin
+  if t.heap_pos.(v) < 0 then begin
     t.heap.(t.heap_size) <- v;
     t.heap_pos.(v) <- t.heap_size;
     t.heap_size <- t.heap_size + 1;
@@ -300,20 +261,6 @@ let heap_pop t =
   v
 
 let heap_decrease t v = if t.heap_pos.(v) >= 0 then heap_up t t.heap_pos.(v)
-
-let heap_remove t v =
-  let i = t.heap_pos.(v) in
-  if i >= 0 then begin
-    t.heap_size <- t.heap_size - 1;
-    t.heap_pos.(v) <- -1;
-    if i < t.heap_size then begin
-      let last = t.heap.(t.heap_size) in
-      t.heap.(i) <- last;
-      t.heap_pos.(last) <- i;
-      heap_down t i;
-      heap_up t i
-    end
-  end
 
 let set_activity t v a =
   if v < 0 || v >= t.nvars then invalid_arg "Solver.set_activity: unknown variable";
@@ -577,85 +524,12 @@ let seed_phases t lits =
     cancel_until t 0
   end
 
-(* ---------------- derived clauses & eliminated variables ------------ *)
-
-let set_frozen t v b =
-  if v < 0 || v >= t.nvars then invalid_arg "Solver.set_frozen: unknown variable";
-  Bytes.set t.frozen v (if b then '\001' else '\000')
-
-let is_frozen t v = Bytes.get t.frozen v = '\001'
-let is_eliminated t v = Bytes.get t.elim v = '\001'
-
-(* Install a clause derived by an inprocessing pass (or reintroduced
-   from the elimination stack).  The clause has already been logged to
-   the proof in exactly the literal order given; here it is normalised
-   against the root assignment and attached.  Root level only. *)
-let install_derived t lits =
-  if not t.ok then -1
-  else if List.exists (fun l -> lit_val t l = 1) lits then -1
-    (* satisfied by a permanent root fact: no need to keep it *)
-  else begin
-    let kept = List.filter (fun l -> lit_val t l <> 0) lits in
-    (match t.proof with
-    | Some p when kept <> lits -> Proof.log_add p kept
-    | _ -> ());
-    match kept with
-    | [] ->
-        t.ok <- false;
-        -1
-    | [ l ] ->
-        enqueue t l (-1);
-        if propagate t >= 0 then begin
-          (match t.proof with Some p -> Proof.log_add p [] | None -> ());
-          t.ok <- false
-        end;
-        -1
-    | kept ->
-        let arr = Array.of_list kept in
-        let c = { lits = arr; activity = 0.; learnt = false; deleted = false } in
-        Vec.push t.clauses c;
-        let ci = Vec.size t.clauses - 1 in
-        attach t ci;
-        ci
-  end
-
-(* Undo variable eliminations down to (and including) variable [v]: the
-   stack is LIFO, so clauses of later eliminations never mention earlier
-   eliminated variables and can be re-added in pop order.  Each stored
-   clause has its pivot literal first, making the re-addition a RAT step
-   on that pivot (every resolvent against the current database is
-   subsumed by a clause stored alongside it), so DRAT certificates stay
-   checkable. *)
-let rec reintroduce_down_to t v =
-  match t.elim_stack with
-  | [] -> ()
-  | (u, stored) :: rest ->
-      t.elim_stack <- rest;
-      Bytes.set t.elim u '\000';
-      if t.assigns.(u) < 0 then heap_insert t u;
-      List.iter
-        (fun arr ->
-          let lits = Array.to_list arr in
-          (match t.proof with Some p -> Proof.log_add p lits | None -> ());
-          ignore (install_derived t lits))
-        stored;
-      if u <> v then reintroduce_down_to t v
-
-let ensure_active t v =
-  if Bytes.get t.elim v = '\001' then reintroduce_down_to t v
-
 (* ---------------- clause addition (root level only) ---------------- *)
 
 let set_guard t g =
   (match g with
   | Some l when l lsr 1 >= t.nvars -> invalid_arg "Solver.set_guard: unknown variable"
   | _ -> ());
-  (match g with
-  | Some l ->
-      (* a guard variable is structural: it must survive elimination *)
-      ensure_active t (l lsr 1);
-      Bytes.set t.frozen (l lsr 1) '\001'
-  | None -> ());
   t.guard <- (match g with None -> -1 | Some l -> l)
 
 (* Sort [buf.(0 .. n-1)] ascending and drop duplicates in place;
@@ -718,11 +592,6 @@ let add_clause t lits =
     let n = sort_uniq_prefix buf n in
     for i = 0 to n - 1 do
       if buf.(i) lsr 1 >= t.nvars then invalid_arg "Solver.add_clause: unknown variable"
-    done;
-    (* a clause over an eliminated variable reactivates it (and every
-       variable eliminated after it) before the clause is attached *)
-    for i = 0 to n - 1 do
-      ensure_active t (buf.(i) lsr 1)
     done;
     (* the normalised clause is logically the caller's clause; log it as
        a proof axiom before any root-level strengthening *)
@@ -946,36 +815,6 @@ let rec luby i =
   if (1 lsl !k) - 1 = i then 1 lsl (!k - 1)
   else luby (i - ((1 lsl (!k - 1)) - 1))
 
-(* ---------------- model reconstruction ---------------- *)
-
-(* Extend a model over the eliminated variables, newest elimination
-   first: stored clauses of a later-eliminated variable never mention an
-   earlier-eliminated one, so each variable is valued against the
-   already-reconstructed suffix.  A variable is set true exactly when
-   some stored clause with a positive pivot is unsatisfied by its other
-   literals; the negative-pivot clauses are then satisfied automatically
-   because every pos/neg resolvent was added (or was a tautology) at
-   elimination time. *)
-let reconstruct_model t =
-  if t.elim_stack <> [] then begin
-    let model_lit l = t.model.(l lsr 1) lxor (l land 1) = 1 in
-    List.iter
-      (fun (v, stored) ->
-        let value = ref 0 in
-        List.iter
-          (fun arr ->
-            if arr.(0) land 1 = 0 then begin
-              let sat = ref false in
-              for j = 1 to Array.length arr - 1 do
-                if model_lit arr.(j) then sat := true
-              done;
-              if not !sat then value := 1
-            end)
-          stored;
-        t.model.(v) <- !value)
-      t.elim_stack
-  end
-
 (* ---------------- main search ---------------- *)
 
 let pick_branch_var t =
@@ -985,7 +824,7 @@ let pick_branch_var t =
     if t.random_freq > 0.0 && random_float t < t.random_freq then begin
       let v = Int64.to_int (Int64.rem (Int64.shift_right_logical (next_random t) 1)
                               (Int64.of_int t.nvars)) in
-      if t.assigns.(v) < 0 && Bytes.get t.elim v = '\000' then v else -1
+      if t.assigns.(v) < 0 then v else -1
     end
     else -1
   in
@@ -1004,14 +843,6 @@ let solve_with ?(deadline = Deadline.none) ~assumptions t =
   List.iter
     (fun l ->
       if l lsr 1 >= t.nvars then invalid_arg "Solver.solve_with: unknown variable")
-    assumptions;
-  (* assuming an eliminated variable reactivates it first; and once a
-     variable has been assumed it is interface state the caller may
-     assume again, so it must stay safe from elimination *)
-  List.iter
-    (fun l ->
-      ensure_active t (l lsr 1);
-      Bytes.set t.frozen (l lsr 1) '\001')
     assumptions;
   t.failed <- [];
   if not t.ok then Unsat
@@ -1110,9 +941,6 @@ let solve_with ?(deadline = Deadline.none) ~assumptions t =
                      (if t.assigns.(u) >= 0 then t.assigns.(u)
                       else Char.code (Bytes.get t.phase u))
                  done;
-                 (* eliminated variables read their value from the
-                    reconstruction stack, not the search *)
-                 reconstruct_model t;
                  result := Some Sat
                end
                else begin
@@ -1147,10 +975,10 @@ let lit_value t l =
 
 (* ---------------- inprocessing support (internal API) ---------------- *)
 
-(* The pass modules (Subsume, Varelim, Probe, Bin_graph) drive the
-   solver through this narrow surface; Inprocess installs the scheduler
-   via [set_inprocess].  Everything here assumes and preserves the root
-   state: decision level 0, propagation queue drained. *)
+(* Probe and Bin_graph drive the solver through this narrow surface;
+   Inprocess installs the scheduler via [set_inprocess].  Everything
+   here assumes and preserves the root state: decision level 0,
+   propagation queue drained. *)
 
 let set_inprocess t f = t.inprocess <- f
 
@@ -1158,9 +986,8 @@ let simp_prepare t =
   if (not t.ok) || decision_level t > 0 || t.trail_head < Veci.size t.trail then
     false
   else begin
-    (* root facts need no reason clauses; clearing them lets passes
-       delete or strengthen any clause without leaving a dangling
-       reason index behind *)
+    (* root facts need no reason clauses; clearing them leaves the
+       clauses that implied them free for [reduce_db] to collect *)
     for i = 0 to Veci.size t.trail - 1 do
       t.reason.(Veci.get t.trail i lsr 1) <- -1
     done;
@@ -1173,35 +1000,22 @@ let clause_view t ci =
   let c = Vec.get t.clauses ci in
   if c.deleted then [||] else c.lits
 
-let clause_is_learnt t ci = (Vec.get t.clauses ci).learnt
 let root_value t l = lit_val t l
 
-let simp_delete t ci =
-  let c = Vec.get t.clauses ci in
-  if not c.deleted then begin
-    detach t ci;
-    c.deleted <- true;
-    if c.learnt then t.n_learnt <- t.n_learnt - 1;
-    match t.proof with
-    | Some p -> Proof.log_delete p (Array.to_list c.lits)
-    | None -> ()
-  end
-
-let simp_strengthen t ci l =
-  let c = Vec.get t.clauses ci in
-  if (not c.deleted) && Array.exists (fun x -> x = l) c.lits then begin
-    let kept = List.filter (fun x -> x <> l) (Array.to_list c.lits) in
-    (* the strengthened clause is RUP while its resolution partner is
-       still in the database, so log the addition before the deletion *)
-    (match t.proof with Some p -> Proof.log_add p kept | None -> ());
-    simp_delete t ci;
-    t.n_strengthened <- t.n_strengthened + 1;
-    ignore (install_derived t kept)
-  end
-
-let simp_add t lits =
-  (match t.proof with Some p -> Proof.log_add p lits | None -> ());
-  install_derived t lits
+let simp_add_unit t l =
+  (match t.proof with Some p -> Proof.log_add p [ l ] | None -> ());
+  if t.ok then
+    match lit_val t l with
+    | 1 -> ()
+    | 0 ->
+        (match t.proof with Some p -> Proof.log_add p [] | None -> ());
+        t.ok <- false
+    | _ ->
+        enqueue t l (-1);
+        if propagate t >= 0 then begin
+          (match t.proof with Some p -> Proof.log_add p [] | None -> ());
+          t.ok <- false
+        end
 
 let probe_lit t l =
   if (not t.ok) || decision_level t > 0 || lit_val t l <> -1 then false
@@ -1213,53 +1027,4 @@ let probe_lit t l =
     confl >= 0
   end
 
-let simp_eliminate t v ~clause_idxs ~resolvents =
-  if
-    t.ok
-    && t.assigns.(v) < 0
-    && Bytes.get t.elim v = '\000'
-    && Bytes.get t.frozen v = '\000'
-  then begin
-    (* 1. add every resolvent while both parent clauses are still in the
-       database, making each one a RUP step *)
-    List.iter
-      (fun lits ->
-        (match t.proof with Some p -> Proof.log_add p lits | None -> ());
-        ignore (install_derived t lits))
-      resolvents;
-    (* resolvent units can propagate; abort (soundly — the resolvents
-       are implied regardless) if that reached [v] or a conflict *)
-    if t.ok && t.assigns.(v) < 0 then begin
-      let stored = ref [] in
-      List.iter
-        (fun ci ->
-          let c = Vec.get t.clauses ci in
-          if not c.deleted then begin
-            if not c.learnt then begin
-              (* copy with the pivot literal first: reintroduction is a
-                 RAT step on that pivot, and model reconstruction keys
-                 off it *)
-              let arr = Array.copy c.lits in
-              let pi = ref 0 in
-              Array.iteri (fun i l -> if l lsr 1 = v then pi := i) arr;
-              let tmp = arr.(0) in
-              arr.(0) <- arr.(!pi);
-              arr.(!pi) <- tmp;
-              stored := arr :: !stored
-            end;
-            simp_delete t ci
-          end)
-        clause_idxs;
-      t.elim_stack <- (v, !stored) :: t.elim_stack;
-      Bytes.set t.elim v '\001';
-      heap_remove t v;
-      t.n_eliminated <- t.n_eliminated + 1;
-      true
-    end
-    else false
-  end
-  else false
-
-let note_subsumed t = t.n_subsumed <- t.n_subsumed + 1
 let note_probed_failed t = t.n_probed_failed <- t.n_probed_failed + 1
-let note_substituted t = t.n_substituted <- t.n_substituted + 1

@@ -3,10 +3,12 @@
     This is the decision engine beneath the ILP layer: conflict-driven
     clause learning with two-watched-literal propagation, first-UIP
     conflict analysis, VSIDS branching with phase saving, Luby restarts
-    and activity-based learnt-clause deletion.  It is {e complete}: on
-    an instance without a deadline it always answers [Sat] or [Unsat],
-    which is what lets the mapper prove feasibility or infeasibility
-    exactly as the paper's Gurobi-based flow does.
+    and activity-based learnt-clause deletion, with optional
+    failed-literal probing between restarts ({!Inprocess}, the only
+    inprocessing pass).  It is {e complete}: on an instance without a
+    deadline it always answers [Sat] or [Unsat], which is what lets the
+    mapper prove feasibility or infeasibility exactly as the paper's
+    Gurobi-based flow does.
 
     Clauses may be added between [solve] calls (the solver restarts to
     the root level), enabling the objective-descent loop of the ILP
@@ -31,11 +33,7 @@ type stats = {
   propagations : int;
   restarts : int;
   learnt : int;  (** learnt clauses currently kept *)
-  subsumed : int;  (** clauses removed by (backward) subsumption *)
-  strengthened : int;  (** literals removed by self-subsuming resolution *)
-  eliminated : int;  (** variables removed by bounded variable elimination *)
   probed_failed : int;  (** failed literals found by probing *)
-  substituted : int;  (** clauses rewritten by equivalent-literal substitution *)
 }
 
 val create : unit -> t
@@ -130,23 +128,9 @@ val stats_delta : now:stats -> before:stats -> stats
     gauge (clauses currently kept) and is taken from [now]. *)
 
 val inprocess_counters : stats -> (string * int) list
-(** The per-pass inprocessing counters of a stats record as labelled
-    pairs ([subsumed], [strengthened], [eliminated], [probed_failed],
-    [substituted]) — the shape reported through [Ilp_mapper.info] and
-    the serve protocol. *)
-
-val set_frozen : t -> int -> bool -> unit
-(** Mark a variable as structural: inprocessing must never eliminate
-    it.  Required for any variable that outlives the clause set it
-    appears in — assumption selectors, totalizer outputs, anything the
-    caller will later assume or constrain directly. *)
-
-val is_frozen : t -> int -> bool
-
-val is_eliminated : t -> int -> bool
-(** True while the variable is removed by bounded variable elimination.
-    Adding a clause over it, or assuming it, reactivates it (and every
-    variable eliminated after it) transparently. *)
+(** The inprocessing counters of a stats record as labelled pairs
+    (only [probed_failed]) — the shape reported through
+    [Ilp_mapper.info] and the serve protocol. *)
 
 val set_var_decay : t -> float -> unit
 (** VSIDS decay factor in (0,1); default 0.95. *)
@@ -177,78 +161,50 @@ val set_random_seed : t -> int -> unit
 
 (** {1 Inprocessing support}
 
-    The narrow internal surface the pass modules ({!Subsume},
-    {!Varelim}, {!Probe}, {!Bin_graph}) drive the solver through; the
-    {!Inprocess} scheduler is installed with {!set_inprocess} and fired
-    by the solver at solve start and between Luby restarts.  Every
-    function below assumes — and preserves — the quiescent root state:
-    decision level 0, propagation queue drained.  All clause additions
-    and deletions flow through the attached {!Proof} sink, so DRAT
-    certificates stay checkable.  Not intended for use outside the
-    [Cgra_satoca] library. *)
+    The narrow internal surface failed-literal probing ({!Probe},
+    {!Bin_graph}) drives the solver through; the {!Inprocess} scheduler
+    is installed with {!set_inprocess} and fired by the solver at solve
+    start and between Luby restarts.  Every function below assumes —
+    and preserves — the quiescent root state: decision level 0,
+    propagation queue drained.  Every derived clause flows through the
+    attached {!Proof} sink, so DRAT certificates stay checkable.  Not
+    intended for use outside the [Cgra_satoca] library. *)
 
 val set_inprocess : t -> (t -> unit) option -> unit
 (** Install (or clear) the inprocessing hook.  The solver calls it with
     itself at the start of each [solve]/[solve_with] and after each
-    restart, always from the quiescent root state.  The hook may add,
-    delete, strengthen clauses and eliminate variables through the
-    functions below; if it derives a root conflict the solve returns
-    [Unsat] immediately. *)
+    restart, always from the quiescent root state.  The hook may probe
+    literals and add derived clauses through the functions below; if it
+    derives a root conflict the solve returns [Unsat] immediately. *)
 
 val simp_prepare : t -> bool
 (** Must be called (and return [true]) before any other simplification
     in a hook invocation.  Verifies the quiescent root state and clears
-    the reason indices of root-level facts so passes can delete or
-    strengthen any clause without dangling references.  Returns [false]
-    when simplification must not run (conflict already established, or
-    non-root state). *)
+    the reason indices of root-level facts (they need none).  Returns
+    [false] when simplification must not run (conflict already
+    established, or non-root state). *)
 
 val n_clause_slots : t -> int
 (** Number of clause slots ever allocated; indices [0 .. n-1] are valid
-    arguments to the clause accessors below (deleted slots included). *)
+    arguments to {!clause_view} (deleted slots included). *)
 
 val clause_view : t -> int -> int array
 (** The literal array of clause [ci], or [[||]] when the slot is
     deleted.  This is the live array — callers must not mutate it. *)
 
-val clause_is_learnt : t -> int -> bool
-
 val root_value : t -> Lit.t -> int
 (** -1 unassigned / 0 false / 1 true under the root assignment. *)
 
-val simp_delete : t -> int -> unit
-(** Detach and delete clause [ci], logging the deletion. *)
-
-val simp_strengthen : t -> int -> Lit.t -> unit
-(** Remove a literal from clause [ci] (self-subsuming resolution): logs
-    the strengthened clause as a derived addition, deletes the
-    original, and installs the result — which may propagate as a unit
-    or establish a root conflict.  Bumps the [strengthened] counter. *)
-
-val simp_add : t -> Lit.t list -> int
-(** Add a {e derived} clause (logged as a derivation step, not an input
-    axiom; the guard literal is not appended).  Returns the new clause
-    index, or [-1] when the clause was absorbed (root-satisfied, became
-    a unit, or closed the instance). *)
+val simp_add_unit : t -> Lit.t -> unit
+(** Assert a {e derived} root unit (logged as a derivation step, not an
+    input axiom; the guard literal is not appended) and propagate it.
+    If that falsifies the clause set, the empty clause is logged and
+    the solver is no longer {!ok}. *)
 
 val probe_lit : t -> Lit.t -> bool
 (** Assume the literal on a throwaway decision level and propagate.
     Returns [true] when this fails — i.e. the negation is implied; the
-    caller then asserts it with {!simp_add}.  Always backtracks to the
+    caller then asserts it with {!simp_add_unit}.  Always backtracks to the
     root; propagated polarities are retained as saved phases. *)
 
-val simp_eliminate :
-  t -> int -> clause_idxs:int list -> resolvents:Lit.t list list -> bool
-(** Eliminate variable [v] by bounded variable elimination:
-    [clause_idxs] must list {e every} live clause containing [v], and
-    [resolvents] the tautology-free resolvents on [v] of the non-learnt
-    ones.  Adds the resolvents (RUP while the parents remain), then
-    deletes the originals, storing the non-learnt ones pivot-first on
-    the reconstruction stack.  Returns [false] — changing nothing
-    beyond possibly-added resolvents — when [v] is assigned, frozen,
-    already eliminated, or the additions back-propagated onto [v].
-    Bumps the [eliminated] counter on success. *)
-
-val note_subsumed : t -> unit
 val note_probed_failed : t -> unit
-val note_substituted : t -> unit

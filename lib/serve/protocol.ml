@@ -30,7 +30,7 @@ type provenance = {
   warm_start : bool;
   session_solves : int;
   inprocess : (string * int) list;
-      (* per-pass SAT inprocessing counters of the solve behind the
+      (* SAT inprocessing counters of the solve behind the
          verdict (per-solve delta for sessions, whole run otherwise);
          [] when no in-process SAT solver ran *)
   build_phases : (string * float) list;

@@ -51,7 +51,7 @@ type provenance = {
           branching activity and learnt clauses carried over *)
   session_solves : int;  (** solves this session has served, after this one *)
   inprocess : (string * int) list;
-      (** per-pass SAT inprocessing counters of the solve behind the
+      (** SAT inprocessing counters of the solve behind the
           verdict ({!Cgra_satoca.Solver.inprocess_counters}): the
           per-solve delta for session solves, the whole run for
           one-shot paths; [[]] when no in-process SAT solver ran.
