@@ -673,16 +673,20 @@ let run_explain opts =
    a logged skip, because a benchmark must run everywhere. *)
 let run_crosscheck opts =
   let module Backend = Cgra_backend.Backend in
-  let module Registry = Cgra_backend.Registry in
+  let module Solver_spec = Cgra_core.Solver_spec in
   Printf.printf "== Cross-check: native-sat vs %s (%dx%d, limit %.0fs) ==\n" opts.backend
     opts.size opts.size opts.limit;
-  match Registry.find opts.backend with
-  | None ->
-      Printf.eprintf "crosscheck: unknown backend %S (known: %s)\n%!" opts.backend
-        (String.concat ", " (Registry.names ()));
+  match Solver_spec.of_name opts.backend with
+  | Error msg ->
+      Printf.eprintf "crosscheck: %s\n%!" msg;
       exit 2
-  | Some b -> (
-      match b.Backend.available () with
+  | Ok solver -> (
+      let available =
+        match solver.Solver_spec.engine with
+        | Solver_spec.External b -> b.Backend.available ()
+        | Solver_spec.Native _ -> Backend.Available { version = None }
+      in
+      match available with
       | Backend.Unavailable reason ->
           Printf.printf "crosscheck: skipped — backend %s unavailable (%s)\n\n%!" opts.backend
             reason
@@ -703,7 +707,7 @@ let run_crosscheck opts =
             (fun job ->
               let native = Sweep_runner.run job in
               let ext =
-                Sweep_runner.run_variant (Sweep_runner.backend_variant opts.backend) job
+                Sweep_runner.run_variant (Sweep_runner.variant solver) job
               in
               let agreed =
                 Sweep_record.verdicts_agree ~status:native.Sweep_record.status

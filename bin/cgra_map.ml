@@ -20,7 +20,7 @@ module Mapping = Cgra_core.Mapping
 module Lp_format = Cgra_ilp.Lp_format
 module Deadline = Cgra_util.Deadline
 module Backend = Cgra_backend.Backend
-module Registry = Cgra_backend.Registry
+module Solver_spec = Cgra_core.Solver_spec
 module Jsonl = Cgra_sweep.Jsonl
 module Serve_protocol = Cgra_serve.Protocol
 module Serve_server = Cgra_serve.Server
@@ -155,13 +155,18 @@ let certify_arg =
   in
   Arg.(value & flag & info [ "certify" ] ~doc)
 
+(* Solver names are parsed here, once; everything below takes the spec. *)
+let solver_conv =
+  let parse name = Result.map_error (fun e -> `Msg e) (Solver_spec.of_name name) in
+  Arg.conv (parse, fun fmt (s : Solver_spec.t) -> Format.pp_print_string fmt s.Solver_spec.name)
+
 let backend_arg =
   let doc =
-    "Solver backend (see $(b,backends)): a native engine (native-sat, native-bnb) or an \
-     external MILP solver (highs, cbc, scip) run as a subprocess over the LP export, with \
-     its answer replayed through the independent checkers."
+    "Solver (see $(b,backends)): a native engine on a formulation (native-sat, native-bnb, \
+     conn-sat, conn-bnb) or an external MILP solver (highs, cbc, scip) run as a subprocess \
+     over the LP export, with its answer replayed through the independent checkers."
   in
-  Arg.(value & opt (some string) None & info [ "backend" ] ~docv:"NAME" ~doc)
+  Arg.(value & opt (some solver_conv) None & info [ "backend" ] ~docv:"NAME" ~doc)
 
 let json_arg =
   let doc =
@@ -196,7 +201,7 @@ let print_verdict_json ~engine ~t0 result =
   print_endline (Jsonl.to_string (Serve_protocol.verdict_to_json v))
 
 let map_cmd =
-  let run bench arch size contexts limit optimize certify backend formulation json =
+  let run bench arch size contexts limit optimize certify solver json =
     let dfg = or_die (load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
@@ -204,14 +209,14 @@ let map_cmd =
     let t0 = Deadline.now () in
     let result =
       try
-        IM.map ~objective ?backend ?formulation ~deadline:(deadline_of limit) ~certify dfg
-          mrrg
+        IM.map ~objective ?solver ~deadline:(deadline_of limit) ~certify dfg mrrg
       with Backend.Error msg ->
         prerr_endline ("backend error: " ^ msg);
         exit 1
     in
     if json then begin
-      print_verdict_json ~engine:(Option.value backend ~default:"sat") ~t0 result;
+      let engine = match solver with Some s -> s.Solver_spec.name | None -> "sat" in
+      print_verdict_json ~engine ~t0 result;
       match result with
       | IM.Mapped _ -> ()
       | IM.Infeasible info -> if certify && not info.IM.certified then exit 3
@@ -247,29 +252,37 @@ let map_cmd =
        ~doc:"Map a benchmark onto an architecture with the exact ILP mapper (paper Fig. 7).")
     Term.(
       const run $ benchmark_arg $ arch_arg $ size_arg $ contexts_arg $ limit_arg $ optimize_arg
-      $ certify_arg $ backend_arg $ formulation_arg $ json_arg)
+      $ certify_arg $ backend_arg $ json_arg)
 
 let backends_cmd =
   let run () =
-    Printf.printf "%-12s %-11s %-14s %s\n" "Name" "Kind" "Status" "Description";
+    Printf.printf "%-12s %-14s %s\n" "Name" "Status" "Description";
     List.iter
-      (fun (b : Backend.t) ->
-        let status, detail =
-          match b.Backend.available () with
-          | Backend.Available { version = Some v } -> ("available", Printf.sprintf " [%s]" v)
-          | Backend.Available { version = None } -> ("available", "")
-          | Backend.Unavailable why -> ("missing", Printf.sprintf " (%s)" why)
+      (fun name ->
+        let s = Result.get_ok (Solver_spec.of_name name) in
+        let status, doc =
+          match s.Solver_spec.engine with
+          | Solver_spec.Native e ->
+              let engine = if e = Cgra_ilp.Solve.Branch_and_bound then "B&B" else "CDCL SAT" in
+              ( "available",
+                Printf.sprintf "built-in %s; %s" engine
+                  s.Solver_spec.formulation.Formulation_intf.doc )
+          | Solver_spec.External b -> (
+              match b.Backend.available () with
+              | Backend.Available { version = Some v } ->
+                  ("available", Printf.sprintf "%s [%s]" b.Backend.doc v)
+              | Backend.Available { version = None } -> ("available", b.Backend.doc)
+              | Backend.Unavailable why -> ("missing", Printf.sprintf "%s (%s)" b.Backend.doc why))
         in
-        Printf.printf "%-12s %-11s %-14s %s%s\n" b.Backend.name
-          (Backend.kind_name b.Backend.kind)
-          status b.Backend.doc detail)
-      (Registry.all ())
+        Printf.printf "%-12s %-14s %s\n" name status doc)
+      (Solver_spec.names ())
   in
   Cmd.v
     (Cmd.info "backends"
        ~doc:
-         "List the solver backends: the built-in exact engines and the external MILP \
-          adapters, with PATH discovery and version capture for the external binaries.")
+         "List the solver names $(b,--backend) accepts: the built-in exact engines on each \
+          formulation and the external MILP adapters, with PATH discovery and version \
+          capture for the external binaries.")
     Term.(const run $ const ())
 
 let explain_cmd =
@@ -721,36 +734,27 @@ let sweep_cmd =
   in
   let cross_check_arg =
     let doc =
-      "Re-solve every definitive cell with this solver backend (see $(b,backends)) and \
-       journal the second opinion; exit 5 if any verdict is contradicted."
+      "Re-solve every definitive cell with this solver (see $(b,backends)) and journal the \
+       second opinion; exit 5 if any verdict is contradicted."
     in
-    Arg.(value & opt (some string) None & info [ "cross-check" ] ~docv:"BACKEND" ~doc)
+    Arg.(value & opt (some solver_conv) None & info [ "cross-check" ] ~docv:"BACKEND" ~doc)
   in
   let racers_arg =
     let doc =
-      "Add this solver backend as an extra $(b,--portfolio) racer (repeatable); ignored \
-       without $(b,--portfolio)."
+      "Add this solver (see $(b,backends)) as an extra $(b,--portfolio) racer (repeatable); \
+       ignored without $(b,--portfolio)."
     in
-    Arg.(value & opt_all string [] & info [ "racer" ] ~docv:"BACKEND" ~doc)
+    Arg.(value & opt_all solver_conv [] & info [ "racer" ] ~docv:"BACKEND" ~doc)
   in
-  let run jobs portfolio certify explain cross_check racer_backends resume out table benchmarks
+  let run jobs portfolio certify explain cross_check racer_solvers resume out table benchmarks
       archs contexts limit size =
     let contexts = if contexts = [] then [ 1; 2 ] else contexts in
-    (* Unknown backend names die before, not three hours into, the sweep. *)
-    List.iter
-      (fun name ->
-        if Registry.find name = None then begin
-          Printf.eprintf "sweep: unknown backend %S (known: %s)\n%!" name
-            (String.concat ", " (Registry.names ()));
-          exit 1
-        end)
-      (Option.to_list cross_check @ racer_backends);
     let racers =
-      match racer_backends with
+      match racer_solvers with
       | [] -> []
-      | backends ->
+      | solvers ->
           Cgra_sweep.Runner.default_racers (Domain.recommended_domain_count ())
-          @ List.map Cgra_sweep.Runner.backend_variant backends
+          @ List.map Cgra_sweep.Runner.variant solvers
     in
     let grid = Sweep_job.paper_grid ~size ~contexts ~limit ~benchmarks ~archs () in
     let skip =
@@ -837,8 +841,8 @@ let sweep_cmd =
           skips recorded jobs; $(b,--portfolio) races engines per job; $(b,--certify) \
           demands validated evidence for every definitive verdict and exits 4 otherwise; \
           $(b,--explain) journals a constraint-group unsat core for every infeasible cell; \
-          $(b,--cross-check) re-proves every definitive cell with a second solver backend \
-          and exits 5 on any contradiction.")
+          $(b,--cross-check) re-proves every definitive cell with a second solver and exits \
+          5 on any contradiction.")
     Term.(
       const run $ jobs_arg $ portfolio_arg $ certify_arg $ explain_arg $ cross_check_arg
       $ racers_arg $ resume_arg $ out_arg $ table_arg $ benchmarks_arg $ archs_arg
@@ -967,7 +971,7 @@ let client_cmd =
     | Serve_protocol.Error_reply { code; message } ->
         Printf.eprintf "daemon error [%s]: %s\n%!" code message
   in
-  let run socket bench arch size contexts limit optimize certify backend explain stats shutdown
+  let run socket bench arch size contexts limit optimize certify solver explain stats shutdown
       repeat json =
     let payload =
       if shutdown then Serve_protocol.Shutdown
@@ -985,7 +989,7 @@ let client_cmd =
             optimize;
             certify;
             explain;
-            backend;
+            backend = Option.map (fun (s : Solver_spec.t) -> s.Solver_spec.name) solver;
           }
     in
     match Serve_client.connect ~socket with

@@ -1,22 +1,10 @@
 type availability = Available of { version : string option } | Unavailable of string
 
-type kind =
-  | Native of Cgra_ilp.Solve.engine
-  | External of { binary : string; dialect : Sol_parse.dialect }
-  | Formulation of { formulation : string; engine : Cgra_ilp.Solve.engine }
-
-type report = {
-  outcome : Cgra_ilp.Solve.outcome;
-  wall_seconds : float;
-  note : string option;
-}
-
 type t = {
   name : string;
   doc : string;
-  kind : kind;
   available : unit -> availability;
-  solve : ?deadline:Cgra_util.Deadline.t -> Cgra_ilp.Model.t -> report;
+  solve : ?deadline:Cgra_util.Deadline.t -> Cgra_ilp.Model.t -> Cgra_ilp.Solve.outcome;
 }
 
 exception Error of string
@@ -25,13 +13,3 @@ let () =
   Printexc.register_printer (function
     | Error msg -> Some (Printf.sprintf "Cgra_backend.Backend.Error(%S)" msg)
     | _ -> None)
-
-let pp_availability fmt = function
-  | Available { version = Some v } -> Format.fprintf fmt "available (%s)" v
-  | Available { version = None } -> Format.pp_print_string fmt "available"
-  | Unavailable why -> Format.fprintf fmt "unavailable: %s" why
-
-let kind_name = function
-  | Native _ -> "native"
-  | External _ -> "external"
-  | Formulation _ -> "formulation"

@@ -1,52 +1,30 @@
-(** The solver-backend abstraction: "solve a {!Cgra_ilp.Model.t} under
-    a deadline" as a first-class value.
+(** An external solver: "solve a {!Cgra_ilp.Model.t} under a
+    deadline" in another process, as a first-class value.
 
     The paper hands its 0-1 program to Gurobi; this reproduction's
     native engines argue equivalence (DESIGN.md §2).  A backend closes
-    the loop: the same model can be solved by the in-process engines
-    ([native-sat], [native-bnb]) or by an industry MILP solver spawned
-    as a subprocess over the {!Cgra_ilp.Lp_format} export, and the
-    answers can be raced or diffed.  External answers are never trusted
-    blindly — the adapter replays every claimed assignment through
+    the loop: the model the in-process engines solve can also go to an
+    industry MILP solver spawned as a subprocess over the
+    {!Cgra_ilp.Lp_format} export, and the answers can be raced or
+    diffed.  [Cgra_core.Solver_spec] names native and external solvers
+    alike.  External answers are never trusted blindly — the adapter replays every claimed assignment through
     {!Cgra_ilp.Model.feasible} and recomputes the objective, and the
     mapper layer re-checks the extracted mapping with
     [Cgra_core.Check.run]. *)
 
 type availability =
   | Available of { version : string option }
-      (** usable now; [version] captured from the binary for external
-          backends, [None] for built-ins *)
+      (** usable now; [version] captured from the binary, [None] when
+          it prints none *)
   | Unavailable of string  (** why not, e.g. "highs: not found on PATH" *)
 
-type kind =
-  | Native of Cgra_ilp.Solve.engine  (** thin wrapper over {!Cgra_ilp.Solve} *)
-  | External of { binary : string; dialect : Sol_parse.dialect }
-      (** subprocess adapter: LP file out, solution file back in *)
-  | Formulation of { formulation : string; engine : Cgra_ilp.Solve.engine }
-      (** a different {e constraint structure}, not a different solver:
-          the mapper compiles the job through the named entry of
-          [Cgra_core.Formulation_intf] and solves natively with
-          [engine].  The name is a string (not a typed handle) so this
-          library stays independent of [cgra_core], which sits above
-          it in the dependency order. *)
-
-type report = {
-  outcome : Cgra_ilp.Solve.outcome;
-  wall_seconds : float;
-  note : string option;
-      (** supporting detail — solver status text, why a [Timeout] was
-          returned (time limit vs unparseable answer), etc. *)
-}
-
 type t = {
-  name : string;  (** registry key, e.g. ["native-sat"], ["highs"] *)
+  name : string;  (** registry key, e.g. ["highs"] *)
   doc : string;   (** one-line description for [cgra_map backends] *)
-  kind : kind;
   available : unit -> availability;
-      (** probe now (PATH lookup + version capture for externals);
-          not cached, so tests and long-lived processes see PATH
+      (** probe now (PATH lookup + version capture); not cached, so tests and long-lived processes see PATH
           changes *)
-  solve : ?deadline:Cgra_util.Deadline.t -> Cgra_ilp.Model.t -> report;
+  solve : ?deadline:Cgra_util.Deadline.t -> Cgra_ilp.Model.t -> Cgra_ilp.Solve.outcome;
       (** decide (and optimise) the model.
           @raise Error when the backend cannot answer at all (binary
           missing, solver crashed, unparseable or replay-refuted
@@ -57,7 +35,3 @@ exception Error of string
 (** A backend-level failure that is not a verdict: missing binary,
     subprocess spawn failure, a solution file that does not parse, or
     an external assignment that fails independent replay. *)
-
-val pp_availability : Format.formatter -> availability -> unit
-val kind_name : kind -> string
-(** ["native"], ["external"] or ["formulation"]. *)

@@ -61,8 +61,8 @@ let tail ?(n = 400) s = if String.length s <= n then s else String.sub s (String
 let validated_outcome spec model (sol : Sol_parse.t) =
   let fail fmt = Printf.ksprintf (fun m -> raise (Backend.Error (spec.name ^ ": " ^ m))) fmt in
   match sol.Sol_parse.status with
-  | Sol_parse.Infeasible -> (Solve.Infeasible, None)
-  | Sol_parse.Unknown why -> (Solve.Timeout, Some why)
+  | Sol_parse.Infeasible -> Solve.Infeasible
+  | Sol_parse.Unknown _ -> Solve.Timeout
   | (Sol_parse.Optimal | Sol_parse.Feasible) as status ->
       let names = Lp_format.external_names model in
       let index = Hashtbl.create (Array.length names) in
@@ -86,12 +86,9 @@ let validated_outcome spec model (sol : Sol_parse.t) =
         ->
           fail "claimed objective %g but replay computes %d" claimed objective
       | _ -> ());
-      let outcome =
-        match status with
-        | Sol_parse.Optimal -> Solve.Optimal (assign, objective)
-        | _ -> Solve.Feasible (assign, objective)
-      in
-      (outcome, None)
+      match status with
+      | Sol_parse.Optimal -> Solve.Optimal (assign, objective)
+      | _ -> Solve.Feasible (assign, objective)
 
 let solve spec ?(deadline = Deadline.none) model =
   let binary =
@@ -103,7 +100,6 @@ let solve spec ?(deadline = Deadline.none) model =
              (Printf.sprintf "%s: %s not found on PATH (set $%s to override)" spec.name
                 spec.binary spec.env_override))
   in
-  let t0 = Deadline.now () in
   let lp_file = Filename.temp_file "cgra_model" ".lp" in
   let sol_file = Filename.temp_file "cgra_sol" ".sol" in
   Fun.protect
@@ -119,10 +115,8 @@ let solve spec ?(deadline = Deadline.none) model =
       | Error why -> raise (Backend.Error (Printf.sprintf "%s: %s" spec.name why))
       | Ok proc ->
           let sol_text = try read_file sol_file with _ -> "" in
-          let wall_seconds = Deadline.elapsed_of ~start:t0 in
           if String.trim sol_text = "" then
-            if proc.Subprocess.killed then
-              { Backend.outcome = Solve.Timeout; wall_seconds; note = Some "killed at deadline" }
+            if proc.Subprocess.killed then Solve.Timeout
             else
               raise
                 (Backend.Error
@@ -135,15 +129,12 @@ let solve spec ?(deadline = Deadline.none) model =
                 raise
                   (Backend.Error
                      (Printf.sprintf "%s: unparseable solution file: %s" spec.name why))
-            | Ok sol ->
-                let outcome, note = validated_outcome spec model sol in
-                { Backend.outcome; wall_seconds; note }))
+            | Ok sol -> validated_outcome spec model sol))
 
 let make spec =
   {
     Backend.name = spec.name;
     doc = spec.doc;
-    kind = Backend.External { binary = spec.binary; dialect = spec.dialect };
     available = (fun () -> probe spec);
     solve = (fun ?deadline model -> solve spec ?deadline model);
   }

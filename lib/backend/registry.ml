@@ -1,6 +1,4 @@
-let builtin = [ Native.sat; Native.bnb; Milp_adapter.highs; Milp_adapter.cbc; Milp_adapter.scip ]
-
-let default_name = "native-sat"
+let builtin = [ Milp_adapter.highs; Milp_adapter.cbc; Milp_adapter.scip ]
 
 let lock = Mutex.create ()
 let registered : Backend.t list ref = ref []

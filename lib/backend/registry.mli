@@ -1,13 +1,14 @@
-(** The backend registry: name → {!Backend.t}.
+(** The backend registry: name → external {!Backend.t}.
 
-    Ships with the two native engines and the three external MILP
-    adapters; {!register} adds (or replaces) entries at runtime — used
-    by tests to inject adversarial backends and available to embedders
-    as a plugin point.  All operations are mutex-protected and safe to
+    Ships with the three external MILP adapters; the in-process engines
+    are not backends ([Cgra_core.Solver_spec] names them).  {!register}
+    adds (or replaces) entries at runtime — used by tests to inject
+    adversarial backends and available to embedders as a plugin
+    point.  All operations are mutex-protected and safe to
     call from any domain. *)
 
 val builtin : Backend.t list
-(** [native-sat; native-bnb; highs; cbc; scip], in that order. *)
+(** [highs; cbc; scip], in that order. *)
 
 val all : unit -> Backend.t list
 (** Built-ins plus runtime registrations, registration order;
@@ -20,5 +21,3 @@ val find : string -> Backend.t option
 val register : Backend.t -> unit
 (** Add a backend, replacing any previous entry with the same name. *)
 
-val default_name : string
-(** ["native-sat"] — what an unqualified mapper call uses. *)

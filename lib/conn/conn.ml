@@ -1,11 +1,8 @@
 module Dfg = Cgra_dfg.Dfg
 module Mrrg = Cgra_mrrg.Mrrg
 module Model = Cgra_ilp.Model
-module Solve = Cgra_ilp.Solve
 module Bitset = Cgra_util.Bitset
 module Deadline = Cgra_util.Deadline
-module Backend = Cgra_backend.Backend
-module Registry = Cgra_backend.Registry
 module Formulation = Cgra_core.Formulation
 module Formulation_intf = Cgra_core.Formulation_intf
 module Mapping = Cgra_core.Mapping
@@ -526,30 +523,9 @@ let impl =
         });
   }
 
-let backend ~name ~doc engine =
-  {
-    Backend.name;
-    doc;
-    kind = Backend.Formulation { formulation = formulation_name; engine };
-    available = (fun () -> Backend.Available { version = None });
-    solve =
-      (fun ?deadline model ->
-        let t0 = Deadline.now () in
-        let outcome = Solve.solve ?deadline ~engine model in
-        { Backend.outcome; wall_seconds = Deadline.elapsed_of ~start:t0; note = None });
-  }
-
-let () =
-  Formulation_intf.register impl;
-  Registry.register
-    (backend ~name:"conn-sat"
-       ~doc:"connectivity formulation on the built-in CDCL SAT engine" Solve.Sat_backed);
-  Registry.register
-    (backend ~name:"conn-bnb"
-       ~doc:"connectivity formulation on the built-in branch-and-bound"
-       Solve.Branch_and_bound)
+let () = Formulation_intf.register impl
 
 (* OCaml links a library module only when something references it; any
-   binary that wants the conn formulation or backends available calls
-   this (it forces the module initializer above). *)
+   binary that wants the conn formulation available calls this (it
+   forces the module initializer above). *)
 let ensure_registered () = ()

@@ -30,9 +30,9 @@
     [formulation-vs-conn] fuzz invariant enforces this).
 
     Registered as formulation ["conn"] in
-    {!Cgra_core.Formulation_intf} and as backends
-    ["conn-sat"]/["conn-bnb"] in {!Cgra_backend.Registry} at
-    module-init time; call {!ensure_registered} to force linking. *)
+    {!Cgra_core.Formulation_intf} at module-init time, which makes
+    ["conn-sat"]/["conn-bnb"] valid {!Cgra_core.Solver_spec} names;
+    call {!ensure_registered} to force linking. *)
 
 module Dfg := Cgra_dfg.Dfg
 module Mrrg := Cgra_mrrg.Mrrg
@@ -100,6 +100,5 @@ val formulation_name : string
 
 val ensure_registered : unit -> unit
 (** No-op whose call forces this module's initializer, which registers
-    the ["conn"] formulation and the ["conn-sat"]/["conn-bnb"]
-    backends.  Needed because the OCaml linker drops library modules
-    nothing references. *)
+    the ["conn"] formulation.  Needed because the OCaml linker drops
+    library modules nothing references. *)

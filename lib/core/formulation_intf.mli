@@ -1,8 +1,9 @@
 (** The formulation seam: "compile DFG × MRRG into a 0-1 model" as a
     first-class, registered value.
 
-    {!Cgra_backend.Registry} made the {e solver} pluggable; this
-    registry makes the {e constraint structure} pluggable.  A
+    {!Cgra_backend.Registry} made the external {e solver} pluggable;
+    this registry makes the {e constraint structure} pluggable, and
+    {!Solver_spec} pairs the two.  A
     formulation packages everything {!Ilp_mapper.map} needs beyond the
     model itself — solution extraction, warm-start phase seeding, and
     value naming for unsat-core diagnosis — so genuinely different
@@ -48,8 +49,11 @@ type impl = {
 }
 
 val default_name : string
-(** ["paper"] — what {!Ilp_mapper.map} uses when no formulation is
-    named. *)
+(** ["paper"], the name of {!paper}. *)
+
+val paper : impl
+(** The paper's per-edge sub-value model, the formulation of
+    {!Solver_spec.default}. *)
 
 val register : impl -> unit
 (** Add (or shadow, by name) a formulation.  Thread-safe. *)

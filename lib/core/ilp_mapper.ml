@@ -4,7 +4,6 @@ module Unsat_core = Cgra_ilp.Unsat_core
 module Proof = Cgra_satoca.Proof
 module Drat = Cgra_satoca.Drat
 module Backend = Cgra_backend.Backend
-module Registry = Cgra_backend.Registry
 
 type diagnosis = {
   core : string list;
@@ -65,102 +64,8 @@ let diagnose ?deadline (f : Formulation_intf.built) (core : Unsat_core.core) =
     conflict_resources = List.rev !resources;
   }
 
-(* Solve through an external backend: LP export, subprocess, replayed
-   solution (see {!Cgra_backend.Milp_adapter}).  The mapping extracted
-   from a replayed assignment still goes through {!Check.run} below, so
-   a Mapped verdict carries the same evidence as the native path; an
-   Infeasible verdict is the external solver's word — uncertified, and
-   exactly what [sweep --cross-check] exists to diff. *)
-let solve_external ?deadline ~objective ~explain (b : Backend.t)
-    (f : Formulation_intf.built) ~build_seconds ~build_phases =
-  let report = b.Backend.solve ?deadline f.Formulation_intf.model in
-  let info ?diagnosis ~objective_value ~proven_optimal ~certified () =
-    {
-      size = f.Formulation_intf.size;
-      solve_seconds = report.Backend.wall_seconds;
-      build_seconds;
-      build_phases;
-      objective_value;
-      proven_optimal;
-      sat_calls = 0;
-      presolve_fixed = 0;
-      certified;
-      proof_steps = 0;
-      inprocess = [];
-      diagnosis;
-    }
-  in
-  match report.Backend.outcome with
-  | Solve.Infeasible ->
-      let diagnosis =
-        (* the explanation machinery is native and engine-independent:
-           it re-derives the core from the model, so it can explain an
-           externally-proven infeasibility too *)
-        if not explain then None
-        else
-          match Unsat_core.extract ?deadline ~minimize:true f.Formulation_intf.model with
-          | Unsat_core.Core core -> Some (diagnose ?deadline f core)
-          | Unsat_core.Satisfiable ->
-              failwith
-                (Printf.sprintf
-                   "Ilp_mapper: native core extraction refuted backend %s's infeasibility \
-                    (cross-engine disagreement)"
-                   b.Backend.name)
-          | Unsat_core.Unknown -> None
-      in
-      Infeasible (info ?diagnosis ~objective_value:None ~proven_optimal:true ~certified:false ())
-  | Solve.Timeout ->
-      Timeout (info ~objective_value:None ~proven_optimal:false ~certified:false ())
-  | Solve.Optimal (assign, obj) | Solve.Feasible (assign, obj) ->
-      let proven_optimal =
-        match report.Backend.outcome with Solve.Optimal _ -> true | _ -> false
-      in
-      let mapping = f.Formulation_intf.extract assign in
-      (match Check.run mapping with
-      | Ok () -> ()
-      | Error errs ->
-          failwith
-            (Printf.sprintf
-               "Ilp_mapper: backend %s returned a replayed assignment whose mapping fails the \
-                independent checker: %s"
-               b.Backend.name (String.concat "; " errs)));
-      let objective_value =
-        match objective with Formulation.Feasibility -> None | _ -> Some obj
-      in
-      Mapped (mapping, info ~objective_value ~proven_optimal ~certified:true ())
-
-let map ?(objective = Formulation.Feasibility) ?engine ?backend ?formulation ?deadline
-    ?cancel ?prune ?(warm_start = 5.0) ?(certify = false) ?(explain = false) dfg mrrg =
-  let engine, external_backend, formulation =
-    match backend with
-    | None -> (engine, None, formulation)
-    | Some name -> (
-        match Registry.find name with
-        | None ->
-            raise
-              (Backend.Error
-                 (Printf.sprintf "unknown backend %S (known: %s)" name
-                    (String.concat ", " (Registry.names ()))))
-        | Some b -> (
-            match b.Backend.kind with
-            | Backend.Native e -> (Some e, None, formulation)
-            | Backend.External _ -> (engine, Some b, formulation)
-            | Backend.Formulation { formulation = fname; engine = e } ->
-                (* a formulation backend is a (formulation, native
-                   engine) pair; it overrides an explicit ?formulation
-                   because the backend name is the more specific ask *)
-                (Some e, None, Some fname)))
-  in
-  let impl =
-    let fname = Option.value formulation ~default:Formulation_intf.default_name in
-    match Formulation_intf.find fname with
-    | Some impl -> impl
-    | None ->
-        raise
-          (Backend.Error
-             (Printf.sprintf "unknown formulation %S (known: %s)" fname
-                (String.concat ", " (Formulation_intf.names ()))))
-  in
+let map ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.default) ?deadline ?cancel
+    ?(warm_start = 5.0) ?(certify = false) ?(explain = false) dfg mrrg =
   let attach d = match cancel with None -> d | Some f -> Deadline.with_cancellation d f in
   let deadline = Option.map attach deadline in
   let deadline =
@@ -169,10 +74,18 @@ let map ?(objective = Formulation.Feasibility) ?engine ?backend ?formulation ?de
     | d, _ -> d
   in
   let t0 = Deadline.now () in
-  let f = impl.Formulation_intf.build ~objective ?prune dfg mrrg in
+  let f = solver.Solver_spec.formulation.Formulation_intf.build ~objective dfg mrrg in
   let build_phases = f.Formulation_intf.phases in
   (* phase hints mean nothing to a subprocess solver *)
-  let warm_start = if external_backend <> None then 0.0 else warm_start in
+  let warm_start =
+    match solver.Solver_spec.engine with
+    | Solver_spec.External _ -> 0.0
+    | Solver_spec.Native _ -> (
+        (* the anneal spends the call's own budget, never more *)
+        match Option.bind deadline Deadline.remaining with
+        | Some left -> Float.min warm_start left
+        | None -> warm_start)
+  in
   if warm_start > 0.0 then begin
     let params = if warm_start >= 20.0 then Anneal.thorough else Anneal.moderate in
     match
@@ -182,11 +95,21 @@ let map ?(objective = Formulation.Feasibility) ?engine ?backend ?formulation ?de
     | Anneal.Failed _ -> ()
   end;
   let build_seconds = Deadline.elapsed_of ~start:t0 in
-  match external_backend with
-  | Some b -> solve_external ?deadline ~objective ~explain b f ~build_seconds ~build_phases
-  | None ->
-  let proof = if certify then Some (Proof.create ()) else None in
-  let report = Solve.solve_report ?deadline ?engine ?proof f.Formulation_intf.model in
+  let model = f.Formulation_intf.model in
+  let proof, report =
+    match solver.Solver_spec.engine with
+    | Solver_spec.Native engine ->
+        let proof = if certify then Some (Proof.create ()) else None in
+        (proof, Solve.solve_report ?deadline ~engine ?proof model)
+    | Solver_spec.External b ->
+        (* LP export, subprocess, replayed solution (see
+           {!Cgra_backend.Milp_adapter}); no DRAT trace exists, so an
+           external Infeasible stays uncertified *)
+        let t0 = Deadline.now () in
+        let outcome = b.Backend.solve ?deadline model in
+        let solve_seconds = Deadline.elapsed_of ~start:t0 in
+        (None, { Solve.outcome; solve_seconds; sat_calls = 0; presolve_fixed = 0; inprocess = [] })
+  in
   let proof_steps = match proof with Some p -> Proof.n_steps p | None -> 0 in
   let info ?diagnosis ~objective_value ~proven_optimal ~certified () =
     {
@@ -225,10 +148,12 @@ let map ?(objective = Formulation.Feasibility) ?engine ?backend ?formulation ?de
       let diagnosis =
         if not explain then None
         else
-          match Unsat_core.extract ?deadline ~minimize:true f.Formulation_intf.model with
+          match Unsat_core.extract ?deadline ~minimize:true model with
           | Unsat_core.Core core -> Some (diagnose ?deadline f core)
           | Unsat_core.Satisfiable ->
-              failwith "Ilp_mapper: core extraction refuted the engine's infeasibility (bug)"
+              failwith
+                (Printf.sprintf "Ilp_mapper: core extraction refuted %s's infeasibility"
+                   solver.Solver_spec.name)
           | Unsat_core.Unknown -> None
       in
       Infeasible (info ?diagnosis ~objective_value:None ~proven_optimal:true ~certified ())
@@ -243,8 +168,8 @@ let map ?(objective = Formulation.Feasibility) ?engine ?backend ?formulation ?de
       | Ok () -> ()
       | Error errs ->
           failwith
-            (Printf.sprintf "Ilp_mapper: solver returned an illegal mapping (bug): %s"
-               (String.concat "; " errs)));
+            (Printf.sprintf "Ilp_mapper: %s returned a mapping the independent checker rejects: %s"
+               solver.Solver_spec.name (String.concat "; " errs)));
       let objective_value =
         match objective with Formulation.Feasibility -> None | _ -> Some obj
       in

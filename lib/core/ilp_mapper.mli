@@ -65,12 +65,9 @@ type result =
 
 val map :
   ?objective:Formulation.objective ->
-  ?engine:Cgra_ilp.Solve.engine ->
-  ?backend:string ->
-  ?formulation:string ->
+  ?solver:Solver_spec.t ->
   ?deadline:Cgra_util.Deadline.t ->
   ?cancel:bool Atomic.t ->
-  ?prune:bool ->
   ?warm_start:float ->
   ?certify:bool ->
   ?explain:bool ->
@@ -78,40 +75,28 @@ val map :
   Mrrg.t ->
   result
 (** Defaults: [Feasibility] objective (a Table 2 style query),
-    SAT-backed engine, no deadline, corridor pruning on.  Mappings are
-    checked with {!Check} before being returned.
+    {!Solver_spec.default} (the paper formulation on the SAT engine),
+    no deadline.  Mappings are checked with {!Check} before being
+    returned.
 
-    [backend] selects a solver backend from
-    {!Cgra_backend.Registry} by name.  A native backend
-    (["native-sat"], ["native-bnb"]) routes through the standard
-    in-process path with the corresponding engine — [certify],
-    [explain] and [warm_start] all work.  An external backend
-    (["highs"], ["cbc"], ["scip"]) exports the model as an LP file,
-    runs the solver as a subprocess under the deadline, and replays the
-    parsed answer: the assignment is checked row-by-row against the
-    model, the objective is recomputed, and the extracted mapping must
-    pass {!Check.run}, so a [Mapped] verdict is [certified] exactly
-    like a native one.  An external [Infeasible] is the solver's word
-    and stays [certified = false] (no DRAT trace exists); [explain]
-    still works (the native core extractor re-derives the conflict),
-    and the sweep's [--cross-check] exists to diff such verdicts.
-    [warm_start] is forced to 0 on external backends.  A formulation
-    backend (["conn-sat"], ["conn-bnb"]) names a
-    {!Formulation_intf} entry plus a native engine and routes through
-    the standard in-process path — [certify], [explain] and
-    [warm_start] all work, exactly as for a native backend.
-    @raise Cgra_backend.Backend.Error on an unknown backend name, a
-    missing solver binary, or an external answer that fails replay.
-
-    [formulation] selects the constraint structure by
-    {!Formulation_intf} registry name (default
-    {!Formulation_intf.default_name}, the paper's per-edge sub-value
-    model).  Every downstream stage — presolve, SAT encoding,
-    certification, explanation, {!Check.run} validation — is
-    formulation-agnostic, so any registered formulation gets the full
-    pipeline.  When [backend] names a formulation backend, that wins
-    over [formulation].
-    @raise Cgra_backend.Backend.Error on an unknown formulation name.
+    [solver] picks the formulation and the solver in one value, parsed
+    from a name by {!Solver_spec.of_name}.  Every downstream stage —
+    presolve, SAT encoding, certification, explanation, {!Check.run}
+    validation — is formulation-agnostic, so any registered
+    formulation gets the full pipeline.  A native answer and an
+    external one take the same verdict path.  An external solver
+    (["highs"], ["cbc"], ["scip"]) gets the model as an LP file, runs
+    as a subprocess under the deadline, and its parsed answer is
+    replayed: the assignment is checked row-by-row against the model,
+    the objective is recomputed, and the extracted mapping must pass
+    {!Check.run}, so a [Mapped] verdict is [certified] exactly like a
+    native one.  An external [Infeasible] is the solver's word and
+    stays [certified = false] (no DRAT trace exists); [explain] still
+    works (the native core extractor re-derives the conflict), and the
+    sweep's [--cross-check] exists to diff such verdicts.
+    [warm_start] is forced to 0 for an external solver.
+    @raise Cgra_backend.Backend.Error on a missing solver binary or an
+    external answer that fails replay.
 
     {b Reentrancy.}  [map] is the single-job entry point of the
     parallel sweep engine: it holds no global mutable state — the
@@ -127,10 +112,11 @@ val map :
     engines.
 
     [warm_start] (default 5 seconds; 0 disables) bounds a quick
-    annealing attempt whose verified solution, when found, seeds the
-    exact engine's variable phases — the standard embedded-heuristic
-    warm start of production MIP solvers.  Completeness is unaffected:
-    the answer is still decided by the exact engine.
+    annealing attempt, never past what is left of [deadline], whose
+    verified solution, when found, seeds the exact engine's variable
+    phases — the standard embedded-heuristic warm start of production
+    MIP solvers.  Completeness is unaffected: the answer is still
+    decided by the exact engine.
 
     [certify] (default [false]) makes an [Infeasible] verdict carry a
     DRAT refutation, independently re-validated by
@@ -148,8 +134,9 @@ val map :
     A deadline hit during extraction leaves [diagnosis = None].
     @raise Failure if the solver returns an assignment the independent
     checker rejects, a DRAT certificate the independent checker
-    refutes, or an unsat core that re-solves satisfiable (each would be
-    a bug, not an input error). *)
+    refutes, or an unsat core that re-solves satisfiable (a bug, or an
+    external solver contradicting the native one; never an input
+    error). *)
 
 val result_feasible : result -> bool
 val pp_result : Format.formatter -> result -> unit

@@ -1,0 +1,34 @@
+(** One solver selection: which formulation to build and which solver
+    decides it.
+
+    A name is parsed once, at the edge (CLI flags, the serve wire
+    request, bench options); everything below takes a {!t}.  The names
+    are:
+    - ["native-sat"], ["native-bnb"]: the paper formulation on the
+      in-process CDCL SAT engine or branch-and-bound;
+    - ["<F>-sat"], ["<F>-bnb"]: registered {!Formulation_intf} entry
+      [F] on the same engines (["conn-sat"], ["conn-bnb"] once
+      [Cgra_conn] is linked);
+    - any {!Cgra_backend.Registry} entry (["highs"], ["cbc"],
+      ["scip"], runtime registrations): the paper formulation exported
+      as an LP file to an external MILP solver. *)
+
+type engine =
+  | Native of Cgra_ilp.Solve.engine  (** in-process, via {!Cgra_ilp.Solve} *)
+  | External of Cgra_backend.Backend.t  (** subprocess over the LP export *)
+
+type t = {
+  name : string;  (** the name it was parsed from *)
+  formulation : Formulation_intf.impl;
+  engine : engine;
+}
+
+val default : t
+(** ["native-sat"]: the paper formulation on the SAT engine. *)
+
+val of_name : string -> (t, string) result
+(** Parse a solver name; the error lists {!names}. *)
+
+val names : unit -> string list
+(** Every name {!of_name} accepts now: the native ones first, then the
+    backend registry's. *)

@@ -259,9 +259,9 @@ let check_solve sample ~limit =
   let failures = ref [] in
   let fail invariant detail = failures := (invariant, detail) :: !failures in
   let dfg = dfg_of_kernel sample.kernel in
-  let map ?formulation config =
+  let map ?solver config =
     let mrrg = Build.elaborate (Library.make config) ~ii:sample.ii in
-    IM.map ?formulation ~deadline:(Deadline.after ~seconds:limit) ~warm_start:0.0 dfg mrrg
+    IM.map ?solver ~deadline:(Deadline.after ~seconds:limit) ~warm_start:0.0 dfg mrrg
   in
   (* differential: the corridor-sparse builder and the retained dense
      reference scan must produce byte-identical LP renderings — same
@@ -288,7 +288,8 @@ let check_solve sample ~limit =
      feasibility question from a different constraint structure, so on
      any sample where both formulations finish, the verdicts must
      coincide (a conn Mapped answer is Check-validated inside map) *)
-  (match (result, map ~formulation:Conn.formulation_name sample.config) with
+  let conn = Result.get_ok (Cgra_core.Solver_spec.of_name (Conn.formulation_name ^ "-sat")) in
+  (match (result, map ~solver:conn sample.config) with
   | IM.Mapped _, IM.Infeasible _ ->
       fail "formulation-vs-conn"
         (Printf.sprintf "paper formulation maps %s but conn proves it infeasible"

@@ -117,10 +117,11 @@ let solve ?(deadline = Deadline.none) model =
     done;
     !b
   in
-  let nodes = ref 0 in
+  (* Poll the clock at every node: a node's row scan costs far more
+     than a clock read, and one node of a 4x4 model can take tens of
+     milliseconds. *)
   let rec dfs () =
-    incr nodes;
-    if !nodes land 255 = 0 && Deadline.expired deadline then raise Out_of_time;
+    if Deadline.expired deadline then raise Out_of_time;
     (* choose an unfixed variable appearing in the tightest row;
        fall back to the first unfixed one *)
     let pick = ref (-1) in

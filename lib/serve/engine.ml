@@ -4,6 +4,7 @@ module Build = Cgra_mrrg.Build
 module Mrrg = Cgra_mrrg.Mrrg
 module Formulation = Cgra_core.Formulation
 module IM = Cgra_core.Ilp_mapper
+module Solver_spec = Cgra_core.Solver_spec
 module Backend = Cgra_backend.Backend
 module Runner = Cgra_sweep.Runner
 module Deadline = Cgra_util.Deadline
@@ -45,82 +46,81 @@ let deadline_of t limit =
   if Float.is_finite effective then Deadline.after ~seconds:effective else Deadline.none
 
 let handle_map_exn t (m : Protocol.map_request) =
-  if m.Protocol.contexts < 1 then
-    Error ("bad_request", Printf.sprintf "contexts must be >= 1 (got %d)" m.Protocol.contexts)
-  else
-    match resolve_dfg m with
-    | Error e -> Error ("bad_request", e)
-    | Ok dfg -> (
-        match resolve_arch m with
-        | Error e -> Error ("bad_request", e)
-        | Ok arch ->
-            Atomic.incr t.requests;
-            let t0 = Deadline.now () in
-            let a_digest = arch_digest arch in
-            let ii = m.Protocol.contexts in
-            let mrrg, mrrg_cache_hit =
-              Cache.find_or_add t.mrrgs
-                (Printf.sprintf "%s:%d" a_digest ii)
-                (fun () -> Build.elaborate arch ~ii)
-            in
-            let deadline = deadline_of t m.Protocol.limit in
-            let fast_path =
-              (not m.Protocol.optimize) && (not m.Protocol.certify) && (not m.Protocol.explain)
-              && m.Protocol.backend = None
-            in
-            if fast_path then begin
-              let key = dfg_digest dfg ^ "|" ^ a_digest in
-              let session, _ = Cache.find_or_add t.sessions key (fun () -> Session.create dfg) in
-              let outcome = Session.solve ~deadline session ~mrrg ~ii in
-              if outcome.Session.warm_start then Atomic.incr t.warm_starts;
-              let info =
-                match outcome.Session.result with
-                | IM.Mapped (_, i) | IM.Infeasible i | IM.Timeout i -> i
-              in
-              let provenance =
-                {
-                  Protocol.mrrg_cache_hit;
-                  cache_hit = outcome.Session.cache_hit;
-                  warm_start = outcome.Session.warm_start;
-                  session_solves = outcome.Session.solves;
-                  inprocess =
-                    Cgra_satoca.Solver.inprocess_counters outcome.Session.solve_stats;
-                  build_phases = info.IM.build_phases;
-                }
-              in
-              Ok
-                (Protocol.verdict_of_result ~engine:"sat-incremental"
-                   ~wall_seconds:(Deadline.elapsed_of ~start:t0)
-                   ~provenance outcome.Session.result)
-            end
-            else begin
-              let objective =
-                if m.Protocol.optimize then Formulation.Min_routing else Formulation.Feasibility
-              in
-              let result =
-                IM.map ~objective ?backend:m.Protocol.backend ~deadline ~warm_start:0.0
-                  ~certify:m.Protocol.certify ~explain:m.Protocol.explain dfg mrrg
-              in
-              let engine =
-                match m.Protocol.backend with Some b -> b | None -> "sat"
-              in
-              let info =
-                match result with
-                | IM.Mapped (_, i) | IM.Infeasible i | IM.Timeout i -> i
-              in
-              let provenance =
-                {
-                  Protocol.cold_provenance with
-                  Protocol.mrrg_cache_hit;
-                  inprocess = info.IM.inprocess;
-                  build_phases = info.IM.build_phases;
-                }
-              in
-              Ok
-                (Protocol.verdict_of_result ~engine
-                   ~wall_seconds:(Deadline.elapsed_of ~start:t0)
-                   ~provenance result)
-            end)
+  let ( let* ) = Result.bind in
+  let bad_request r = Result.map_error (fun e -> ("bad_request", e)) r in
+  let* () =
+    if m.Protocol.contexts < 1 then
+      Error ("bad_request", Printf.sprintf "contexts must be >= 1 (got %d)" m.Protocol.contexts)
+    else Ok ()
+  in
+  let* solver =
+    bad_request
+      (match m.Protocol.backend with
+      | None -> Ok Solver_spec.default
+      | Some name -> Solver_spec.of_name name)
+  in
+  let* dfg = bad_request (resolve_dfg m) in
+  let* arch = bad_request (resolve_arch m) in
+  Atomic.incr t.requests;
+  let t0 = Deadline.now () in
+  let a_digest = arch_digest arch in
+  let ii = m.Protocol.contexts in
+  let mrrg, mrrg_cache_hit =
+    Cache.find_or_add t.mrrgs
+      (Printf.sprintf "%s:%d" a_digest ii)
+      (fun () -> Build.elaborate arch ~ii)
+  in
+  let deadline = deadline_of t m.Protocol.limit in
+  let fast_path =
+    (not m.Protocol.optimize) && (not m.Protocol.certify) && (not m.Protocol.explain)
+    && m.Protocol.backend = None
+  in
+  if fast_path then begin
+    let key = dfg_digest dfg ^ "|" ^ a_digest in
+    let session, _ = Cache.find_or_add t.sessions key (fun () -> Session.create dfg) in
+    let outcome = Session.solve ~deadline session ~mrrg ~ii in
+    if outcome.Session.warm_start then Atomic.incr t.warm_starts;
+    let info =
+      match outcome.Session.result with IM.Mapped (_, i) | IM.Infeasible i | IM.Timeout i -> i
+    in
+    let provenance =
+      {
+        Protocol.mrrg_cache_hit;
+        cache_hit = outcome.Session.cache_hit;
+        warm_start = outcome.Session.warm_start;
+        session_solves = outcome.Session.solves;
+        inprocess = Cgra_satoca.Solver.inprocess_counters outcome.Session.solve_stats;
+        build_phases = info.IM.build_phases;
+      }
+    in
+    Ok
+      (Protocol.verdict_of_result ~engine:"sat-incremental"
+         ~wall_seconds:(Deadline.elapsed_of ~start:t0)
+         ~provenance outcome.Session.result)
+  end
+  else begin
+    let objective =
+      if m.Protocol.optimize then Formulation.Min_routing else Formulation.Feasibility
+    in
+    let result =
+      IM.map ~objective ~solver ~deadline ~warm_start:0.0 ~certify:m.Protocol.certify
+        ~explain:m.Protocol.explain dfg mrrg
+    in
+    let engine = Option.value m.Protocol.backend ~default:"sat" in
+    let info = match result with IM.Mapped (_, i) | IM.Infeasible i | IM.Timeout i -> i in
+    let provenance =
+      {
+        Protocol.cold_provenance with
+        Protocol.mrrg_cache_hit;
+        inprocess = info.IM.inprocess;
+        build_phases = info.IM.build_phases;
+      }
+    in
+    Ok
+      (Protocol.verdict_of_result ~engine
+         ~wall_seconds:(Deadline.elapsed_of ~start:t0)
+         ~provenance result)
+  end
 
 let handle_map t m =
   try handle_map_exn t m with

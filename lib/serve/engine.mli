@@ -13,7 +13,7 @@
     A request takes the {b fast path} — session cache, incremental
     solver, warm starts — exactly when it is a plain feasibility query:
     no optimisation, no certification, no explanation, no named
-    backend.  Anything else takes the {b slow path}, a stateless
+    solver.  Anything else takes the {b slow path}, a stateless
     {!Cgra_core.Ilp_mapper.map} call that still reuses the tier-1 MRRG
     cache, so served verdicts of every flavour go through the same
     replay validation as one-shot CLI answers. *)
@@ -28,8 +28,8 @@ val create : ?mrrg_capacity:int -> ?session_capacity:int -> ?max_limit:float -> 
 
 val handle_map : t -> Protocol.map_request -> (Protocol.verdict, string * string) result
 (** Execute one mapping request.  [Error (code, message)] uses the
-    protocol error codes ([bad_request] for unresolvable names or
-    invalid parameters, [backend] for external-solver failures,
+    protocol error codes ([bad_request] for unresolvable benchmark,
+    architecture or solver names and invalid parameters, [backend] for external-solver failures,
     [internal] for unexpected exceptions — the daemon must survive any
     single request). *)
 

@@ -12,7 +12,7 @@
     {b Error codes} ([Error_reply.code]):
     - ["protocol"] — unparseable line, wrong version, unknown [op];
     - ["bad_request"] — well-formed request naming an unknown
-      benchmark/architecture or carrying invalid parameters;
+      benchmark/architecture/solver or carrying invalid parameters;
     - ["busy"] — request queue full, retry later;
     - ["backend"] — an external solver backend failed;
     - ["internal"] — unexpected server-side exception;
@@ -32,7 +32,9 @@ type map_request = {
   optimize : bool;  (** minimise routing cost (bypasses the session cache) *)
   certify : bool;  (** DRAT-certified infeasibility (bypasses the session cache) *)
   explain : bool;  (** unsat-core diagnosis (bypasses the session cache) *)
-  backend : string option;  (** named solver backend (bypasses the session cache) *)
+  backend : string option;
+      (** a {!Cgra_core.Solver_spec} name, parsed by the engine
+          (bypasses the session cache) *)
 }
 
 type payload = Map of map_request | Stats | Shutdown | Ping

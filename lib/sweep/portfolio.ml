@@ -4,8 +4,8 @@ module Deadline = Cgra_util.Deadline
    (Feasible or Infeasible — both are proofs, and complete engines
    cannot disagree) wins and cancels the rest through the shared flag
    that every engine's deadline polls. *)
-let race ?variants ?(backends = []) ?certify ?explain (job : Job.t) =
-  let base =
+let race ?variants ?certify ?explain (job : Job.t) =
+  let variants =
     match variants with
     | Some vs -> vs
     | None ->
@@ -14,7 +14,6 @@ let race ?variants ?(backends = []) ?certify ?explain (job : Job.t) =
            oversubscribing narrow ones. *)
         Runner.default_racers (Domain.recommended_domain_count ())
   in
-  let variants = base @ List.map Runner.backend_variant backends in
   match variants with
   | [] -> invalid_arg "Portfolio.race: empty variant list"
   | [ v ] -> Runner.run_variant ?certify ?explain v job

@@ -16,21 +16,19 @@
 
 val race :
   ?variants:Runner.variant list ->
-  ?backends:string list ->
   ?certify:bool ->
   ?explain:bool ->
   Job.t ->
   Record.t
 (** Race [variants] — by default {!Runner.default_racers} sized from
     [Domain.recommended_domain_count ()], so wide machines field more
-    racers automatically.  [backends] appends one extra racer per
-    solver-backend name (see {!Runner.backend_variant}), letting an
-    external MILP solver compete with the native engines; an external
-    racer that errors (missing binary, bad answer) simply never becomes
-    definitive and cannot poison the race.
+    racers automatically.  A variant may name an external MILP solver
+    (see {!Runner.variant}); an external racer that errors (missing
+    binary, bad answer) simply never becomes definitive and cannot
+    poison the race.
     [certify] requests DRAT-certified verdicts from every racer (see
     {!Runner.run_variant}); the winner's [certified] field is reported.
     [explain] asks each racer for a constraint-group unsat core on an
     [Infeasible] verdict; the winner's [core] is journaled.
-    @raise Invalid_argument if the combined racer list is empty.  A
+    @raise Invalid_argument if the racer list is empty.  A
     singleton list degenerates to a plain {!Runner.run_variant} call. *)

@@ -7,40 +7,25 @@ module IM = Cgra_core.Ilp_mapper
 module Formulation = Cgra_core.Formulation
 module Anneal = Cgra_core.Anneal
 module Check = Cgra_core.Check
-module Solve = Cgra_ilp.Solve
+module Solver_spec = Cgra_core.Solver_spec
 module Deadline = Cgra_util.Deadline
 
-type kind =
-  | Engine of { engine : Solve.engine; warm_start : float }
-  | Backend of string
+type variant = { name : string; solver : Solver_spec.t; warm_start : float }
 
-type variant = { name : string; kind : kind }
+let variant ?name ?(warm_start = 5.0) solver =
+  { name = Option.value name ~default:solver.Solver_spec.name; solver; warm_start }
 
-let engine_variant ?(warm_start = 0.0) name engine = { name; kind = Engine { engine; warm_start } }
-let backend_variant name = { name; kind = Backend name }
-
-let default_variant = engine_variant ~warm_start:5.0 "sat" Solve.Sat_backed
+let default_variant = variant ~name:"sat" Solver_spec.default
 
 (* The portfolio: the SAT engine raced cold (fast on easy cells and on
    infeasibility proofs, where warm-start time is pure loss) and warm
-   (wins on hard feasible cells), plus the independent branch-and-bound
-   engine as a third, structurally different prover. *)
-let portfolio_variants =
-  [
-    engine_variant "sat-cold" Solve.Sat_backed;
-    engine_variant ~warm_start:5.0 "sat-warm" Solve.Sat_backed;
-    engine_variant "bnb" Solve.Branch_and_bound;
-  ]
-
-(* Priority-ordered pool for machine-sized races: the three core
-   racers first, then diminishing-return variations of the warm-start
-   budget that only join when the machine has cores to spare. *)
+   (wins on hard feasible cells), then diminishing-return variations of
+   the warm-start budget that only join when the machine has cores to
+   spare. *)
 let racer_pool =
-  portfolio_variants
-  @ [
-      engine_variant ~warm_start:1.0 "sat-eager" Solve.Sat_backed;
-      engine_variant ~warm_start:15.0 "sat-patient" Solve.Sat_backed;
-    ]
+  List.map
+    (fun (name, warm_start) -> variant ~name ~warm_start Solver_spec.default)
+    [ ("sat-cold", 0.0); ("sat-warm", 5.0); ("sat-eager", 1.0); ("sat-patient", 15.0) ]
 
 let default_racers n =
   let n = max 1 n in
@@ -113,22 +98,14 @@ let run_variant ?cancel ?certify ?explain (variant : variant) (job : Job.t) =
   match prepare job with
   | Error msg -> Record.error job msg
   | Ok (dfg, mrrg) -> (
-      let result =
-        match variant.kind with
-        | Engine { engine; warm_start } ->
-            let warm_start =
-              if job.Job.limit > 0.0 then Float.min warm_start (job.Job.limit /. 4.0)
-              else warm_start
-            in
-            fun () ->
-              IM.map ~objective:Formulation.Feasibility ~engine ~deadline:(deadline_of job)
-                ?cancel ~warm_start ?certify ?explain dfg mrrg
-        | Backend backend ->
-            fun () ->
-              IM.map ~objective:Formulation.Feasibility ~backend ~deadline:(deadline_of job)
-                ?cancel ?certify ?explain dfg mrrg
+      let warm_start =
+        if job.Job.limit > 0.0 then Float.min variant.warm_start (job.Job.limit /. 4.0)
+        else variant.warm_start
       in
-      match result () with
+      match
+        IM.map ~objective:Formulation.Feasibility ~solver:variant.solver
+          ~deadline:(deadline_of job) ?cancel ~warm_start ?certify ?explain dfg mrrg
+      with
       | result ->
           record_of_result job ~engine:variant.name
             ~total_seconds:(Deadline.elapsed_of ~start:t0) result

@@ -1,6 +1,7 @@
 (** Single-job execution: resolve a {!Job.t}'s benchmark and
-    architecture names, elaborate the MRRG, run one exact engine (or an
-    external solver backend), and fold the answer into a {!Record.t}.
+    architecture names, elaborate the MRRG, run one solver (a
+    {!Cgra_core.Solver_spec.t}), and fold the answer into a
+    {!Record.t}.
 
     Runs are hermetic by construction — every invocation builds its own
     DFG, architecture and MRRG, so concurrent invocations on separate
@@ -8,36 +9,26 @@
     mutable state.  Exceptions never escape: any failure becomes an
     [Error] record. *)
 
-type kind =
-  | Engine of { engine : Cgra_ilp.Solve.engine; warm_start : float }
-      (** in-process exact engine; [warm_start] is the annealing
-          warm-start budget in seconds (clamped to a quarter of the
-          job's limit) *)
-  | Backend of string
-      (** a {!Cgra_backend.Registry} backend by name — typically an
-          external MILP solver subprocess *)
+type variant = {
+  name : string;  (** recorded as the winning engine in the journal *)
+  solver : Cgra_core.Solver_spec.t;
+  warm_start : float;
+      (** annealing warm-start budget in seconds, clamped to a quarter
+          of the job's limit *)
+}
 
-type variant = { name : string; kind : kind }
-(** [name] is recorded as the winning engine in the journal. *)
-
-val engine_variant : ?warm_start:float -> string -> Cgra_ilp.Solve.engine -> variant
-(** [warm_start] defaults to 0 (no warm start). *)
-
-val backend_variant : string -> variant
-(** A variant that routes through [Ilp_mapper.map ~backend:name]; the
-    variant's display name is the backend name itself. *)
+val variant : ?name:string -> ?warm_start:float -> Cgra_core.Solver_spec.t -> variant
+(** [name] defaults to the solver's name, [warm_start] to 5 seconds
+    (the mapper's default). *)
 
 val default_variant : variant
 (** The single-engine configuration: SAT-backed with a short warm
     start, the repository's standard exact query. *)
 
-val portfolio_variants : variant list
-(** The core racing portfolio: cold SAT, warm SAT, branch-and-bound. *)
-
 val racer_pool : variant list
-(** {!portfolio_variants} followed by diminishing-return warm-start
-    variations, in priority order; the source {!default_racers} draws
-    from. *)
+(** The SAT engine cold, warm, then diminishing-return warm-start
+    variations ([sat-cold], [sat-warm], [sat-eager], [sat-patient]), in
+    priority order; the source {!default_racers} draws from. *)
 
 val default_racers : int -> variant list
 (** The first [max 1 n] variants of {!racer_pool} — the portfolio
@@ -53,9 +44,9 @@ val run_variant :
     infeasibility verdicts (see {!Cgra_core.Ilp_mapper.map}); the
     record's [certified] field reports the outcome.  [explain] (default
     [false]) extracts a constraint-group unsat core for an [Infeasible]
-    verdict and journals it in the record's [core] field.  A [Backend]
-    variant whose solver is missing or misbehaves yields an [Error]
-    record carrying the backend's message, never an exception. *)
+    verdict and journals it in the record's [core] field.  An external
+    solver that is missing or misbehaves yields an [Error] record
+    carrying the backend's message, never an exception. *)
 
 val run : ?cancel:bool Atomic.t -> ?certify:bool -> ?explain:bool -> Job.t -> Record.t
 (** [run_variant default_variant]. *)

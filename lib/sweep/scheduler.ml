@@ -6,12 +6,12 @@ type stats = { ran : int; skipped : int; disagreements : int; wall_seconds : flo
 
 module Deadline = Cgra_util.Deadline
 
-(* Run the cross-check backend on a cell the primary answered
+(* Run the cross-check solver on a cell the primary answered
    definitively and fold the second opinion into the record.  The
    checker gets the same time budget; its timeout or error is
    inconclusive, recorded but never a disagreement. *)
-let cross_check_record ~backend (primary : Record.t) =
-  let second = Runner.run_variant (Runner.backend_variant backend) primary.Record.job in
+let cross_check_record (checker : Cgra_core.Solver_spec.t) (primary : Record.t) =
+  let second = Runner.run_variant (Runner.variant checker) primary.Record.job in
   let agreed =
     Record.verdicts_agree ~status:primary.Record.status ~objective:primary.Record.objective
       ~status2:second.Record.status ~objective2:second.Record.objective
@@ -21,7 +21,7 @@ let cross_check_record ~backend (primary : Record.t) =
     Record.cross =
       Some
         {
-          Record.backend;
+          Record.backend = checker.Cgra_core.Solver_spec.name;
           status = second.Record.status;
           objective = second.Record.objective;
           agreed;
@@ -55,8 +55,8 @@ let run ?(jobs = 1) ?pool ?(portfolio = false) ?(racers = []) ?cross_check ?exec
       with e -> Record.error job (Printexc.to_string e)
     in
     match cross_check with
-    | Some backend when Record.definitive primary -> (
-        try cross_check_record ~backend primary
+    | Some checker when Record.definitive primary -> (
+        try cross_check_record checker primary
         with e ->
           (* The check, not the answer, failed: keep the verdict and
              record an inconclusive second opinion. *)
@@ -65,7 +65,7 @@ let run ?(jobs = 1) ?pool ?(portfolio = false) ?(racers = []) ?cross_check ?exec
             Record.cross =
               Some
                 {
-                  Record.backend;
+                  Record.backend = checker.Cgra_core.Solver_spec.name;
                   status = Record.Error (Printexc.to_string e);
                   objective = None;
                   agreed = true;

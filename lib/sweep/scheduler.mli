@@ -30,7 +30,7 @@ val run :
   ?pool:Pool.t ->
   ?portfolio:bool ->
   ?racers:Runner.variant list ->
-  ?cross_check:string ->
+  ?cross_check:Cgra_core.Solver_spec.t ->
   ?executor:(Job.t -> Record.t) ->
   ?certify:bool ->
   ?explain:bool ->
@@ -52,8 +52,8 @@ val run :
     {!Runner.default_racers} sized to the machine.  [racers] without
     [portfolio] is ignored.
 
-    [cross_check] names a {!Cgra_backend.Registry} backend to run as a
-    second, independent prover on every cell whose primary answer is
+    [cross_check] is a solver to run (as {!Runner.variant} sets it up)
+    as a second, independent prover on every cell whose primary answer is
     definitive ([Feasible]/[Infeasible]).  The second opinion is folded
     into the record's [cross] field and journaled with it; a
     contradiction (see {!Record.verdicts_agree}) marks the record as a

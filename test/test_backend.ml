@@ -7,6 +7,8 @@ module Solve = Cgra_ilp.Solve
 module Lp_format = Cgra_ilp.Lp_format
 module Formulation = Cgra_core.Formulation
 module IM = Cgra_core.Ilp_mapper
+module Solver_spec = Cgra_core.Solver_spec
+module Formulation_intf = Cgra_core.Formulation_intf
 module Job = Cgra_sweep.Job
 module Runner = Cgra_sweep.Runner
 module Deadline = Cgra_util.Deadline
@@ -18,25 +20,55 @@ let test_registry_builtins () =
   List.iter
     (fun n ->
       Alcotest.(check bool) (Printf.sprintf "builtin %s listed" n) true (List.mem n names))
-    [ "native-sat"; "native-bnb"; "highs"; "cbc"; "scip" ];
-  Alcotest.(check bool) "default resolvable" true (Registry.find Registry.default_name <> None);
-  Alcotest.(check bool) "unknown name is None" true (Registry.find "no-such-solver" = None);
-  (match Registry.find "native-sat" with
-  | Some b -> (
-      Alcotest.(check string) "native kind" "native" (Backend.kind_name b.Backend.kind);
-      match b.Backend.available () with
-      | Backend.Available _ -> ()
-      | Backend.Unavailable why -> Alcotest.failf "native-sat unavailable: %s" why)
-  | None -> Alcotest.fail "native-sat missing")
+    [ "highs"; "cbc"; "scip" ];
+  Alcotest.(check bool) "native engines are not backends" true
+    (Registry.find "native-sat" = None);
+  Alcotest.(check bool) "unknown name is None" true (Registry.find "no-such-solver" = None)
+
+let solver name =
+  match Solver_spec.of_name name with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "solver %s: %s" name e
+
+(* Every listed name parses back to a spec of that name, and the seven
+   names the CLI, CI and journals use parse to the pairing they stand
+   for. *)
+let test_solver_names_roundtrip () =
+  Cgra_conn.Conn.ensure_registered ();
+  let names = Solver_spec.names () in
+  List.iter
+    (fun n -> Alcotest.(check string) "name survives the parse" n (solver n).Solver_spec.name)
+    names;
+  List.iter
+    (fun (n, formulation, engine) ->
+      Alcotest.(check bool) (n ^ " listed") true (List.mem n names);
+      let s = solver n in
+      Alcotest.(check string) (n ^ " formulation") formulation
+        s.Solver_spec.formulation.Formulation_intf.name;
+      Alcotest.(check string) (n ^ " engine") engine
+        (match s.Solver_spec.engine with
+        | Solver_spec.Native Solve.Sat_backed -> "sat"
+        | Solver_spec.Native Solve.Branch_and_bound -> "bnb"
+        | Solver_spec.Native Solve.Brute_force -> "brute"
+        | Solver_spec.External b -> b.Backend.name))
+    [
+      ("native-sat", "paper", "sat");
+      ("native-bnb", "paper", "bnb");
+      ("conn-sat", "conn", "sat");
+      ("conn-bnb", "conn", "bnb");
+      ("highs", "paper", "highs");
+      ("cbc", "paper", "cbc");
+      ("scip", "paper", "scip");
+    ];
+  Alcotest.(check bool) "the paper formulation is only native-*" true
+    (Result.is_error (Solver_spec.of_name "paper-sat"))
 
 let fake_backend ?(name = "fake") ?(doc = "fake") outcome =
   {
     Backend.name;
     doc;
-    kind = Backend.External { binary = name; dialect = Sol_parse.Highs };
     available = (fun () -> Backend.Available { version = Some "fake 1.0" });
-    solve =
-      (fun ?deadline:_ _model -> { Backend.outcome; wall_seconds = 0.0; note = None });
+    solve = (fun ?deadline:_ _model -> outcome);
   }
 
 let test_registry_register_shadow () =
@@ -268,7 +300,7 @@ let test_external_feasible_matches_native () =
       { Sol_parse.status = Sol_parse.Optimal; objective = Some 0.0; values }
   in
   with_stub_highs canned (fun () ->
-      match IM.map ~backend:"highs" dfg mrrg with
+      match IM.map ~solver:(solver "highs") dfg mrrg with
       | IM.Mapped (_, info) ->
           Alcotest.(check bool) "replayed mapping is certified" true info.IM.certified
       | r -> Alcotest.failf "external mapper disagrees with native: %a" IM.pp_result r)
@@ -280,7 +312,7 @@ let test_external_infeasible_verdict () =
       { Sol_parse.status = Sol_parse.Infeasible; objective = None; values = [] }
   in
   with_stub_highs canned (fun () ->
-      match IM.map ~backend:"highs" dfg mrrg with
+      match IM.map ~solver:(solver "highs") dfg mrrg with
       | IM.Infeasible info ->
           (* the solver's word, no DRAT trace: never certified *)
           Alcotest.(check bool) "external infeasible uncertified" false info.IM.certified
@@ -299,19 +331,21 @@ let test_external_bogus_solution_rejected () =
       { Sol_parse.status = Sol_parse.Optimal; objective = Some 0.0; values }
   in
   with_stub_highs canned (fun () ->
-      match IM.map ~backend:"highs" dfg mrrg with
+      match IM.map ~solver:(solver "highs") dfg mrrg with
       | exception Backend.Error msg ->
           Alcotest.(check bool) "error names the replay failure" true
             (Astring.String.is_infix ~affix:"replay" msg)
       | r -> Alcotest.failf "bogus solution accepted: %a" IM.pp_result r)
 
 let test_external_unknown_backend () =
-  let dfg, mrrg = prepare_exn infeasible_job in
-  match IM.map ~backend:"no-such-solver" dfg mrrg with
-  | exception Backend.Error msg ->
-      Alcotest.(check bool) "error lists known backends" true
-        (Astring.String.is_infix ~affix:"native-sat" msg)
-  | _ -> Alcotest.fail "unknown backend accepted"
+  match Solver_spec.of_name "no-such-solver" with
+  | Error msg ->
+      Alcotest.(check bool) "error names the solver" true
+        (Astring.String.is_infix ~affix:"no-such-solver" msg);
+      Alcotest.(check bool) "error lists known solvers" true
+        (Astring.String.is_infix ~affix:"native-sat" msg
+        && Astring.String.is_infix ~affix:"highs" msg)
+  | Ok _ -> Alcotest.fail "unknown backend accepted"
 
 let suites =
   [
@@ -319,6 +353,7 @@ let suites =
       [
         Alcotest.test_case "builtins present and typed" `Quick test_registry_builtins;
         Alcotest.test_case "register and shadow" `Quick test_registry_register_shadow;
+        Alcotest.test_case "solver names round-trip" `Quick test_solver_names_roundtrip;
       ] );
     ( "backend:sol-parse",
       [

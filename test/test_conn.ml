@@ -12,14 +12,22 @@ module Library = Cgra_arch.Library
 module Build = Cgra_mrrg.Build
 module Formulation = Cgra_core.Formulation
 module IM = Cgra_core.Ilp_mapper
+module Solver_spec = Cgra_core.Solver_spec
 module Check = Cgra_core.Check
 module Conn = Cgra_conn.Conn
 module Deadline = Cgra_util.Deadline
 
 let () = Conn.ensure_registered ()
 
-let solve ?formulation ?(seconds = 60.0) dfg mrrg =
-  IM.map ?formulation ~warm_start:0.0 ~deadline:(Deadline.after ~seconds) dfg mrrg
+let solver name =
+  match Solver_spec.of_name name with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "solver %s: %s" name e
+
+let conn () = solver "conn-sat"
+
+let solve ?solver ?(seconds = 60.0) dfg mrrg =
+  IM.map ?solver ~warm_start:0.0 ~deadline:(Deadline.after ~seconds) dfg mrrg
 
 let cell_mrrg ~size ~arch ~ii =
   let config =
@@ -98,7 +106,7 @@ let run_cell ?seconds (bench, arch, ii) =
   let dfg = dfg_of bench in
   let mrrg = cell_mrrg ~size:4 ~arch ~ii in
   let paper = solve ?seconds dfg mrrg in
-  let conn = solve ?seconds ~formulation:Conn.formulation_name dfg mrrg in
+  let conn = solve ?seconds ~solver:(conn ()) dfg mrrg in
   (paper, conn)
 
 let test_pinned_grid () =
@@ -145,7 +153,7 @@ let test_small_grid_agreement () =
       let dfg = dfg_of bench in
       let mrrg = cell_mrrg ~size ~arch:"homo-orth" ~ii in
       let paper = solve dfg mrrg in
-      let conn = solve ~formulation:Conn.formulation_name dfg mrrg in
+      let conn = solve ~solver:(conn ()) dfg mrrg in
       match expected with
       | `F ->
           check_mapped cell "paper" paper;
@@ -158,11 +166,14 @@ let test_small_grid_agreement () =
 (* ---------------- the conn model itself ---------------- *)
 
 let test_conn_backends_registered () =
-  let names = Cgra_backend.Registry.names () in
   List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
-    [ "conn-sat"; "conn-bnb" ];
+    (fun (name, engine) ->
+      let s = solver name in
+      Alcotest.(check string) (name ^ " formulation") Conn.formulation_name
+        s.Solver_spec.formulation.Cgra_core.Formulation_intf.name;
+      Alcotest.(check bool) (name ^ " engine") true
+        (s.Solver_spec.engine = Solver_spec.Native engine))
+    [ ("conn-sat", Cgra_ilp.Solve.Sat_backed); ("conn-bnb", Cgra_ilp.Solve.Branch_and_bound) ];
   Alcotest.(check bool) "conn formulation registered" true
     (List.mem Conn.formulation_name (Cgra_core.Formulation_intf.names ()))
 
@@ -172,7 +183,8 @@ let test_conn_backend_maps () =
   List.iter
     (fun backend ->
       match
-        IM.map ~backend ~warm_start:0.0 ~deadline:(Deadline.after ~seconds:60.0) dfg mrrg
+        IM.map ~solver:(solver backend) ~warm_start:0.0 ~deadline:(Deadline.after ~seconds:60.0)
+          dfg mrrg
       with
       | IM.Mapped (m, _) ->
           Alcotest.(check bool) (backend ^ " mapping legal") true (Check.is_legal m)
@@ -185,13 +197,12 @@ let contains ~needle hay =
   go 0
 
 let test_unknown_formulation_rejected () =
-  let dfg = dfg_of "mac" in
-  let mrrg = cell_mrrg ~size:2 ~arch:"homo-orth" ~ii:1 in
-  match IM.map ~formulation:"no-such-formulation" ~warm_start:0.0 dfg mrrg with
-  | exception Cgra_backend.Backend.Error msg ->
-      Alcotest.(check bool) "error names the formulation" true
-        (contains ~needle:"no-such-formulation" msg)
-  | _ -> Alcotest.fail "unknown formulation accepted"
+  match Solver_spec.of_name "no-such-formulation-sat" with
+  | Error msg ->
+      Alcotest.(check bool) "error names the solver" true
+        (contains ~needle:"no-such-formulation-sat" msg);
+      Alcotest.(check bool) "error lists the known names" true (contains ~needle:"conn-sat" msg)
+  | Ok _ -> Alcotest.fail "unknown formulation accepted"
 
 let test_conn_certify_and_explain () =
   (* the downstream machinery is formulation-agnostic: a conn
@@ -199,14 +210,12 @@ let test_conn_certify_and_explain () =
      paper one *)
   let dfg = dfg_of "mac" in
   let mrrg = cell_mrrg ~size:2 ~arch:"homo-orth" ~ii:1 in
-  (match
-     IM.map ~formulation:Conn.formulation_name ~warm_start:0.0 ~certify:true dfg mrrg
-   with
+  (match IM.map ~solver:(conn ()) ~warm_start:0.0 ~certify:true dfg mrrg with
   | IM.Infeasible info ->
       Alcotest.(check bool) "certified" true info.IM.certified;
       Alcotest.(check bool) "proof steps logged" true (info.IM.proof_steps > 0)
   | r -> Alcotest.failf "expected certified infeasible, got %s" (status r));
-  match IM.map ~formulation:Conn.formulation_name ~warm_start:0.0 ~explain:true dfg mrrg with
+  match IM.map ~solver:(conn ()) ~warm_start:0.0 ~explain:true dfg mrrg with
   | IM.Infeasible { IM.diagnosis = Some d; _ } ->
       Alcotest.(check bool) "core non-empty" true (d.IM.core <> []);
       Alcotest.(check bool) "core verified" true d.IM.core_verified;
@@ -227,16 +236,16 @@ let test_conn_optimize_bounded_by_paper_cost () =
      proven and the extracted mappings legal *)
   let dfg = dfg_of "mac" in
   let mrrg = cell_mrrg ~size:4 ~arch:"homo-orth" ~ii:1 in
-  let opt formulation =
+  let opt solver =
     match
-      IM.map ~objective:Formulation.Min_routing ?formulation ~warm_start:0.0
+      IM.map ~objective:Formulation.Min_routing ?solver ~warm_start:0.0
         ~deadline:(Deadline.after ~seconds:120.0) dfg mrrg
     with
     | IM.Mapped (m, info) -> (m, info)
     | r -> Alcotest.failf "expected optimised mapping, got %s" (status r)
   in
   let m_paper, _ = opt None in
-  let m_conn, conn_info = opt (Some Conn.formulation_name) in
+  let m_conn, conn_info = opt (Some (conn ())) in
   Alcotest.(check bool) "paper optimised mapping legal" true (Check.is_legal m_paper);
   Alcotest.(check bool) "conn optimised mapping legal" true (Check.is_legal m_conn);
   (* the descent may be cut short by the deadline on a loaded machine;
@@ -251,7 +260,7 @@ let test_conn_warm_start_consistent () =
   let mrrg = cell_mrrg ~size:4 ~arch:"homo-orth" ~ii:1 in
   let feas warm_start =
     match
-      IM.map ~formulation:Conn.formulation_name ~warm_start
+      IM.map ~solver:(conn ()) ~warm_start
         ~deadline:(Deadline.after ~seconds:60.0) dfg mrrg
     with
     | IM.Mapped (m, _) ->

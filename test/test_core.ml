@@ -128,6 +128,36 @@ let test_map_timeout () =
   | IM.Timeout _ -> ()
   | r -> Alcotest.failf "expected timeout, got %a" IM.pp_result r
 
+let paper_cell bench ~arch ~size ~ii =
+  let dfg = Option.get (Benchmarks.by_name bench) in
+  let config = Option.get (Library.find_config ~size arch) in
+  (dfg, Build.elaborate (Library.make config) ~ii)
+
+let wall f =
+  let t0 = Cgra_util.Deadline.now () in
+  let r = f () in
+  (r, Cgra_util.Deadline.elapsed_of ~start:t0)
+
+(* The default 5 s warm start must not outlive a shorter deadline: the
+   anneal gets what is left of the call's budget, never more. *)
+let test_map_warm_start_honours_deadline () =
+  let dfg, mrrg = paper_cell "exp_6" ~arch:"homo-orth" ~size:4 ~ii:2 in
+  match wall (fun () -> IM.map ~deadline:(Cgra_util.Deadline.after ~seconds:0.5) dfg mrrg) with
+  | IM.Timeout _, seconds ->
+      Alcotest.(check bool) (Printf.sprintf "returned in %.2fs, under 2s" seconds) true
+        (seconds < 2.0)
+  | r, _ -> Alcotest.failf "expected timeout, got %a" IM.pp_result r
+
+(* Branch-and-bound polls its deadline at every node; this cell
+   overran a 5 s limit by 19 s when it polled every 256 nodes. *)
+let test_map_bnb_honours_deadline () =
+  let dfg, mrrg = paper_cell "extreme" ~arch:"homo-diag" ~size:4 ~ii:2 in
+  let solver = Result.get_ok (Cgra_core.Solver_spec.of_name "native-bnb") in
+  let deadline = Cgra_util.Deadline.after ~seconds:1.0 in
+  let _, seconds = wall (fun () -> IM.map ~solver ~warm_start:0.0 ~deadline dfg mrrg) in
+  Alcotest.(check bool) (Printf.sprintf "returned in %.2fs, under 2s" seconds) true
+    (seconds < 2.0)
+
 let test_map_dual_context_uses_both () =
   (* 1x1 grid, ii=2: two ALU slots allow two chained adds *)
   let dfg =
@@ -180,12 +210,13 @@ let test_optimize_reduces_cost () =
 let test_optimal_cost_engine_agreement () =
   let dfg = tiny_add_dfg () in
   let mrrg = mrrg_of ~ii:1 1 in
-  let cost engine =
-    match IM.map ~objective:Formulation.Min_routing ~engine dfg mrrg with
+  let cost name =
+    let solver = Result.get_ok (Cgra_core.Solver_spec.of_name name) in
+    match IM.map ~objective:Formulation.Min_routing ~solver dfg mrrg with
     | IM.Mapped (_, info) -> Option.get info.IM.objective_value
     | r -> Alcotest.failf "engine failed: %a" IM.pp_result r
   in
-  Alcotest.(check int) "sat vs b&b optimum" (cost Solve.Sat_backed) (cost Solve.Branch_and_bound)
+  Alcotest.(check int) "sat vs b&b optimum" (cost "native-sat") (cost "native-bnb")
 
 let test_weighted_objective () =
   let dfg = tiny_add_dfg () in
@@ -212,20 +243,23 @@ let test_prune_equivalence () =
   (* corridor pruning must not change feasibility or the optimum *)
   let dfg = tiny_add_dfg () in
   let mrrg = mrrg_of ~ii:1 1 in
-  let run prune =
-    match IM.map ~objective:Formulation.Min_routing ~prune dfg mrrg with
-    | IM.Mapped (_, info) -> Option.get info.IM.objective_value
-    | r -> Alcotest.failf "prune=%b failed: %a" prune IM.pp_result r
+  let solve ?objective prune dfg mrrg =
+    Solve.solve (Formulation.build ?objective ~prune dfg mrrg).Formulation.model
   in
-  Alcotest.(check int) "same optimum" (run true) (run false);
+  let optimum prune =
+    match solve ~objective:Formulation.Min_routing prune dfg mrrg with
+    | Solve.Optimal (_, obj) -> obj
+    | o -> Alcotest.failf "prune=%b failed: %a" prune Solve.pp_outcome o
+  in
+  Alcotest.(check int) "same optimum" (optimum true) (optimum false);
   (* and on an infeasible instance both prove infeasibility *)
   let dfg5 = Benchmarks.conv_2x2_f () in
   let mrrg2 = mrrg_of ~ii:1 2 in
   List.iter
     (fun prune ->
-      match IM.map ~prune dfg5 mrrg2 with
-      | IM.Infeasible _ -> ()
-      | r -> Alcotest.failf "prune=%b: expected infeasible, got %a" prune IM.pp_result r)
+      match solve ~objective:Formulation.Feasibility prune dfg5 mrrg2 with
+      | Solve.Infeasible -> ()
+      | o -> Alcotest.failf "prune=%b: expected infeasible, got %a" prune Solve.pp_outcome o)
     [ true; false ]
 
 (* ---------------- formulation structure ---------------- *)
@@ -541,7 +575,8 @@ let test_map_certify_bnb_cross_certifies () =
      its Infeasible answer through a proof-logging SAT refutation *)
   let dfg = Benchmarks.conv_2x2_f () in
   let mrrg = mrrg_of ~ii:1 2 in
-  match IM.map ~engine:Solve.Branch_and_bound ~warm_start:0.0 ~certify:true dfg mrrg with
+  let solver = Result.get_ok (Cgra_core.Solver_spec.of_name "native-bnb") in
+  match IM.map ~solver ~warm_start:0.0 ~certify:true dfg mrrg with
   | IM.Infeasible info ->
       Alcotest.(check bool) "cross-certified" true info.IM.certified;
       Alcotest.(check bool) "proof logged by the SAT refutation" true (info.IM.proof_steps > 0)
@@ -699,6 +734,9 @@ let suites =
         Alcotest.test_case "infeasible: no candidate" `Quick test_map_no_candidate_infeasible;
         Alcotest.test_case "self-loop accumulator" `Quick test_map_self_loop_accumulator;
         Alcotest.test_case "timeout" `Quick test_map_timeout;
+        Alcotest.test_case "warm start honours the deadline" `Quick
+          test_map_warm_start_honours_deadline;
+        Alcotest.test_case "b&b honours the deadline" `Slow test_map_bnb_honours_deadline;
         Alcotest.test_case "dual context" `Quick test_map_dual_context_uses_both;
         Alcotest.test_case "extraction covers edges" `Quick test_extract_routes_cover_edges;
       ] );

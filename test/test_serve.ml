@@ -359,6 +359,12 @@ let test_engine_bad_requests () =
   (match Engine.handle_map e (map_request ~arch:"no-such-fabric" ()) with
   | Error ("bad_request", _) -> ()
   | _ -> Alcotest.fail "accepted unknown arch");
+  (match Engine.handle_map e (map_request ~backend:"no-such-solver" ()) with
+  | Error ("bad_request", msg) ->
+      Alcotest.(check bool) "message lists the known solvers" true
+        (Astring.String.is_infix ~affix:"native-sat" msg)
+  | Error (code, _) -> Alcotest.failf "unknown solver answered %s, not bad_request" code
+  | Ok _ -> Alcotest.fail "accepted unknown solver");
   match Engine.handle_map e { (map_request ()) with Protocol.contexts = 0 } with
   | Error ("bad_request", _) -> ()
   | _ -> Alcotest.fail "accepted contexts=0"

@@ -9,6 +9,11 @@ module Pool = Cgra_sweep.Pool
 module Grid = Cgra_sweep.Grid
 module Deadline = Cgra_util.Deadline
 
+let solver name =
+  match Cgra_core.Solver_spec.of_name name with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "solver %s: %s" name e
+
 (* Tiny jobs (2x2 array) that decide in well under a second each:
    mac is infeasible at both context counts, 2x2-f becomes feasible
    with a second context. *)
@@ -375,7 +380,7 @@ let test_scheduler_cross_check_agrees () =
   (* native-bnb re-proves what native-sat decided; a complete second
      engine can only confirm (or time out — inconclusive) *)
   let records, stats =
-    Scheduler.run ~cross_check:"native-bnb" [ job (); job ~bench:"2x2-f" ~contexts:2 () ]
+    Scheduler.run ~cross_check:(solver "native-bnb") [ job (); job ~bench:"2x2-f" ~contexts:2 () ]
   in
   Alcotest.(check int) "no disagreements" 0 stats.Scheduler.disagreements;
   List.iter
@@ -394,17 +399,15 @@ let liar_backend name =
   {
     Backend.name;
     doc = "always claims infeasible (test double)";
-    kind = Backend.External { binary = name; dialect = Cgra_backend.Sol_parse.Highs };
     available = (fun () -> Backend.Available { version = Some "liar 1.0" });
     solve =
-      (fun ?deadline:_ _model ->
-        { Backend.outcome = Cgra_ilp.Solve.Infeasible; wall_seconds = 0.0; note = None });
+      (fun ?deadline:_ _model -> Cgra_ilp.Solve.Infeasible);
   }
 
 let test_scheduler_cross_check_disagreement () =
   Cgra_backend.Registry.register (liar_backend "test-liar");
   let feasible = job ~bench:"2x2-f" ~contexts:2 () in
-  let records, stats = Scheduler.run ~cross_check:"test-liar" [ feasible ] in
+  let records, stats = Scheduler.run ~cross_check:(solver "test-liar") [ feasible ] in
   Alcotest.(check int) "the lie is caught" 1 stats.Scheduler.disagreements;
   match records with
   | [ r ] ->
@@ -420,7 +423,7 @@ let test_scheduler_cross_check_skips_indefinitive () =
      no verdict to contradict *)
   Cgra_backend.Registry.register (liar_backend "test-liar");
   let records, stats =
-    Scheduler.run ~cross_check:"test-liar" [ job ~bench:"no-such-benchmark" () ]
+    Scheduler.run ~cross_check:(solver "test-liar") [ job ~bench:"no-such-benchmark" () ]
   in
   Alcotest.(check int) "no disagreement on an error cell" 0 stats.Scheduler.disagreements;
   match records with
@@ -458,7 +461,7 @@ let test_certified_sweep () =
         (Printf.sprintf "%s is certified" (Job.key r.Record.job))
         true r.Record.certified)
     records;
-  let bnb = Runner.engine_variant "bnb" Cgra_ilp.Solve.Branch_and_bound in
+  let bnb = Runner.variant ~name:"bnb" ~warm_start:0.0 (solver "native-bnb") in
   let r = Runner.run_variant ~certify:true bnb (job ()) in
   Alcotest.(check string) "b&b proves the cell" "infeasible"
     (Record.status_to_string r.Record.status);
