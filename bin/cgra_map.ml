@@ -313,7 +313,7 @@ let explain_cmd =
           | Some d ->
               print_string (Format.asprintf "%a" IM.pp_diagnosis d);
               if not d.IM.core_verified then begin
-                print_endline "core verification incomplete (deadline hit during re-solve)";
+                print_endline "core verification incomplete (deadline hit during its refutation)";
                 exit 3
               end
           | None ->
@@ -328,7 +328,7 @@ let explain_cmd =
        ~doc:
          "Explain why a benchmark does not map: extract a minimal constraint-group unsat \
           core (which placements, routings and resource exclusivities conflict), verify it \
-          by re-solving, and print it in DFG/MRRG terms.")
+          with a DRAT-checked refutation of its rows alone, and print it in DFG/MRRG terms.")
     Term.(const run $ benchmark_arg $ arch_arg $ size_arg $ contexts_arg $ limit_arg $ json_arg)
 
 let anneal_cmd =

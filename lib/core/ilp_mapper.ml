@@ -32,16 +32,18 @@ type info = {
 
 type result = Mapped of Mapping.t * info | Infeasible of info | Timeout of info
 
-(* Translate a verified group core back into mapping vocabulary: which
-   operations, values and resources the blame falls on.  Group-label
-   vocabulary is shared across formulations (see Formulation_intf), so
-   the parse below works for any registered formulation. *)
-let diagnose ?deadline (f : Formulation_intf.built) (core : Unsat_core.core) =
+(* Certify a group core and translate it back into mapping vocabulary:
+   which operations, values and resources the blame falls on.  The
+   certificate is a DRAT-checked refutation of the core's rows alone,
+   logged into [proof] when given.  Group-label vocabulary is shared across
+   formulations (see Formulation_intf), so the parse below works for
+   any registered formulation. *)
+let diagnose ?deadline ?proof (f : Formulation_intf.built) (core : Unsat_core.core) =
   let verified =
-    match Unsat_core.check ?deadline f.Formulation_intf.model core.Unsat_core.groups with
+    match Unsat_core.check ?deadline ?proof f.Formulation_intf.model core.Unsat_core.groups with
     | Some true -> true
     | Some false ->
-        failwith "Ilp_mapper: extracted core re-solved satisfiable (bug)"
+        failwith "Ilp_mapper: extracted core is satisfiable on its own (bug)"
     | None -> false
   in
   let ops = ref [] and values = ref [] and resources = ref [] in
@@ -96,21 +98,23 @@ let map ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.default) ?
   end;
   let build_seconds = Deadline.elapsed_of ~start:t0 in
   let model = f.Formulation_intf.model in
-  let proof, report =
+  let proof = if certify then Some (Proof.create ()) else None in
+  let report =
     match solver.Solver_spec.engine with
     | Solver_spec.Native engine ->
-        let proof = if certify then Some (Proof.create ()) else None in
-        (proof, Solve.solve_report ?deadline ~engine ?proof model)
+        (* under [explain] the certificate is the core's own refutation
+           (see [diagnose]), so the verdict solve logs nothing *)
+        let proof = if explain then None else proof in
+        Solve.solve_report ?deadline ~engine ?proof model
     | Solver_spec.External b ->
         (* LP export, subprocess, replayed solution (see
            {!Cgra_backend.Milp_adapter}); no DRAT trace exists, so an
-           external Infeasible stays uncertified *)
+           external Infeasible is certified only through its core *)
         let t0 = Deadline.now () in
         let outcome = b.Backend.solve ?deadline model in
         let solve_seconds = Deadline.elapsed_of ~start:t0 in
-        (None, { Solve.outcome; solve_seconds; sat_calls = 0; presolve_fixed = 0; inprocess = [] })
+        { Solve.outcome; solve_seconds; sat_calls = 0; presolve_fixed = 0; inprocess = [] }
   in
-  let proof_steps = match proof with Some p -> Proof.n_steps p | None -> 0 in
   let info ?diagnosis ~objective_value ~proven_optimal ~certified () =
     {
       size = f.Formulation_intf.size;
@@ -122,12 +126,30 @@ let map ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.default) ?
       sat_calls = report.Solve.sat_calls;
       presolve_fixed = report.Solve.presolve_fixed;
       certified;
-      proof_steps;
+      proof_steps = (match proof with Some p -> Proof.n_steps p | None -> 0);
       inprocess = report.Solve.inprocess;
       diagnosis;
     }
   in
   match report.Solve.outcome with
+  | Solve.Infeasible when explain ->
+      (* The core's DRAT-checked refutation verifies the core and, a
+         subset of the model's rows being refuted, certifies the verdict
+         too.  A deadline hit during extraction or its check leaves the
+         verdict uncertified. *)
+      let diagnosis =
+        match Unsat_core.extract ?deadline ~minimize:true model with
+        | Unsat_core.Core core -> Some (diagnose ?deadline ?proof f core)
+        | Unsat_core.Satisfiable ->
+            failwith
+              (Printf.sprintf "Ilp_mapper: core extraction refuted %s's infeasibility"
+                 solver.Solver_spec.name)
+        | Unsat_core.Unknown -> None
+      in
+      let certified =
+        certify && match diagnosis with Some d -> d.core_verified | None -> false
+      in
+      Infeasible (info ?diagnosis ~objective_value:None ~proven_optimal:true ~certified ())
   | Solve.Infeasible ->
       (* A certified infeasibility must carry a complete DRAT refutation
          that the independent checker accepts — the negative-verdict
@@ -145,18 +167,7 @@ let map ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.default) ?
                   (Printf.sprintf
                      "Ilp_mapper: solver produced an invalid DRAT certificate (bug): %s" msg))
       in
-      let diagnosis =
-        if not explain then None
-        else
-          match Unsat_core.extract ?deadline ~minimize:true model with
-          | Unsat_core.Core core -> Some (diagnose ?deadline f core)
-          | Unsat_core.Satisfiable ->
-              failwith
-                (Printf.sprintf "Ilp_mapper: core extraction refuted %s's infeasibility"
-                   solver.Solver_spec.name)
-          | Unsat_core.Unknown -> None
-      in
-      Infeasible (info ?diagnosis ~objective_value:None ~proven_optimal:true ~certified ())
+      Infeasible (info ~objective_value:None ~proven_optimal:true ~certified ())
   | Solve.Timeout ->
       Timeout (info ~objective_value:None ~proven_optimal:false ~certified:false ())
   | Solve.Optimal (assign, obj) | Solve.Feasible (assign, obj) ->

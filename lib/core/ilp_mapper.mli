@@ -16,7 +16,8 @@ type diagnosis = {
   core_minimized : bool;
       (** dropping any single group makes the remainder satisfiable *)
   core_verified : bool;
-      (** the core was re-solved from scratch and confirmed infeasible
+      (** the core's rows alone (its groups plus the ungrouped rows)
+          were refuted and {!Cgra_satoca.Drat} validated the refutation
           ({!Cgra_ilp.Unsat_core.check}); [false] only when the
           deadline expired before verification finished *)
   core_sat_calls : int;  (** incremental SAT calls spent on extraction *)
@@ -45,9 +46,14 @@ type info = {
   certified : bool;
       (** the verdict carries validated evidence: a {!Check}-accepted
           mapping for [Mapped], a {!Cgra_satoca.Drat}-validated
-          refutation for a certified [Infeasible]; always [false] for
-          [Timeout] and for uncertified [Infeasible] runs *)
-  proof_steps : int;             (** DRAT derivation steps logged; 0 unless certifying *)
+          refutation for a certified [Infeasible] — of the whole model,
+          or under [explain] of the core's rows alone (the same check
+          that sets [core_verified]); always [false] for [Timeout] and
+          for uncertified [Infeasible] runs *)
+  proof_steps : int;
+      (** DRAT derivation steps logged; 0 unless certifying.  Under
+          [explain] an [Infeasible]'s steps are those of the core's
+          refutation. *)
   inprocess : (string * int) list;
       (** SAT inprocessing counters ([probed_failed]) of the solver
           behind the verdict; empty when no in-process
@@ -90,10 +96,11 @@ val map :
     replayed: the assignment is checked row-by-row against the model,
     the objective is recomputed, and the extracted mapping must pass
     {!Check.run}, so a [Mapped] verdict is [certified] exactly like a
-    native one.  An external [Infeasible] is the solver's word and
-    stays [certified = false] (no DRAT trace exists); [explain] still
-    works (the native core extractor re-derives the conflict), and the
-    sweep's [--cross-check] exists to diff such verdicts.
+    native one.  An external [Infeasible] is the solver's word: no DRAT
+    trace exists, so without [explain] it stays [certified = false].
+    [explain] still works (the native core extractor re-derives the
+    conflict) and, under [certify], certifies it through the core.
+    The sweep's [--cross-check] exists to diff such verdicts.
     [warm_start] is forced to 0 for an external solver.
     @raise Cgra_backend.Backend.Error on a missing solver binary or an
     external answer that fails replay.
@@ -120,21 +127,27 @@ val map :
 
     [certify] (default [false]) makes an [Infeasible] verdict carry a
     DRAT refutation, independently re-validated by
-    {!Cgra_satoca.Drat.check} before the call returns; presolve is
-    bypassed for the certified solve and the B&B engine cross-certifies
-    through a proof-logging SAT run (see {!Cgra_ilp.Solve.solve}).
+    {!Cgra_satoca.Drat.check} before the call returns.  Without
+    [explain], the verdict solve itself is proof-logged: presolve is
+    bypassed for it and the B&B engine cross-certifies through a
+    proof-logging SAT run (see {!Cgra_ilp.Solve.solve}).  With
+    [explain], the verdict solve logs nothing and the certificate is
+    the core's refutation (below), for every solver.
     [info.certified] reports whether the returned verdict carries
     validated evidence; a certificate cut short by the deadline yields
     [certified = false], not a failure.
 
     [explain] (default [false]) makes an [Infeasible] verdict carry a
     {!diagnosis}: a group-level unsat core extracted with
-    {!Cgra_ilp.Unsat_core}, minimized and independently re-verified
-    under the same deadline, then translated back to DFG/MRRG terms.
-    A deadline hit during extraction leaves [diagnosis = None].
+    {!Cgra_ilp.Unsat_core}, minimized, then certified under the same
+    deadline by a DRAT-checked refutation of the core's rows alone
+    ({!Cgra_ilp.Unsat_core.check}), and translated back to DFG/MRRG
+    terms.  A deadline hit during extraction leaves
+    [diagnosis = None], and a deadline hit during extraction or the
+    core's refutation leaves the verdict uncertified.
     @raise Failure if the solver returns an assignment the independent
     checker rejects, a DRAT certificate the independent checker
-    refutes, or an unsat core that re-solves satisfiable (a bug, or an
+    refutes, or an unsat core whose rows are satisfiable (a bug, or an
     external solver contradicting the native one; never an input
     error). *)
 

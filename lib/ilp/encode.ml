@@ -71,14 +71,17 @@ let encode_row solver model ~base i =
 
 (* Shared clausification body: [base = 0] is the classic whole-solver
    layout of {!encode}; a non-zero base is how {!encode_into} stacks
-   several models into one resident solver. *)
-let encode_block solver ~base model =
+   several models into one resident solver.  [keep] filters rows by
+   index; the variables are always allocated in full. *)
+let encode_block ?keep solver ~base model =
   for v = 0 to Model.nvars model - 1 do
     let p = Model.branch_priority model v in
     if p <> 0.0 then Solver.set_activity solver (base + v) p
   done;
   for i = 0 to Model.nrows model - 1 do
-    encode_row solver model ~base i
+    match keep with
+    | Some keep when not (keep i) -> ()
+    | _ -> encode_row solver model ~base i
   done
 
 (* Seed polarities from the model's phase hints by trial propagation,
@@ -89,12 +92,12 @@ let seed_block_phases solver ~base model =
     Solver.seed_phases solver
       (List.init (Model.nvars model) (fun v -> Lit.make (base + v) (Model.branch_phase model v)))
 
-let encode ?proof ?inprocess model =
+let encode ?proof ?inprocess ?keep model =
   let solver = Solver.create () in
   (match proof with Some _ -> Solver.set_proof solver proof | None -> ());
   Inprocess.install ?config:inprocess solver;
   ignore (if Model.nvars model > 0 then Solver.new_vars solver (Model.nvars model) else 0);
-  encode_block solver ~base:0 model;
+  encode_block ?keep solver ~base:0 model;
   seed_block_phases solver ~base:0 model;
   let objective_lits, objective_offset =
     match Model.objective model with

@@ -17,6 +17,7 @@ type t = {
 val encode :
   ?proof:Cgra_satoca.Proof.t ->
   ?inprocess:Cgra_satoca.Inprocess.config ->
+  ?keep:(int -> bool) ->
   Model.t ->
   t
 (** Build a solver containing the full model.  If a row is trivially
@@ -24,6 +25,12 @@ val encode :
     [proof] is given it is attached before any clause is added, so the
     trace's input set is exactly the clausified model (plus any bound
     clauses added later by the descent loop).
+
+    [keep] (default: every row) clausifies only the rows whose index
+    it accepts; all model variables are still allocated, so
+    {!assignment} reads the same layout.  A refutation of the kept
+    rows refutes the whole model — the basis of
+    {!Unsat_core.check}'s core certificate.
 
     The solver gets the {!Cgra_satoca.Inprocess} scheduler installed;
     [inprocess] overrides its configuration (default:

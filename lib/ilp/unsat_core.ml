@@ -1,19 +1,28 @@
 module Solver = Cgra_satoca.Solver
 module Lit = Cgra_satoca.Lit
+module Proof = Cgra_satoca.Proof
+module Drat = Cgra_satoca.Drat
 module Deadline = Cgra_util.Deadline
 
 type core = { groups : string list; minimized : bool; sat_calls : int }
 
 type verdict = Core of core | Satisfiable | Unknown
 
-(* Order a literal set as its selectors appear in the encoding, and
-   translate back to labels — cores read in model-construction order. *)
-let labels_of selectors lits =
-  List.filter_map (fun (g, l) -> if List.mem l lits then Some g else None) selectors
+(* A literal set as marks in a byte per solver literal, so a membership
+   test costs O(1) however many groups the model has.  [with_marks]
+   sets the marks of [lits] for the duration of [f] only. *)
+let with_marks marks lits f =
+  List.iter (fun l -> Bytes.set marks l '\001') lits;
+  let r = f () in
+  List.iter (fun l -> Bytes.set marks l '\000') lits;
+  r
+
+let marked marks l = Bytes.get marks l <> '\000'
 
 let extract ?(deadline = Deadline.none) ?(minimize = true) model =
   let enc = Encode.encode_grouped model in
   let solver = enc.Encode.g_solver in
+  let marks = Bytes.make (2 * Solver.nvars solver) '\000' in
   let sat_calls = ref 0 in
   let solve_under sels =
     incr sat_calls;
@@ -45,10 +54,11 @@ let extract ?(deadline = Deadline.none) ?(minimize = true) model =
             else begin
               match solve_under (kept @ rest) with
               | Solver.Unsat ->
-                  let f = Solver.failed_assumptions solver in
-                  shrink
-                    (List.filter (fun l -> List.mem l f) kept)
-                    (List.filter (fun l -> List.mem l f) rest)
+                  let kept, rest =
+                    with_marks marks (Solver.failed_assumptions solver) (fun () ->
+                        (List.filter (marked marks) kept, List.filter (marked marks) rest))
+                  in
+                  shrink kept rest
               | Solver.Sat -> shrink (kept @ [ c ]) rest
               | Solver.Unknown ->
                   aborted := true;
@@ -58,24 +68,41 @@ let extract ?(deadline = Deadline.none) ?(minimize = true) model =
       let lits = if minimize && first <> [] then shrink [] first else first in
       (* the empty core (contradictory hard rows) is trivially minimal *)
       let minimized = minimize && not !aborted in
+      (* labels in model-construction order, as the selectors were made *)
+      let groups =
+        with_marks marks lits (fun () ->
+            List.filter_map
+              (fun (g, l) -> if marked marks l then Some g else None)
+              enc.Encode.selectors)
+      in
       Core
         {
-          groups = labels_of enc.Encode.selectors lits;
+          groups;
           minimized;
           sat_calls = !sat_calls;
         }
 
-let check ?(deadline = Deadline.none) model labels =
-  let enc = Encode.encode_grouped model in
-  let sels =
-    List.filter_map
-      (fun (g, l) -> if List.mem g labels then Some l else None)
-      enc.Encode.selectors
+(* The certificate of a core: clausify only the named groups' rows and
+   the hard rows, refute them under proof logging, and have the
+   independent checker accept the refutation.  The kept rows are a
+   subset of the model's, so a refutation of them refutes the model. *)
+let check ?(deadline = Deadline.none) ?proof model labels =
+  let named = Hashtbl.create 64 in
+  List.iter (fun g -> Hashtbl.replace named g ()) labels;
+  let keep i =
+    match Model.row_group model i with None -> true | Some g -> Hashtbl.mem named g
   in
-  match Solver.solve_with ~deadline ~assumptions:sels enc.Encode.g_solver with
-  | Solver.Unsat -> Some true
+  let proof = match proof with Some p -> p | None -> Proof.create () in
+  let enc = Encode.encode ~proof ~keep model in
+  match Solver.solve ~deadline enc.Encode.solver with
   | Solver.Sat -> Some false
   | Solver.Unknown -> None
+  | Solver.Unsat -> (
+      (* [Drat.check] also demands the refutation be complete *)
+      match Drat.check proof with
+      | Drat.Valid -> Some true
+      | Drat.Invalid msg ->
+          failwith ("Unsat_core.check: the core's refutation was rejected (bug): " ^ msg))
 
 let restrict model labels =
   let sub = Model.create ~name:(Model.name model ^ "+core") () in

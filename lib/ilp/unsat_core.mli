@@ -15,7 +15,9 @@
     Cores from final-conflict analysis are sound but often loose;
     deletion-based shrinking tightens them to a {e minimal} core (every
     member necessary), reusing one incremental solver — each deletion
-    probe is a [solve_with] on the same clause database. *)
+    probe is a [solve_with] on the same clause database.  {!check}
+    then certifies a core with a DRAT-checked refutation of its rows
+    alone, which also certifies the model's infeasibility. *)
 
 type core = {
   groups : string list;
@@ -43,12 +45,23 @@ val extract :
     contradictory yields an empty core. *)
 
 val check :
-  ?deadline:Cgra_util.Deadline.t -> Model.t -> string list -> bool option
-(** [check model labels] re-solves from scratch (fresh solver, fresh
-    encoding) with only the named groups selected: [Some true] means
-    the labelled groups plus the hard rows are infeasible — the
-    verification step behind every reported core — [Some false] means
-    satisfiable, [None] means the deadline expired. *)
+  ?deadline:Cgra_util.Deadline.t ->
+  ?proof:Cgra_satoca.Proof.t ->
+  Model.t ->
+  string list ->
+  bool option
+(** [check model labels] certifies a core.  It clausifies only the
+    rows of the named groups plus the hard (ungrouped) rows into a
+    fresh proof-logged solver ({!Encode.encode}[ ~keep]) and solves.
+    [Some true] means the solver refuted those rows {e and}
+    {!Cgra_satoca.Drat.check} accepted the refutation.  Those rows are
+    a subset of the model's, so the same refutation certifies that the
+    whole model is infeasible.  [Some false] means the named groups
+    plus the hard rows are satisfiable.  [None] means the deadline
+    expired.  [proof] (default: a fresh trace) receives the
+    refutation, e.g. to count its steps.
+    @raise Failure if the checker rejects the refutation (a solver
+    bug, never an input error). *)
 
 val restrict : Model.t -> string list -> Model.t
 (** A copy of the model containing all variables, the hard rows, and

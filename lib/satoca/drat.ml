@@ -4,7 +4,6 @@ type verdict = Valid | Invalid of string
 
 type clause = {
   lits : int array;        (* mutated: watched literals kept at 0 and 1 *)
-  key : int list;          (* sorted literals, for deletion matching *)
   mutable deleted : bool;
 }
 
@@ -17,7 +16,9 @@ type state = {
          then always the other literal *)
   mutable clauses : clause array;
   mutable n_clauses : int;
-  by_key : (int list, int list ref) Hashtbl.t;
+  mutable by_key : (int list, int list ref) Hashtbl.t option;
+      (* sorted literals -> live clauses, for deletion matching; built
+         at the first deletion, since most traces delete little *)
   trail : Veci.t;
   mutable head : int;
   mutable refuted : bool;
@@ -29,7 +30,7 @@ let create () =
     watches = [||];
     clauses = [||];
     n_clauses = 0;
-    by_key = Hashtbl.create 64;
+    by_key = None;
     trail = Veci.create ();
     head = 0;
     refuted = false;
@@ -177,10 +178,31 @@ let rup st lits =
 
 let sorted_key lits = List.sort_uniq compare lits
 
-let register_key st key ci =
-  match Hashtbl.find_opt st.by_key key with
+let register_key by_key key ci =
+  match Hashtbl.find_opt by_key key with
   | Some r -> r := ci :: !r
-  | None -> Hashtbl.add st.by_key key (ref [ ci ])
+  | None -> Hashtbl.add by_key key (ref [ ci ])
+
+(* Index a newly installed clause, once the index exists. *)
+let index st ci =
+  match st.by_key with
+  | None -> ()
+  | Some by_key -> register_key by_key (sorted_key (Array.to_list st.clauses.(ci).lits)) ci
+
+(* The deletion index, built on first use from the live clauses in
+   installation order: the same buckets, in the same order, as
+   registering every clause at install time. *)
+let deletion_index st =
+  match st.by_key with
+  | Some by_key -> by_key
+  | None ->
+      let by_key = Hashtbl.create (max 64 st.n_clauses) in
+      for ci = 0 to st.n_clauses - 1 do
+        let c = st.clauses.(ci) in
+        if not c.deleted then register_key by_key (sorted_key (Array.to_list c.lits)) ci
+      done;
+      st.by_key <- Some by_key;
+      by_key
 
 let push_clause st c =
   if st.n_clauses = Array.length st.clauses then begin
@@ -215,26 +237,23 @@ let install st lits =
              end
            done
          with Exit -> ());
-        let key = sorted_key lits in
         if !slot = 0 then begin
           (* all literals false at root: immediate contradiction *)
-          let ci = push_clause st { lits = arr; key; deleted = false } in
-          register_key st key ci;
+          index st (push_clause st { lits = arr; deleted = false });
           st.refuted <- true
         end
         else if !slot = 1 || lit_val st arr.(0) = 1 || lit_val st arr.(1) = 1 then begin
           (* unit or already satisfied: roots only grow, so no watches
              are ever needed for this clause *)
-          let ci = push_clause st { lits = arr; key; deleted = false } in
-          register_key st key ci;
+          index st (push_clause st { lits = arr; deleted = false });
           if lit_val st arr.(0) = 0 then begin
             enqueue st arr.(0);
             if propagate st then st.refuted <- true
           end
         end
         else begin
-          let ci = push_clause st { lits = arr; key; deleted = false } in
-          register_key st key ci;
+          let ci = push_clause st { lits = arr; deleted = false } in
+          index st ci;
           let e = if len = 2 then lnot ci else ci in
           Veci.push st.watches.(Lit.negate arr.(0)) e;
           Veci.push st.watches.(Lit.negate arr.(0)) arr.(1);
@@ -248,8 +267,7 @@ let delete st lits =
     match lits with
     | [] | [ _ ] -> () (* drat-trim convention: ignore unit deletions *)
     | _ -> (
-        let key = sorted_key lits in
-        match Hashtbl.find_opt st.by_key key with
+        match Hashtbl.find_opt (deletion_index st) (sorted_key lits) with
         | None -> () (* deleting an unknown clause is a no-op *)
         | Some r -> (
             let rec pick = function
@@ -281,7 +299,7 @@ let rat st lits =
       (try
          for ci = 0 to st.n_clauses - 1 do
            let c = st.clauses.(ci) in
-           if (not c.deleted) && List.mem neg_pivot c.key then begin
+           if (not c.deleted) && Array.mem neg_pivot c.lits then begin
              let resolvent =
                lits @ List.filter (fun l -> l <> neg_pivot) (Array.to_list c.lits)
              in

@@ -364,7 +364,7 @@ let test_adl_arch_gen_form () =
    of docs/ADL.md (a declared dune dependency of this test) and
    re-derives every cell from Library.gallery. *)
 let test_gallery_matches_docs () =
-  let path = "../docs/ADL.md" in
+  let path = Test_data.path "../docs/ADL.md" in
   let text =
     let ic = open_in_bin path in
     Fun.protect

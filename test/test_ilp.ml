@@ -258,7 +258,7 @@ let test_lp_ident_collisions () =
    rendering or section layout shows up as a byte diff against the
    golden file that external solvers are known to accept. *)
 let test_lp_golden_mac () =
-  let golden = "golden/mac_1x1_ii1.lp" in
+  let golden = Test_data.path "golden/mac_1x1_ii1.lp" in
   let dfg =
     match Cgra_dfg.Benchmarks.by_name "mac" with
     | Some d -> d
@@ -337,6 +337,28 @@ let test_core_hard_rows_contradictory () =
         (Unsat_core.check m [])
   | Unsat_core.Satisfiable | Unsat_core.Unknown -> Alcotest.fail "hard rows are contradictory"
 
+let test_core_check_keeps_named_rows () =
+  (* [bad] contradicts itself, but a check that does not name it must
+     leave its rows out of the clausified core *)
+  let m = Model.create ~name:"named" () in
+  let x = Model.add_binary m "x" in
+  let y = Model.add_binary m "y" in
+  Model.add_row m ~group:"bad" [ (1, x) ] Model.Ge 1;
+  Model.add_row m ~group:"bad" [ (1, x) ] Model.Le 0;
+  Model.add_row m ~group:"ok" [ (1, y) ] Model.Ge 1;
+  Model.add_row m [ (1, x); (1, y) ] Model.Le 2;
+  Alcotest.(check (option bool)) "bad unnamed: satisfiable" (Some false)
+    (Unsat_core.check m [ "ok" ]);
+  Alcotest.(check (option bool)) "no group named: satisfiable" (Some false)
+    (Unsat_core.check m []);
+  let proof = Cgra_satoca.Proof.create () in
+  Alcotest.(check (option bool)) "bad named: refuted" (Some true)
+    (Unsat_core.check ~proof m [ "bad"; "ok" ]);
+  (* the refutation handed back is complete and checks on its own *)
+  Alcotest.(check bool) "empty clause logged" true (Cgra_satoca.Proof.has_empty_clause proof);
+  Alcotest.(check bool) "refutation validates" true
+    (Cgra_satoca.Drat.check proof = Cgra_satoca.Drat.Valid)
+
 let test_core_restrict () =
   let m = Model.create ~name:"restrict" () in
   let x = Model.add_binary m "x" in
@@ -406,6 +428,21 @@ let prop_core_sound_and_minimal =
           && List.for_all
                (fun g -> not (infeasible (List.filter (fun g' -> g' <> g) core)))
                core)
+
+let prop_core_check_matches_brute =
+  (* a core check clausifies the named groups and the hard rows only:
+     its verdict is brute force's on exactly that sub-model *)
+  QCheck2.Test.make ~name:"core check agrees with brute force on the named groups" ~count:300
+    ~print:(fun (spec, named) ->
+      Printf.sprintf "named groups g%s\n%s"
+        (String.concat ",g" (List.map string_of_int named))
+        (print_grouped_spec spec))
+    QCheck2.Gen.(pair gen_grouped_spec (list_size (int_range 0 4) (int_range 1 4)))
+    (fun (spec, named) ->
+      let m = build_grouped_model spec in
+      let labels = List.map (Printf.sprintf "g%d") named in
+      let brute = Solve.solve ~engine:Solve.Brute_force (Unsat_core.restrict m labels) in
+      Unsat_core.check m labels = Some (brute = Solve.Infeasible))
 
 let prop_core_extraction_preserves_verdict =
   (* grouped assumption solving must agree with the plain engines on
@@ -592,6 +629,9 @@ let suites =
         Alcotest.test_case "satisfiable verdict" `Quick test_core_satisfiable;
         Alcotest.test_case "contradictory hard rows" `Quick test_core_hard_rows_contradictory;
         Alcotest.test_case "restrict builds the sub-model" `Quick test_core_restrict;
+        Alcotest.test_case "check clausifies only the named groups" `Quick
+          test_core_check_keeps_named_rows;
+        QCheck_alcotest.to_alcotest prop_core_check_matches_brute;
       ] );
     ( "ilp:properties",
       List.map QCheck_alcotest.to_alcotest

@@ -194,6 +194,49 @@ let test_explain_infeasible_cell () =
           | Solve.Infeasible -> Alcotest.fail "core not minimal: first group is redundant"
           | Solve.Timeout -> ()))
 
+(* ---------------- certified cores ---------------- *)
+
+let paper_mrrg ~arch ~size ~ii =
+  match Library.find_config ~size arch with
+  | Some c -> Build.elaborate (Library.make c) ~ii
+  | None -> Alcotest.failf "unknown architecture %s" arch
+
+(* Under [~certify ~explain] the certificate is the core's own
+   DRAT-checked refutation; the cores themselves and the SAT calls spent
+   minimizing them are pinned, so certifying a core never changes which
+   core is reported. *)
+let test_certified_core_pins () =
+  List.iter
+    (fun (bench, arch, ii, groups, sat_calls) ->
+      let cell = Printf.sprintf "%s@%s-2x2/ii%d" bench arch ii in
+      let dfg = Option.get (Benchmarks.by_name bench) in
+      match
+        IM.map ~warm_start:0.0 ~certify:true ~explain:true dfg (paper_mrrg ~arch ~size:2 ~ii)
+      with
+      | IM.Infeasible ({ IM.diagnosis = Some d; _ } as info) ->
+          Alcotest.(check int) (cell ^ ": core groups") groups (List.length d.IM.core);
+          Alcotest.(check int) (cell ^ ": core SAT calls") sat_calls d.IM.core_sat_calls;
+          Alcotest.(check bool) (cell ^ ": certified") true info.IM.certified;
+          Alcotest.(check bool) (cell ^ ": core verified") true d.IM.core_verified;
+          Alcotest.(check bool) (cell ^ ": core minimized") true d.IM.core_minimized;
+          Alcotest.(check bool) (cell ^ ": refutation logged") true (info.IM.proof_steps > 0)
+      | r -> Alcotest.failf "%s: expected an explained infeasibility, got %a" cell IM.pp_result r)
+    [
+      ("2x2-f", "homo-orth", 1, 9, 22);
+      ("mac", "homo-orth", 1, 9, 10);
+      ("accum", "hetero-orth", 2, 17, 31);
+    ]
+
+let test_explain_feasible_cell () =
+  (* explain changes nothing for a feasible cell: a checked mapping, no
+     diagnosis *)
+  let dfg = Benchmarks.conv_2x2_f () in
+  match IM.map ~warm_start:0.0 ~explain:true dfg (paper_mrrg ~arch:"homo-orth" ~size:2 ~ii:2) with
+  | IM.Mapped (m, info) ->
+      Alcotest.(check bool) "mapping passes Check" true (Check.run m = Ok ());
+      Alcotest.(check bool) "no diagnosis" true (info.IM.diagnosis = None)
+  | r -> Alcotest.failf "expected a mapping, got %a" IM.pp_result r
+
 (* ---------------- LP export of a real formulation ---------------- *)
 
 let test_lp_roundtrip_formulation () =
@@ -246,6 +289,8 @@ let suites =
         Alcotest.test_case "seed_phases reproduces model" `Quick test_seed_phases_reproduces_model;
         Alcotest.test_case "explain localises an infeasible cell" `Quick
           test_explain_infeasible_cell;
+        Alcotest.test_case "certified cores pinned" `Slow test_certified_core_pins;
+        Alcotest.test_case "explain on a feasible cell maps" `Quick test_explain_feasible_cell;
         Alcotest.test_case "LP roundtrip of a formulation" `Slow test_lp_roundtrip_formulation;
         Alcotest.test_case "ii=2 dominates ii=1" `Slow test_ii2_dominates_ii1;
       ] );
