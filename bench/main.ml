@@ -31,8 +31,7 @@
                        16x16, mesh vs torus); appends a run record to
                        BENCH_archscale.json and exits 1 if 8x8 mesh
                        elaboration regresses >2x over the journaled baseline
-     micro             Bechamel micro-benchmarks of the pipeline stages
-     all               table1 + table2 + fig8 + micro (default)
+     all               table1 + table2 + fig8 (default)
 
    Common options:
      --limit SECS      per-cell time limit (default 120)
@@ -430,9 +429,9 @@ let run_sweep_scaling opts =
 (* Certification overhead: proof logging + checking vs plain solving   *)
 (* ------------------------------------------------------------------ *)
 
-(* Small 2x2 cells whose verdicts need real CDCL search (not presolve),
-   so the proof trace is non-trivial: mac is infeasible at both context
-   counts, 2x2-f flips to feasible at ii2.  The [plain] column is the
+(* Small 2x2 cells whose verdicts need real CDCL search, so the proof
+   trace is non-trivial: mac is infeasible at both context counts,
+   2x2-f flips to feasible at ii2.  The [plain] column is the
    defaults path — proof logging disabled costs one [option] test per
    solver event — and [certified] includes both logging and the
    independent DRAT re-check of infeasible answers. *)
@@ -503,7 +502,7 @@ let run_certify opts =
 (* ------------------------------------------------------------------ *)
 
 (* Hard Table 2 cells — the ones whose verdicts need real CDCL search
-   rather than presolve or a lucky first descent — solved twice through
+   rather than a lucky first descent — solved twice through
    the exact engine: once with the default inprocessing schedule
    (failed-literal probing, the only pass) and once with the hook
    disabled.  Both sides share the formulation; each rep re-encodes, so
@@ -618,7 +617,7 @@ let run_inprocess opts =
 (* 2x2 cells proven infeasible by real search.  The [plain] column is
    the bare infeasibility proof; [explain] adds grouped re-encoding,
    assumption solving, deletion-based core minimization and the
-   from-scratch verification re-solve. *)
+   DRAT-checked refutation of the core's rows alone. *)
 let run_explain opts =
   let reps = 3 in
   Printf.printf "== Explanation overhead (2x2 infeasible cells, %d reps) ==\n" reps;
@@ -729,50 +728,6 @@ let run_crosscheck opts =
               !disagreements opts.backend;
             exit 5
           end)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let run_micro () =
-  let open Bechamel in
-  let open Toolkit in
-  print_endline "== Micro-benchmarks (Bechamel, ns/run) ==";
-  let arch = Lib.make Lib.default in
-  let mrrg = Build.elaborate arch ~ii:1 in
-  let dfg = Benchmarks.mac () in
-  let tests =
-    Test.make_grouped ~name:"pipeline"
-      [
-        Test.make ~name:"arch-elaborate-4x4"
-          (Staged.stage (fun () -> ignore (Lib.make Lib.default)));
-        Test.make ~name:"mrrg-elaborate-4x4"
-          (Staged.stage (fun () -> ignore (Build.elaborate arch ~ii:1)));
-        Test.make ~name:"formulation-build-mac"
-          (Staged.stage (fun () ->
-               ignore (Formulation.build ~objective:Formulation.Feasibility dfg mrrg)));
-        Test.make ~name:"ilp-map-mac-4x4"
-          (Staged.stage (fun () ->
-               ignore (IM.map ~objective:Formulation.Feasibility dfg mrrg)));
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:30 ~quota:(Time.second 1.0) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name v acc -> (name, v) :: acc) results [] |> List.sort compare
-  in
-  List.iter
-    (fun (name, v) ->
-      match Analyze.OLS.estimates v with
-      | Some [ est ] -> Printf.printf "  %-36s %14.0f\n" name est
-      | Some _ | None -> Printf.printf "  %-36s  (no estimate)\n" name)
-    rows;
-  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* serve: daemon latency, cold vs warm                                 *)
@@ -1252,12 +1207,10 @@ let () =
       | "crosscheck" -> run_crosscheck opts
       | "serve" -> run_serve opts
       | "archscale" | "arch-scale" -> run_archscale opts
-      | "micro" -> run_micro ()
       | "all" ->
           run_table1 opts;
           run_table2 opts;
-          run_fig8 opts;
-          run_micro ()
+          run_fig8 opts
       | other ->
           Printf.eprintf "unknown subcommand %S\n" other;
           exit 2)

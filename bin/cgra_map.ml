@@ -22,6 +22,7 @@ module Deadline = Cgra_util.Deadline
 module Backend = Cgra_backend.Backend
 module Solver_spec = Cgra_core.Solver_spec
 module Jsonl = Cgra_sweep.Jsonl
+module Runner = Cgra_sweep.Runner
 module Serve_protocol = Cgra_serve.Protocol
 module Serve_server = Cgra_serve.Server
 module Serve_client = Cgra_serve.Client
@@ -74,40 +75,11 @@ let seed_arg =
   let doc = "Random seed for the annealing mapper." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* Name resolution is the sweep runner's, which the daemon shares; only
+   the CLI may read stdin. *)
 let load_arch name size =
   if name = "-" then Adl.of_string (In_channel.input_all stdin)
-  else
-    match Lib.find_config ~size name with
-    | Some config -> Ok (Lib.make config)
-    | None -> (
-        match Lib.find_gallery name with
-        | Some config -> Ok (Lib.make config)
-        | None ->
-            if Sys.file_exists name then
-              let ic = open_in_bin name in
-              let text = really_input_string ic (in_channel_length ic) in
-              close_in ic;
-              Adl.of_string text
-            else
-              Error
-                (Printf.sprintf
-                   "unknown architecture %S (expected one of %s, a gallery name from `cgra_map \
-                    arch gallery`, the path of an .adl file, or `-` for stdin)"
-                   name
-                   (String.concat ", " arch_names)))
-
-let load_benchmark name =
-  match Benchmarks.by_name name with
-  | Some dfg -> Ok dfg
-  | None ->
-      if Sys.file_exists name then begin
-        let ic = open_in_bin name in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Dfg.of_text text
-      end
-      else
-        Error (Printf.sprintf "unknown benchmark %S (see `cgra_map benchmarks`)" name)
+  else Runner.load_arch ~size name
 
 let deadline_of limit = if limit <= 0.0 then Deadline.none else Deadline.after ~seconds:limit
 
@@ -202,7 +174,7 @@ let print_verdict_json ~engine ~t0 result =
 
 let map_cmd =
   let run bench arch size contexts limit optimize certify solver json =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     let objective = if optimize then Formulation.Min_routing else Formulation.Feasibility in
@@ -287,7 +259,7 @@ let backends_cmd =
 
 let explain_cmd =
   let run bench arch size contexts limit json =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     let t0 = Deadline.now () in
@@ -333,7 +305,7 @@ let explain_cmd =
 
 let anneal_cmd =
   let run bench arch size contexts limit seed =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     let params = { Anneal.moderate with Anneal.seed } in
@@ -354,7 +326,7 @@ let anneal_cmd =
 
 let config_cmd =
   let run bench arch size contexts limit =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     match IM.map ~deadline:(deadline_of limit) dfg mrrg with
@@ -378,7 +350,7 @@ let config_cmd =
 
 let map_dot_cmd =
   let run bench arch size contexts limit =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     match IM.map ~deadline:(deadline_of limit) dfg mrrg with
@@ -393,7 +365,7 @@ let map_dot_cmd =
 
 let simulate_cmd =
   let run bench arch size contexts limit seed =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     match IM.map ~deadline:(deadline_of limit) dfg mrrg with
@@ -440,7 +412,7 @@ let mrrg_dot_cmd =
 
 let dfg_dot_cmd =
   let run bench =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     print_string (Dfg.to_dot dfg)
   in
   Cmd.v
@@ -656,7 +628,7 @@ let fuzz_arch_cmd =
 
 let lp_cmd =
   let run bench arch size contexts optimize formulation =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     let objective = if optimize then Formulation.Min_routing else Formulation.Feasibility in
@@ -696,8 +668,9 @@ let sweep_cmd =
   in
   let portfolio_arg =
     let doc =
-      "Race cold SAT, warm SAT and branch-and-bound per job; first definitive answer wins and \
-       cancels the losers."
+      "Race SAT variants per job, one per core (cold, warm, then a shorter and a longer warm \
+       start; add solvers with $(b,--racer)); first definitive answer wins and cancels the \
+       losers."
     in
     Arg.(value & flag & info [ "portfolio" ] ~doc)
   in
@@ -753,8 +726,8 @@ let sweep_cmd =
       match racer_solvers with
       | [] -> []
       | solvers ->
-          Cgra_sweep.Runner.default_racers (Domain.recommended_domain_count ())
-          @ List.map Cgra_sweep.Runner.variant solvers
+          Runner.default_racers (Domain.recommended_domain_count ())
+          @ List.map Runner.variant solvers
     in
     let grid = Sweep_job.paper_grid ~size ~contexts ~limit ~benchmarks ~archs () in
     let skip =

@@ -24,7 +24,7 @@
     {!Cgra_ilp.Encode}; placement rows, exclusivity rows, group labels
     ([place:]/[excl:]/[route:val<j>]) and forced-zero pruning are
     shared vocabulary with the base formulation, which keeps LP export,
-    presolve, certification, unsat-core explanation and
+    certification, unsat-core explanation and
     {!Cgra_core.Check} working unchanged — and makes the two
     formulations agree on feasibility verdicts (the
     [formulation-vs-conn] fuzz invariant enforces this).

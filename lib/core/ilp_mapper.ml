@@ -23,7 +23,6 @@ type info = {
   objective_value : int option;
   proven_optimal : bool;
   sat_calls : int;
-  presolve_fixed : int;
   certified : bool;
   proof_steps : int;
   inprocess : (string * int) list;
@@ -113,7 +112,7 @@ let map ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.default) ?
         let t0 = Deadline.now () in
         let outcome = b.Backend.solve ?deadline model in
         let solve_seconds = Deadline.elapsed_of ~start:t0 in
-        { Solve.outcome; solve_seconds; sat_calls = 0; presolve_fixed = 0; inprocess = [] }
+        { Solve.outcome; solve_seconds; sat_calls = 0; inprocess = [] }
   in
   let info ?diagnosis ~objective_value ~proven_optimal ~certified () =
     {
@@ -124,7 +123,6 @@ let map ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.default) ?
       objective_value;
       proven_optimal;
       sat_calls = report.Solve.sat_calls;
-      presolve_fixed = report.Solve.presolve_fixed;
       certified;
       proof_steps = (match proof with Some p -> Proof.n_steps p | None -> 0);
       inprocess = report.Solve.inprocess;

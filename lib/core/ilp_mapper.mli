@@ -42,7 +42,6 @@ type info = {
   objective_value : int option;  (** routing cost when optimising *)
   proven_optimal : bool;
   sat_calls : int;               (** SAT invocations; 0 for non-SAT engines *)
-  presolve_fixed : int;          (** variables eliminated by presolve *)
   certified : bool;
       (** the verdict carries validated evidence: a {!Check}-accepted
           mapping for [Mapped], a {!Cgra_satoca.Drat}-validated
@@ -86,11 +85,12 @@ val map :
     returned.
 
     [solver] picks the formulation and the solver in one value, parsed
-    from a name by {!Solver_spec.of_name}.  Every downstream stage —
-    presolve, SAT encoding, certification, explanation, {!Check.run}
-    validation — is formulation-agnostic, so any registered
-    formulation gets the full pipeline.  A native answer and an
-    external one take the same verdict path.  An external solver
+    from a name by {!Solver_spec.of_name}.  The model the formulation
+    builds is the model the engine solves: nothing rewrites it in
+    between.  Every downstream stage — SAT encoding, certification,
+    explanation, {!Check.run} validation — is formulation-agnostic, so
+    any registered formulation gets the full pipeline.  A native answer
+    and an external one take the same verdict path.  An external solver
     (["highs"], ["cbc"], ["scip"]) gets the model as an LP file, runs
     as a subprocess under the deadline, and its parsed answer is
     replayed: the assignment is checked row-by-row against the model,
@@ -128,11 +128,11 @@ val map :
     [certify] (default [false]) makes an [Infeasible] verdict carry a
     DRAT refutation, independently re-validated by
     {!Cgra_satoca.Drat.check} before the call returns.  Without
-    [explain], the verdict solve itself is proof-logged: presolve is
-    bypassed for it and the B&B engine cross-certifies through a
-    proof-logging SAT run (see {!Cgra_ilp.Solve.solve}).  With
-    [explain], the verdict solve logs nothing and the certificate is
-    the core's refutation (below), for every solver.
+    [explain], the verdict solve itself is proof-logged and the B&B
+    engine cross-certifies through a proof-logging SAT run (see
+    {!Cgra_ilp.Solve.solve}).  With [explain], the verdict solve logs
+    nothing and the certificate is the core's refutation (below), for
+    every solver.
     [info.certified] reports whether the returned verdict carries
     validated evidence; a certificate cut short by the deadline yields
     [certified = false], not a failure.

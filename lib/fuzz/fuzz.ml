@@ -16,6 +16,7 @@ module Formulation = Cgra_core.Formulation
 module Lp_format = Cgra_ilp.Lp_format
 module Job = Cgra_sweep.Job
 module Record = Cgra_sweep.Record
+module Runner = Cgra_sweep.Runner
 module Conn = Cgra_conn.Conn
 
 (* the conn formulation registers itself at module init; force the
@@ -226,35 +227,6 @@ let check_structure sample =
 
 (* ---------------- solver-backed invariants ---------------- *)
 
-let status_of_result = function
-  | IM.Mapped _ -> Record.Feasible
-  | IM.Infeasible _ -> Record.Infeasible
-  | IM.Timeout _ -> Record.Timeout
-
-let record_of_result sample ~limit result =
-  let info = match result with IM.Mapped (_, i) | IM.Infeasible i | IM.Timeout i -> i in
-  {
-    Record.job =
-      {
-        Job.benchmark = kernel_to_string sample.kernel;
-        arch = Library.name_of_config sample.config;
-        size = sample.config.Library.rows;
-        contexts = sample.ii;
-        limit;
-      };
-    status = status_of_result result;
-    engine = "sat";
-    total_seconds = info.IM.build_seconds +. info.IM.solve_seconds;
-    solve_seconds = info.IM.solve_seconds;
-    build_seconds = info.IM.build_seconds;
-    sat_calls = info.IM.sat_calls;
-    presolve_fixed = info.IM.presolve_fixed;
-    certified = info.IM.certified;
-    objective = info.IM.objective_value;
-    core = [];
-    cross = None;
-  }
-
 let check_solve sample ~limit =
   let failures = ref [] in
   let fail invariant detail = failures := (invariant, detail) :: !failures in
@@ -314,7 +286,21 @@ let check_solve sample ~limit =
       | IM.Mapped _ | IM.Timeout _ -> ())
   | _ -> ());
   (* the outcome must survive the sweep journal *)
-  let record = record_of_result sample ~limit result in
+  let record =
+    let job =
+      {
+        Job.benchmark = kernel_to_string sample.kernel;
+        arch = Library.name_of_config sample.config;
+        size = sample.config.Library.rows;
+        contexts = sample.ii;
+        limit;
+      }
+    in
+    let info = match result with IM.Mapped (_, i) | IM.Infeasible i | IM.Timeout i -> i in
+    Runner.record_of_result job ~engine:"sat"
+      ~total_seconds:(info.IM.build_seconds +. info.IM.solve_seconds)
+      result
+  in
   let line = Record.to_line record in
   (match Record.of_line line with
   | Error e -> fail "journal-roundtrip" ("journal line does not parse back: " ^ e)

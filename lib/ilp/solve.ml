@@ -14,7 +14,6 @@ type report = {
   outcome : outcome;
   solve_seconds : float;
   sat_calls : int;
-  presolve_fixed : int;
   inprocess : (string * int) list;
 }
 
@@ -117,29 +116,10 @@ let solve_brute model =
 
 (* ---------------- unified front end ---------------- *)
 
-let with_presolve ~presolve model k =
-  if not presolve then k model None
-  else begin
-    let p = Presolve.run model in
-    if p.Presolve.infeasible then Infeasible else k p.Presolve.reduced (Some p)
-  end
-
-let lift_outcome ~original p outcome =
-  match p with
-  | None -> outcome
-  | Some p -> (
-      let lift a = Presolve.lift ~original p a in
-      let off = p.Presolve.objective_offset in
-      match outcome with
-      | Optimal (a, obj) -> Optimal (lift a, obj + off)
-      | Feasible (a, obj) -> Feasible (lift a, obj + off)
-      | Infeasible -> Infeasible
-      | Timeout -> Timeout)
-
 (* Non-clausal engines (B&B, brute force) cannot emit DRAT inferences,
    so an [Infeasible] answer is cross-certified: a proof-logging SAT
-   refutation of the *original* model (no presolve) is produced, and a
-   disagreement between the engines is a bug worth crashing on. *)
+   refutation of the same model is produced, and a disagreement between
+   the engines is a bug worth crashing on. *)
 let cross_certify ~deadline ~proof ?inprocess model sat_calls sat_stats =
   let enc = Encode.encode ~proof ?inprocess model in
   incr sat_calls;
@@ -153,11 +133,9 @@ let cross_certify ~deadline ~proof ?inprocess model sat_calls sat_stats =
          supposedly infeasible model satisfiable"
   | Solver.Unknown -> () (* deadline expired: the certificate stays incomplete *)
 
-let solve_report ?(deadline = Deadline.none) ?(engine = Sat_backed) ?(presolve = true) ?proof
-    ?inprocess model =
+let solve_report ?(deadline = Deadline.none) ?(engine = Sat_backed) ?proof ?inprocess model =
   let start = Deadline.now () in
   let sat_calls = ref 0 in
-  let presolve_fixed = ref 0 in
   let sat_stats = ref None in
   let certify_infeasible outcome =
     (match (outcome, proof) with
@@ -169,37 +147,24 @@ let solve_report ?(deadline = Deadline.none) ?(engine = Sat_backed) ?(presolve =
   let outcome =
     match engine with
     | Brute_force -> certify_infeasible (solve_brute model)
-    | Sat_backed ->
-        (* With a proof sink the certificate must refer to the model as
-           given, so presolve (which rewrites it) is bypassed. *)
-        let presolve = presolve && proof = None in
-        with_presolve ~presolve model (fun reduced p ->
-            (match p with Some p -> presolve_fixed := Presolve.n_fixed p | None -> ());
-            lift_outcome ~original:model p
-              (solve_sat ?proof ?inprocess ~deadline reduced sat_calls sat_stats))
+    | Sat_backed -> solve_sat ?proof ?inprocess ~deadline model sat_calls sat_stats
     | Branch_and_bound ->
         certify_infeasible
-          (with_presolve ~presolve model (fun reduced p ->
-               (match p with Some p -> presolve_fixed := Presolve.n_fixed p | None -> ());
-               let sub =
-                 match Bnb.solve ~deadline reduced with
-                 | Bnb.Optimal (a, obj) -> Optimal (a, obj)
-                 | Bnb.Infeasible -> Infeasible
-                 | Bnb.Timeout (Some (a, obj)) -> Feasible (a, obj)
-                 | Bnb.Timeout None -> Timeout
-               in
-               lift_outcome ~original:model p sub))
+          (match Bnb.solve ~deadline model with
+          | Bnb.Optimal (a, obj) -> Optimal (a, obj)
+          | Bnb.Infeasible -> Infeasible
+          | Bnb.Timeout (Some (a, obj)) -> Feasible (a, obj)
+          | Bnb.Timeout None -> Timeout)
   in
   {
     outcome;
     solve_seconds = Deadline.elapsed_of ~start;
     sat_calls = !sat_calls;
-    presolve_fixed = !presolve_fixed;
     inprocess =
       (match !sat_stats with
       | Some st -> Solver.inprocess_counters st
       | None -> []);
   }
 
-let solve ?deadline ?engine ?presolve ?proof ?inprocess model =
-  (solve_report ?deadline ?engine ?presolve ?proof ?inprocess model).outcome
+let solve ?deadline ?engine ?proof ?inprocess model =
+  (solve_report ?deadline ?engine ?proof ?inprocess model).outcome

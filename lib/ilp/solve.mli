@@ -5,7 +5,7 @@
     paper relies on: a definite optimum, a definite infeasibility, or a
     timeout.
 
-    - [Sat_backed] (default): presolve, clausify into the CDCL solver,
+    - [Sat_backed] (default): clausify the model into the CDCL solver
       and minimise the objective by solution-improving descent over an
       incremental totalizer bound; the final UNSAT answer is the
       optimality proof.  Bounds are enforced as per-solve assumptions
@@ -29,8 +29,7 @@ type outcome =
 type report = {
   outcome : outcome;
   solve_seconds : float;
-  sat_calls : int;       (** SAT invocations (descent steps); 0 for other engines *)
-  presolve_fixed : int;  (** variables eliminated by presolve *)
+  sat_calls : int;  (** SAT invocations (descent steps); 0 for other engines *)
   inprocess : (string * int) list;
       (** inprocessing counters of the SAT solver that
           produced (or certified) the verdict — see
@@ -41,19 +40,17 @@ type report = {
 val solve :
   ?deadline:Cgra_util.Deadline.t ->
   ?engine:engine ->
-  ?presolve:bool ->
   ?proof:Cgra_satoca.Proof.t ->
   ?inprocess:Cgra_satoca.Inprocess.config ->
   Model.t ->
   outcome
-(** Solve the model.  [presolve] defaults to [true] (ignored by
-    [Brute_force]).
+(** Solve the model.  No engine rewrites it first: the model handed
+    in is the one clausified or searched, with or without [proof].
 
     When [proof] is supplied, an [Infeasible] answer leaves a complete
     DRAT refutation of the clausified model in the trace, checkable
     with {!Cgra_satoca.Drat.check}.  For [Sat_backed] the trace is
-    captured in-line (presolve is bypassed so the certificate refers to
-    the model as given; the descent loop's bound clauses join the trace
+    captured in-line (the descent loop's bound clauses join the trace
     as further axioms, so the final UNSAT also certifies optimality of
     the descent).  The non-clausal engines cross-certify: their
     [Infeasible] answer triggers one proof-logging SAT refutation of
@@ -64,7 +61,6 @@ val solve :
 val solve_report :
   ?deadline:Cgra_util.Deadline.t ->
   ?engine:engine ->
-  ?presolve:bool ->
   ?proof:Cgra_satoca.Proof.t ->
   ?inprocess:Cgra_satoca.Inprocess.config ->
   Model.t ->

@@ -73,7 +73,7 @@ let handle_map_exn t (m : Protocol.map_request) =
   let deadline = deadline_of t m.Protocol.limit in
   let fast_path =
     (not m.Protocol.optimize) && (not m.Protocol.certify) && (not m.Protocol.explain)
-    && m.Protocol.backend = None
+    && solver.Solver_spec.name = Solver_spec.default.Solver_spec.name
   in
   if fast_path then begin
     let key = dfg_digest dfg ^ "|" ^ a_digest in

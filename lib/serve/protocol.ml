@@ -76,7 +76,6 @@ type verdict = {
   build_seconds : float;
   wall_seconds : float;
   sat_calls : int;
-  presolve_fixed : int;
   certified : bool;
   proof_steps : int;
   core : string list;
@@ -123,7 +122,6 @@ let verdict_of_result ~engine ~wall_seconds ~provenance (result : IM.result) =
     build_seconds = info.IM.build_seconds;
     wall_seconds;
     sat_calls = info.IM.sat_calls;
-    presolve_fixed = info.IM.presolve_fixed;
     certified = info.IM.certified;
     proof_steps = info.IM.proof_steps;
     core;
@@ -283,7 +281,6 @@ let verdict_to_json v =
         ("build_seconds", Jsonl.Num v.build_seconds);
         ("wall_seconds", Jsonl.Num v.wall_seconds);
         ("sat_calls", num_int v.sat_calls);
-        ("presolve_fixed", num_int v.presolve_fixed);
         ("certified", Jsonl.Bool v.certified);
         ("proof_steps", num_int v.proof_steps);
       ]
@@ -316,7 +313,6 @@ let verdict_of_json obj =
     build_seconds = get_or obj "build_seconds" float_opt 0.0;
     wall_seconds = get_or obj "wall_seconds" float_opt 0.0;
     sat_calls = get_or obj "sat_calls" int_opt 0;
-    presolve_fixed = get_or obj "presolve_fixed" int_opt 0;
     certified = get_or obj "certified" bool_opt false;
     proof_steps = get_or obj "proof_steps" int_opt 0;
     core;

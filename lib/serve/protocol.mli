@@ -97,7 +97,6 @@ type verdict = {
   build_seconds : float;
   wall_seconds : float;  (** end-to-end request latency, server side *)
   sat_calls : int;
-  presolve_fixed : int;
   certified : bool;
   proof_steps : int;
   core : string list;  (** constraint-group unsat core, when explained *)
@@ -133,6 +132,8 @@ val request_of_line : string -> (request, string * string) result
 
 val response_to_line : response -> string
 val response_of_line : string -> (response, string) result
+(** Keys it does not know, such as fields older daemons sent and this
+    version retired, are ignored. *)
 
 val verdict_to_json : verdict -> Cgra_sweep.Jsonl.t
 (** The exact object embedded in a [Verdict] response — also what

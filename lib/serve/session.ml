@@ -45,7 +45,6 @@ let info_of ~size ~solve_seconds ~build_seconds ~build_phases ~certified ~stats 
     objective_value = None;
     proven_optimal = false;
     sat_calls = 1;
-    presolve_fixed = 0;
     certified;
     proof_steps = 0;
     inprocess = Solver.inprocess_counters stats;

@@ -11,8 +11,8 @@
     racer's error.
 
     The returned record's [engine] names the winning variant and
-    [total_seconds] is the race's wall clock; [solve_seconds] /
-    [sat_calls] / [presolve_fixed] are the winner's own statistics. *)
+    [total_seconds] is the race's wall clock; [solve_seconds] and
+    [sat_calls] are the winner's own statistics. *)
 
 val race :
   ?variants:Runner.variant list ->

@@ -10,7 +10,6 @@ type t = {
   solve_seconds : float;
   build_seconds : float;
   sat_calls : int;
-  presolve_fixed : int;
   certified : bool;
   objective : int option;
   core : string list;
@@ -26,7 +25,6 @@ let error job msg =
     solve_seconds = 0.0;
     build_seconds = 0.0;
     sat_calls = 0;
-    presolve_fixed = 0;
     certified = false;
     objective = None;
     core = [];
@@ -76,7 +74,6 @@ let to_json r =
       ("solve_seconds", Jsonl.Num r.solve_seconds);
       ("build_seconds", Jsonl.Num r.build_seconds);
       ("sat_calls", Jsonl.Num (float_of_int r.sat_calls));
-      ("presolve_fixed", Jsonl.Num (float_of_int r.presolve_fixed));
       ("certified", Jsonl.Bool r.certified);
     ]
   in
@@ -155,7 +152,6 @@ let of_json j =
             solve_seconds = Option.value ~default:0.0 (num "solve_seconds");
             build_seconds = Option.value ~default:0.0 (num "build_seconds");
             sat_calls = Option.value ~default:0 (int_field "sat_calls");
-            presolve_fixed = Option.value ~default:0 (int_field "presolve_fixed");
             (* absent in pre-certification journals: read as uncertified *)
             certified =
               Option.value ~default:false

@@ -31,7 +31,6 @@ type t = {
   solve_seconds : float;  (** winning engine's solve time *)
   build_seconds : float;  (** winning engine's formulation-build time *)
   sat_calls : int;        (** winning engine's SAT invocations *)
-  presolve_fixed : int;   (** variables eliminated by presolve *)
   certified : bool;
       (** the verdict carries independently validated evidence
           ({!Cgra_core.Check} for [Feasible], a checked DRAT refutation
@@ -84,5 +83,7 @@ val to_line : t -> string
 (** One JSONL line (no trailing newline). *)
 
 val of_line : string -> (t, string) result
+(** Parse one journal line.  Keys it does not know, such as fields
+    older journals carry and this version retired, are ignored. *)
 
 val pp : Format.formatter -> t -> unit

@@ -42,7 +42,7 @@ let load_benchmark name =
   | Some dfg -> Ok dfg
   | None ->
       if Sys.file_exists name then Dfg.of_text (read_file name)
-      else Error (Printf.sprintf "unknown benchmark %S" name)
+      else Error (Printf.sprintf "unknown benchmark %S (see `cgra_map benchmarks`)" name)
 
 let load_arch ~size name =
   match Lib.find_config ~size name with
@@ -52,7 +52,13 @@ let load_arch ~size name =
       | Some config -> Ok (Lib.make config)
       | None ->
           if Sys.file_exists name then Adl.of_string (read_file name)
-          else Error (Printf.sprintf "unknown architecture %S" name))
+          else
+            Error
+              (Printf.sprintf
+                 "unknown architecture %S (expected one of %s, a gallery name from `cgra_map \
+                  arch gallery`, or the path of an .adl file)"
+                 name
+                 (String.concat ", " (List.map fst (Lib.paper_configs ~size)))))
 
 (* Every invocation elaborates its own DFG/arch/MRRG so that racing
    variants share no mutable structure at all — elaboration is
@@ -83,7 +89,6 @@ let record_of_result (job : Job.t) ~engine ~total_seconds result =
     solve_seconds = info.IM.solve_seconds;
     build_seconds = info.IM.build_seconds;
     sat_calls = info.IM.sat_calls;
-    presolve_fixed = info.IM.presolve_fixed;
     certified = info.IM.certified;
     objective = info.IM.objective_value;
     core =
@@ -155,7 +160,6 @@ let run_anneal ?cancel ?(seeds = 3) (job : Job.t) =
         solve_seconds = total;
         build_seconds = 0.0;
         sat_calls = 0;
-        presolve_fixed = 0;
         certified = false;
         objective = None;
         core = [];

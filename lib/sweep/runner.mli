@@ -35,6 +35,12 @@ val default_racers : int -> variant list
     sized to a machine with [n] usable cores (pass
     [Domain.recommended_domain_count ()]). *)
 
+val record_of_result :
+  Job.t -> engine:string -> total_seconds:float -> Cgra_core.Ilp_mapper.result -> Record.t
+(** Fold a mapper answer into a journal record: the status from the
+    verdict, the timings and statistics from its info, the core from
+    its diagnosis (empty without one). *)
+
 val run_variant :
   ?cancel:bool Atomic.t -> ?certify:bool -> ?explain:bool -> variant -> Job.t -> Record.t
 (** Run one variant under the job's time budget.  [cancel] attaches a

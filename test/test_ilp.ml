@@ -511,10 +511,17 @@ let prop_presolve_preserves_outcome =
     (fun seed ->
       let rng = Rng.create ~seed in
       let m = random_model rng in
-      let with_p = Solve.solve ~engine:Solve.Sat_backed ~presolve:true m in
-      let without_p = Solve.solve ~engine:Solve.Sat_backed ~presolve:false m in
-      outcome_matches m with_p without_p
-      || (with_p = Solve.Infeasible && without_p = Solve.Infeasible))
+      let plain = Solve.solve ~engine:Solve.Sat_backed m in
+      let p = Presolve.run m in
+      if p.Presolve.infeasible then plain = Solve.Infeasible
+      else
+        let lifted =
+          match Solve.solve ~engine:Solve.Sat_backed p.Presolve.reduced with
+          | Solve.Optimal (a, obj) ->
+              Solve.Optimal (Presolve.lift ~original:m p a, obj + p.Presolve.objective_offset)
+          | other -> other
+        in
+        outcome_matches m lifted plain)
 
 (* ---------------- differential fuzzer (structured, shrinkable) ----------------
 

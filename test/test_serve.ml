@@ -120,7 +120,6 @@ let test_protocol_response_roundtrip () =
       build_seconds = 0.25;
       wall_seconds = 0.5;
       sat_calls = 1;
-      presolve_fixed = 0;
       certified = true;
       proof_steps = 0;
       core = [ "place:a"; "excl:pe_0_0.fu:0" ];
@@ -152,6 +151,26 @@ let test_protocol_response_roundtrip () =
       | Ok resp' -> Alcotest.(check bool) "response roundtrips" true (resp = resp'))
     responses
 
+let test_protocol_legacy_verdict () =
+  (* daemons before this field was retired sent "presolve_fixed" in
+     every verdict; a client must still read such a reply, and must not
+     echo the key back *)
+  let line =
+    {|{"v":1,"id":"7","ok":true,"verdict":{"status":"infeasible","engine":"sat","solve_seconds":0.5,"build_seconds":0.25,"wall_seconds":1,"sat_calls":2,"presolve_fixed":3,"certified":true,"proof_steps":40}}|}
+  in
+  match Protocol.response_of_line line with
+  | Error e -> Alcotest.failf "legacy reply rejected: %s" e
+  | Ok { Protocol.r_id; reply = Protocol.Verdict v } ->
+      Alcotest.(check (option string)) "id" (Some "7") r_id;
+      Alcotest.(check string) "status" "infeasible" v.Protocol.status;
+      Alcotest.(check int) "sat calls" 2 v.Protocol.sat_calls;
+      Alcotest.(check bool) "certified" true v.Protocol.certified;
+      Alcotest.(check int) "proof steps" 40 v.Protocol.proof_steps;
+      Alcotest.(check bool) "retired key not re-emitted" false
+        (Astring.String.is_infix ~affix:"presolve_fixed"
+           (Protocol.response_to_line { Protocol.r_id; reply = Protocol.Verdict v }))
+  | Ok _ -> Alcotest.fail "legacy reply parsed as a non-verdict"
+
 let test_protocol_decision_projection () =
   let v ~status ~objective =
     {
@@ -164,7 +183,6 @@ let test_protocol_decision_projection () =
       build_seconds = 2.0;
       wall_seconds = 3.0;
       sat_calls = 9;
-      presolve_fixed = 1;
       certified = false;
       proof_steps = 0;
       core = [];
@@ -349,6 +367,21 @@ let test_engine_distinct_arch_digests () =
   let v_orth2 = match Engine.handle_map e orth with Ok v -> v | Error (c, m) -> Alcotest.failf "%s %s" c m in
   Alcotest.(check bool) "repeat hits" true v_orth2.Protocol.provenance.Protocol.cache_hit;
   Alcotest.(check string) "repeat agrees" v_orth.Protocol.status v_orth2.Protocol.status
+
+let test_engine_default_solver_named () =
+  (* Naming the default solver is the same request as naming none: it
+     must reach the resident session, so its repeat is a cache hit. *)
+  let e = Engine.create () in
+  let req = map_request ~bench:"2x2-f" ~contexts:2 ~backend:"native-sat" () in
+  let verdict () =
+    match Engine.handle_map e req with Ok v -> v | Error (c, m) -> Alcotest.failf "%s %s" c m
+  in
+  let v1 = verdict () in
+  let v2 = verdict () in
+  Alcotest.(check bool) "first is cold" false v1.Protocol.provenance.Protocol.cache_hit;
+  Alcotest.(check bool) "repeat hits the session" true v2.Protocol.provenance.Protocol.cache_hit;
+  Alcotest.(check string) "repeat agrees" v1.Protocol.status v2.Protocol.status;
+  Alcotest.(check int) "one session resident" 1 (Engine.session_cache_stats e).Cache.size
 
 let test_engine_bad_requests () =
   let e = Engine.create () in
@@ -570,6 +603,8 @@ let suites =
         Alcotest.test_case "version mismatch refused" `Quick test_protocol_version_mismatch;
         Alcotest.test_case "malformed requests refused" `Quick test_protocol_malformed;
         Alcotest.test_case "response roundtrip" `Quick test_protocol_response_roundtrip;
+        Alcotest.test_case "legacy presolve_fixed reply loads" `Quick
+          test_protocol_legacy_verdict;
         Alcotest.test_case "decision projection is timing-blind" `Quick
           test_protocol_decision_projection;
       ] );
@@ -595,6 +630,8 @@ let suites =
       [
         Alcotest.test_case "distinct arch digests, distinct sessions" `Slow
           test_engine_distinct_arch_digests;
+        Alcotest.test_case "a named default solver uses the session" `Slow
+          test_engine_default_solver_named;
         Alcotest.test_case "bad requests are refused" `Quick test_engine_bad_requests;
         Alcotest.test_case "concurrent mixed-key requests" `Slow
           test_engine_concurrent_mixed_keys;

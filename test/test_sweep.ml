@@ -76,7 +76,6 @@ let test_record_roundtrip () =
       solve_seconds = 11.25;
       build_seconds = 1.25;
       sat_calls = 3;
-      presolve_fixed = 17;
       certified = true;
       objective = None;
       core = [];
@@ -99,7 +98,6 @@ let test_record_core_roundtrip () =
       solve_seconds = 1.5;
       build_seconds = 0.5;
       sat_calls = 9;
-      presolve_fixed = 0;
       certified = false;
       objective = None;
       core = [ "place:mul0"; "excl:pe_0_0.fu"; "route:val2" ];
@@ -311,10 +309,10 @@ let test_portfolio_definitive () =
 
 let test_portfolio_cancellation () =
   (* A raised flag makes a mapping call wind down promptly as Timeout.
-     The job must genuinely need search (the 2x2 cells are decided by
-     presolve before any deadline poll): add_16 on the paper's 4x4
-     orthogonal array is an infeasibility proof that normally takes
-     minutes. *)
+     The job must genuinely need search (the 2x2 cells decide in fewer
+     conflicts than the solver's first deadline poll): add_16 on the
+     paper's 4x4 orthogonal array is an infeasibility proof that
+     normally takes minutes. *)
   let cancel = Deadline.new_cancellation () in
   Deadline.cancel cancel;
   let hard = { (job ~bench:"add_16" ~limit:60.0 ()) with Job.size = 4 } in
