@@ -3,8 +3,8 @@
 
     Two instances back the server: tier 1 maps an architecture digest +
     II to its elaborated MRRG; tier 2 maps a (DFG digest, architecture
-    digest) pair to a live {!Session} holding compiled encodings and
-    solver state.  Both are bounded: once [capacity] entries are
+    digest, formulation) triple to a live {!Session} holding compiled
+    encodings and solver state.  Both are bounded: once [capacity] entries are
     resident the least-recently-{e used} entry is evicted (lookup and
     insert both refresh recency).
 

@@ -1,22 +1,27 @@
 (** Request execution behind the daemon: name resolution, the two-tier
-    cache, and the fast/slow solving paths.
+    cache, and the resident and one-shot solving paths.
 
     {b Tier 1} caches elaborated MRRGs by [(architecture digest, II)] —
     the architecture's canonical ADL text is digested, so the same
     fabric requested by library name, file path or inline ADL shares
     one entry.  {b Tier 2} caches live {!Session}s by
-    [(DFG digest, architecture digest)]; each session holds per-II
-    compiled encodings internally (a refinement of keying encodings by
-    [(arch digest, II)] alone — an encoding depends on the DFG too, so
-    the DFG belongs in the key).
+    [(DFG digest, architecture digest, formulation name)]; each session
+    holds per-II compiled encodings internally (a refinement of keying
+    encodings by [(arch digest, II)] alone — an encoding depends on the
+    DFG and the formulation too, so both belong in the key).
 
-    A request takes the {b fast path} — session cache, incremental
-    solver, warm starts — exactly when it is a plain feasibility query:
-    no optimisation, no certification, no explanation, no named
-    solver.  Anything else takes the {b slow path}, a stateless
-    {!Cgra_core.Ilp_mapper.map} call that still reuses the tier-1 MRRG
-    cache, so served verdicts of every flavour go through the same
-    replay validation as one-shot CLI answers. *)
+    A request takes the {b resident path} — session cache, incremental
+    solver, warm starts — exactly when its solver runs on the native
+    SAT engine (any formulation: ["native-sat"], ["conn-sat"]), it does
+    not optimise, and its verdict solve need log no proof: a plain
+    query, an [explain] one, or [certify] with [explain] (certified
+    through the core).  Anything else — optimisation, [certify] without
+    [explain], branch-and-bound, external solvers — takes the
+    {b one-shot path}, a stateless {!Cgra_core.Ilp_mapper.map} call
+    that still reuses the tier-1 MRRG cache.  Both paths turn their
+    answer into a verdict through {!Cgra_core.Ilp_mapper.verdict}, so
+    served verdicts of every flavour go through the same replay
+    validation as one-shot CLI answers. *)
 
 type t
 
