@@ -51,13 +51,22 @@ let arch_arg =
   in
   Arg.(value & opt string "homo-orth" & info [ "a"; "arch" ] ~docv:"ARCH" ~doc)
 
+(* Sizes and context counts below 1 name no fabric and no II. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let size_arg =
   let doc = "Array size (NxN) for the built-in architectures." in
-  Arg.(value & opt int 4 & info [ "s"; "size" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 4 & info [ "s"; "size" ] ~docv:"N" ~doc)
 
 let contexts_arg =
   let doc = "Number of contexts (the initiation interval II)." in
-  Arg.(value & opt int 1 & info [ "c"; "contexts" ] ~docv:"II" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "c"; "contexts" ] ~docv:"II" ~doc)
 
 let benchmark_arg =
   let doc = "Benchmark name (see $(b,benchmarks)) or the path of a .dfg file." in
@@ -687,7 +696,7 @@ let sweep_cmd =
   in
   let contexts_list_arg =
     let doc = "Context counts to sweep (repeatable); default: 1 and 2." in
-    Arg.(value & opt_all int [] & info [ "c"; "contexts" ] ~docv:"II" ~doc)
+    Arg.(value & opt_all positive_int [] & info [ "c"; "contexts" ] ~docv:"II" ~doc)
   in
   let explain_arg =
     let doc =

@@ -4,7 +4,12 @@
     encoded with the cheapest adequate device: plain clauses for
     implication-like rows, at-most-one ladders for exclusivity rows,
     and sequential counters in the general case.  ILP variable [v] maps
-    to SAT variable [v] (auxiliary encoding variables come after). *)
+    to SAT variable [v] (auxiliary encoding variables come after).
+
+    One model gets one solver: {!encode} is the encoding every
+    in-process SAT query searches, one-shot or resident in a serve
+    session (one per II), and {!encode_grouped} the unsat-core
+    extractor's selector-guarded twin. *)
 
 type t = {
   solver : Cgra_satoca.Solver.t;
@@ -40,42 +45,6 @@ val encode :
 
 val assignment : t -> Model.t -> bool array
 (** Read back the model-variable assignment after a [Sat] answer. *)
-
-type embedded = {
-  e_base : int;
-      (** first solver variable of the model's block: model variable
-          [v] lives at solver variable [e_base + v] *)
-  e_activate : Cgra_satoca.Lit.t option;
-      (** assumption literal enforcing this block's constraints, when
-          the embedding was [guarded]; pass it to
-          {!Cgra_satoca.Solver.solve_with} to solve the block *)
-}
-(** One model clausified into a shared, resident solver. *)
-
-val encode_into : ?guarded:bool -> Cgra_satoca.Solver.t -> Model.t -> embedded
-(** Clausify [model] into an {e existing} solver, allocating a fresh
-    block of variables after whatever the solver already holds — the
-    incremental-SAT primitive behind warm-started repeated queries
-    (the mapping service) and SAT-MapIt-style II iteration: several
-    independently-guarded blocks share one solver, so learnt clauses,
-    saved phases and branching activity survive from one solve to the
-    next instead of being rebuilt cold.
-
-    With [guarded] (default [false]) every clause of the block
-    (auxiliary encoding definitions included) is relativised to a fresh
-    selector literal, returned as [e_activate]: the block constrains
-    the search exactly when that literal is assumed, which keeps the
-    clause set satisfiable-by-deselection and therefore safe to stack
-    with other blocks.  An unguarded embedding is enforced
-    unconditionally.
-
-    Branch-priority hints are installed and phase hints are seeded for
-    the block, as in {!encode}.  Restricted to [Feasibility] models —
-    the objective-descent loop owns its solver through {!encode}.
-    @raise Invalid_argument on a model with a [Minimize] objective. *)
-
-val embedded_assignment : Cgra_satoca.Solver.t -> embedded -> Model.t -> bool array
-(** Read the block's model-variable assignment after a [Sat] answer. *)
 
 type grouped = {
   g_solver : Cgra_satoca.Solver.t;

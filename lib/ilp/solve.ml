@@ -25,20 +25,15 @@ let pp_outcome fmt = function
 
 (* ---------------- SAT-backed engine ---------------- *)
 
-let solve_sat ?proof ?inprocess ~deadline model sat_calls sat_stats =
-  let enc = Encode.encode ?proof ?inprocess model in
+let descend ~deadline ~logged (enc : Encode.t) model sat_calls =
   let solver = enc.Encode.solver in
-  let finish outcome =
-    sat_stats := Some (Solver.stats solver);
-    outcome
-  in
   incr sat_calls;
   match Solver.solve ~deadline solver with
-  | Solver.Unsat -> finish Infeasible
-  | Solver.Unknown -> finish Timeout
+  | Solver.Unsat -> Infeasible
+  | Solver.Unknown -> Timeout
   | Solver.Sat -> (
       match Model.objective model with
-      | Model.Feasibility -> finish (Optimal (Encode.assignment enc model, 0))
+      | Model.Feasibility -> Optimal (Encode.assignment enc model, 0)
       | Model.Minimize _ ->
           (* Solution-improving descent: bound the weighted objective
              literals below the incumbent and re-solve until UNSAT. *)
@@ -51,28 +46,27 @@ let solve_sat ?proof ?inprocess ~deadline model sat_calls sat_stats =
           in
           let best = ref (norm_value !best_assign) in
           if units = [] then
-            finish
-              (Optimal (!best_assign, Model.objective_value model (fun v -> !best_assign.(v))))
+            Optimal (!best_assign, Model.objective_value model (fun v -> !best_assign.(v)))
           else begin
             let tot = Card.Totalizer.build solver units in
             (* Each descent step enforces the strictly tighter bound as
                an assumption, so the clause database stays free of
-               bound units and reusable under any bound.  Certified
+               bound units and reusable under any bound.  Proof-logged
                runs commit the bound with [assert_at_most] instead: a
                DRAT trace only refutes the clauses it logs, and an
                assumption-final conflict is not a logged refutation. *)
             let solve_bounded k =
-              match proof with
-              | Some _ ->
-                  Card.Totalizer.assert_at_most tot k;
-                  Solver.solve ~deadline solver
-              | None ->
-                  let assumptions =
-                    match Card.Totalizer.bound_lit tot k with
-                    | Some l -> [ l ]
-                    | None -> []
-                  in
-                  Solver.solve_with ~deadline ~assumptions solver
+              if logged then begin
+                Card.Totalizer.assert_at_most tot k;
+                Solver.solve ~deadline solver
+              end
+              else
+                let assumptions =
+                  match Card.Totalizer.bound_lit tot k with
+                  | Some l -> [ l ]
+                  | None -> []
+                in
+                Solver.solve_with ~deadline ~assumptions solver
             in
             let result = ref None in
             while !result = None do
@@ -94,8 +88,24 @@ let solve_sat ?proof ?inprocess ~deadline model sat_calls sat_stats =
                       Some (Feasible (!best_assign, !best + enc.Encode.objective_offset))
               end
             done;
-            match !result with Some r -> finish r | None -> assert false
+            match !result with Some r -> r | None -> assert false
           end)
+
+let search ?(deadline = Deadline.none) ?(logged = false) (enc : Encode.t) model =
+  let start = Deadline.now () in
+  let before = Solver.stats enc.Encode.solver in
+  let sat_calls = ref 0 in
+  let outcome = descend ~deadline ~logged enc model sat_calls in
+  (* A resident solver's counters span every solve so far; the report
+     is this search's share. *)
+  let stats = Solver.stats_delta ~now:(Solver.stats enc.Encode.solver) ~before in
+  ( {
+      outcome;
+      solve_seconds = Deadline.elapsed_of ~start;
+      sat_calls = !sat_calls;
+      inprocess = Solver.inprocess_counters stats;
+    },
+    stats )
 
 (* ---------------- brute force ---------------- *)
 
@@ -147,7 +157,12 @@ let solve_report ?(deadline = Deadline.none) ?(engine = Sat_backed) ?proof ?inpr
   let outcome =
     match engine with
     | Brute_force -> certify_infeasible (solve_brute model)
-    | Sat_backed -> solve_sat ?proof ?inprocess ~deadline model sat_calls sat_stats
+    | Sat_backed ->
+        let enc = Encode.encode ?proof ?inprocess model in
+        let report, stats = search ~deadline ~logged:(Option.is_some proof) enc model in
+        sat_calls := report.sat_calls;
+        sat_stats := Some stats;
+        report.outcome
     | Branch_and_bound ->
         certify_infeasible
           (match Bnb.solve ~deadline model with

@@ -70,4 +70,22 @@ val solve_report :
     {!Encode.encode}); the benchmark harness uses it for on/off A-B
     runs. *)
 
+val search :
+  ?deadline:Cgra_util.Deadline.t ->
+  ?logged:bool ->
+  Encode.t ->
+  Model.t ->
+  report * Cgra_satoca.Solver.stats
+(** The [Sat_backed] engine's search over an existing encoding of the
+    model: one solve, then the objective descent when the model has an
+    objective.  {!solve_report} runs it on a fresh {!Encode.encode};
+    a serve session runs it again and again on one resident encoding,
+    whose learnt clauses and phases carry over.  Both the report's
+    [inprocess] counters and the returned stats are this search's
+    share of the solver's cumulative counters
+    ({!Cgra_satoca.Solver.stats_delta}).  [logged] (default [false])
+    says the solver logs a DRAT proof, so descent bounds are committed
+    as clauses instead of assumed.  [solve_seconds] is the search
+    alone. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit

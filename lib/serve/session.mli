@@ -1,20 +1,21 @@
 (** A resident solving session for one (DFG, architecture) pair.
 
-    The daemon's tier-2 cache value: one CDCL solver instance that
-    {e survives across requests}, into which the feasibility
-    formulation for each requested II is clausified once as an
-    independently-guarded block ({!Cgra_ilp.Encode.encode_into}).
-    Solving II [k] means assuming block [k]'s activation literal — the
-    MiniSat-style incremental interface — so:
+    The daemon's tier-2 cache value.  For each requested II it holds
+    the formulation's built model and {!Cgra_ilp.Encode.encode} of it
+    in that II's own CDCL solver — exactly the encoding one-shot
+    {!Cgra_core.Ilp_mapper.map} builds — and searches it with
+    {!Cgra_ilp.Solve.search}, the step one-shot runs.  So:
 
-    - a {b repeat} of an already-compiled (DFG, arch, II) skips both
-      formulation build and clausification ([cache_hit]), and resumes
-      with the saved phases, branching activity and learnt clauses of
-      the previous solve;
-    - an {b incremental II search} (II = 1, 2, 3, ... until feasible —
-      the SAT-MapIt iteration pattern) reuses one solver across IIs:
-      each block's learnt clauses are implied by the union of guarded
-      clause sets, hence sound for every later solve ([warm_start]).
+    - a {b cold} query (first use of an II) runs one-shot's encode and
+      search on the same model, and its search counters match a fresh
+      encode-and-solve exactly;
+    - a {b repeat} of an already-compiled II skips both formulation
+      build and clausification ([cache_hit]) and re-solves a solver
+      that keeps the learnt clauses and saved phases of its earlier
+      solves ([warm_start]).
+
+    IIs share nothing: each II's formula has its own variables, so
+    nothing learnt at one II could constrain another.
 
     A session holds one {!Cgra_core.Solver_spec}'s formulation on the
     native SAT engine and answers {e feasibility} queries, explained
@@ -36,13 +37,13 @@ type t
 type outcome = {
   result : Cgra_core.Ilp_mapper.result;
   cache_hit : bool;  (** this (II)'s encoding was already compiled in *)
-  warm_start : bool;  (** the solver had completed at least one prior solve *)
+  warm_start : bool;  (** this II's solver had completed at least one prior solve *)
   solves : int;  (** total solves served by this session, including this one *)
   solve_stats : Cgra_satoca.Solver.stats;
-      (** {e this} solve's share of the resident solver's counters — a
+      (** {e this} solve's share of the II's solver counters — a
           {!Cgra_satoca.Solver.stats_delta} against the pre-solve
-          snapshot, not the session-cumulative totals.  Two sequential
-          solves therefore report disjoint work. *)
+          snapshot, not the cumulative totals.  Two sequential solves
+          therefore report disjoint work. *)
 }
 
 val accepts : Cgra_core.Solver_spec.t -> bool
@@ -50,7 +51,7 @@ val accepts : Cgra_core.Solver_spec.t -> bool
     SAT engine. *)
 
 val create : ?solver:Cgra_core.Solver_spec.t -> Cgra_dfg.Dfg.t -> t
-(** A fresh session with an empty resident solver, building [solver]'s
+(** A fresh session with no II compiled, building [solver]'s
     formulation (default {!Cgra_core.Solver_spec.default}).  The DFG
     is frozen into the session; callers guarantee it matches the cache
     key's digest.
@@ -66,8 +67,8 @@ val solve :
   outcome
 (** Decide feasibility at [ii] on the MRRG (which must be the session
     architecture elaborated at [ii] — the server's tier-1 cache
-    guarantees the pairing).  Compiles the block on first use of this
-    [ii], then solves under its activation assumption.  The answer
+    guarantees the pairing).  Builds and encodes the model on first use
+    of this [ii], then searches the II's solver.  The answer
     becomes a result through {!Cgra_core.Ilp_mapper.verdict}: a
     [Mapped] result has passed {!Cgra_core.Check} exactly like a
     one-shot answer, and [explain] (default [false]) and [certify]

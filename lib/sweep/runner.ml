@@ -45,31 +45,36 @@ let load_benchmark name =
       else Error (Printf.sprintf "unknown benchmark %S (see `cgra_map benchmarks`)" name)
 
 let load_arch ~size name =
-  match Lib.find_config ~size name with
-  | Some config -> Ok (Lib.make config)
-  | None -> (
-      match Lib.find_gallery name with
-      | Some config -> Ok (Lib.make config)
-      | None ->
-          if Sys.file_exists name then Adl.of_string (read_file name)
-          else
-            Error
-              (Printf.sprintf
-                 "unknown architecture %S (expected one of %s, a gallery name from `cgra_map \
-                  arch gallery`, or the path of an .adl file)"
-                 name
-                 (String.concat ", " (List.map fst (Lib.paper_configs ~size)))))
+  if size < 1 then Error (Printf.sprintf "size must be >= 1 (got %d)" size)
+  else
+    match Lib.find_config ~size name with
+    | Some config -> Ok (Lib.make config)
+    | None -> (
+        match Lib.find_gallery name with
+        | Some config -> Ok (Lib.make config)
+        | None ->
+            if Sys.file_exists name then Adl.of_string (read_file name)
+            else
+              Error
+                (Printf.sprintf
+                   "unknown architecture %S (expected one of %s, a gallery name from \
+                    `cgra_map arch gallery`, or the path of an .adl file)"
+                   name
+                   (String.concat ", " (List.map fst (Lib.paper_configs ~size)))))
 
 (* Every invocation elaborates its own DFG/arch/MRRG so that racing
    variants share no mutable structure at all — elaboration is
    microseconds against solves of seconds. *)
 let prepare (job : Job.t) =
-  match load_benchmark job.Job.benchmark with
-  | Error e -> Error e
-  | Ok dfg -> (
-      match load_arch ~size:job.Job.size job.Job.arch with
-      | Error e -> Error e
-      | Ok arch -> Ok (dfg, Build.elaborate arch ~ii:job.Job.contexts))
+  let ( let* ) = Result.bind in
+  let* () =
+    if job.Job.contexts < 1 then
+      Error (Printf.sprintf "contexts must be >= 1 (got %d)" job.Job.contexts)
+    else Ok ()
+  in
+  let* dfg = load_benchmark job.Job.benchmark in
+  let* arch = load_arch ~size:job.Job.size job.Job.arch in
+  Ok (dfg, Build.elaborate arch ~ii:job.Job.contexts)
 
 let deadline_of (job : Job.t) =
   if job.Job.limit <= 0.0 then Deadline.none else Deadline.after ~seconds:job.Job.limit

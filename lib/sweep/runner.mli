@@ -68,11 +68,15 @@ val run_anneal : ?cancel:bool Atomic.t -> ?seeds:int -> Job.t -> Record.t
 
 val prepare : Job.t -> (Cgra_dfg.Dfg.t * Cgra_mrrg.Mrrg.t, string) result
 (** Name resolution + MRRG elaboration without solving (for tests and
-    diagnostics). *)
+    diagnostics).  A job with [contexts < 1], or a [size] {!load_arch}
+    refuses, is an [Error]. *)
 
 val load_benchmark : string -> (Cgra_dfg.Dfg.t, string) result
 (** Resolve a benchmark by built-in name, else as a [.dfg] file path. *)
 
 val load_arch : size:int -> string -> (Cgra_arch.Arch.t, string) result
 (** Resolve an architecture by library name at [size], else as an ADL
-    file path (whose own dimensions then apply). *)
+    file path (whose own dimensions then apply).  A [size] below 1 is
+    an [Error] whatever the name: the CLI, the daemon and the sweep all
+    load through here, so none of them reaches the library with an
+    empty grid. *)

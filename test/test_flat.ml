@@ -223,15 +223,6 @@ let ref_encode ?proof model =
   seed_phases s ~base:0 model;
   s
 
-let ref_encode_into_guarded s model =
-  let base = Solver.new_vars s (Model.nvars model) in
-  let act = Lit.pos (Solver.new_var s) in
-  Solver.set_guard s (Some (Lit.negate act));
-  Model.iter_rows model (fun _ row -> ref_encode_row s ~base row);
-  Solver.set_guard s None;
-  seed_phases s ~base model;
-  (base, act)
-
 let ref_encode_grouped model =
   let s = Solver.create () in
   if Model.nvars model > 0 then ignore (Solver.new_vars s (Model.nvars model));
@@ -279,8 +270,6 @@ let gen_spec =
   in
   oneof [ Test_ilp.gen_model_spec; wide ]
 
-let feasibility_spec (nvars, rows, _) = (nvars, rows, None)
-
 (* ---------------- presolve differential ---------------- *)
 
 let prop_presolve_matches_reference =
@@ -311,25 +300,6 @@ let prop_encode_matches_reference =
       let e = Encode.encode ~proof m in
       let s = ref_encode ~proof:ref_proof m in
       same_cnf e.Encode.solver s && Proof.events proof = Proof.events ref_proof)
-
-(* A block stacked after existing variables and clauses, under an
-   activation guard. *)
-let prop_encode_into_matches_reference =
-  QCheck2.Test.make ~name:"flat encode_into (guarded, base > 0) matches reference" ~count:500
-    ~print:(fun spec -> Test_ilp.print_model_spec (feasibility_spec spec))
-    gen_spec
-    (fun spec ->
-      let m = Test_ilp.build_model (feasibility_spec spec) in
-      let resident () =
-        let s = Solver.create () in
-        ignore (Solver.new_vars s 3);
-        Solver.add_clause s [ Lit.pos 0; Lit.neg 2 ];
-        s
-      in
-      let s = resident () and s_ref = resident () in
-      let emb = Encode.encode_into ~guarded:true s m in
-      let base, act = ref_encode_into_guarded s_ref m in
-      emb.Encode.e_base = base && emb.Encode.e_activate = Some act && same_cnf s s_ref)
 
 let prop_encode_grouped_matches_reference =
   QCheck2.Test.make ~name:"flat encode_grouped matches reference" ~count:500
@@ -366,7 +336,6 @@ let suites =
            [
              prop_presolve_matches_reference;
              prop_encode_matches_reference;
-             prop_encode_into_matches_reference;
              prop_encode_grouped_matches_reference;
            ] );
   ]

@@ -279,10 +279,10 @@ let test_cache_builder_exception_caches_nothing () =
 (* ---------------- session ---------------- *)
 
 let test_session_incremental_ii () =
-  (* The SAT-MapIt pattern: one resident solver, II = 1 then 2.  2x2-f
-     flips from infeasible to feasible, and the second solve reuses
-     solver state (warm) while compiling a fresh block (no cache hit).
-     Both native SAT formulations run it. *)
+  (* An II search on one session, II = 1 then 2.  2x2-f flips from
+     infeasible to feasible; II 2 compiles its own encoding into its own
+     solver, so its first solve is neither a cache hit nor warm.  Both
+     native SAT formulations run it. *)
   List.iter
     (fun name ->
       let check what = Alcotest.(check bool) (name ^ ": " ^ what) in
@@ -295,7 +295,7 @@ let test_session_incremental_ii () =
       Alcotest.(check string) (name ^ ": ii=2 feasible") "feasible"
         (status_of o2.Session.result);
       check "new block: not a cache hit" false o2.Session.cache_hit;
-      check "but solver state is warm" true o2.Session.warm_start;
+      check "but solver state is warm" false o2.Session.warm_start;
       Alcotest.(check (list int)) (name ^ ": blocks compiled in order") [ 1; 2 ]
         (Session.compiled_iis session);
       (* Repeat of a compiled II: skips build and clausification. *)
@@ -335,12 +335,13 @@ let test_session_per_solve_stats () =
   (* The resident solver accumulates counters for the session's entire
      lifetime; [solve_stats] must be this solve's share only.  Were the
      outcome reporting the cumulative totals, every monotone counter of
-     the second solve would dominate the first's (o2.X >= o1.X, and
-     strictly for propagations since the repeat re-propagates its
-     assumption).  A genuine per-solve delta gives the warm repeat of
-     an already-refuted query far less work than the cold solve. *)
+     the second solve would dominate the first's (o2.X >= o1.X).  A
+     genuine per-solve delta gives the warm repeat of a feasible query,
+     which re-decides its saved phases, far less work than the cold
+     solve.  (A refuted solver answers an infeasible repeat without
+     propagating at all.) *)
   let module Solver = Cgra_satoca.Solver in
-  let session = Session.create (benchmark "mac") in
+  let session = Session.create (benchmark "2x2-f") in
   let o1 = Session.solve session ~mrrg:(small_mrrg 2) ~ii:2 in
   let o2 = Session.solve session ~mrrg:(small_mrrg 2) ~ii:2 in
   let s1 = o1.Session.solve_stats and s2 = o2.Session.solve_stats in
@@ -355,9 +356,39 @@ let test_session_per_solve_stats () =
     true
     (s2.Solver.conflicts < s1.Solver.conflicts || s1.Solver.conflicts = 0)
 
+(* A cold session query is one-shot's search: the resident encoding of
+   an II is [Encode.encode] of the same built model, searched once, so
+   the search counters agree exactly with a fresh encode-and-solve.
+   One cell per native SAT formulation; 2x2-f at II 2 is feasible, so
+   the search decides and propagates. *)
+let test_session_cold_is_oneshot_search () =
+  let module Solver = Cgra_satoca.Solver in
+  let module Encode = Cgra_ilp.Encode in
+  let module Formulation_intf = Cgra_core.Formulation_intf in
+  List.iter
+    (fun name ->
+      let spec = solver_spec name in
+      let dfg = benchmark "2x2-f" and mrrg = small_mrrg 2 in
+      let o = Session.solve (Session.create ~solver:spec dfg) ~mrrg ~ii:2 in
+      let built =
+        spec.Cgra_core.Solver_spec.formulation.Formulation_intf.build
+          ~objective:Cgra_core.Formulation.Feasibility dfg mrrg
+      in
+      let enc = Encode.encode built.Formulation_intf.model in
+      let before = Solver.stats enc.Encode.solver in
+      ignore (Solver.solve enc.Encode.solver);
+      let one_shot = Solver.stats_delta ~now:(Solver.stats enc.Encode.solver) ~before in
+      let s = o.Session.solve_stats in
+      Alcotest.(check (list int))
+        (name ^ ": conflicts, decisions, propagations")
+        [ one_shot.Solver.conflicts; one_shot.Solver.decisions; one_shot.Solver.propagations ]
+        [ s.Solver.conflicts; s.Solver.decisions; s.Solver.propagations ];
+      Alcotest.(check bool) (name ^ ": the search did work") true (s.Solver.decisions > 0))
+    [ "native-sat"; "conn-sat" ]
+
 (* Differential guarantee of the whole warm-start design: for random
-   DFGs, the resident guarded-block session and the stateless one-shot
-   mapper must always agree — cold, warm, and across both IIs. *)
+   DFGs, the resident session and the stateless one-shot mapper must
+   always agree — cold, warm, and across both IIs. *)
 let prop_session_agrees_with_oneshot =
   QCheck2.Test.make ~name:"session warm solve agrees with one-shot cold solve" ~count:12
     QCheck2.Gen.(tup2 (int_range 0 10_000) (int_range 1 5))
@@ -518,9 +549,13 @@ let test_engine_bad_requests () =
         (Astring.String.is_infix ~affix:"native-sat" msg)
   | Error (code, _) -> Alcotest.failf "unknown solver answered %s, not bad_request" code
   | Ok _ -> Alcotest.fail "accepted unknown solver");
-  match Engine.handle_map e { (map_request ()) with Protocol.contexts = 0 } with
+  (match Engine.handle_map e { (map_request ()) with Protocol.contexts = 0 } with
   | Error ("bad_request", _) -> ()
-  | _ -> Alcotest.fail "accepted contexts=0"
+  | _ -> Alcotest.fail "accepted contexts=0");
+  match Engine.handle_map e (map_request ~size:0 ()) with
+  | Error ("bad_request", _) -> ()
+  | Error (code, msg) -> Alcotest.failf "size 0 answered %s: %s" code msg
+  | Ok _ -> Alcotest.fail "accepted size 0"
 
 let test_engine_concurrent_mixed_keys () =
   (* Four domains hammer two different (dfg, arch, ii) keys through one
@@ -740,6 +775,8 @@ let suites =
           test_session_repeat_infeasible;
         Alcotest.test_case "outcome stats are per-solve deltas" `Slow
           test_session_per_solve_stats;
+        Alcotest.test_case "a cold solve is one-shot's search" `Slow
+          test_session_cold_is_oneshot_search;
         Alcotest.test_case "only native SAT solvers get sessions" `Quick
           test_session_refuses_non_sat;
         QCheck_alcotest.to_alcotest prop_session_agrees_with_oneshot;

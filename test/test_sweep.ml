@@ -265,6 +265,18 @@ let test_scheduler_error_capture () =
         (Astring.String.is_infix ~affix:"no-such-benchmark" msg)
   | _ -> Alcotest.fail "expected an error record"
 
+let test_degenerate_job_is_error () =
+  (* A size-0 fabric or a zero II names no cell: [Runner.run] promises
+     that no exception escapes, so each is an error record. *)
+  List.iter
+    (fun (what, j) ->
+      match (Runner.run j).Record.status with
+      | Record.Error msg ->
+          Alcotest.(check bool) (what ^ " named in the error") true
+            (Astring.String.is_infix ~affix:what msg)
+      | _ -> Alcotest.failf "%s: expected an error record" what)
+    [ ("size", { (job ()) with Job.size = 0 }); ("contexts", job ~contexts:0 ()) ]
+
 let test_scheduler_resume () =
   let path = temp_journal () in
   let store = Store.append_to path in
@@ -507,6 +519,8 @@ let suites =
         Alcotest.test_case "pool bounds its queue" `Quick test_pool_bounded_queue;
         Alcotest.test_case "scheduler deterministic across --jobs" `Slow test_scheduler_deterministic;
         Alcotest.test_case "scheduler records errors, sweep survives" `Slow test_scheduler_error_capture;
+        Alcotest.test_case "degenerate size or contexts is an error record" `Quick
+          test_degenerate_job_is_error;
         Alcotest.test_case "resume skips journaled jobs" `Slow test_scheduler_resume;
         Alcotest.test_case "portfolio first-definitive agreement" `Slow test_portfolio_definitive;
         Alcotest.test_case "cancellation stops a run" `Slow test_portfolio_cancellation;
