@@ -10,14 +10,45 @@ type t = {
 }
 
 (* The clausifier reads row [i] straight from the model's flat term
-   storage; model variable [v] is solver variable [v].
+   storage; model variable [v] is solver variable [v].  It runs in one
+   of two modes over the same device choice: [Emit] adds a row's clauses
+   to the solver, [Count] only adds what the solver will store of them
+   to a running count, each clause carrying [extra] guard literals. *)
+type mode = Emit | Count of Card.size * int
 
-   [encode_le ~sign rhs] encodes [sum (sign * c_k) x_k <= rhs].  Each
-   term is read as a positive-weight literal — [c * x] with [c < 0]
-   becomes [|c| * ~x] and lifts the bound by [|c|] — and a weight-[w]
-   literal counts as [w] unit copies (weights in mapping models are a
-   handful at most).  The cheapest adequate device is then chosen. *)
-let encode_le solver model i ~sign rhs =
+(* How [sum (sign * c_k) x_k <= rhs] is encoded.  Each term is read as
+   a positive-weight literal — [c * x] with [c < 0] becomes [|c| * ~x]
+   and lifts the bound by [|c|] — and a weight-[w] literal counts as [w]
+   unit copies (weights in mapping models are a handful at most): [n]
+   unit literals, at most [bound] of them true.  The cheapest adequate
+   device is then chosen. *)
+type device =
+  | Infeasible  (* the empty clause *)
+  | Trivial  (* no clause *)
+  | Not_all  (* one clause over the complements *)
+  | At_most  (* unit clauses at bound 0, an at-most-one ladder at 1, a
+                sequential counter above *)
+
+let le_device ~bound ~n =
+  if bound < 0 then Infeasible
+  else if bound >= n then Trivial
+  else if bound = n - 1 then Not_all
+  else At_most
+
+(* The [n] unit literals of the row, read with [sign]. *)
+let units model i ~sign n =
+  let units = Array.make n 0 and j = ref 0 in
+  for k = 0 to Model.row_len model i - 1 do
+    let c = sign * Model.row_coef model i k in
+    let l = Lit.make (Model.row_var model i k) (c > 0) in
+    for _ = 1 to abs c do
+      units.(!j) <- l;
+      incr j
+    done
+  done;
+  units
+
+let encode_le mode solver model i ~sign rhs =
   let len = Model.row_len model i in
   let bound = ref rhs and n = ref 0 in
   for k = 0 to len - 1 do
@@ -26,48 +57,45 @@ let encode_le solver model i ~sign rhs =
     n := !n + abs c
   done;
   let bound = !bound and n = !n in
-  if bound < 0 then Solver.add_clause solver [] (* infeasible row *)
-  else if bound >= n then () (* trivially true *)
-  else begin
-    let units = Array.make n 0 and j = ref 0 in
-    for k = 0 to len - 1 do
-      let c = sign * Model.row_coef model i k in
-      let l = Lit.make (Model.row_var model i k) (c > 0) in
-      for _ = 1 to abs c do
-        units.(!j) <- l;
-        incr j
-      done
-    done;
-    if bound = n - 1 then
-      (* "not all true": a single clause over the complements *)
-      Solver.add_clause solver (Array.to_list (Array.map Lit.negate units))
-    else
-      (* unit clauses at bound 0, an at-most-one ladder at 1, a
-         sequential counter above *)
-      Card.at_most_k_array solver units bound
-  end
+  match (le_device ~bound ~n, mode) with
+  | Trivial, _ -> ()
+  | Infeasible, Emit -> Solver.add_clause solver []
+  | Infeasible, Count (size, extra) -> Card.count_clauses size ~extra 1 0
+  | Not_all, Emit ->
+      Solver.add_clause solver (Array.to_list (Array.map Lit.negate (units model i ~sign n)))
+  | Not_all, Count (size, extra) -> Card.count_clauses size ~extra 1 n
+  | At_most, Emit -> Card.at_most_k_array solver (units model i ~sign n) bound
+  | At_most, Count (size, extra) -> Card.count_at_most_k size ~extra n bound
 
-let encode_row solver model i =
-  let rhs = Model.row_rhs model i in
-  match Model.row_sense model i with
-  | Model.Le -> encode_le solver model i ~sign:1 rhs
-  | Model.Ge -> encode_le solver model i ~sign:(-1) (-rhs)
-  | Model.Eq ->
-      let len = Model.row_len model i in
-      let unit_sum = ref (len >= 1) in
-      for k = 0 to len - 1 do
-        if Model.row_coef model i k <> 1 then unit_sum := false
-      done;
-      if rhs = 1 && !unit_sum then begin
-        (* exactly one: the clause over the literals, then at most one *)
+(* A row with unit coefficients and [= 1]: exactly one of its
+   variables, encoded as the clause over them, then at most one. *)
+let exactly_one model i =
+  Model.row_sense model i = Model.Eq
+  && Model.row_rhs model i = 1
+  && Model.row_len model i >= 1
+  &&
+  let unit = ref true in
+  for k = 0 to Model.row_len model i - 1 do
+    if Model.row_coef model i k <> 1 then unit := false
+  done;
+  !unit
+
+let encode_row mode solver model i =
+  let rhs = Model.row_rhs model i and len = Model.row_len model i in
+  if exactly_one model i then
+    match mode with
+    | Emit ->
         let lits = Array.init len (fun k -> Lit.pos (Model.row_var model i k)) in
         Solver.add_clause solver (Array.to_list lits);
         Card.at_most_k_array solver lits 1
-      end
-      else begin
-        encode_le solver model i ~sign:1 rhs;
-        encode_le solver model i ~sign:(-1) (-rhs)
-      end
+    | Count (size, extra) ->
+        Card.count_clauses size ~extra 1 len;
+        Card.count_at_most_k size ~extra len 1
+  else begin
+    let sense = Model.row_sense model i in
+    if sense <> Model.Ge then encode_le mode solver model i ~sign:1 rhs;
+    if sense <> Model.Le then encode_le mode solver model i ~sign:(-1) (-rhs)
+  end
 
 (* A fresh solver holding the model's variables (solver variable [v]
    is model variable [v]) and their branch priorities, the setup
@@ -84,12 +112,19 @@ let fresh_solver ?proof ?inprocess model =
   solver
 
 (* Clausify every row [keep] accepts, each under the guard literal
-   [guard] gives it (none by default). *)
+   [guard] gives it (none by default).  The clause store is sized for
+   all of them first, so it does not grow while they are added. *)
 let add_rows ?(keep = fun _ -> true) ?(guard = fun _ -> None) solver model =
+  let size = { Card.clauses = 0; literals = 0 } in
+  let unguarded = Count (size, 0) and guarded = Count (size, 1) in
+  for i = 0 to Model.nrows model - 1 do
+    if keep i then encode_row (if Option.is_none (guard i) then unguarded else guarded) solver model i
+  done;
+  Solver.reserve solver ~clauses:size.Card.clauses ~literals:size.Card.literals;
   for i = 0 to Model.nrows model - 1 do
     if keep i then begin
       Solver.set_guard solver (guard i);
-      encode_row solver model i
+      encode_row Emit solver model i
     end
   done;
   Solver.set_guard solver None

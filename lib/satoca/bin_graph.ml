@@ -10,20 +10,13 @@
 let roots solver =
   let nlits = 2 * Solver.nvars solver in
   let has_out = Array.make nlits false and has_in = Array.make nlits false in
-  for ci = 0 to Solver.n_clause_slots solver - 1 do
-    let arr = Solver.clause_view solver ci in
-    if
-      Array.length arr = 2
-      && Solver.root_value solver arr.(0) = -1
-      && Solver.root_value solver arr.(1) = -1
-    then begin
-      let a = arr.(0) and b = arr.(1) in
-      has_out.(Lit.negate a) <- true;
-      has_out.(Lit.negate b) <- true;
-      has_in.(a) <- true;
-      has_in.(b) <- true
-    end
-  done;
+  Solver.iter_binary solver (fun a b ->
+      if Solver.root_value solver a = -1 && Solver.root_value solver b = -1 then begin
+        has_out.(Lit.negate a) <- true;
+        has_out.(Lit.negate b) <- true;
+        has_in.(a) <- true;
+        has_in.(b) <- true
+      end);
   let out = ref [] in
   for l = nlits - 1 downto 0 do
     if has_out.(l) && not has_in.(l) then out := l :: !out

@@ -43,32 +43,67 @@ let exactly_one ?encoding solver lits =
   at_least_one solver lits;
   at_most_one ?encoding solver lits
 
+(* The device that clausifies [sum arr <= k] over [n] literals: one
+   choice, read both by [at_most_k_array] and by [count_at_most_k]. *)
+type device = No_clauses | Units | Pairwise_amo | Ladder | Counter
+
+let device n k =
+  if k = 0 then Units
+  else if n <= k then No_clauses
+  else if k = 1 then if n <= 6 then Pairwise_amo else Ladder
+  else Counter
+
+(* Sinz 2005: s.(i).(j) == "at least j+1 of x_0..x_i are true". *)
+let counter solver arr k =
+  let n = Array.length arr in
+  let s = Array.init (n - 1) (fun _ -> Array.init k (fun _ -> Lit.pos (Solver.new_var solver))) in
+  Solver.add_clause solver [ Lit.negate arr.(0); s.(0).(0) ];
+  for j = 1 to k - 1 do
+    Solver.add_clause solver [ Lit.negate s.(0).(j) ]
+  done;
+  for i = 1 to n - 2 do
+    Solver.add_clause solver [ Lit.negate arr.(i); s.(i).(0) ];
+    Solver.add_clause solver [ Lit.negate s.(i - 1).(0); s.(i).(0) ];
+    for j = 1 to k - 1 do
+      Solver.add_clause solver [ Lit.negate arr.(i); Lit.negate s.(i - 1).(j - 1); s.(i).(j) ];
+      Solver.add_clause solver [ Lit.negate s.(i - 1).(j); s.(i).(j) ]
+    done;
+    Solver.add_clause solver [ Lit.negate arr.(i); Lit.negate s.(i - 1).(k - 1) ]
+  done;
+  Solver.add_clause solver [ Lit.negate arr.(n - 1); Lit.negate s.(n - 2).(k - 1) ]
+
 let at_most_k_array solver arr k =
   if k < 0 then invalid_arg "Card.at_most_k: negative bound";
-  let n = Array.length arr in
-  if k = 0 then Array.iter (fun l -> Solver.add_clause solver [ Lit.negate l ]) arr
-  else if n > k then begin
-    if k = 1 then at_most_one_array solver arr
-    else begin
-      (* Sinz 2005: s.(i).(j) == "at least j+1 of x_0..x_i are true". *)
-      let s = Array.init (n - 1) (fun _ -> Array.init k (fun _ -> Lit.pos (Solver.new_var solver))) in
-      Solver.add_clause solver [ Lit.negate arr.(0); s.(0).(0) ];
-      for j = 1 to k - 1 do
-        Solver.add_clause solver [ Lit.negate s.(0).(j) ]
-      done;
-      for i = 1 to n - 2 do
-        Solver.add_clause solver [ Lit.negate arr.(i); s.(i).(0) ];
-        Solver.add_clause solver [ Lit.negate s.(i - 1).(0); s.(i).(0) ];
-        for j = 1 to k - 1 do
-          Solver.add_clause solver
-            [ Lit.negate arr.(i); Lit.negate s.(i - 1).(j - 1); s.(i).(j) ];
-          Solver.add_clause solver [ Lit.negate s.(i - 1).(j); s.(i).(j) ]
-        done;
-        Solver.add_clause solver [ Lit.negate arr.(i); Lit.negate s.(i - 1).(k - 1) ]
-      done;
-      Solver.add_clause solver [ Lit.negate arr.(n - 1); Lit.negate s.(n - 2).(k - 1) ]
-    end
+  match device (Array.length arr) k with
+  | No_clauses -> ()
+  | Units -> Array.iter (fun l -> Solver.add_clause solver [ Lit.negate l ]) arr
+  | Pairwise_amo -> pairwise solver arr
+  | Ladder -> sequential_amo solver arr
+  | Counter -> counter solver arr k
+
+type size = { mutable clauses : int; mutable literals : int }
+
+let count_clauses size ~extra count len =
+  if len + extra >= 2 then begin
+    size.clauses <- size.clauses + count;
+    size.literals <- size.literals + (count * (len + extra))
   end
+
+let count_at_most_k size ~extra n k =
+  if k < 0 then invalid_arg "Card.count_at_most_k: negative bound";
+  match device n k with
+  | No_clauses -> ()
+  | Units -> count_clauses size ~extra n 1
+  | Pairwise_amo -> count_clauses size ~extra (n * (n - 1) / 2) 2
+  | Ladder -> count_clauses size ~extra ((3 * n) - 4) 2
+  | Counter ->
+      (* Unguarded, the k-1 units fix s.(0).(1..k-1) false at the root,
+         so the solver drops the k binary and k-2 ternary clauses of
+         row i = 1 that they satisfy. *)
+      let dropped_2 = if extra = 0 then k else 0 and dropped_3 = if extra = 0 then k - 2 else 0 in
+      count_clauses size ~extra (2 + ((n - 2) * (k + 2)) - dropped_2) 2;
+      count_clauses size ~extra (((n - 2) * (k - 1)) - dropped_3) 3;
+      count_clauses size ~extra (k - 1) 1
 
 let at_most_k solver lits k = at_most_k_array solver (Array.of_list lits) k
 

@@ -1,41 +1,58 @@
 (* Conflict-driven clause learning, MiniSat-style.  The invariants that
    matter are spelled out inline because the code is imperative and hot:
 
-   - A clause watches its first two literals; clause index c appears in
-     [watches.(Lit.negate lits.(0))] and [watches.(Lit.negate lits.(1))],
-     so when a literal p is assigned true, [watches.(p)] lists exactly
-     the clauses that just lost a watched literal.
+   - Every clause lives inline in one int array, the arena: a header
+     word, then its literals.  A clause is named by its arena offset c:
+     [arena.(c)] is the header and [arena.(c + 1 .. c + len)] the
+     literals.  A learnt clause has one more word after its literals,
+     the index of its activity in [act].  The header packs the length,
+     the learnt and deleted bits, and the clause's slot (its rank among
+     all clauses ever stored), which [clause_view] answers by.
+   - A clause watches its first two literals; offset c appears in
+     [watches.(Lit.negate arena.(c + 1))] and
+     [watches.(Lit.negate arena.(c + 2))], so when a literal p is
+     assigned true, [watches.(p)] lists exactly the clauses that just
+     lost a watched literal.
    - Each watch is a (entry, blocker) pair.  A long clause's entry is
-     its index c; a binary clause's entry is tagged as [lnot c] (always
-     negative) and its blocker is always its other literal, so
+     its offset c; a binary clause's entry is tagged as [lnot c]
+     (always negative) and its blocker is always its other literal, so
      propagation decides it from that literal's value alone.  A
      clause's length never changes, so the tag is fixed at [attach].
    - The reason clause of an implied literal has that literal at
-     position 0; the binary path swaps it there too.
+     position 0; the binary path swaps it there too.  [reason.(v)] is
+     that clause's offset, or -1.
+   - Deleted clauses are detached at once and their words counted dead;
+     once the dead words pass a fifth of the arena, [compact] moves the
+     live clauses down in order and rewrites every watch entry and
+     trail reason, so watch lists keep their order.
    - [trail_lim] holds the trail height at each decision; level 0 facts
      are permanent.
 
    The library is compiled with [-opaque] in dune's default profile, so
-   no call into [Veci], [Vec] or [Lit] is inlined.  [propagate] therefore
-   reads the backing arrays of the trail, the clause vector and each
-   watch list once per propagated literal ([Veci.data], [Vec.data]) and
+   no call into [Veci] or [Lit] is inlined.  [propagate] therefore reads
+   the arena once per call, and the backing arrays of the trail and of
+   each watch list once per propagated literal ([Veci.data]), and
    indexes them directly.  Those arrays stay valid while they are used:
    no clause is added during propagation, a moved watch goes to another
    literal's list, and the trail, which [enqueue] pushes onto, is
    fetched afresh for each literal. *)
 
 module Veci = Cgra_util.Veci
-module Vec = Cgra_util.Vec
 module Deadline = Cgra_util.Deadline
 
-type clause = {
-  lits : int array;  (* fixed length: a binary clause stays binary *)
-  mutable activity : float;
-  learnt : bool;
-  mutable deleted : bool;
-}
+(* Header word: bit 0 learnt, bit 1 deleted, bits 2..31 the length,
+   bits 32.. the slot (which only [clause_view] reads, so it may wrap
+   past 2^31 clauses without harm to the search). *)
+let learnt_bit = 1
+let deleted_bit = 2
+let len_mask = 0x3FFF_FFFF
 
-let dummy_clause = { lits = [||]; activity = 0.; learnt = false; deleted = true }
+let header ~slot ~len ~learnt = (slot lsl 32) lor (len lsl 2) lor if learnt then learnt_bit else 0
+let hdr_len h = (h lsr 2) land len_mask
+let hdr_slot h = h lsr 32
+
+(* Words a clause with header [h] takes in the arena. *)
+let hdr_words h = 1 + hdr_len h + (h land learnt_bit)
 
 type result = Sat | Unsat | Unknown
 
@@ -50,14 +67,20 @@ type stats = {
 
 type t = {
   mutable nvars : int;
-  clauses : clause Vec.t;            (* all clauses, problem + learnt *)
-  mutable watches : Veci.t array;    (* literal -> clause indices *)
+  mutable arena : int array;         (* all clauses, problem + learnt *)
+  mutable arena_top : int;           (* words in use *)
+  mutable dead_words : int;          (* words of deleted clauses *)
+  mutable n_slots : int;             (* clauses ever stored *)
+  mutable act : float array;         (* learnt clause activities *)
+  mutable n_act : int;
+  mutable watches : Veci.t array;    (* literal -> clause offsets *)
   mutable assigns : int array;       (* var -> -1 / 0 / 1 *)
   mutable phase : Bytes.t;           (* var -> saved polarity *)
   mutable level : int array;         (* var -> decision level *)
-  mutable reason : int array;        (* var -> clause index or -1 *)
+  mutable reason : int array;        (* var -> clause offset or -1 *)
   mutable var_act : float array;
   mutable seen : Bytes.t;            (* conflict-analysis scratch *)
+  learnt_buf : Veci.t;               (* the clause [analyze] learns *)
   trail : Veci.t;
   trail_lim : Veci.t;
   mutable trail_head : int;
@@ -93,7 +116,12 @@ let new_watch_list () = Veci.create ~capacity:4 ()
 let create () =
   {
     nvars = 0;
-    clauses = Vec.create ~dummy:dummy_clause ();
+    arena = Array.make 64 0;
+    arena_top = 0;
+    dead_words = 0;
+    n_slots = 0;
+    act = Array.make 16 0.;
+    n_act = 0;
     watches = Array.make 2 (Veci.create ~capacity:1 ());
     assigns = Array.make 1 (-1);
     phase = Bytes.make 1 '\000';
@@ -101,6 +129,7 @@ let create () =
     reason = Array.make 1 (-1);
     var_act = Array.make 1 0.;
     seen = Bytes.make 1 '\000';
+    learnt_buf = Veci.create ();
     trail = Veci.create ();
     trail_lim = Veci.create ();
     trail_head = 0;
@@ -316,10 +345,15 @@ let var_bump t v =
 
 let var_decay_act t = t.var_inc <- t.var_inc /. t.var_decay
 
+(* Bump the activity of learnt clause [c]; activities are rescaled
+   together when one grows too large. *)
 let cla_bump t c =
-  c.activity <- c.activity +. t.cla_inc;
-  if c.activity > 1e20 then begin
-    Vec.iter (fun (c : clause) -> if c.learnt then c.activity <- c.activity *. 1e-20) t.clauses;
+  let i = t.arena.(c + 1 + hdr_len t.arena.(c)) in
+  t.act.(i) <- t.act.(i) +. t.cla_inc;
+  if t.act.(i) > 1e20 then begin
+    for k = 0 to t.n_act - 1 do
+      t.act.(k) <- t.act.(k) *. 1e-20
+    done;
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
@@ -350,26 +384,65 @@ let cancel_until t lvl =
     t.trail_head <- bound
   end
 
-(* ---------------- clause attachment ---------------- *)
+(* ---------------- clause storage ---------------- *)
+
+let resize_arena t cap =
+  let a = Array.make cap 0 in
+  Array.blit t.arena 0 a 0 t.arena_top;
+  t.arena <- a
+
+(* Make room for [words] more words, doubling the arena. *)
+let ensure_words t words =
+  let need = t.arena_top + words in
+  if need > Array.length t.arena then resize_arena t (max need (2 * Array.length t.arena))
+
+(* A reservation also leaves a quarter more room for learnt clauses:
+   enough for the searches of most mapping queries, which then never
+   copy the arena. *)
+let reserve t ~clauses ~literals =
+  if clauses < 0 || literals < 0 then invalid_arg "Solver.reserve: negative count";
+  let words = clauses + literals in
+  let need = t.arena_top + words in
+  if need > Array.length t.arena then resize_arena t (need + (words / 4))
+
+(* Store [buf.(0 .. n-1)] as a new clause (n >= 2) and return its
+   offset.  A learnt clause also gets an activity, [t.cla_inc]. *)
+let store t ~learnt buf n =
+  ensure_words t (n + if learnt then 2 else 1);
+  let c = t.arena_top and a = t.arena in
+  a.(c) <- header ~slot:t.n_slots ~len:n ~learnt;
+  Array.blit buf 0 a (c + 1) n;
+  t.arena_top <- c + 1 + n;
+  t.n_slots <- t.n_slots + 1;
+  if learnt then begin
+    if t.n_act = Array.length t.act then begin
+      let act = Array.make (2 * t.n_act) 0. in
+      Array.blit t.act 0 act 0 t.n_act;
+      t.act <- act
+    end;
+    t.act.(t.n_act) <- t.cla_inc;
+    a.(c + 1 + n) <- t.n_act;
+    t.n_act <- t.n_act + 1;
+    t.arena_top <- t.arena_top + 1
+  end;
+  c
 
 (* Watch lists hold (watch entry, blocker literal) pairs flattened as
    two consecutive ints; a true blocker lets propagation skip the
    clause without touching its literals.  A binary clause's entry is
    tagged (see the header). *)
 
-let watch_entry c ci = if Array.length c.lits = 2 then lnot ci else ci
+let watch_entry t c = if hdr_len t.arena.(c) = 2 then lnot c else c
 
-let attach t ci =
-  let c = Vec.get t.clauses ci in
-  let e = watch_entry c ci in
-  Veci.push t.watches.(Lit.negate c.lits.(0)) e;
-  Veci.push t.watches.(Lit.negate c.lits.(0)) c.lits.(1);
-  Veci.push t.watches.(Lit.negate c.lits.(1)) e;
-  Veci.push t.watches.(Lit.negate c.lits.(1)) c.lits.(0)
+let attach t c =
+  let e = watch_entry t c and l0 = t.arena.(c + 1) and l1 = t.arena.(c + 2) in
+  Veci.push t.watches.(Lit.negate l0) e;
+  Veci.push t.watches.(Lit.negate l0) l1;
+  Veci.push t.watches.(Lit.negate l1) e;
+  Veci.push t.watches.(Lit.negate l1) l0
 
-let detach t ci =
-  let c = Vec.get t.clauses ci in
-  let e = watch_entry c ci in
+let detach t c =
+  let e = watch_entry t c in
   let remove wl =
     let n = Veci.size wl in
     let rec go i =
@@ -387,12 +460,12 @@ let detach t ci =
     in
     go 0
   in
-  remove t.watches.(Lit.negate c.lits.(0));
-  remove t.watches.(Lit.negate c.lits.(1))
+  remove t.watches.(Lit.negate t.arena.(c + 1));
+  remove t.watches.(Lit.negate t.arena.(c + 2))
 
 (* ---------------- propagation ---------------- *)
 
-(* Unit propagation to fixpoint; returns the conflicting clause's index,
+(* Unit propagation to fixpoint; returns the conflicting clause's offset,
    or -1.  Literal evaluation, the new-watch search and [enqueue] are
    written out inline (see the header for why): literal [l] is true
    when [assigns.(var l) = (l land 1) lxor 1] and false when
@@ -400,7 +473,7 @@ let detach t ci =
 let propagate t =
   let assigns = t.assigns and level = t.level and reason = t.reason in
   let watches = t.watches and trail = t.trail in
-  let clauses = Vec.data t.clauses in
+  let arena = t.arena in
   let dl = decision_level t in
   let head = ref t.trail_head and tsize = ref (Veci.size trail) in
   let confl = ref (-1) in
@@ -425,71 +498,67 @@ let propagate t =
         j := !j + 2
       end
       else begin
-        let ci = if e < 0 then lnot e else e in
-        let c = clauses.(ci) in
-        if not c.deleted (* a deleted clause is dropped lazily *) then begin
-          let lits = c.lits in
-          (* keep the false literal at position 1, so that a literal the
-             clause implies ends up at position 0 *)
-          if Array.unsafe_get lits 0 = false_lit then begin
-            Array.unsafe_set lits 0 (Array.unsafe_get lits 1);
-            Array.unsafe_set lits 1 false_lit
-          end;
-          (* [implied]: the literal the clause implies or conflicts on, or
-             -1 when it is satisfied or has moved its watch *)
-          let implied =
-            if e < 0 then blocker (* binary: the blocker is position 0 *)
+        let c = if e < 0 then lnot e else e in
+        (* keep the false literal at position 1, so that a literal the
+           clause implies ends up at position 0 *)
+        if Array.unsafe_get arena (c + 1) = false_lit then begin
+          Array.unsafe_set arena (c + 1) (Array.unsafe_get arena (c + 2));
+          Array.unsafe_set arena (c + 2) false_lit
+        end;
+        (* [implied]: the literal the clause implies or conflicts on, or
+           -1 when it is satisfied or has moved its watch *)
+        let implied =
+          if e < 0 then blocker (* binary: the blocker is position 0 *)
+          else begin
+            let first = Array.unsafe_get arena (c + 1) in
+            if Array.unsafe_get assigns (first lsr 1) = (first land 1) lxor 1 then begin
+              (* satisfied; keep watching with the true literal as the
+                 new blocker *)
+              Array.unsafe_set ws !j e;
+              Array.unsafe_set ws (!j + 1) first;
+              j := !j + 2;
+              -1
+            end
             else begin
-              let first = Array.unsafe_get lits 0 in
-              if Array.unsafe_get assigns (first lsr 1) = (first land 1) lxor 1 then begin
-                (* satisfied; keep watching with the true literal as
-                   the new blocker *)
-                Array.unsafe_set ws !j e;
-                Array.unsafe_set ws (!j + 1) first;
-                j := !j + 2;
+              (* look for a new watch: a literal past position 1 that
+                 is not false *)
+              let stop = c + 1 + hdr_len (Array.unsafe_get arena c) in
+              let k = ref (c + 3) in
+              while
+                !k < stop
+                &&
+                let l = Array.unsafe_get arena !k in
+                Array.unsafe_get assigns (l lsr 1) = l land 1
+              do
+                incr k
+              done;
+              if !k < stop then begin
+                let w = Array.unsafe_get arena !k in
+                Array.unsafe_set arena (c + 2) w;
+                Array.unsafe_set arena !k false_lit;
+                let wl' = watches.(w lxor 1) in
+                Veci.push wl' e;
+                Veci.push wl' first;
                 -1
               end
-              else begin
-                (* look for a new watch: a literal past position 1 that
-                   is not false *)
-                let len = Array.length lits in
-                let k = ref 2 in
-                while
-                  !k < len
-                  &&
-                  let l = Array.unsafe_get lits !k in
-                  Array.unsafe_get assigns (l lsr 1) = l land 1
-                do
-                  incr k
-                done;
-                if !k < len then begin
-                  let w = Array.unsafe_get lits !k in
-                  Array.unsafe_set lits 1 w;
-                  Array.unsafe_set lits !k false_lit;
-                  let wl' = watches.(w lxor 1) in
-                  Veci.push wl' e;
-                  Veci.push wl' first;
-                  -1
-                end
-                else first
-              end
+              else first
             end
-          in
-          if implied >= 0 then begin
-            Array.unsafe_set ws !j e;
-            Array.unsafe_set ws (!j + 1) blocker;
-            j := !j + 2;
-            let v = implied lsr 1 in
-            if Array.unsafe_get assigns v < 0 then begin
-              (* enqueue *)
-              assigns.(v) <- (implied land 1) lxor 1;
-              level.(v) <- dl;
-              reason.(v) <- ci;
-              Veci.push trail implied;
-              incr tsize
-            end
-            else confl := ci
           end
+        in
+        if implied >= 0 then begin
+          Array.unsafe_set ws !j e;
+          Array.unsafe_set ws (!j + 1) blocker;
+          j := !j + 2;
+          let v = implied lsr 1 in
+          if Array.unsafe_get assigns v < 0 then begin
+            (* enqueue *)
+            assigns.(v) <- (implied land 1) lxor 1;
+            level.(v) <- dl;
+            reason.(v) <- c;
+            Veci.push trail implied;
+            incr tsize
+          end
+          else confl := c
         end
       end
     done;
@@ -625,41 +694,51 @@ let add_clause t lits =
           t.ok <- false
         end
       end
-      else begin
-        let c = { lits = Array.sub buf 0 w; activity = 0.; learnt = false; deleted = false } in
-        Vec.push t.clauses c;
-        attach t (Vec.size t.clauses - 1)
-      end
+      else attach t (store t ~learnt:false buf w)
     end
   end
 
 (* ---------------- conflict analysis (first UIP) ---------------- *)
 
-let analyze t confl learnt_out =
-  let seen = t.seen in
+(* Basic clause minimisation: a non-asserting literal of the clause
+   being learnt is redundant if its reason's literals are all seen or
+   at level 0. *)
+let redundant t q =
+  let r = t.reason.(q lsr 1) in
+  r >= 0
+  && begin
+       let ok = ref true in
+       for j = r + 2 to r + hdr_len t.arena.(r) do
+         let u = t.arena.(j) lsr 1 in
+         if Bytes.get t.seen u = '\000' && t.level.(u) > 0 then ok := false
+       done;
+       !ok
+     end
+
+(* Learns into [t.learnt_buf], asserting literal first; returns the
+   backtrack level. *)
+let analyze t confl =
+  let seen = t.seen and arena = t.arena and learnt_out = t.learnt_buf in
   let counter = ref 0 in
   let p = ref (-1) in
   let confl = ref confl in
   let idx = ref (Veci.size t.trail - 1) in
-  let btlevel = ref 0 in
   Veci.clear learnt_out;
   Veci.push learnt_out 0 (* room for the asserting literal *);
   let continue = ref true in
   while !continue do
-    let c = Vec.get t.clauses !confl in
-    if c.learnt then cla_bump t c;
+    let c = !confl in
+    let h = arena.(c) in
+    if h land learnt_bit <> 0 then cla_bump t c;
     let start = if !p = -1 then 0 else 1 in
-    for j = start to Array.length c.lits - 1 do
-      let q = c.lits.(j) in
+    for j = c + 1 + start to c + hdr_len h do
+      let q = arena.(j) in
       let v = q lsr 1 in
       if Bytes.get seen v = '\000' && t.level.(v) > 0 then begin
         Bytes.set seen v '\001';
         var_bump t v;
         if t.level.(v) >= decision_level t then incr counter
-        else begin
-          Veci.push learnt_out q;
-          if t.level.(v) > !btlevel then btlevel := t.level.(v)
-        end
+        else Veci.push learnt_out q
       end
     done;
     (* pick next node on the trail to expand *)
@@ -675,44 +754,29 @@ let analyze t confl learnt_out =
     else confl := t.reason.(v)
   done;
   Veci.set learnt_out 0 (Lit.negate !p);
-  (* basic clause minimisation: a non-asserting literal is redundant if
-     its reason's literals are all seen or at level 0 *)
-  let redundant q =
-    let v = q lsr 1 in
-    let r = t.reason.(v) in
-    r >= 0
-    && begin
-         let c = Vec.get t.clauses r in
-         let ok = ref true in
-         for j = 1 to Array.length c.lits - 1 do
-           let u = c.lits.(j) lsr 1 in
-           if Bytes.get seen u = '\000' && t.level.(u) > 0 then ok := false
-         done;
-         !ok
-       end
-  in
-  let kept = Veci.create ~capacity:(Veci.size learnt_out) () in
-  Veci.push kept (Veci.get learnt_out 0);
-  for i = 1 to Veci.size learnt_out - 1 do
+  (* move the kept literals to the front, in order, and the redundant
+     ones behind them: all their seen flags are cleared before the
+     redundant ones are dropped *)
+  let n = Veci.size learnt_out and kept = ref 1 in
+  for i = 1 to n - 1 do
     let q = Veci.get learnt_out i in
-    if not (redundant q) then Veci.push kept q
+    if not (redundant t q) then begin
+      Veci.set learnt_out i (Veci.get learnt_out !kept);
+      Veci.set learnt_out !kept q;
+      incr kept
+    end
   done;
-  (* clear seen flags *)
-  for i = 1 to Veci.size learnt_out - 1 do
+  for i = 1 to n - 1 do
     Bytes.set seen (Veci.get learnt_out i lsr 1) '\000'
   done;
-  Veci.clear learnt_out;
-  Veci.iter (fun l -> Veci.push learnt_out l) kept;
-  (* recompute backtrack level on the minimised clause *)
-  if Veci.size learnt_out = 1 then 0
-  else begin
-    btlevel := 0;
-    for i = 1 to Veci.size learnt_out - 1 do
-      let lv = t.level.(Veci.get learnt_out i lsr 1) in
-      if lv > !btlevel then btlevel := lv
-    done;
-    !btlevel
-  end
+  Veci.shrink learnt_out !kept;
+  (* the backtrack level of the minimised clause *)
+  let btlevel = ref 0 in
+  for i = 1 to Veci.size learnt_out - 1 do
+    let lv = t.level.(Veci.get learnt_out i lsr 1) in
+    if lv > !btlevel then btlevel := lv
+  done;
+  !btlevel
 
 (* Final-conflict analysis (MiniSat's analyzeFinal): [a] is the next
    assumption literal, found false under the previous assumption levels.
@@ -735,9 +799,9 @@ let analyze_final t a =
            if t.level.(v) > 0 && l <> a then out := l :: !out
          end
          else begin
-           let c = Vec.get t.clauses t.reason.(v) in
-           for j = 1 to Array.length c.lits - 1 do
-             let u = c.lits.(j) lsr 1 in
+           let c = t.reason.(v) in
+           for j = c + 2 to c + hdr_len t.arena.(c) do
+             let u = t.arena.(j) lsr 1 in
              if t.level.(u) > 0 then Bytes.set seen u '\001'
            done
          end);
@@ -748,60 +812,119 @@ let analyze_final t a =
   end;
   !out
 
-let record_learnt t learnt =
+(* Record [t.learnt_buf], just analysed; the search has backjumped to
+   its backtrack level. *)
+let record_learnt t =
+  let learnt = t.learnt_buf in
   let n = Veci.size learnt in
-  (match t.proof with
-  | Some p -> Proof.log_add p (List.init n (fun i -> Veci.get learnt i))
-  | None -> ());
-  if n = 1 then begin
-    enqueue t (Veci.get learnt 0) (-1)
-  end
+  (match t.proof with Some p -> Proof.log_add p (Veci.to_list learnt) | None -> ());
+  if n = 1 then enqueue t (Veci.get learnt 0) (-1)
   else begin
-    let arr = Array.init n (fun i -> Veci.get learnt i) in
+    let c = store t ~learnt:true (Veci.data learnt) n in
+    let a = t.arena in
     (* position 1 must hold a literal from the backtrack level so the
        watch invariant holds immediately after the jump *)
-    let best = ref 1 in
-    for i = 2 to n - 1 do
-      if t.level.(arr.(i) lsr 1) > t.level.(arr.(!best) lsr 1) then best := i
+    let best = ref (c + 2) in
+    for i = c + 3 to c + n do
+      if t.level.(a.(i) lsr 1) > t.level.(a.(!best) lsr 1) then best := i
     done;
-    let tmp = arr.(1) in
-    arr.(1) <- arr.(!best);
-    arr.(!best) <- tmp;
-    let c = { lits = arr; activity = t.cla_inc; learnt = true; deleted = false } in
-    Vec.push t.clauses c;
+    let tmp = a.(c + 2) in
+    a.(c + 2) <- a.(!best);
+    a.(!best) <- tmp;
     t.n_learnt <- t.n_learnt + 1;
-    let ci = Vec.size t.clauses - 1 in
-    attach t ci;
-    enqueue t arr.(0) ci
+    attach t c;
+    enqueue t a.(c + 1) c
   end
 
 (* ---------------- learnt DB reduction ---------------- *)
 
+(* Move the live clauses down over the dead words, in order, and rewrite
+   every watch entry and trail reason to the new offsets.  Learnt
+   activities are renumbered in the same order. *)
+let compact t =
+  let a = t.arena in
+  (* old and new offsets of the live clauses, ascending *)
+  let olds = Veci.create () and news = Veci.create () in
+  let o = ref 0 and top = ref 0 in
+  while !o < t.arena_top do
+    let h = a.(!o) in
+    if h land deleted_bit = 0 then begin
+      Veci.push olds !o;
+      Veci.push news !top;
+      top := !top + hdr_words h
+    end;
+    o := !o + hdr_words h
+  done;
+  let moved c =
+    let lo = ref 0 and hi = ref (Veci.size olds - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if Veci.get olds mid <= c then lo := mid else hi := mid - 1
+    done;
+    assert (Veci.get olds !lo = c);
+    Veci.get news !lo
+  in
+  for l = 0 to (2 * t.nvars) - 1 do
+    let wl = t.watches.(l) in
+    for i = 0 to (Veci.size wl / 2) - 1 do
+      let e = Veci.get wl (2 * i) in
+      Veci.set wl (2 * i) (if e < 0 then lnot (moved (lnot e)) else moved e)
+    done
+  done;
+  for i = 0 to Veci.size t.trail - 1 do
+    let v = Veci.get t.trail i lsr 1 in
+    if t.reason.(v) >= 0 then t.reason.(v) <- moved t.reason.(v)
+  done;
+  let n_act = ref 0 in
+  for k = 0 to Veci.size olds - 1 do
+    let o = Veci.get olds k and c = Veci.get news k in
+    let h = a.(o) in
+    Array.blit a o a c (hdr_words h);
+    if h land learnt_bit <> 0 then begin
+      let ai = c + 1 + hdr_len h in
+      t.act.(!n_act) <- t.act.(a.(ai));
+      a.(ai) <- !n_act;
+      incr n_act
+    end
+  done;
+  t.arena_top <- !top;
+  t.dead_words <- 0;
+  t.n_act <- !n_act
+
 let reduce_db t =
-  (* Collect learnt, non-reason clauses; delete the low-activity half. *)
-  let cand = ref [] in
-  Vec.iteri
-    (fun ci (c : clause) ->
-      if c.learnt && (not c.deleted) && Array.length c.lits > 2 then begin
-        let is_reason =
-          let v0 = c.lits.(0) lsr 1 in
-          t.assigns.(v0) >= 0 && t.reason.(v0) = ci
-        in
-        if not is_reason then cand := (ci, c) :: !cand
-      end)
-    t.clauses;
-  let arr = Array.of_list !cand in
-  Array.sort (fun (_, a) (_, b) -> compare a.activity b.activity) arr;
-  let ndel = Array.length arr / 2 in
-  for i = 0 to ndel - 1 do
-    let ci, c = arr.(i) in
-    detach t ci;
-    c.deleted <- true;
+  (* Collect learnt, non-reason clauses, latest first (the sort is not
+     stable, so this order decides which of equally active clauses
+     go); delete the low-activity half. *)
+  let a = t.arena in
+  let cand = Veci.create () in
+  let c = ref 0 in
+  while !c < t.arena_top do
+    let h = a.(!c) in
+    if h land (learnt_bit lor deleted_bit) = learnt_bit && hdr_len h > 2 then begin
+      let v0 = a.(!c + 1) lsr 1 in
+      if not (t.assigns.(v0) >= 0 && t.reason.(v0) = !c) then Veci.push cand !c
+    end;
+    c := !c + hdr_words h
+  done;
+  let n = Veci.size cand in
+  let arr = Array.init n (fun i -> Veci.get cand (n - 1 - i)) in
+  let act = t.act in
+  Array.sort
+    (fun c d -> Float.compare act.(a.(c + 1 + hdr_len a.(c))) act.(a.(d + 1 + hdr_len a.(d))))
+    arr;
+  for i = 0 to (n / 2) - 1 do
+    let c = arr.(i) in
+    detach t c;
+    a.(c) <- a.(c) lor deleted_bit;
     (match t.proof with
-    | Some p -> Proof.log_delete p (Array.to_list c.lits)
+    | Some p ->
+        let rec lits j acc = if j = c then acc else lits (j - 1) (a.(j) :: acc) in
+        Proof.log_delete p (lits (c + hdr_len a.(c)) [])
     | None -> ());
-    t.n_learnt <- t.n_learnt - 1
-  done
+    t.n_learnt <- t.n_learnt - 1;
+    t.dead_words <- t.dead_words + hdr_words a.(c)
+  done;
+  if t.dead_words > t.arena_top / 5 then compact t
 
 (* ---------------- restarts: Luby sequence ---------------- *)
 
@@ -851,12 +974,11 @@ let solve_with ?(deadline = Deadline.none) ~assumptions t =
     let n_assumptions = Array.length assumptions in
     cancel_until t 0;
     t.trail_head <- 0;
-    let learnt_scratch = Veci.create () in
     let restart_no = ref 0 in
     let simp_pending = ref (t.inprocess <> None) in
     let conflicts_left = ref (100 * luby 1) in
-    if t.max_learnts < float_of_int (Vec.size t.clauses) /. 3. then
-      t.max_learnts <- float_of_int (Vec.size t.clauses) /. 3.;
+    if t.max_learnts < float_of_int t.n_slots /. 3. then
+      t.max_learnts <- float_of_int t.n_slots /. 3.;
     let result = ref None in
     (try
        while !result = None do
@@ -872,9 +994,9 @@ let solve_with ?(deadline = Deadline.none) ~assumptions t =
              result := Some Unsat
            end
            else begin
-             let btlevel = analyze t confl learnt_scratch in
+             let btlevel = analyze t confl in
              cancel_until t btlevel;
-             record_learnt t learnt_scratch;
+             record_learnt t;
              var_decay_act t;
              cla_decay t;
              if t.conflicts land 1023 = 0 && Deadline.expired deadline then
@@ -994,11 +1116,28 @@ let simp_prepare t =
     true
   end
 
-let n_clause_slots t = Vec.size t.clauses
+let n_clause_slots t = t.n_slots
 
 let clause_view t ci =
-  let c = Vec.get t.clauses ci in
-  if c.deleted then [||] else c.lits
+  let a = t.arena in
+  let rec find c =
+    if c >= t.arena_top then [||]
+    else
+      let h = a.(c) in
+      if hdr_slot h < ci then find (c + hdr_words h)
+      else if hdr_slot h = ci && h land deleted_bit = 0 then Array.sub a (c + 1) (hdr_len h)
+      else [||]
+  in
+  find 0
+
+let iter_binary t f =
+  let a = t.arena in
+  let c = ref 0 in
+  while !c < t.arena_top do
+    let h = a.(!c) in
+    if h land deleted_bit = 0 && hdr_len h = 2 then f a.(!c + 1) a.(!c + 2);
+    c := !c + hdr_words h
+  done
 
 let root_value t l = lit_val t l
 

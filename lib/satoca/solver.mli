@@ -54,6 +54,15 @@ val add_clause : t -> Lit.t list -> unit
     literal is set (see {!set_guard}) it is appended to the clause
     first. *)
 
+val reserve : t -> clauses:int -> literals:int -> unit
+(** [reserve t ~clauses ~literals] makes room for [clauses] more stored
+    clauses holding [literals] literals in all, so that adding them
+    moves no clause memory.  Only clauses of two or more literals are
+    stored; a unit clause is asserted at once and needs no room.  A
+    bound above what is then added costs only the unused room.  The
+    room made also holds learnt clauses of a quarter of the reserved
+    size, so a short search does not grow the store either. *)
+
 val set_guard : t -> Lit.t option -> unit
 (** Set (or with [None] clear) the current {e guard literal}: while
     set, every clause passed to {!add_clause} gets the literal appended
@@ -185,12 +194,19 @@ val simp_prepare : t -> bool
     established, or non-root state). *)
 
 val n_clause_slots : t -> int
-(** Number of clause slots ever allocated; indices [0 .. n-1] are valid
-    arguments to {!clause_view} (deleted slots included). *)
+(** Number of clauses ever stored (problem and learnt; units are not
+    stored); indices [0 .. n-1] are valid arguments to {!clause_view}
+    (deleted slots included). *)
 
 val clause_view : t -> int -> int array
-(** The literal array of clause [ci], or [[||]] when the slot is
-    deleted.  This is the live array — callers must not mutate it. *)
+(** A copy of the literals of the [ci]-th clause stored, in the order
+    the solver keeps them, or [[||]] when it has been deleted.  Walks
+    the clause store from the start: for tests and inspection, not for
+    loops over every clause (see {!iter_binary}). *)
+
+val iter_binary : t -> (Lit.t -> Lit.t -> unit) -> unit
+(** [iter_binary t f] calls [f a b] on every live binary clause
+    [(a | b)], in storage order, without allocating. *)
 
 val root_value : t -> Lit.t -> int
 (** -1 unassigned / 0 false / 1 true under the root assignment. *)

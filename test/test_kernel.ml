@@ -44,6 +44,45 @@ let test_search_pins () =
       ("2x2-p", "homo-torus-8x8", 0, 1, 307, 705650, 7935);
     ]
 
+(* ---------------- search pin through learnt-DB reduction ---------------- *)
+
+(* PHP(9,8): nine pigeons, eight holes, variable [p * 8 + h] = pigeon p
+   in hole h.  The hole constraints come first, then each pigeon's
+   at-least-one clause, everything in descending order: last hole and
+   last pigeon first.  Its search learns past the
+   8000-clause limit, so [reduce_db] deletes learnt clauses and the
+   clause store is compacted: the pinned counts cover deletion order,
+   compaction and relocated reasons and watches.  The proof logs every
+   deletion, and the checker must accept it. *)
+let php_9_8 () =
+  let pigeons = 9 and holes = 8 in
+  let var p h = (p * holes) + h in
+  let mutex = ref [] in
+  for h = 0 to holes - 1 do
+    for p1 = 0 to pigeons - 2 do
+      for p2 = p1 + 1 to pigeons - 1 do
+        mutex := [ Lit.neg (var p1 h); Lit.neg (var p2 h) ] :: !mutex
+      done
+    done
+  done;
+  !mutex
+  @ List.init pigeons (fun i -> List.init holes (fun h -> Lit.pos (var (pigeons - 1 - i) h)))
+
+let test_reduce_db_pin () =
+  let s = Solver.create () in
+  let proof = Proof.create () in
+  Solver.set_proof s (Some proof);
+  ignore (Solver.new_vars s 72);
+  List.iter (Solver.add_clause s) (php_9_8 ());
+  Alcotest.(check bool) "unsat" true (Solver.solve s = Solver.Unsat);
+  let st = Solver.stats s in
+  Alcotest.(check (triple int int int))
+    "PHP(9,8) (conflicts, propagations, decisions)" (26649, 344240, 32256)
+    (st.Solver.conflicts, st.Solver.propagations, st.Solver.decisions);
+  Alcotest.(check int) "learnt clauses kept" 6681 st.Solver.learnt;
+  Alcotest.(check int) "proof steps" 46611 (Proof.n_steps proof);
+  Alcotest.(check bool) "refutation checks" true (Drat.check proof = Drat.Valid)
+
 (* ---------------- binary-heavy differential properties ---------------- *)
 
 (* Random CNFs shaped like the mapper's: at least four binary clauses
@@ -162,6 +201,7 @@ let suites =
       [
         Alcotest.test_case "search pins" `Quick test_search_pins;
         Alcotest.test_case "binary learnt clause as a reason" `Quick test_binary_learnt_reason;
+        Alcotest.test_case "PHP(9,8) pin through learnt-DB reduction" `Slow test_reduce_db_pin;
       ]
       @ List.map QCheck_alcotest.to_alcotest [ prop_binary_heavy_agrees; prop_binary_heavy_drat ]
     );

@@ -311,6 +311,30 @@ let test_totalizer_tightening () =
   Card.Totalizer.assert_at_most tot 2;
   Alcotest.(check bool) "k=2 unsat" true (Solver.solve s = Solver.Unsat)
 
+(* [count_at_most_k] counts exactly what [at_most_k_array] stores, with
+   and without a guard literal on every clause: fresh literals leave the
+   solver nothing to shorten or drop. *)
+let test_count_at_most_k () =
+  for n = 0 to 12 do
+    for k = 0 to n + 1 do
+      List.iter
+        (fun extra ->
+          let s = Solver.create () in
+          let arr = Array.init n (fun _ -> Lit.pos (Solver.new_var s)) in
+          if extra = 1 then Solver.set_guard s (Some (Lit.pos (Solver.new_var s)));
+          Card.at_most_k_array s arr k;
+          let stored = List.init (Solver.n_clause_slots s) (Solver.clause_view s) in
+          let literals = List.fold_left (fun acc c -> acc + Array.length c) 0 stored in
+          let size = { Card.clauses = 0; literals = 0 } in
+          Card.count_at_most_k size ~extra n k;
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "n=%d k=%d extra=%d" n k extra)
+            (List.length stored, literals)
+            (size.Card.clauses, size.Card.literals))
+        [ 0; 1 ]
+    done
+  done
+
 let prop_at_most_k_random =
   QCheck2.Test.make ~name:"at_most_k never admits overflow" ~count:100
     QCheck2.Gen.(tup2 (int_range 2 9) (int_range 0 60_000))
@@ -689,6 +713,26 @@ let test_add_clause_dedupes () =
     [ [| Lit.neg 0; Lit.pos 1; Lit.pos 2 |]; Array.init 30 Lit.neg ]
     (stored s)
 
+(* Units are asserted, not stored; [clause_view] hands out copies, and
+   [iter_binary] walks exactly the stored binary clauses, in order. *)
+let test_stored_clauses () =
+  let s = Solver.create () in
+  ignore (Solver.new_vars s 5);
+  Solver.add_clause s [ Lit.pos 1; Lit.pos 0 ];
+  Solver.add_clause s [ Lit.pos 0; Lit.pos 1; Lit.pos 2 ];
+  Solver.add_clause s [ Lit.neg 3; Lit.pos 4 ];
+  Solver.add_clause s [ Lit.neg 2 ];
+  Alcotest.(check int) "three clauses stored" 3 (Solver.n_clause_slots s);
+  (Solver.clause_view s 0).(0) <- Lit.pos 4;
+  Alcotest.check clause_list "views are copies"
+    [ [| Lit.pos 0; Lit.pos 1 |]; [| Lit.pos 0; Lit.pos 1; Lit.pos 2 |]; [| Lit.neg 3; Lit.pos 4 |] ]
+    (stored s);
+  let binaries = ref [] in
+  Solver.iter_binary s (fun a b -> binaries := (a, b) :: !binaries);
+  Alcotest.(check (list (pair int int))) "binary clauses"
+    [ (Lit.pos 0, Lit.pos 1); (Lit.neg 3, Lit.pos 4) ]
+    (List.rev !binaries)
+
 let test_add_clause_tautology () =
   let s = Solver.create () in
   ignore (Solver.new_vars s 3);
@@ -756,6 +800,8 @@ let suites =
     ( "sat:add_clause",
       [
         Alcotest.test_case "duplicates merged, literals sorted" `Quick test_add_clause_dedupes;
+        Alcotest.test_case "units asserted, views copied, binaries walked" `Quick
+          test_stored_clauses;
         Alcotest.test_case "tautologies dropped, with and without guard" `Quick
           test_add_clause_tautology;
         Alcotest.test_case "clause true at the root dropped" `Quick
@@ -770,6 +816,8 @@ let suites =
         Alcotest.test_case "exactly one" `Quick test_exactly_one;
         Alcotest.test_case "at most k" `Quick test_at_most_k;
         Alcotest.test_case "at least k" `Quick test_at_least_k;
+        Alcotest.test_case "count_at_most_k counts the stored clauses" `Quick
+          test_count_at_most_k;
         Alcotest.test_case "totalizer bound" `Quick test_totalizer_bound;
         Alcotest.test_case "totalizer tightening" `Quick test_totalizer_tightening;
       ] );
