@@ -541,8 +541,10 @@ let run_inprocess opts =
 (* Explanation overhead: unsat-core extraction on infeasible cells     *)
 (* ------------------------------------------------------------------ *)
 
-(* 2x2 cells proven infeasible by real search.  The [plain] column is
-   the bare infeasibility proof; [explain] adds grouped re-encoding,
+(* 2x2 cells proven infeasible by real search: routing-infeasible, so
+   the Hall step (which answers placement pigeonholes such as mac at
+   II 1 before any search) passes them to the engine.  The [plain]
+   column is the bare infeasibility proof; [explain] adds grouped re-encoding,
    assumption solving, deletion-based core minimization and the
    DRAT-checked refutation of the core's rows alone. *)
 let run_explain opts =
@@ -584,7 +586,7 @@ let run_explain opts =
               Printf.printf "  %-10s ii%-3d core extraction hit the deadline\n%!" bench ii
           | IM.Mapped _ | IM.Timeout _ ->
               Printf.printf "  %-10s ii%-3d not an infeasible cell — skipped\n%!" bench ii))
-    [ ("mac", 1); ("exp_4", 1); ("mac", 2) ];
+    [ ("accum", 2) ];
   print_newline ()
 
 (* ------------------------------------------------------------------ *)

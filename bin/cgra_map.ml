@@ -130,9 +130,10 @@ let archs_cmd =
 
 let certify_arg =
   let doc =
-    "Certify the verdict: an infeasible answer must carry a DRAT refutation that the \
-     independent in-repo checker validates (feasible answers are always validated by the \
-     mapping checker)."
+    "Certify the verdict: an infeasible answer must carry evidence an independent in-repo \
+     checker validates: a Hall witness (too few capable functional units for a set of \
+     operations) or a DRAT refutation (feasible answers are always validated by the mapping \
+     checker)."
   in
   Arg.(value & flag & info [ "certify" ] ~doc)
 
@@ -173,7 +174,15 @@ let print_verdict_json ~engine ~t0 result =
   print_endline (Jsonl.to_string (Serve_protocol.verdict_to_json v))
 
 let map_cmd =
-  let run bench arch size contexts limit optimize certify solver json =
+  let explain_arg =
+    let doc =
+      "Explain an infeasible answer: attach a minimal constraint-group unsat core (printed as \
+       a $(b,core) array with $(b,--json)); with $(b,--certify) the core's own refutation is \
+       the certificate.  See $(b,explain)."
+    in
+    Arg.(value & flag & info [ "explain" ] ~doc)
+  in
+  let run bench arch size contexts limit optimize certify explain solver json =
     let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
@@ -181,7 +190,7 @@ let map_cmd =
     let t0 = Deadline.now () in
     let result =
       try
-        IM.map ~objective ?solver ~deadline:(deadline_of limit) ~certify dfg mrrg
+        IM.map ~objective ?solver ~deadline:(deadline_of limit) ~certify ~explain dfg mrrg
       with Backend.Error msg ->
         prerr_endline ("backend error: " ^ msg);
         exit 1
@@ -205,16 +214,23 @@ let map_cmd =
           print_endline (Mapping.to_string m)
       | IM.Infeasible info ->
           Printf.printf "infeasible (proven in %.2fs)\n" info.IM.solve_seconds;
+          Option.iter
+            (fun d -> print_string (Format.asprintf "%a" IM.pp_diagnosis d))
+            info.IM.diagnosis;
           if certify then
-            if info.IM.certified then
+            if not info.IM.certified then begin
+              print_endline "certification incomplete (deadline hit during proof replay)";
+              exit 3
+            end
+            else if info.IM.evidence = Some IM.Hall then
+              print_endline
+                "certified: Hall witness (operations outnumbering their capable functional \
+                 units) validated by the independent checker"
+            else
               Printf.printf
                 "certified: DRAT refutation (%d inference steps) validated by the independent \
                  checker\n"
                 info.IM.proof_steps
-            else begin
-              print_endline "certification incomplete (deadline hit during proof replay)";
-              exit 3
-            end
       | IM.Timeout _ ->
           print_endline "timeout: feasibility undecided";
           exit 3
@@ -224,7 +240,7 @@ let map_cmd =
        ~doc:"Map a benchmark onto an architecture with the exact ILP mapper (paper Fig. 7).")
     Term.(
       const run $ benchmark_arg $ arch_arg $ size_arg $ contexts_arg $ limit_arg $ optimize_arg
-      $ certify_arg $ backend_arg $ json_arg)
+      $ certify_arg $ explain_arg $ backend_arg $ json_arg)
 
 let backends_cmd =
   let run () =
@@ -300,7 +316,9 @@ let explain_cmd =
        ~doc:
          "Explain why a benchmark does not map: extract a minimal constraint-group unsat \
           core (which placements, routings and resource exclusivities conflict), verify it \
-          with a DRAT-checked refutation of its rows alone, and print it in DFG/MRRG terms.")
+          with a DRAT-checked refutation of its rows alone (or, when some operations \
+          outnumber the functional units able to run them, by counting on those rows), and \
+          print it in DFG/MRRG terms.")
     Term.(const run $ benchmark_arg $ arch_arg $ size_arg $ contexts_arg $ limit_arg $ json_arg)
 
 let anneal_cmd =

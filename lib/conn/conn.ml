@@ -520,6 +520,7 @@ let impl =
           extract = (fun assign -> mapping t assign);
           warm = (fun m -> apply_warm_phases t m);
           describe_value = (fun j -> describe_value t j);
+          placement_var = (fun ~op ~fu -> Hashtbl.find_opt t.f_vars (fu, op));
         });
   }
 

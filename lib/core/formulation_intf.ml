@@ -9,6 +9,7 @@ type built = {
   extract : bool array -> Mapping.t;
   warm : Mapping.t -> unit;
   describe_value : int -> string;
+  placement_var : op:int -> fu:int -> Model.var option;
 }
 
 type impl = {
@@ -97,6 +98,7 @@ let paper =
           extract = (fun assign -> Extract.mapping f assign);
           warm = (fun m -> apply_warm_phases f m);
           describe_value = (fun j -> Formulation.value_description f j);
+          placement_var = (fun ~op ~fu -> Hashtbl.find_opt f.Formulation.f_vars (fu, op));
         });
   }
 

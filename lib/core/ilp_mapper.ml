@@ -15,6 +15,10 @@ type diagnosis = {
   conflict_resources : string list;
 }
 
+type evidence = Hall | Drat
+
+let evidence_name = function Hall -> "hall" | Drat -> "drat"
+
 type info = {
   size : Formulation.size;
   solve_seconds : float;
@@ -27,24 +31,16 @@ type info = {
   proof_steps : int;
   inprocess : (string * int) list;
   diagnosis : diagnosis option;
+  evidence : evidence option;
 }
 
 type result = Mapped of Mapping.t * info | Infeasible of info | Timeout of info
 
-(* Certify a group core and translate it back into mapping vocabulary:
-   which operations, values and resources the blame falls on.  The
-   certificate is a DRAT-checked refutation of the core's rows alone,
-   logged into [proof] when given.  Group-label vocabulary is shared across
-   formulations (see Formulation_intf), so the parse below works for
-   any registered formulation. *)
-let diagnose ?deadline ?proof (f : Formulation_intf.built) (core : Unsat_core.core) =
-  let verified =
-    match Unsat_core.check ?deadline ?proof f.Formulation_intf.model core.Unsat_core.groups with
-    | Some true -> true
-    | Some false ->
-        failwith "Ilp_mapper: extracted core is satisfiable on its own (bug)"
-    | None -> false
-  in
+(* A group core in mapping vocabulary: which operations, values and
+   resources the blame falls on.  Group-label vocabulary is shared
+   across formulations (see Formulation_intf), so the parse below
+   works for any registered formulation. *)
+let diagnosis_of (f : Formulation_intf.built) ~groups ~minimized ~verified ~sat_calls =
   let ops = ref [] and values = ref [] and resources = ref [] in
   List.iter
     (fun label ->
@@ -54,16 +50,29 @@ let diagnose ?deadline ?proof (f : Formulation_intf.built) (core : Unsat_core.co
       | Some (Formulation.Routing j) ->
           values := f.Formulation_intf.describe_value j :: !values
       | None -> ())
-    core.Unsat_core.groups;
+    groups;
   {
-    core = core.Unsat_core.groups;
-    core_minimized = core.Unsat_core.minimized;
+    core = groups;
+    core_minimized = minimized;
     core_verified = verified;
-    core_sat_calls = core.Unsat_core.sat_calls;
+    core_sat_calls = sat_calls;
     conflict_ops = List.rev !ops;
     conflict_values = List.rev !values;
     conflict_resources = List.rev !resources;
   }
+
+(* Certify an extracted core: a DRAT-checked refutation of the core's
+   rows alone, logged into [proof] when given. *)
+let diagnose ?deadline ?proof (f : Formulation_intf.built) (core : Unsat_core.core) =
+  let verified =
+    match Unsat_core.check ?deadline ?proof f.Formulation_intf.model core.Unsat_core.groups with
+    | Some true -> true
+    | Some false ->
+        failwith "Ilp_mapper: extracted core is satisfiable on its own (bug)"
+    | None -> false
+  in
+  diagnosis_of f ~groups:core.Unsat_core.groups ~minimized:core.Unsat_core.minimized ~verified
+    ~sat_calls:core.Unsat_core.sat_calls
 
 (* Under [explain] the certificate is the core's own refutation (see
    [verdict]), so only a certified unexplained verdict needs the solve
@@ -89,6 +98,8 @@ let verdict ?deadline ?proof ~certify ~explain ~objective ~solver ~build_seconds
       proof_steps = (match proof with Some p -> Proof.n_steps p | None -> 0);
       inprocess = report.Solve.inprocess;
       diagnosis;
+      evidence =
+        (match report.Solve.outcome with Solve.Infeasible -> Some Drat | _ -> None);
     }
   in
   match report.Solve.outcome with
@@ -148,6 +159,69 @@ let verdict ?deadline ?proof ~certify ~explain ~objective ~solver ~build_seconds
          certified by construction, whether or not proof logging ran. *)
       Mapped (mapping, info ~objective_value ~proven_optimal ~certified:true ())
 
+(* The Hall step's answer (see Hall): an infeasibility decided by a
+   checked witness before any engine runs.  Under [explain] the model
+   is built for the core's sake only: the counting certificate verifies
+   the core against the model's own rows, and one checked assignment
+   per group, each an alternating-path flip, shows it minimal. *)
+let hall_verdict ~started ~certify ~explain ~build dfg mrrg d =
+  let w = Hall.witness d in
+  (match Hall.check_witness dfg mrrg w with
+  | Ok () -> ()
+  | Error msg -> failwith ("Ilp_mapper: the Hall witness fails its checker (bug): " ^ msg));
+  let built, build_seconds =
+    if explain then begin
+      let t0 = Deadline.now () in
+      let f : Formulation_intf.built = build () in
+      (Some f, Deadline.elapsed_of ~start:t0)
+    end
+    else (None, 0.0)
+  in
+  let diagnosis =
+    Option.map
+      (fun (f : Formulation_intf.built) ->
+        let model = f.Formulation_intf.model in
+        let groups = Hall.core_groups dfg mrrg w in
+        diagnosis_of f ~groups
+          ~verified:(Result.is_ok (Hall.check_counting model groups))
+          ~minimized:
+            (Hall.check_relaxations model ~placement_var:f.Formulation_intf.placement_var groups
+               (Hall.relaxations dfg mrrg d))
+          ~sat_calls:0)
+      built
+  in
+  Infeasible
+    {
+      size =
+        (match built with
+        | Some f -> f.Formulation_intf.size
+        | None -> { Formulation.n_f = 0; n_r = 0; n_rk = 0; n_rows = 0 });
+      solve_seconds = Deadline.elapsed_of ~start:started -. build_seconds;
+      build_seconds;
+      build_phases = (match built with Some f -> f.Formulation_intf.phases | None -> []);
+      objective_value = None;
+      proven_optimal = true;
+      sat_calls = 0;
+      certified = (certify && match diagnosis with Some d -> d.core_verified | None -> true);
+      proof_steps = 0;
+      inprocess = [];
+      diagnosis;
+      evidence = Some Hall;
+    }
+
+let solve_built ?deadline ?proof ~(solver : Solver_spec.t) (f : Formulation_intf.built) =
+  match solver.Solver_spec.engine with
+  | Solver_spec.Native engine ->
+      Solve.solve_report ?deadline ~engine ?proof f.Formulation_intf.model
+  | Solver_spec.External b ->
+      (* LP export, subprocess, replayed solution (see
+         {!Cgra_backend.Milp_adapter}); no DRAT trace exists, so an
+         external Infeasible is certified only through its core *)
+      let t0 = Deadline.now () in
+      let outcome = b.Backend.solve ?deadline f.Formulation_intf.model in
+      let solve_seconds = Deadline.elapsed_of ~start:t0 in
+      { Solve.outcome; solve_seconds; sat_calls = 0; inprocess = [] }
+
 let map ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.default) ?deadline ?cancel
     ?(warm_start = 5.0) ?(certify = false) ?(explain = false) dfg mrrg =
   let attach d = match cancel with None -> d | Some f -> Deadline.with_cancellation d f in
@@ -158,43 +232,35 @@ let map ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.default) ?
     | d, _ -> d
   in
   let t0 = Deadline.now () in
-  let f = solver.Solver_spec.formulation.Formulation_intf.build ~objective dfg mrrg in
-  (* phase hints mean nothing to a subprocess solver *)
-  let warm_start =
-    match solver.Solver_spec.engine with
-    | Solver_spec.External _ -> 0.0
-    | Solver_spec.Native _ -> (
-        (* the anneal spends the call's own budget, never more *)
-        match Option.bind deadline Deadline.remaining with
-        | Some left -> Float.min warm_start left
-        | None -> warm_start)
-  in
-  if warm_start > 0.0 then begin
-    let params = if warm_start >= 20.0 then Anneal.thorough else Anneal.moderate in
-    match
-      Anneal.map ~params ~deadline:(attach (Deadline.after ~seconds:warm_start)) dfg mrrg
-    with
-    | Anneal.Mapped (m, _) -> f.Formulation_intf.warm m
-    | Anneal.Failed _ -> ()
-  end;
-  let build_seconds = Deadline.elapsed_of ~start:t0 in
-  let proof =
-    if verdict_solve_needs_proof ~certify ~explain then Some (Proof.create ()) else None
-  in
-  let report =
-    match solver.Solver_spec.engine with
-    | Solver_spec.Native engine ->
-        Solve.solve_report ?deadline ~engine ?proof f.Formulation_intf.model
-    | Solver_spec.External b ->
-        (* LP export, subprocess, replayed solution (see
-           {!Cgra_backend.Milp_adapter}); no DRAT trace exists, so an
-           external Infeasible is certified only through its core *)
-        let t0 = Deadline.now () in
-        let outcome = b.Backend.solve ?deadline f.Formulation_intf.model in
-        let solve_seconds = Deadline.elapsed_of ~start:t0 in
-        { Solve.outcome; solve_seconds; sat_calls = 0; inprocess = [] }
-  in
-  verdict ?deadline ?proof ~certify ~explain ~objective ~solver ~build_seconds f report
+  let build () = solver.Solver_spec.formulation.Formulation_intf.build ~objective dfg mrrg in
+  match Hall.search dfg mrrg with
+  | Some d -> hall_verdict ~started:t0 ~certify ~explain ~build dfg mrrg d
+  | None ->
+      let f = build () in
+      (* phase hints mean nothing to a subprocess solver *)
+      let warm_start =
+        match solver.Solver_spec.engine with
+        | Solver_spec.External _ -> 0.0
+        | Solver_spec.Native _ -> (
+            (* the anneal spends the call's own budget, never more *)
+            match Option.bind deadline Deadline.remaining with
+            | Some left -> Float.min warm_start left
+            | None -> warm_start)
+      in
+      if warm_start > 0.0 then begin
+        let params = if warm_start >= 20.0 then Anneal.thorough else Anneal.moderate in
+        match
+          Anneal.map ~params ~deadline:(attach (Deadline.after ~seconds:warm_start)) dfg mrrg
+        with
+        | Anneal.Mapped (m, _) -> f.Formulation_intf.warm m
+        | Anneal.Failed _ -> ()
+      end;
+      let build_seconds = Deadline.elapsed_of ~start:t0 in
+      let proof =
+        if verdict_solve_needs_proof ~certify ~explain then Some (Proof.create ()) else None
+      in
+      let report = solve_built ?deadline ?proof ~solver f in
+      verdict ?deadline ?proof ~certify ~explain ~objective ~solver ~build_seconds f report
 
 let pp_diagnosis fmt d =
   let plural = function [ _ ] -> "" | _ -> "s" in

@@ -14,7 +14,9 @@ type diagnosis = {
           {!Formulation.group_subject}) whose conjunction with the hard
           rows is infeasible *)
   core_minimized : bool;
-      (** dropping any single group makes the remainder satisfiable *)
+      (** dropping any single group makes the remainder satisfiable
+          (for a Hall core: shown by one assignment per group that
+          {!Hall.check_relaxations} accepted) *)
   core_verified : bool;
       (** the core's rows alone (its groups plus the ungrouped rows)
           were refuted and {!Cgra_satoca.Drat} validated the refutation
@@ -28,6 +30,19 @@ type diagnosis = {
 }
 (** An infeasibility explanation in mapping vocabulary: which placement,
     routing and exclusivity obligations cannot be met together. *)
+
+type evidence =
+  | Hall
+      (** the Hall step ({!Hall}) found a set of operations with fewer
+          capable FU slots than members, and {!Hall.check_witness}
+          accepted it; no model was solved *)
+  | Drat
+      (** an engine's search refuted the model; with [certified] its
+          DRAT refutation was validated *)
+(** What decided an [Infeasible] verdict. *)
+
+val evidence_name : evidence -> string
+(** ["hall"] or ["drat"], as the journal and the wire record spell it. *)
 
 type info = {
   size : Formulation.size;
@@ -46,15 +61,16 @@ type info = {
   sat_calls : int;               (** SAT invocations; 0 for non-SAT engines *)
   certified : bool;
       (** the verdict carries validated evidence: a {!Check}-accepted
-          mapping for [Mapped], a {!Cgra_satoca.Drat}-validated
-          refutation for a certified [Infeasible] — of the whole model,
-          or under [explain] of the core's rows alone (the same check
-          that sets [core_verified]); always [false] for [Timeout] and
-          for uncertified [Infeasible] runs *)
+          mapping for [Mapped]; for a certified [Infeasible], a Hall
+          witness {!Hall.check_witness} accepted or a
+          {!Cgra_satoca.Drat}-validated refutation — of the whole
+          model, or under [explain] of the core's rows alone (the same
+          check that sets [core_verified]); always [false] for
+          [Timeout] and for uncertified [Infeasible] runs *)
   proof_steps : int;
-      (** DRAT derivation steps logged; 0 unless certifying.  Under
-          [explain] an [Infeasible]'s steps are those of the core's
-          refutation. *)
+      (** DRAT derivation steps logged; 0 unless certifying, and 0 for
+          a Hall answer.  Under [explain] an [Infeasible]'s steps are
+          those of the core's refutation. *)
   inprocess : (string * int) list;
       (** SAT inprocessing counters ([probed_failed]) of the solver
           behind the verdict; empty when no in-process
@@ -63,6 +79,9 @@ type info = {
   diagnosis : diagnosis option;
       (** present only for an [Infeasible] verdict under [~explain:true]
           whose core extraction finished before the deadline *)
+  evidence : evidence option;
+      (** what decided an [Infeasible] verdict; [None] for [Mapped] and
+          [Timeout] *)
 }
 
 type result =
@@ -85,6 +104,20 @@ val map :
     {!Solver_spec.default} (the paper formulation on the SAT engine),
     no deadline.  Mappings are checked with {!Check} before being
     returned.
+
+    {b The Hall step.}  Before the warm start, the formulation build
+    and any engine, [map] matches operations to the FU slots able to
+    run them ({!Hall.search}).  A deficiency answers [Infeasible] with
+    [evidence = Some Hall]: its witness must pass
+    {!Hall.check_witness}, and [certified] follows [certify].  Without
+    [explain] no model is built.  Under [explain] the model is built
+    and the core is the witness's [place:]/[excl:] groups
+    ({!Hall.core_groups}); [core_verified] comes from
+    {!Hall.check_counting} on the model's rows, [core_minimized] from
+    {!Hall.check_relaxations}, and [core_sat_calls], [sat_calls] and
+    [proof_steps] are 0.  The step runs for every formulation and
+    every solver; nothing disables it.  Code that needs an engine's
+    own refutation builds the model and calls {!solve_built}.
 
     [solver] picks the formulation and the solver in one value, parsed
     from a name by {!Solver_spec.of_name}.  The model the formulation
@@ -147,11 +180,43 @@ val map :
     terms.  A deadline hit during extraction leaves
     [diagnosis = None], and a deadline hit during extraction or the
     core's refutation leaves the verdict uncertified.
-    @raise Failure if the solver returns an assignment the independent
+    @raise Failure if the Hall witness fails its checker, if the
+    solver returns an assignment the independent
     checker rejects, a DRAT certificate the independent checker
     refutes, or an unsat core whose rows are satisfiable (a bug, or an
     external solver contradicting the native one; never an input
     error). *)
+
+val hall_verdict :
+  started:float ->
+  certify:bool ->
+  explain:bool ->
+  build:(unit -> Formulation_intf.built) ->
+  Dfg.t ->
+  Mrrg.t ->
+  Hall.deficiency ->
+  result
+(** The Hall step's answer for a deficiency {!Hall.search} found on
+    the DFG and MRRG: an [Infeasible] result as {!map} describes it.
+    [build] is called only under [explain]; [started] is the
+    {!Cgra_util.Deadline.now} reading the step's [solve_seconds] count
+    from.  {!map} and the serve daemon's sessions both answer through
+    it.
+    @raise Failure if the witness fails {!Hall.check_witness}. *)
+
+val solve_built :
+  ?deadline:Cgra_util.Deadline.t ->
+  ?proof:Cgra_satoca.Proof.t ->
+  solver:Solver_spec.t ->
+  Formulation_intf.built ->
+  Cgra_ilp.Solve.report
+(** The engine step of {!map} alone: [solver]'s engine on the built
+    model — {!Cgra_ilp.Solve.solve_report} for a native engine, the
+    LP export and subprocess for an external one.  No Hall step and no
+    warm start; pass the report to {!verdict}.  The sweep's
+    cross-check and the fuzzer use it to have an engine re-prove a
+    cell the Hall step decides.
+    @raise Cgra_backend.Backend.Error as {!map} does. *)
 
 val verdict_solve_needs_proof : certify:bool -> explain:bool -> bool
 (** Whether the solve behind a verdict must log a DRAT proof: under

@@ -23,10 +23,16 @@
       byte-identical LP renderings of the sample's model;
     - {b mapped-check} — a [Mapped] verdict's mapping is re-accepted
       by the independent {!Cgra_core.Check};
+    - {b hall-vs-engine} — on a sample the Hall step refutes
+      ({!Cgra_core.Hall.search}), the paper formulation's model solved
+      directly by the SAT engine ({!Cgra_core.Ilp_mapper.solve_built},
+      i.e. {!Cgra_ilp.Solve.solve_report}) never returns an
+      assignment;
     - {b formulation-vs-conn} — the connectivity formulation
-      ({!Cgra_conn.Conn}) and the paper formulation agree on the
-      sample's feasibility verdict whenever both finish (a timeout on
-      either side proves nothing);
+      ({!Cgra_conn.Conn}) and the paper formulation, each model built
+      and solved directly by the SAT engine (so the Hall step does not
+      decide both sides), agree on the sample's feasibility verdict
+      whenever both finish (a timeout on either side proves nothing);
     - {b wrap-monotone} — adding wrap-around links never turns
       [Mapped] into [Infeasible] (a torus contains every mesh link);
     - {b journal-roundtrip} — the outcome survives the sweep journal's

@@ -79,6 +79,7 @@ type verdict = {
   certified : bool;
   proof_steps : int;
   core : string list;
+  evidence : string option;
   provenance : provenance;
 }
 
@@ -136,6 +137,7 @@ let verdict_of_result ?(mrrg_cache_hit = false) ?(cache_hit = false) ?(warm_star
     certified = info.IM.certified;
     proof_steps = info.IM.proof_steps;
     core;
+    evidence = Option.map IM.evidence_name info.IM.evidence;
     provenance;
   }
 
@@ -298,6 +300,7 @@ let verdict_to_json v =
     @ (match v.core with
       | [] -> []
       | core -> [ ("core", Jsonl.List (List.map (fun g -> Jsonl.Str g) core)) ])
+    @ opt_field "evidence" (fun e -> Jsonl.Str e) v.evidence
     @ [ ("provenance", provenance_to_json v.provenance) ])
 
 let verdict_of_json obj =
@@ -327,6 +330,7 @@ let verdict_of_json obj =
     certified = get_or obj "certified" bool_opt false;
     proof_steps = get_or obj "proof_steps" int_opt 0;
     core;
+    evidence = get obj "evidence" str_opt;
     provenance =
       (match Jsonl.member "provenance" obj with
       | Some p -> provenance_of_json p

@@ -103,6 +103,10 @@ type verdict = {
   certified : bool;
   proof_steps : int;
   core : string list;  (** constraint-group unsat core, when explained *)
+  evidence : string option;
+      (** what decided an infeasible verdict, ["hall"] or ["drat"]
+          ({!Cgra_core.Ilp_mapper.evidence_name}); [None] otherwise and
+          for records that predate the field *)
   provenance : provenance;
 }
 

@@ -17,6 +17,14 @@
     IIs share nothing: each II's formula has its own variables, so
     nothing learnt at one II could constrain another.
 
+    On first use of an II the session runs one-shot's Hall step
+    ({!Cgra_core.Hall.search}) before it builds anything.  An II the
+    step refutes keeps only the deficiency, and every query at it is
+    answered by {!Cgra_core.Ilp_mapper.hall_verdict}: no model is
+    encoded and no solver runs.  An explained query there builds the
+    model its core is checked against, once, and keeps it.  A repeat
+    at such an II is a [cache_hit], never a [warm_start].
+
     A session holds one {!Cgra_core.Solver_spec}'s formulation on the
     native SAT engine and answers {e feasibility} queries, explained
     and certified through the core or not: an answer goes through
@@ -36,14 +44,19 @@ type t
 
 type outcome = {
   result : Cgra_core.Ilp_mapper.result;
-  cache_hit : bool;  (** this (II)'s encoding was already compiled in *)
-  warm_start : bool;  (** this II's solver had completed at least one prior solve *)
+  cache_hit : bool;
+      (** this II was already resident: its encoding compiled in, or
+          its Hall deficiency kept *)
+  warm_start : bool;
+      (** this II's solver had completed at least one prior solve
+          ([false] at an II the Hall step refuted: it has no solver) *)
   solves : int;  (** total solves served by this session, including this one *)
   solve_stats : Cgra_satoca.Solver.stats;
       (** {e this} solve's share of the II's solver counters — a
           {!Cgra_satoca.Solver.stats_delta} against the pre-solve
           snapshot, not the cumulative totals.  Two sequential solves
-          therefore report disjoint work. *)
+          therefore report disjoint work.  All zero for a Hall
+          answer. *)
 }
 
 val accepts : Cgra_core.Solver_spec.t -> bool

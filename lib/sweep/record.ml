@@ -13,6 +13,7 @@ type t = {
   certified : bool;
   objective : int option;
   core : string list;
+  evidence : string option;
   cross : cross option;
 }
 
@@ -28,6 +29,7 @@ let error job msg =
     certified = false;
     objective = None;
     core = [];
+    evidence = None;
     cross = None;
   }
 
@@ -90,6 +92,7 @@ let to_json r =
     | [] -> []
     | groups -> [ ("core", Jsonl.List (List.map (fun g -> Jsonl.Str g) groups)) ]
   in
+  let evidence = match r.evidence with Some e -> [ ("evidence", Jsonl.Str e) ] | None -> [] in
   (* cross-check provenance, only for cross-checked cells; a violated
      check additionally carries ["disagreement": true] so journals can
      be grepped for the only lines that ever matter *)
@@ -107,7 +110,7 @@ let to_json r =
           | None -> [])
         @ if c.agreed then [] else [ ("disagreement", Jsonl.Bool true) ]
   in
-  Jsonl.Obj (base @ objective @ core @ cross @ extra)
+  Jsonl.Obj (base @ objective @ core @ evidence @ cross @ extra)
 
 let of_json j =
   let str k = Option.bind (Jsonl.member k j) Jsonl.to_str in
@@ -163,6 +166,8 @@ let of_json j =
               (match Jsonl.member "core" j with
               | Some (Jsonl.List items) -> List.filter_map Jsonl.to_str items
               | _ -> []);
+            (* absent in journals that predate it *)
+            evidence = str "evidence";
             cross;
           })
         status

@@ -46,6 +46,11 @@ type t = {
           was requested or extracted, and for records from
           pre-explanation journals.  Journaled as a ["core"] JSON array
           only when non-empty. *)
+  evidence : string option;
+      (** what decided an [Infeasible] verdict: ["hall"] or ["drat"]
+          ({!Cgra_core.Ilp_mapper.evidence_name}).  Journaled as
+          ["evidence"] only when present; [None] for other statuses
+          and for records from journals that predate the field. *)
   cross : cross option;
       (** second opinion from a [--cross-check] backend; [None] when
           the cell was not cross-checked (including all records from

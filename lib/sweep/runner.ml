@@ -8,6 +8,7 @@ module Formulation = Cgra_core.Formulation
 module Anneal = Cgra_core.Anneal
 module Check = Cgra_core.Check
 module Solver_spec = Cgra_core.Solver_spec
+module Formulation_intf = Cgra_core.Formulation_intf
 module Deadline = Cgra_util.Deadline
 
 type variant = { name : string; solver : Solver_spec.t; warm_start : float }
@@ -100,6 +101,7 @@ let record_of_result (job : Job.t) ~engine ~total_seconds result =
       (match info.IM.diagnosis with
       | Some d -> d.IM.core
       | None -> []);
+    evidence = Option.map IM.evidence_name info.IM.evidence;
     cross = None;
   }
 
@@ -123,6 +125,31 @@ let run_variant ?cancel ?certify ?explain (variant : variant) (job : Job.t) =
           { (Record.error job (Printexc.to_string e)) with
             Record.total_seconds = Deadline.elapsed_of ~start:t0;
             engine = variant.name;
+          })
+
+(* The engine's own answer, as a cross-check needs it: the model built
+   and handed to the solver directly, so a cell the Hall step decides
+   for [map] is still refuted by the engine here. *)
+let reprove (solver : Solver_spec.t) (job : Job.t) =
+  let t0 = Deadline.now () in
+  match prepare job with
+  | Error msg -> Record.error job msg
+  | Ok (dfg, mrrg) -> (
+      let objective = Formulation.Feasibility in
+      let deadline = deadline_of job in
+      match
+        let f = solver.Solver_spec.formulation.Formulation_intf.build ~objective dfg mrrg in
+        let build_seconds = Deadline.elapsed_of ~start:t0 in
+        IM.verdict ~deadline ~certify:false ~explain:false ~objective ~solver ~build_seconds f
+          (IM.solve_built ~deadline ~solver f)
+      with
+      | result ->
+          record_of_result job ~engine:solver.Solver_spec.name
+            ~total_seconds:(Deadline.elapsed_of ~start:t0) result
+      | exception e ->
+          { (Record.error job (Printexc.to_string e)) with
+            Record.total_seconds = Deadline.elapsed_of ~start:t0;
+            engine = solver.Solver_spec.name;
           })
 
 let run ?cancel ?certify ?explain (job : Job.t) =
@@ -168,5 +195,6 @@ let run_anneal ?cancel ?(seeds = 3) (job : Job.t) =
         certified = false;
         objective = None;
         core = [];
+        evidence = None;
         cross = None;
       }

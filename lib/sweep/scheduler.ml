@@ -8,10 +8,12 @@ module Deadline = Cgra_util.Deadline
 
 (* Run the cross-check solver on a cell the primary answered
    definitively and fold the second opinion into the record.  The
-   checker gets the same time budget; its timeout or error is
-   inconclusive, recorded but never a disagreement. *)
+   checker's engine solves the model itself ([Runner.reprove]), so a
+   Hall-decided cell gets an independent refutation.  It gets the same
+   time budget; its timeout or error is inconclusive, recorded but
+   never a disagreement. *)
 let cross_check_record (checker : Cgra_core.Solver_spec.t) (primary : Record.t) =
-  let second = Runner.run_variant (Runner.variant checker) primary.Record.job in
+  let second = Runner.reprove checker primary.Record.job in
   let agreed =
     Record.verdicts_agree ~status:primary.Record.status ~objective:primary.Record.objective
       ~status2:second.Record.status ~objective2:second.Record.objective

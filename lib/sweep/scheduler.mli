@@ -52,8 +52,9 @@ val run :
     {!Runner.default_racers} sized to the machine.  [racers] without
     [portfolio] is ignored.
 
-    [cross_check] is a solver to run (as {!Runner.variant} sets it up)
-    as a second, independent prover on every cell whose primary answer is
+    [cross_check] is a solver to run ({!Runner.reprove}: its engine on
+    the built model, without the Hall step) as a second, independent
+    prover on every cell whose primary answer is
     definitive ([Feasible]/[Infeasible]).  The second opinion is folded
     into the record's [cross] field and journaled with it; a
     contradiction (see {!Record.verdicts_agree}) marks the record as a

@@ -207,15 +207,16 @@ let test_unknown_formulation_rejected () =
 let test_conn_certify_and_explain () =
   (* the downstream machinery is formulation-agnostic: a conn
      infeasibility must certify (DRAT) and explain (unsat core) like a
-     paper one *)
-  let dfg = dfg_of "mac" in
-  let mrrg = cell_mrrg ~size:2 ~arch:"homo-orth" ~ii:1 in
+     paper one.  accum@hetero-orth-2x2/ii2 passes the Hall step, so
+     conn's own engine refutes it. *)
+  let dfg = dfg_of "accum" in
+  let mrrg = cell_mrrg ~size:2 ~arch:"hetero-orth" ~ii:2 in
   (match IM.map ~solver:(conn ()) ~warm_start:0.0 ~certify:true dfg mrrg with
   | IM.Infeasible info ->
       Alcotest.(check bool) "certified" true info.IM.certified;
       Alcotest.(check bool) "proof steps logged" true (info.IM.proof_steps > 0)
   | r -> Alcotest.failf "expected certified infeasible, got %s" (status r));
-  match IM.map ~solver:(conn ()) ~warm_start:0.0 ~explain:true dfg mrrg with
+  (match IM.map ~solver:(conn ()) ~warm_start:0.0 ~explain:true dfg mrrg with
   | IM.Infeasible { IM.diagnosis = Some d; _ } ->
       Alcotest.(check bool) "core non-empty" true (d.IM.core <> []);
       Alcotest.(check bool) "core verified" true d.IM.core_verified;
@@ -228,7 +229,20 @@ let test_conn_certify_and_explain () =
         d.IM.core
   | IM.Infeasible { IM.diagnosis = None; _ } ->
       Alcotest.fail "no deadline was set: extraction must complete"
-  | r -> Alcotest.failf "expected explained infeasible, got %s" (status r)
+  | r -> Alcotest.failf "expected explained infeasible, got %s" (status r));
+  (* mac@homo-orth-2x2/ii1 is capacity-infeasible: the Hall core is
+     checked against conn's own place:/excl: rows *)
+  match
+    IM.map ~solver:(conn ()) ~warm_start:0.0 ~certify:true ~explain:true (dfg_of "mac")
+      (cell_mrrg ~size:2 ~arch:"homo-orth" ~ii:1)
+  with
+  | IM.Infeasible ({ IM.diagnosis = Some d; _ } as info) ->
+      Alcotest.(check bool) "Hall evidence" true (info.IM.evidence = Some IM.Hall);
+      Alcotest.(check bool) "Hall answer certified" true info.IM.certified;
+      Alcotest.(check int) "Hall core groups" 9 (List.length d.IM.core);
+      Alcotest.(check bool) "verified by counting on conn's rows" true d.IM.core_verified;
+      Alcotest.(check bool) "minimal on conn's rows" true d.IM.core_minimized
+  | r -> Alcotest.failf "expected explained Hall infeasibility, got %s" (status r)
 
 let test_conn_optimize_bounded_by_paper_cost () =
   (* Min_routing on both formulations: the optima count different

@@ -542,14 +542,49 @@ let test_check_shared_node_diagnostic () =
 
 (* ---------------- certified verdicts ---------------- *)
 
+(* accum on the 2x2 heterogeneous orthogonal array at II 2: every
+   operation has its own capable slot, so the Hall step passes and the
+   infeasibility is routing's, refuted by the engine *)
+let accum_hetero_orth_ii2 () =
+  let config = Option.get (Library.find_config ~size:2 "hetero-orth") in
+  (Benchmarks.accum (), Build.elaborate (Library.make config) ~ii:2)
+
+(* One adder feeding three: on the 2x2 orthogonal mesh at II 1 the
+   four adders fill the four ALUs, and the corner the producer sits in
+   reaches only two of the other three.  Routing-infeasible, and small
+   enough for branch-and-bound. *)
+let fanout_dfg () =
+  let b = Dfg.Builder.create ~name:"fanout3" () in
+  let x = Dfg.Builder.add b Op.Input "x" in
+  let add name src =
+    let id = Dfg.Builder.add b Op.Add name in
+    Dfg.Builder.connect b ~src ~dst:id ~operand:0;
+    Dfg.Builder.connect b ~src ~dst:id ~operand:1;
+    id
+  in
+  let a = add "a" x in
+  List.iter
+    (fun n ->
+      let o = Dfg.Builder.add b Op.Output ("o" ^ n) in
+      Dfg.Builder.connect b ~src:(add n a) ~dst:o ~operand:0)
+    [ "b"; "c"; "d" ];
+  Dfg.Builder.freeze b
+
 let test_map_certify_infeasible () =
-  (* capacity infeasibility: the verdict must carry a checked DRAT proof *)
-  let dfg = Benchmarks.conv_2x2_f () in
-  let mrrg = mrrg_of ~ii:1 2 in
-  match IM.map ~warm_start:0.0 ~certify:true dfg mrrg with
+  (* routing infeasibility: the verdict must carry a checked DRAT proof *)
+  let dfg, mrrg = accum_hetero_orth_ii2 () in
+  (match IM.map ~warm_start:0.0 ~certify:true dfg mrrg with
   | IM.Infeasible info ->
       Alcotest.(check bool) "certified" true info.IM.certified;
-      Alcotest.(check bool) "nontrivial proof" true (info.IM.proof_steps > 0)
+      Alcotest.(check bool) "nontrivial proof" true (info.IM.proof_steps > 0);
+      Alcotest.(check bool) "decided by the engine" true (info.IM.evidence = Some IM.Drat)
+  | r -> Alcotest.failf "expected infeasible, got %a" IM.pp_result r);
+  (* capacity infeasibility: the Hall step's checked witness *)
+  match IM.map ~warm_start:0.0 ~certify:true (Benchmarks.conv_2x2_f ()) (mrrg_of ~ii:1 2) with
+  | IM.Infeasible info ->
+      Alcotest.(check bool) "Hall answer certified" true info.IM.certified;
+      Alcotest.(check bool) "decided by Hall" true (info.IM.evidence = Some IM.Hall);
+      Alcotest.(check int) "no proof logged" 0 info.IM.proof_steps
   | r -> Alcotest.failf "expected infeasible, got %a" IM.pp_result r
 
 let test_map_certify_feasible () =
@@ -573,13 +608,14 @@ let test_map_infeasible_uncertified_by_default () =
 let test_map_certify_bnb_cross_certifies () =
   (* the B&B engine cannot emit DRAT itself; Solve must cross-certify
      its Infeasible answer through a proof-logging SAT refutation *)
-  let dfg = Benchmarks.conv_2x2_f () in
+  let dfg = fanout_dfg () in
   let mrrg = mrrg_of ~ii:1 2 in
   let solver = Result.get_ok (Cgra_core.Solver_spec.of_name "native-bnb") in
   match IM.map ~solver ~warm_start:0.0 ~certify:true dfg mrrg with
   | IM.Infeasible info ->
       Alcotest.(check bool) "cross-certified" true info.IM.certified;
-      Alcotest.(check bool) "proof logged by the SAT refutation" true (info.IM.proof_steps > 0)
+      Alcotest.(check bool) "proof logged by the SAT refutation" true (info.IM.proof_steps > 0);
+      Alcotest.(check bool) "decided by the engine" true (info.IM.evidence = Some IM.Drat)
   | r -> Alcotest.failf "expected infeasible, got %a" IM.pp_result r
 
 (* ---------------- annealing mapper ---------------- *)

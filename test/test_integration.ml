@@ -207,7 +207,7 @@ let paper_mrrg ~arch ~size ~ii =
    core is reported. *)
 let test_certified_core_pins () =
   List.iter
-    (fun (bench, arch, ii, groups, sat_calls) ->
+    (fun (bench, arch, ii, groups, sat_calls, evidence) ->
       let cell = Printf.sprintf "%s@%s-2x2/ii%d" bench arch ii in
       let dfg = Option.get (Benchmarks.by_name bench) in
       match
@@ -219,12 +219,18 @@ let test_certified_core_pins () =
           Alcotest.(check bool) (cell ^ ": certified") true info.IM.certified;
           Alcotest.(check bool) (cell ^ ": core verified") true d.IM.core_verified;
           Alcotest.(check bool) (cell ^ ": core minimized") true d.IM.core_minimized;
-          Alcotest.(check bool) (cell ^ ": refutation logged") true (info.IM.proof_steps > 0)
+          Alcotest.(check bool) (cell ^ ": evidence") true (info.IM.evidence = Some evidence);
+          (* a Hall core is verified by counting, not by a logged refutation *)
+          Alcotest.(check bool) (cell ^ ": refutation logged") (evidence = IM.Drat)
+            (info.IM.proof_steps > 0)
       | r -> Alcotest.failf "%s: expected an explained infeasibility, got %a" cell IM.pp_result r)
     [
-      ("2x2-f", "homo-orth", 1, 9, 22);
-      ("mac", "homo-orth", 1, 9, 10);
-      ("accum", "hetero-orth", 2, 17, 31);
+      (* five ALU operations for four ALUs: the Hall step's core, the
+         same nine groups the SAT extraction found *)
+      ("2x2-f", "homo-orth", 1, 9, 0, IM.Hall);
+      ("mac", "homo-orth", 1, 9, 0, IM.Hall);
+      (* every operation has a slot; routing fails *)
+      ("accum", "hetero-orth", 2, 17, 31, IM.Drat);
     ]
 
 let test_explain_feasible_cell () =

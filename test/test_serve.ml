@@ -137,6 +137,7 @@ let test_protocol_response_roundtrip () =
       certified = true;
       proof_steps = 0;
       core = [ "place:a"; "excl:pe_0_0.fu:0" ];
+      evidence = Some "hall";
       provenance =
         {
           Protocol.mrrg_cache_hit = true;
@@ -180,6 +181,7 @@ let test_protocol_legacy_verdict () =
       Alcotest.(check int) "sat calls" 2 v.Protocol.sat_calls;
       Alcotest.(check bool) "certified" true v.Protocol.certified;
       Alcotest.(check int) "proof steps" 40 v.Protocol.proof_steps;
+      Alcotest.(check (option string)) "no evidence field, none read" None v.Protocol.evidence;
       Alcotest.(check bool) "retired key not re-emitted" false
         (Astring.String.is_infix ~affix:"presolve_fixed"
            (Protocol.response_to_line { Protocol.r_id; reply = Protocol.Verdict v }))
@@ -200,6 +202,7 @@ let test_protocol_decision_projection () =
       certified = false;
       proof_steps = 0;
       core = [];
+      evidence = None;
       provenance = Protocol.cold_provenance;
     }
   in
@@ -322,14 +325,31 @@ let test_session_refuses_unlogged_certify () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "certify without explain was answered uncertified"
 
+let hall_answer (o : Session.outcome) =
+  match o.Session.result with
+  | IM.Infeasible { IM.evidence = Some IM.Hall; _ } -> true
+  | _ -> false
+
 let test_session_repeat_infeasible () =
+  (* accum@hetero-orth-2x2/ii2 passes the Hall step: its infeasibility
+     is the resident solver's refutation, and the repeat reuses it *)
+  let session = Session.create (benchmark "accum") in
+  let mrrg = small_mrrg ~arch_name:"hetero-orth" 2 in
+  let o1 = Session.solve session ~mrrg ~ii:2 in
+  let o2 = Session.solve session ~mrrg ~ii:2 in
+  Alcotest.(check string) "accum ii=2 infeasible" "infeasible" (status_of o1.Session.result);
+  Alcotest.(check string) "repeat still infeasible" "infeasible" (status_of o2.Session.result);
+  Alcotest.(check bool) "repeat warm + hit" true
+    (o2.Session.cache_hit && o2.Session.warm_start);
+  (* mac@homo-orth-2x2/ii2 fails Hall's condition: the II keeps its
+     deficiency, so the repeat is a hit but has no solver to warm *)
   let session = Session.create (benchmark "mac") in
   let o1 = Session.solve session ~mrrg:(small_mrrg 2) ~ii:2 in
   let o2 = Session.solve session ~mrrg:(small_mrrg 2) ~ii:2 in
-  Alcotest.(check string) "mac ii=2 infeasible" "infeasible" (status_of o1.Session.result);
-  Alcotest.(check string) "repeat still infeasible" "infeasible" (status_of o2.Session.result);
-  Alcotest.(check bool) "repeat warm + hit" true
-    (o2.Session.cache_hit && o2.Session.warm_start)
+  Alcotest.(check bool) "Hall answer" true (hall_answer o1 && hall_answer o2);
+  Alcotest.(check bool) "repeat hit, not warm" true
+    (o2.Session.cache_hit && not o2.Session.warm_start);
+  Alcotest.(check (list int)) "the II is resident" [ 2 ] (Session.compiled_iis session)
 
 let test_session_per_solve_stats () =
   (* The resident solver accumulates counters for the session's entire
@@ -405,7 +425,8 @@ let prop_session_agrees_with_oneshot =
           status_of cold = status_of o1.Session.result
           && status_of cold = status_of o2.Session.result
           && o2.Session.cache_hit
-          && o2.Session.warm_start)
+          (* an II the Hall step refutes has no solver to warm *)
+          && o2.Session.warm_start = not (hall_answer o2))
         [ 1; 2 ])
 
 (* ---------------- engine ---------------- *)
@@ -499,8 +520,12 @@ let test_engine_explain_runs_unlocked () =
      request's solve, and it must return before the explained request
      does. *)
   let e = Engine.create () in
-  let plain = map_request ~bench:"mac" ~contexts:1 () in
-  let explained = map_request ~bench:"mac" ~contexts:2 ~certify:true ~explain:true () in
+  (* accum@hetero-orth-2x2: II 1 is a Hall answer, II 2 the engine's
+     refutation, whose core extraction takes SAT calls *)
+  let plain = map_request ~bench:"accum" ~arch:"hetero-orth" ~contexts:1 () in
+  let explained =
+    map_request ~bench:"accum" ~arch:"hetero-orth" ~contexts:2 ~certify:true ~explain:true ()
+  in
   ignore (handle e plain);
   let explained_done = Atomic.make false in
   let d =
@@ -640,8 +665,9 @@ let test_socket_end_to_end () =
           | Protocol.Ok_reply -> ()
           | _ -> Alcotest.fail "ping failed");
           (* cold then warm: the repeat must hit the encoding cache and
-             reuse solver state. *)
-          let req = map_request ~bench:"mac" ~contexts:2 () in
+             reuse solver state (a routing-infeasible cell, so a solver
+             decides it). *)
+          let req = map_request ~bench:"accum" ~arch:"hetero-orth" ~contexts:2 () in
           let v1 = map_reply client ~id:"1" req in
           let v2 = map_reply client ~id:"2" req in
           Alcotest.(check string) "cold infeasible" "infeasible" v1.Protocol.status;

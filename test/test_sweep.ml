@@ -79,6 +79,7 @@ let test_record_roundtrip () =
       certified = true;
       objective = None;
       core = [];
+      evidence = Some "drat";
       cross = None;
     }
   in
@@ -101,6 +102,7 @@ let test_record_core_roundtrip () =
       certified = false;
       objective = None;
       core = [ "place:mul0"; "excl:pe_0_0.fu"; "route:val2" ];
+      evidence = Some "hall";
       cross = None;
     }
   in
@@ -126,7 +128,9 @@ let test_record_certified_default () =
   in
   match Record.of_line line with
   | Error e -> Alcotest.failf "legacy line rejected: %s" e
-  | Ok r -> Alcotest.(check bool) "legacy record is uncertified" false r.Record.certified
+  | Ok r ->
+      Alcotest.(check bool) "legacy record is uncertified" false r.Record.certified;
+      Alcotest.(check (option string)) "legacy record names no evidence" None r.Record.evidence
 
 let test_record_error_roundtrip () =
   let r = Record.error (job ()) "boom: \"quoted\" reason" in
@@ -402,6 +406,20 @@ let test_scheduler_cross_check_agrees () =
           Alcotest.(check bool) "no contradiction" true c.Record.agreed)
     records
 
+let test_reprove_bypasses_hall () =
+  (* mac@homo-orth-2x2/ii1 has five ALU operations for four ALUs: the
+     primary answers it by the Hall step, and the cross-check's
+     [reprove] must have the engine refute the model itself *)
+  let j = job () in
+  let primary = Runner.run j in
+  Alcotest.(check (option string)) "primary decided by Hall" (Some "hall") primary.Record.evidence;
+  Alcotest.(check int) "no SAT call for the primary" 0 primary.Record.sat_calls;
+  let second = Runner.reprove (solver "native-sat") j in
+  Alcotest.(check string) "the engine agrees" "infeasible"
+    (Record.status_to_string second.Record.status);
+  Alcotest.(check (option string)) "the engine's refutation" (Some "drat") second.Record.evidence;
+  Alcotest.(check bool) "a SAT search ran" true (second.Record.sat_calls > 0)
+
 let liar_backend name =
   (* claims every model infeasible — the adversarial cross-checker the
      sweep must catch on a feasible cell *)
@@ -526,6 +544,8 @@ let suites =
         Alcotest.test_case "cancellation stops a run" `Slow test_portfolio_cancellation;
         Alcotest.test_case "verdict compatibility" `Quick test_verdicts_agree;
         Alcotest.test_case "cross-check record roundtrip" `Quick test_cross_record_roundtrip;
+        Alcotest.test_case "cross-check re-proves a Hall cell by search" `Quick
+          test_reprove_bypasses_hall;
         Alcotest.test_case "cross-check: second engine confirms" `Slow
           test_scheduler_cross_check_agrees;
         Alcotest.test_case "cross-check: lying backend caught" `Slow
