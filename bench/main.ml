@@ -18,9 +18,6 @@
                        encode/solve time per formulation; appends a run
                        record to BENCH_conn.json, exits 3 on any verdict
                        flip and 1 if conn's row count blows past its gate
-     crosscheck        native engine vs an external MILP backend on a small
-                       grid (skipped with a message when the solver binary
-                       is not installed); exits 5 on verdict disagreement
      serve             daemon serving latency: cold vs warm requests over
                        one socket, plain and certified-explained, cache hit
                        rate; appends a run record to
@@ -40,7 +37,9 @@
      --jobs N          parallel workers for fig8 (default 1)
      --journal BASE    fig8 journal base path (default "fig8"; writes
                        BASE.ilp.jsonl and BASE.sa.jsonl, resumable)
-     --backend NAME    external backend for crosscheck (default "highs") *)
+
+   The native-vs-external differential is `cgra_map sweep --cross-check
+   BACKEND`, not a subcommand here. *)
 
 module Dfg = Cgra_dfg.Dfg
 module Benchmarks = Cgra_dfg.Benchmarks
@@ -89,12 +88,10 @@ type options = {
   seeds : int;
   jobs : int;
   journal : string;
-  backend : string;
 }
 
 let default_options =
-  { limit = 120.0; size = 4; benchmarks = []; seeds = 3; jobs = 1; journal = "fig8";
-    backend = "highs" }
+  { limit = 120.0; size = 4; benchmarks = []; seeds = 3; jobs = 1; journal = "fig8" }
 
 let selected_benchmarks opts =
   match opts.benchmarks with
@@ -590,75 +587,6 @@ let run_explain opts =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Cross-check: native exact engine vs an external MILP backend        *)
-(* ------------------------------------------------------------------ *)
-
-(* A restricted grid — one architecture, a handful of benchmarks, both
-   context counts — solved twice: once natively, once through an
-   external backend's LP-file round trip.  Prints both verdicts and
-   wall clocks side by side; any contradiction exits 5.  When the
-   solver binary is simply not installed the whole section degrades to
-   a logged skip, because a benchmark must run everywhere. *)
-let run_crosscheck opts =
-  let module Backend = Cgra_backend.Backend in
-  let module Solver_spec = Cgra_core.Solver_spec in
-  Printf.printf "== Cross-check: native-sat vs %s (%dx%d, limit %.0fs) ==\n" opts.backend
-    opts.size opts.size opts.limit;
-  match Solver_spec.of_name opts.backend with
-  | Error msg ->
-      Printf.eprintf "crosscheck: %s\n%!" msg;
-      exit 2
-  | Ok solver -> (
-      let available =
-        match solver.Solver_spec.engine with
-        | Solver_spec.External b -> b.Backend.available ()
-        | Solver_spec.Native _ -> Backend.Available { version = None }
-      in
-      match available with
-      | Backend.Unavailable reason ->
-          Printf.printf "crosscheck: skipped — backend %s unavailable (%s)\n\n%!" opts.backend
-            reason
-      | Backend.Available { version } ->
-          Printf.printf "backend %s: %s\n" opts.backend
-            (Option.value ~default:"version unknown" version);
-          let benchmarks =
-            match opts.benchmarks with [] -> [ "accum"; "mac"; "2x2-f"; "exp_4" ] | bs -> bs
-          in
-          let jobs =
-            Sweep_job.paper_grid ~size:opts.size ~contexts:[ 1; 2 ] ~limit:opts.limit
-              ~benchmarks ~archs:[ "homo-orth" ] ()
-          in
-          Printf.printf "  %-28s %-12s %8s   %-12s %8s\n" "cell" "native" "sec" opts.backend
-            "sec";
-          let disagreements = ref 0 in
-          List.iter
-            (fun job ->
-              let native = Sweep_runner.run job in
-              let ext =
-                Sweep_runner.run_variant (Sweep_runner.variant solver) job
-              in
-              let agreed =
-                Sweep_record.verdicts_agree ~status:native.Sweep_record.status
-                  ~objective:native.Sweep_record.objective ~status2:ext.Sweep_record.status
-                  ~objective2:ext.Sweep_record.objective
-              in
-              if not agreed then incr disagreements;
-              Printf.printf "  %-28s %-12s %7.2fs   %-12s %7.2fs%s\n%!"
-                (Sweep_job.to_string job)
-                (Sweep_record.status_to_string native.Sweep_record.status)
-                native.Sweep_record.total_seconds
-                (Sweep_record.status_to_string ext.Sweep_record.status)
-                ext.Sweep_record.total_seconds
-                (if agreed then "" else "   ** DISAGREEMENT **"))
-            jobs;
-          print_newline ();
-          if !disagreements > 0 then begin
-            Printf.eprintf "crosscheck: %d disagreement(s) between native-sat and %s\n%!"
-              !disagreements opts.backend;
-            exit 5
-          end)
-
-(* ------------------------------------------------------------------ *)
 (* serve: daemon latency, cold vs warm                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1127,9 +1055,6 @@ let parse_args () =
     | "--journal" :: v :: rest ->
         opts := { !opts with journal = v };
         go rest
-    | "--backend" :: v :: rest ->
-        opts := { !opts with backend = v };
-        go rest
     | cmd :: rest ->
         cmds := cmd :: !cmds;
         go rest
@@ -1151,7 +1076,6 @@ let () =
       | "inprocess" -> run_inprocess opts
       | "explain" -> run_explain opts
       | "conn" -> run_conn opts
-      | "crosscheck" -> run_crosscheck opts
       | "serve" -> run_serve opts
       | "archscale" | "arch-scale" -> run_archscale opts
       | "all" ->

@@ -4,6 +4,8 @@ module Unsat_core = Cgra_ilp.Unsat_core
 module Proof = Cgra_satoca.Proof
 module Drat = Cgra_satoca.Drat
 module Backend = Cgra_backend.Backend
+module Encode = Cgra_ilp.Encode
+module Solver = Cgra_satoca.Solver
 
 type diagnosis = {
   core : string list;
@@ -161,22 +163,15 @@ let verdict ?deadline ?proof ~certify ~explain ~objective ~solver ~build_seconds
 
 (* The Hall step's answer (see Hall): an infeasibility decided by a
    checked witness before any engine runs.  Under [explain] the model
-   is built for the core's sake only: the counting certificate verifies
-   the core against the model's own rows, and one checked assignment
-   per group, each an alternating-path flip, shows it minimal. *)
-let hall_verdict ~started ~certify ~explain ~build dfg mrrg d =
+   [built] is there for the core's sake only: the counting certificate
+   verifies the core against the model's own rows, and one checked
+   assignment per group, each an alternating-path flip, shows it
+   minimal. *)
+let hall_verdict ~started ~certify ~build_seconds ~built dfg mrrg d =
   let w = Hall.witness d in
   (match Hall.check_witness dfg mrrg w with
   | Ok () -> ()
   | Error msg -> failwith ("Ilp_mapper: the Hall witness fails its checker (bug): " ^ msg));
-  let built, build_seconds =
-    if explain then begin
-      let t0 = Deadline.now () in
-      let f : Formulation_intf.built = build () in
-      (Some f, Deadline.elapsed_of ~start:t0)
-    end
-    else (None, 0.0)
-  in
   let diagnosis =
     Option.map
       (fun (f : Formulation_intf.built) ->
@@ -222,45 +217,133 @@ let solve_built ?deadline ?proof ~(solver : Solver_spec.t) (f : Formulation_intf
       let solve_seconds = Deadline.elapsed_of ~start:t0 in
       { Solve.outcome; solve_seconds; sat_calls = 0; inprocess = [] }
 
-let map ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.default) ?deadline ?cancel
-    ?(warm_start = 5.0) ?(certify = false) ?(explain = false) dfg mrrg =
-  let attach d = match cancel with None -> d | Some f -> Deadline.with_cancellation d f in
-  let deadline = Option.map attach deadline in
-  let deadline =
-    match (deadline, cancel) with
-    | None, Some _ -> Some (attach Deadline.none)
-    | d, _ -> d
+(* One II's answer state.  A cell the Hall step refutes keeps its
+   deficiency and, once an explained answer asked for it, the model
+   its core is checked against; any other cell keeps its built model
+   and, on the native SAT engine, the encoding each search resumes. *)
+type state =
+  | Refuted of {
+      deficiency : Hall.deficiency;
+      mutable core_model : Formulation_intf.built option;
+    }
+  | Built of {
+      built : Formulation_intf.built;
+      enc : Encode.t option;
+      mutable searched : bool;
+    }
+
+type step = {
+  dfg : Cgra_dfg.Dfg.t;
+  mrrg : Cgra_mrrg.Mrrg.t;
+  solver : Solver_spec.t;
+  objective : Formulation.objective;
+  proof : Proof.t option;
+  state : state;
+}
+
+let build ~(solver : Solver_spec.t) ~objective dfg mrrg =
+  solver.Solver_spec.formulation.Formulation_intf.build ~objective dfg mrrg
+
+let prepare ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.default) ?deadline
+    ?cancel ?(warm_start = 0.0) ?proof dfg mrrg =
+  let state =
+    match Hall.search dfg mrrg with
+    | Some deficiency -> Refuted { deficiency; core_model = None }
+    | None ->
+        let built = build ~solver ~objective dfg mrrg in
+        (* phase hints mean nothing to a subprocess solver, and the
+           anneal spends the call's own budget, never more *)
+        let warm_start =
+          match (solver.Solver_spec.engine, Option.bind deadline Deadline.remaining) with
+          | Solver_spec.External _, _ -> 0.0
+          | Solver_spec.Native _, Some left -> Float.min warm_start left
+          | Solver_spec.Native _, None -> warm_start
+        in
+        if warm_start > 0.0 then begin
+          let params = if warm_start >= 20.0 then Anneal.thorough else Anneal.moderate in
+          let d = Deadline.after ~seconds:warm_start in
+          let d = match cancel with Some flag -> Deadline.with_cancellation d flag | None -> d in
+          match Anneal.map ~params ~deadline:d dfg mrrg with
+          | Anneal.Mapped (m, _) -> built.Formulation_intf.warm m
+          | Anneal.Failed _ -> ()
+        end;
+        let enc =
+          match solver.Solver_spec.engine with
+          | Solver_spec.Native Solve.Sat_backed ->
+              Some (Encode.encode ?proof built.Formulation_intf.model)
+          | Solver_spec.Native _ | Solver_spec.External _ -> None
+        in
+        Built { built; enc; searched = false }
   in
-  let t0 = Deadline.now () in
-  let build () = solver.Solver_spec.formulation.Formulation_intf.build ~objective dfg mrrg in
-  match Hall.search dfg mrrg with
-  | Some d -> hall_verdict ~started:t0 ~certify ~explain ~build dfg mrrg d
-  | None ->
-      let f = build () in
-      (* phase hints mean nothing to a subprocess solver *)
-      let warm_start =
-        match solver.Solver_spec.engine with
-        | Solver_spec.External _ -> 0.0
-        | Solver_spec.Native _ -> (
-            (* the anneal spends the call's own budget, never more *)
-            match Option.bind deadline Deadline.remaining with
-            | Some left -> Float.min warm_start left
-            | None -> warm_start)
+  { dfg; mrrg; solver; objective; proof; state }
+
+type answer = { search_stats : Solver.stats; resumed : bool; conclude : unit -> result }
+
+(* the counters of an answer no in-process SAT solver searched for *)
+let no_search =
+  { Solver.conflicts = 0; decisions = 0; propagations = 0; restarts = 0; learnt = 0;
+    probed_failed = 0 }
+
+let search ?deadline ~started ~certify ~explain step =
+  match step.state with
+  | Refuted r ->
+      (* the model an explained answer checks its core against, built
+         on first request and kept; a later answer reports no phases *)
+      let built, build_seconds =
+        match (explain, r.core_model) with
+        | false, _ -> (None, 0.0)
+        | true, Some f -> (Some { f with Formulation_intf.phases = [] }, 0.0)
+        | true, None ->
+            let t0 = Deadline.now () in
+            let f = build ~solver:step.solver ~objective:step.objective step.dfg step.mrrg in
+            r.core_model <- Some f;
+            (Some f, Deadline.elapsed_of ~start:t0)
       in
-      if warm_start > 0.0 then begin
-        let params = if warm_start >= 20.0 then Anneal.thorough else Anneal.moderate in
-        match
-          Anneal.map ~params ~deadline:(attach (Deadline.after ~seconds:warm_start)) dfg mrrg
-        with
-        | Anneal.Mapped (m, _) -> f.Formulation_intf.warm m
-        | Anneal.Failed _ -> ()
-      end;
-      let build_seconds = Deadline.elapsed_of ~start:t0 in
-      let proof =
-        if verdict_solve_needs_proof ~certify ~explain then Some (Proof.create ()) else None
+      {
+        search_stats = no_search;
+        resumed = false;
+        conclude =
+          (fun () ->
+            hall_verdict ~started ~certify ~build_seconds ~built step.dfg step.mrrg r.deficiency);
+      }
+  | Built b ->
+      let build_seconds = Deadline.elapsed_of ~start:started in
+      let report, search_stats =
+        match b.enc with
+        | Some enc ->
+            Solve.search ?deadline ~logged:(Option.is_some step.proof) enc
+              b.built.Formulation_intf.model
+        | None -> (solve_built ?deadline ?proof:step.proof ~solver:step.solver b.built, no_search)
       in
-      let report = solve_built ?deadline ?proof ~solver f in
-      verdict ?deadline ?proof ~certify ~explain ~objective ~solver ~build_seconds f report
+      (* a repeat builds nothing, so it reports no build phases *)
+      let built = if b.searched then { b.built with Formulation_intf.phases = [] } else b.built in
+      let resumed = b.searched in
+      (* A timeout still counts as a search: the solver keeps the
+         learnt clauses and phases of the truncated run. *)
+      b.searched <- true;
+      {
+        search_stats;
+        resumed;
+        conclude =
+          (fun () ->
+            verdict ?deadline ?proof:step.proof ~certify ~explain ~objective:step.objective
+              ~solver:step.solver ~build_seconds built report);
+      }
+
+let map ?objective ?solver ?deadline ?cancel ?warm_start ?(certify = false) ?(explain = false)
+    dfg mrrg =
+  let started = Deadline.now () in
+  let deadline =
+    match cancel with
+    | None -> deadline
+    | Some f ->
+        Some (Deadline.with_cancellation (Option.value deadline ~default:Deadline.none) f)
+  in
+  let proof =
+    if verdict_solve_needs_proof ~certify ~explain then Some (Proof.create ()) else None
+  in
+  let step = prepare ?objective ?solver ?deadline ?cancel ?warm_start ?proof dfg mrrg in
+  (search ?deadline ~started ~certify ~explain step).conclude ()
 
 let pp_diagnosis fmt d =
   let plural = function [ _ ] -> "" | _ -> "s" in

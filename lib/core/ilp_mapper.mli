@@ -47,15 +47,21 @@ val evidence_name : evidence -> string
 type info = {
   size : Formulation.size;
   solve_seconds : float;
+      (** the engine's search alone; for a Hall answer, the step and
+          its checks *)
   build_seconds : float;
+      (** everything before the search: the Hall step, the formulation
+          build, the warm-start anneal when one ran and, on the native
+          SAT engine, clausification; for a Hall answer, the model
+          built for its core.  A resident session's repeat builds and
+          clausifies nothing, so it counts only the wait for the
+          session. *)
   build_phases : (string * float) list;
       (** {!Formulation.profile_fields} of the model construction:
           labelled wall-clock seconds per encode phase ([placement],
-          [corridors], [routing_rows], [exclusivity], [total]).
-          [build_seconds] additionally includes the warm-start attempt;
-          [build_phases] is the formulation alone, and empty for an
-          answer whose model was built for an earlier one (a resident
-          session's repeat). *)
+          [corridors], [routing_rows], [exclusivity], [total]); empty
+          for an answer whose model was built for an earlier one (a
+          resident session's repeat). *)
   objective_value : int option;  (** routing cost when optimising *)
   proven_optimal : bool;
   sat_calls : int;               (** SAT invocations; 0 for non-SAT engines *)
@@ -102,10 +108,15 @@ val map :
   result
 (** Defaults: [Feasibility] objective (a Table 2 style query),
     {!Solver_spec.default} (the paper formulation on the SAT engine),
-    no deadline.  Mappings are checked with {!Check} before being
-    returned.
+    no deadline, no warm start.  Mappings are checked with {!Check}
+    before being returned.
 
-    {b The Hall step.}  Before the warm start, the formulation build
+    [map] is {!prepare}, {!search} and its [conclude] on a fresh step
+    that nothing keeps: a serve session's first query at an II runs
+    the same three calls, so a one-shot answer is a session of size
+    one.
+
+    {b The Hall step.}  Before the formulation build, any warm start
     and any engine, [map] matches operations to the FU slots able to
     run them ({!Hall.search}).  A deficiency answers [Infeasible] with
     [evidence = Some Hall]: its witness must pass
@@ -153,12 +164,13 @@ val map :
     engine's next poll.  Portfolio racing uses this to stop losing
     engines.
 
-    [warm_start] (default 5 seconds; 0 disables) bounds a quick
-    annealing attempt, never past what is left of [deadline], whose
-    verified solution, when found, seeds the exact engine's variable
-    phases — the standard embedded-heuristic warm start of production
-    MIP solvers.  Completeness is unaffected: the answer is still
-    decided by the exact engine.
+    [warm_start] (default 0: none) bounds an annealing attempt, never
+    past what is left of [deadline], whose verified solution, when
+    found, seeds the exact engine's variable phases — the
+    embedded-heuristic warm start of production MIP solvers.  A
+    failed attempt seeds nothing and its time is lost, so it is off
+    by default (EXPERIMENTS.md); the sweep's portfolio still races it.
+    Completeness is unaffected: the exact engine decides.
 
     [certify] (default [false]) makes an [Infeasible] verdict carry a
     DRAT refutation, independently re-validated by
@@ -187,22 +199,62 @@ val map :
     external solver contradicting the native one; never an input
     error). *)
 
-val hall_verdict :
+type step
+(** One II's answer state: the Hall step's deficiency, or the built
+    model and, on the native SAT engine, its clausified solver.  A
+    serve session keeps one per II; {!map} searches one once. *)
+
+val prepare :
+  ?objective:Formulation.objective ->
+  ?solver:Solver_spec.t ->
+  ?deadline:Cgra_util.Deadline.t ->
+  ?cancel:bool Atomic.t ->
+  ?warm_start:float ->
+  ?proof:Cgra_satoca.Proof.t ->
+  Dfg.t ->
+  Mrrg.t ->
+  step
+(** Run the Hall step and, when it finds no deficiency, build
+    [solver]'s formulation, seed its phases from a [warm_start]
+    anneal (default 0: none; clamped to what is left of [deadline],
+    its own deadline carrying [cancel]) and, on the native SAT engine,
+    clausify it ({!Cgra_ilp.Encode.encode}, logging into [proof] when
+    given).  Defaults as in {!map}.  A kept step takes no [proof]: a
+    proof-logged descent commits its bound clauses to the solver. *)
+
+type answer = {
+  search_stats : Cgra_satoca.Solver.stats;
+      (** this search's share of the step's solver counters; all zero
+          when no in-process SAT solver searched (a Hall answer,
+          branch and bound, an external solver) *)
+  resumed : bool;  (** the step's engine had searched before (never for a Hall answer) *)
+  conclude : unit -> result;
+      (** the verdict step: the Hall witness checks (under [explain],
+          the counting certificate and relaxations too), or {!verdict}
+          on the engine's report.  It reads the step's model without
+          changing it, so it may run concurrently with other verdicts
+          and with later searches of the step.
+          @raise Failure as {!map} does. *)
+}
+(** What a search found, and the verdict step still to run on it. *)
+
+val search :
+  ?deadline:Cgra_util.Deadline.t ->
   started:float ->
   certify:bool ->
   explain:bool ->
-  build:(unit -> Formulation_intf.built) ->
-  Dfg.t ->
-  Mrrg.t ->
-  Hall.deficiency ->
-  result
-(** The Hall step's answer for a deficiency {!Hall.search} found on
-    the DFG and MRRG: an [Infeasible] result as {!map} describes it.
-    [build] is called only under [explain]; [started] is the
-    {!Cgra_util.Deadline.now} reading the step's [solve_seconds] count
-    from.  {!map} and the serve daemon's sessions both answer through
-    it.
-    @raise Failure if the witness fails {!Hall.check_witness}. *)
+  step ->
+  answer
+(** {!Cgra_ilp.Solve.search} on the step's encoding, which keeps the
+    learnt clauses and phases of earlier searches, or {!solve_built}
+    for branch and bound and external solvers.  A Hall step searches
+    nothing; under [explain] it builds the model its core is checked
+    against, once, and keeps it.  [build_seconds] counts from
+    [started], a {!Cgra_util.Deadline.now} reading.  Searches of one
+    step must not run concurrently.
+    @raise Invalid_argument (from [conclude]) unless the step's
+    [proof] was given exactly when {!verdict_solve_needs_proof} holds
+    of [certify] and [explain]. *)
 
 val solve_built :
   ?deadline:Cgra_util.Deadline.t ->
@@ -210,10 +262,11 @@ val solve_built :
   solver:Solver_spec.t ->
   Formulation_intf.built ->
   Cgra_ilp.Solve.report
-(** The engine step of {!map} alone: [solver]'s engine on the built
-    model — {!Cgra_ilp.Solve.solve_report} for a native engine, the
-    LP export and subprocess for an external one.  No Hall step and no
-    warm start; pass the report to {!verdict}.  The sweep's
+(** [solver]'s engine alone on the built model —
+    {!Cgra_ilp.Solve.solve_report} for a native engine (on the SAT
+    engine, a fresh encode and {!search}'s search), the LP export and
+    subprocess for an external one.  No Hall step and no warm start;
+    pass the report to {!verdict}.  The sweep's
     cross-check and the fuzzer use it to have an engine re-prove a
     cell the Hall step decides.
     @raise Cgra_backend.Backend.Error as {!map} does. *)
@@ -234,10 +287,11 @@ val verdict :
   Formulation_intf.built ->
   Cgra_ilp.Solve.report ->
   result
-(** The step {!map} runs after its solve, exported so that every
-    answer about a built model becomes a [result] the same way (the
-    serve daemon's resident sessions call it too).  An assignment is
-    read back through the formulation and must pass {!Check.run}.  An
+(** The step an {!answer} concludes with on an engine's report,
+    exported so that every answer about a built model becomes a
+    [result] the same way (the sweep's cross-check and the fuzzer call
+    it on {!solve_built}'s report).  An assignment is read back
+    through the formulation and must pass {!Check.run}.  An
     infeasibility is certified by [proof], the DRAT log the verdict
     solve wrote, which the independent checker must accept.  Under
     [explain] it is instead explained and, with [certify], certified

@@ -233,7 +233,7 @@ let check_solve sample ~limit =
   let dfg = dfg_of_kernel sample.kernel in
   let map ?solver config =
     let mrrg = Build.elaborate (Library.make config) ~ii:sample.ii in
-    IM.map ?solver ~deadline:(Deadline.after ~seconds:limit) ~warm_start:0.0 dfg mrrg
+    IM.map ?solver ~deadline:(Deadline.after ~seconds:limit) dfg mrrg
   in
   (* differential: the corridor-sparse builder and the retained dense
      reference scan must produce byte-identical LP renderings — same

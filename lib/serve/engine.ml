@@ -99,7 +99,7 @@ let handle_map_exn t (m : Protocol.map_request) =
       if m.Protocol.optimize then Formulation.Min_routing else Formulation.Feasibility
     in
     let result =
-      IM.map ~objective ~solver ~deadline ~warm_start:0.0 ~certify:m.Protocol.certify
+      IM.map ~objective ~solver ~deadline ~certify:m.Protocol.certify
         ~explain:m.Protocol.explain dfg mrrg
     in
     Ok

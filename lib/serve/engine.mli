@@ -17,11 +17,12 @@
     query, an [explain] one, or [certify] with [explain] (certified
     through the core).  Anything else — optimisation, [certify] without
     [explain], branch-and-bound, external solvers — takes the
-    {b one-shot path}, a stateless {!Cgra_core.Ilp_mapper.map} call
-    that still reuses the tier-1 MRRG cache.  Both paths turn their
-    answer into a verdict through {!Cgra_core.Ilp_mapper.verdict}, so
-    served verdicts of every flavour go through the same replay
-    validation as one-shot CLI answers. *)
+    {b one-shot path}, a {!Cgra_core.Ilp_mapper.map} call that still
+    reuses the tier-1 MRRG cache.  Both paths run one
+    {!Cgra_core.Ilp_mapper} step (prepare, search, verdict); the
+    one-shot path keeps nothing of it, so served verdicts of every
+    flavour go through the same replay validation as one-shot CLI
+    answers. *)
 
 type t
 

@@ -1,44 +1,37 @@
 (** A resident solving session for one (DFG, architecture) pair.
 
-    The daemon's tier-2 cache value.  For each requested II it holds
-    the formulation's built model and {!Cgra_ilp.Encode.encode} of it
-    in that II's own CDCL solver — exactly the encoding one-shot
-    {!Cgra_core.Ilp_mapper.map} builds — and searches it with
-    {!Cgra_ilp.Solve.search}, the step one-shot runs.  So:
+    The daemon's tier-2 cache value: one {!Cgra_core.Ilp_mapper.step}
+    per requested II, made by {!Cgra_core.Ilp_mapper.prepare} on first
+    use and searched by {!Cgra_core.Ilp_mapper.search} on every query,
+    the calls one-shot {!Cgra_core.Ilp_mapper.map} makes on a step it
+    then drops.  A one-shot answer is thus a session of size one:
 
-    - a {b cold} query (first use of an II) runs one-shot's encode and
-      search on the same model, and its search counters match a fresh
-      encode-and-solve exactly;
+    - a {b cold} query (first use of an II) runs one-shot's Hall step,
+      build, encode and search on the same model, with no warm start,
+      and gives one-shot's answer after the same search;
     - a {b repeat} of an already-compiled II skips both formulation
-      build and clausification ([cache_hit]) and re-solves a solver
+      build and clausification ([cache_hit]) and re-searches a solver
       that keeps the learnt clauses and saved phases of its earlier
-      solves ([warm_start]).
+      searches ([warm_start]).
 
     IIs share nothing: each II's formula has its own variables, so
-    nothing learnt at one II could constrain another.
-
-    On first use of an II the session runs one-shot's Hall step
-    ({!Cgra_core.Hall.search}) before it builds anything.  An II the
-    step refutes keeps only the deficiency, and every query at it is
-    answered by {!Cgra_core.Ilp_mapper.hall_verdict}: no model is
-    encoded and no solver runs.  An explained query there builds the
-    model its core is checked against, once, and keeps it.  A repeat
-    at such an II is a [cache_hit], never a [warm_start].
+    nothing learnt at one II could constrain another.  An II the Hall
+    step refutes keeps only its deficiency (and, once an explained
+    query asked for it, the model its core is checked against); a
+    repeat there is a [cache_hit], never a [warm_start].
 
     A session holds one {!Cgra_core.Solver_spec}'s formulation on the
     native SAT engine and answers {e feasibility} queries, explained
-    and certified through the core or not: an answer goes through
-    {!Cgra_core.Ilp_mapper.verdict}, the step one-shot
-    {!Cgra_core.Ilp_mapper.map} runs.  Optimisation, certification
-    without explanation (the verdict solve itself must log a proof),
-    branch-and-bound and external solvers take the stateless one-shot
-    path (their solver lifecycles are query-specific).
+    and certified through the core or not.  Optimisation,
+    certification without explanation (a kept solver cannot log a
+    proof), branch-and-bound and external solvers are answered by
+    one-shot [map].
 
-    {b Concurrency.}  A session serialises its solves behind a mutex
+    {b Concurrency.}  A session serialises its searches behind a mutex
     (a CDCL solver is single-threaded state); the verdict step after a
-    solve — an explanation's core extraction included — runs outside
+    search — an explanation's core extraction included — runs outside
     it, so concurrent requests on one session wait only for each
-    other's solves.  Distinct sessions solve in parallel freely. *)
+    other's searches.  Distinct sessions solve in parallel freely. *)
 
 type t
 
@@ -80,19 +73,18 @@ val solve :
   outcome
 (** Decide feasibility at [ii] on the MRRG (which must be the session
     architecture elaborated at [ii] — the server's tier-1 cache
-    guarantees the pairing).  Builds and encodes the model on first use
-    of this [ii], then searches the II's solver.  The answer
-    becomes a result through {!Cgra_core.Ilp_mapper.verdict}: a
-    [Mapped] result has passed {!Cgra_core.Check} exactly like a
-    one-shot answer, and [explain] (default [false]) and [certify]
+    guarantees the pairing).  Prepares the II's step on first use, then
+    searches it and concludes the answer as
+    {!Cgra_core.Ilp_mapper.map} does: a [Mapped] result has passed
+    {!Cgra_core.Check}, and [explain] (default [false]) and [certify]
     (default [false]) explain an [Infeasible] one and certify it
-    through its core, as {!Cgra_core.Ilp_mapper.map} does under both
-    flags.  [Timeout] leaves the session intact and reusable.
+    through its core.  [Timeout] leaves the session intact and
+    reusable.
     @raise Invalid_argument on [certify] without [explain]
     ({!Cgra_core.Ilp_mapper.verdict_solve_needs_proof}): the resident
     solve logs no proof.
-    @raise Failure as {!Cgra_core.Ilp_mapper.verdict} does (a bug, not
-    an input error). *)
+    @raise Failure as {!Cgra_core.Ilp_mapper.map} does (a bug, not an
+    input error). *)
 
 val compiled_iis : t -> int list
 (** IIs whose encodings are resident, in compilation order (tests). *)

@@ -13,7 +13,7 @@ module Deadline = Cgra_util.Deadline
 
 type variant = { name : string; solver : Solver_spec.t; warm_start : float }
 
-let variant ?name ?(warm_start = 5.0) solver =
+let variant ?name ?(warm_start = 0.0) solver =
   { name = Option.value name ~default:solver.Solver_spec.name; solver; warm_start }
 
 let default_variant = variant ~name:"sat" Solver_spec.default

@@ -18,12 +18,12 @@ type variant = {
 }
 
 val variant : ?name:string -> ?warm_start:float -> Cgra_core.Solver_spec.t -> variant
-(** [name] defaults to the solver's name, [warm_start] to 5 seconds
-    (the mapper's default). *)
+(** [name] defaults to the solver's name, [warm_start] to 0 (none,
+    the mapper's default). *)
 
 val default_variant : variant
-(** The single-engine configuration: SAT-backed with a short warm
-    start, the repository's standard exact query. *)
+(** The single-engine configuration: the SAT engine cold, the
+    repository's standard exact query. *)
 
 val racer_pool : variant list
 (** The SAT engine cold, warm, then diminishing-return warm-start

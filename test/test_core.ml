@@ -138,11 +138,12 @@ let wall f =
   let r = f () in
   (r, Cgra_util.Deadline.elapsed_of ~start:t0)
 
-(* The default 5 s warm start must not outlive a shorter deadline: the
-   anneal gets what is left of the call's budget, never more. *)
+(* A 5 s warm start must not outlive a shorter deadline: the anneal
+   gets what is left of the call's budget, never more. *)
 let test_map_warm_start_honours_deadline () =
   let dfg, mrrg = paper_cell "exp_6" ~arch:"homo-orth" ~size:4 ~ii:2 in
-  match wall (fun () -> IM.map ~deadline:(Cgra_util.Deadline.after ~seconds:0.5) dfg mrrg) with
+  let deadline = Cgra_util.Deadline.after ~seconds:0.5 in
+  match wall (fun () -> IM.map ~warm_start:5.0 ~deadline dfg mrrg) with
   | IM.Timeout _, seconds ->
       Alcotest.(check bool) (Printf.sprintf "returned in %.2fs, under 2s" seconds) true
         (seconds < 2.0)

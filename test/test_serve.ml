@@ -378,9 +378,10 @@ let test_session_per_solve_stats () =
 
 (* A cold session query is one-shot's search: the resident encoding of
    an II is [Encode.encode] of the same built model, searched once, so
-   the search counters agree exactly with a fresh encode-and-solve.
-   One cell per native SAT formulation; 2x2-f at II 2 is feasible, so
-   the search decides and propagates. *)
+   the search counters agree exactly with a fresh encode-and-solve, and
+   default [IM.map] gives the same answer.  One feasible cell per
+   native SAT formulation (2x2-f at II 2, so the search decides and
+   propagates), then one Hall-refuted and one DRAT-refuted cell. *)
 let test_session_cold_is_oneshot_search () =
   let module Solver = Cgra_satoca.Solver in
   let module Encode = Cgra_ilp.Encode in
@@ -403,8 +404,39 @@ let test_session_cold_is_oneshot_search () =
         (name ^ ": conflicts, decisions, propagations")
         [ one_shot.Solver.conflicts; one_shot.Solver.decisions; one_shot.Solver.propagations ]
         [ s.Solver.conflicts; s.Solver.decisions; s.Solver.propagations ];
-      Alcotest.(check bool) (name ^ ": the search did work") true (s.Solver.decisions > 0))
-    [ "native-sat"; "conn-sat" ]
+      Alcotest.(check bool) (name ^ ": the search did work") true (s.Solver.decisions > 0);
+      (* default one-shot [map] is the same step, so the same mapping
+         after the same number of SAT calls *)
+      let sat_calls = function
+        | IM.Mapped (_, i) | IM.Infeasible i | IM.Timeout i -> i.IM.sat_calls
+      in
+      let placement = function
+        | IM.Mapped (m, _) -> m.Cgra_core.Mapping.placement
+        | r -> Alcotest.failf "%s: expected a mapping, got %a" name IM.pp_result r
+      in
+      let one_shot = IM.map ~solver:spec dfg mrrg in
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": map's placement") (placement one_shot) (placement o.Session.result);
+      Alcotest.(check int)
+        (name ^ ": map's SAT calls") (sat_calls one_shot) (sat_calls o.Session.result))
+    [ "native-sat"; "conn-sat" ];
+  (* ...and the same evidence on a placement-infeasible cell and a
+     routing-infeasible one *)
+  List.iter
+    (fun (bench, arch_name, evidence) ->
+      let dfg = benchmark bench and mrrg = small_mrrg ~arch_name 2 in
+      let evidence_of = function
+        | IM.Infeasible { IM.evidence = Some e; _ } -> IM.evidence_name e
+        | r -> Alcotest.failf "%s@%s: expected infeasible, got %a" bench arch_name IM.pp_result r
+      in
+      Alcotest.(check (list string))
+        (bench ^ "@" ^ arch_name ^ ": map and a fresh session")
+        [ evidence; evidence ]
+        [
+          evidence_of (IM.map dfg mrrg);
+          evidence_of (Session.solve (Session.create dfg) ~mrrg ~ii:2).Session.result;
+        ])
+    [ ("mac", "homo-orth", "hall"); ("accum", "hetero-orth", "drat") ]
 
 (* Differential guarantee of the whole warm-start design: for random
    DFGs, the resident session and the stateless one-shot mapper must
