@@ -8,8 +8,9 @@
      sizes             formulation sizes per cell (diagnostics)
      sweep             parallel sweep engine scaling (--jobs 1/2/4); appends
                        a run record to BENCH_sweep.json
-     inprocess         SAT inprocessing A/B on hard Table 2 cells (all passes
-                       on vs all off); appends a run record to
+     inprocess         SAT inprocessing A/B on hard Table 2 cells (failed-
+                       literal probing, the only pass, on vs off); appends
+                       a run record to
                        BENCH_inprocess.json and exits 1 if the geomean
                        speedup falls below 1.3x
      explain           unsat-core extraction overhead on infeasible cells

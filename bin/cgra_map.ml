@@ -173,12 +173,20 @@ let print_verdict_json ~engine ~t0 result =
   in
   print_endline (Jsonl.to_string (Serve_protocol.verdict_to_json v))
 
+(* An explained infeasible answer is complete with a verified core. *)
+let core_verified (info : IM.info) =
+  match info.IM.diagnosis with Some d -> d.IM.core_verified | None -> false
+
 let map_cmd =
   let explain_arg =
     let doc =
-      "Explain an infeasible answer: attach a minimal constraint-group unsat core (printed as \
-       a $(b,core) array with $(b,--json)); with $(b,--certify) the core's own refutation is \
-       the certificate.  See $(b,explain)."
+      "Explain an infeasible answer: extract a minimal constraint-group unsat core (which \
+       placements, routings and resource exclusivities conflict), verify it with a \
+       DRAT-checked refutation of its rows alone (or, when some operations outnumber the \
+       functional units able to run them, by counting on those rows), and print it in \
+       DFG/MRRG terms (a $(b,core) array with $(b,--json)).  With $(b,--certify) the core's \
+       own refutation is the certificate.  Exits 3 when an infeasible answer has no \
+       diagnosis or an unverified core (the deadline hit first)."
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
@@ -200,7 +208,9 @@ let map_cmd =
       print_verdict_json ~engine ~t0 result;
       match result with
       | IM.Mapped _ -> ()
-      | IM.Infeasible info -> if certify && not info.IM.certified then exit 3
+      | IM.Infeasible info ->
+          if (certify && not info.IM.certified) || (explain && not (core_verified info)) then
+            exit 3
       | IM.Timeout _ -> exit 3
     end
     else
@@ -217,6 +227,12 @@ let map_cmd =
           Option.iter
             (fun d -> print_string (Format.asprintf "%a" IM.pp_diagnosis d))
             info.IM.diagnosis;
+          if explain && not (core_verified info) then begin
+            print_endline
+              (if info.IM.diagnosis = None then "core extraction incomplete (deadline hit)"
+               else "core verification incomplete (deadline hit during its refutation)");
+            exit 3
+          end;
           if certify then
             if not info.IM.certified then begin
               print_endline "certification incomplete (deadline hit during proof replay)";
@@ -272,54 +288,6 @@ let backends_cmd =
           formulation and the external MILP adapters, with PATH discovery and version \
           capture for the external binaries.")
     Term.(const run $ const ())
-
-let explain_cmd =
-  let run bench arch size contexts limit json =
-    let dfg = or_die (Runner.load_benchmark bench) in
-    let a = or_die (load_arch arch size) in
-    let mrrg = Build.elaborate a ~ii:contexts in
-    let t0 = Deadline.now () in
-    let result = IM.map ~deadline:(deadline_of limit) ~explain:true dfg mrrg in
-    if json then begin
-      print_verdict_json ~engine:"sat" ~t0 result;
-      match result with
-      | IM.Mapped _ -> ()
-      | IM.Infeasible info -> (
-          match info.IM.diagnosis with
-          | Some d when d.IM.core_verified -> ()
-          | _ -> exit 3)
-      | IM.Timeout _ -> exit 3
-    end
-    else
-      match result with
-      | IM.Mapped (_, info) ->
-          Printf.printf "feasible (%.2fs): nothing to explain — a mapping exists\n"
-            info.IM.solve_seconds
-      | IM.Infeasible info -> (
-          Printf.printf "infeasible (proven in %.2fs)\n" info.IM.solve_seconds;
-          match info.IM.diagnosis with
-          | Some d ->
-              print_string (Format.asprintf "%a" IM.pp_diagnosis d);
-              if not d.IM.core_verified then begin
-                print_endline "core verification incomplete (deadline hit during its refutation)";
-                exit 3
-              end
-          | None ->
-              print_endline "core extraction incomplete (deadline hit)";
-              exit 3)
-      | IM.Timeout _ ->
-          print_endline "timeout: feasibility undecided, nothing to explain";
-          exit 3
-  in
-  Cmd.v
-    (Cmd.info "explain"
-       ~doc:
-         "Explain why a benchmark does not map: extract a minimal constraint-group unsat \
-          core (which placements, routings and resource exclusivities conflict), verify it \
-          with a DRAT-checked refutation of its rows alone (or, when some operations \
-          outnumber the functional units able to run them, by counting on those rows), and \
-          print it in DFG/MRRG terms.")
-    Term.(const run $ benchmark_arg $ arch_arg $ size_arg $ contexts_arg $ limit_arg $ json_arg)
 
 let anneal_cmd =
   let run bench arch size contexts limit seed =
@@ -1020,7 +988,7 @@ let main =
   let doc = "architecture-agnostic ILP mapping for CGRAs (DAC'18 reproduction)" in
   Cmd.group (Cmd.info "cgra_map" ~version:"1.0.0" ~doc)
     [
-      map_cmd; explain_cmd; anneal_cmd; config_cmd; simulate_cmd; sweep_cmd; serve_cmd;
+      map_cmd; anneal_cmd; config_cmd; simulate_cmd; sweep_cmd; serve_cmd;
       client_cmd; backends_cmd; benchmarks_cmd; archs_cmd; arch_cmd; fuzz_arch_cmd;
       mrrg_dot_cmd; map_dot_cmd; dfg_dot_cmd; adl_cmd; lp_cmd;
     ]

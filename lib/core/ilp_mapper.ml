@@ -277,6 +277,11 @@ let prepare ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.defaul
   in
   { dfg; mrrg; solver; objective; proof; state }
 
+let solver_vars step =
+  match step.state with
+  | Built { enc = Some enc; _ } -> Solver.nvars enc.Encode.solver
+  | Built { enc = None; _ } | Refuted _ -> 0
+
 type answer = { search_stats : Solver.stats; resumed : bool; conclude : unit -> result }
 
 (* the counters of an answer no in-process SAT solver searched for *)
@@ -308,16 +313,22 @@ let search ?deadline ~started ~certify ~explain step =
       }
   | Built b ->
       let build_seconds = Deadline.elapsed_of ~start:started in
-      let report, search_stats =
+      let report, search_stats, proof =
         match b.enc with
         | Some enc ->
-            Solve.search ?deadline ~logged:(Option.is_some step.proof) enc
-              b.built.Formulation_intf.model
-        | None -> (solve_built ?deadline ?proof:step.proof ~solver:step.solver b.built, no_search)
+            let report, stats = Solve.search ?deadline enc b.built.Formulation_intf.model in
+            (report, stats, step.proof)
+        | None ->
+            (* an engine that keeps no solver searches from scratch, so
+               each search logs into a proof of its own *)
+            let proof = Option.map (fun _ -> Proof.create ()) step.proof in
+            (solve_built ?deadline ?proof ~solver:step.solver b.built, no_search, proof)
       in
       (* a repeat builds nothing, so it reports no build phases *)
       let built = if b.searched then { b.built with Formulation_intf.phases = [] } else b.built in
-      let resumed = b.searched in
+      (* only a kept encoding carries anything over: branch and bound
+         and external solvers start from scratch every time *)
+      let resumed = b.searched && Option.is_some b.enc in
       (* A timeout still counts as a search: the solver keeps the
          learnt clauses and phases of the truncated run. *)
       b.searched <- true;
@@ -326,7 +337,7 @@ let search ?deadline ~started ~certify ~explain step =
         resumed;
         conclude =
           (fun () ->
-            verdict ?deadline ?proof:step.proof ~certify ~explain ~objective:step.objective
+            verdict ?deadline ?proof ~certify ~explain ~objective:step.objective
               ~solver:step.solver ~build_seconds built report);
       }
 

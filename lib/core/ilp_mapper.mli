@@ -219,15 +219,27 @@ val prepare :
     anneal (default 0: none; clamped to what is left of [deadline],
     its own deadline carrying [cancel]) and, on the native SAT engine,
     clausify it ({!Cgra_ilp.Encode.encode}, logging into [proof] when
-    given).  Defaults as in {!map}.  A kept step takes no [proof]: a
-    proof-logged descent commits its bound clauses to the solver. *)
+    given).  Defaults as in {!map}.  A step with a [proof] may be kept
+    and searched again: the objective descent bounds by assumption, so
+    the log only ever grows by the solver's own inferences.  An engine
+    that keeps no solver (branch and bound, an external solver) logs
+    each search into a fresh proof instead; [proof] then only says
+    that the step's searches log one. *)
+
+val solver_vars : step -> int
+(** Variables of the step's kept SAT solver; 0 when it keeps none
+    (tests: a repeated search must add none). *)
 
 type answer = {
   search_stats : Cgra_satoca.Solver.stats;
       (** this search's share of the step's solver counters; all zero
           when no in-process SAT solver searched (a Hall answer,
           branch and bound, an external solver) *)
-  resumed : bool;  (** the step's engine had searched before (never for a Hall answer) *)
+  resumed : bool;
+      (** the step's kept SAT encoding had been searched before, so its
+          learnt clauses and phases carried over; never for a Hall
+          answer, branch and bound or an external solver, which keep
+          no solver *)
   conclude : unit -> result;
       (** the verdict step: the Hall witness checks (under [explain],
           the counting certificate and relaxations too), or {!verdict}
@@ -246,8 +258,9 @@ val search :
   step ->
   answer
 (** {!Cgra_ilp.Solve.search} on the step's encoding, which keeps the
-    learnt clauses and phases of earlier searches, or {!solve_built}
-    for branch and bound and external solvers.  A Hall step searches
+    learnt clauses, phases and objective totalizer of earlier
+    searches, or {!solve_built} from scratch on the kept model for
+    branch and bound and external solvers.  A Hall step searches
     nothing; under [explain] it builds the model its core is checked
     against, once, and keeps it.  [build_seconds] counts from
     [started], a {!Cgra_util.Deadline.now} reading.  Searches of one

@@ -7,6 +7,7 @@ type t = {
   solver : Solver.t;
   objective_lits : (int * Lit.t) list;
   objective_offset : int;
+  mutable totalizer : Card.Totalizer.t option;
 }
 
 (* The clausifier reads row [i] straight from the model's flat term
@@ -149,7 +150,7 @@ let encode ?proof ?inprocess ?keep model =
             else (lits, off))
           ([], 0) terms
   in
-  { solver; objective_lits; objective_offset }
+  { solver; objective_lits; objective_offset; totalizer = None }
 
 let assignment t model =
   Array.init (Model.nvars model) (fun v -> Solver.value t.solver v)

@@ -17,6 +17,11 @@ type t = {
       (** positive-weight literals whose weighted sum, plus
           [objective_offset], equals the model objective *)
   objective_offset : int;
+  mutable totalizer : Cgra_satoca.Card.Totalizer.t option;
+      (** the objective's totalizer over [objective_lits], built by the
+          first objective descent that bounds the objective
+          ({!Solve.search}) and reused by every later descent on this
+          encoding, so a repeated search adds no variables *)
 }
 
 val encode :
@@ -28,8 +33,8 @@ val encode :
 (** Build a solver containing the full model.  If a row is trivially
     unsatisfiable the solver is already in the [not ok] state.  When
     [proof] is given it is attached before any clause is added, so the
-    trace's input set is exactly the clausified model (plus any bound
-    clauses added later by the descent loop).
+    trace's input set is exactly the clausified model (plus the
+    totalizer a later objective descent adds).
 
     [keep] (default: every row) clausifies only the rows whose index
     it accepts; all model variables are still allocated, so

@@ -25,7 +25,21 @@ let pp_outcome fmt = function
 
 (* ---------------- SAT-backed engine ---------------- *)
 
-let descend ~deadline ~logged (enc : Encode.t) model sat_calls =
+(* The objective's totalizer, built at the first descent that needs a
+   bound and kept on the encoding, so every later descent on a
+   resident solver reuses it. *)
+let totalizer (enc : Encode.t) =
+  match enc.Encode.totalizer with
+  | Some tot -> tot
+  | None ->
+      let units =
+        List.concat_map (fun (w, l) -> List.init w (fun _ -> l)) enc.Encode.objective_lits
+      in
+      let tot = Card.Totalizer.build enc.Encode.solver units in
+      enc.Encode.totalizer <- Some tot;
+      tot
+
+let descend ~deadline (enc : Encode.t) model sat_calls =
   let solver = enc.Encode.solver in
   incr sat_calls;
   match Solver.solve ~deadline solver with
@@ -37,36 +51,23 @@ let descend ~deadline ~logged (enc : Encode.t) model sat_calls =
       | Model.Minimize _ ->
           (* Solution-improving descent: bound the weighted objective
              literals below the incumbent and re-solve until UNSAT. *)
-          let weighted = enc.Encode.objective_lits in
-          let units = List.concat_map (fun (w, l) -> List.init w (fun _ -> l)) weighted in
           let best_assign = ref (Encode.assignment enc model) in
           let norm_value assign =
             (* objective minus offset = number of true unit literals *)
             Model.objective_value model (fun v -> assign.(v)) - enc.Encode.objective_offset
           in
           let best = ref (norm_value !best_assign) in
-          if units = [] then
+          if enc.Encode.objective_lits = [] then
             Optimal (!best_assign, Model.objective_value model (fun v -> !best_assign.(v)))
           else begin
-            let tot = Card.Totalizer.build solver units in
+            let tot = totalizer enc in
             (* Each descent step enforces the strictly tighter bound as
                an assumption, so the clause database stays free of
-               bound units and reusable under any bound.  Proof-logged
-               runs commit the bound with [assert_at_most] instead: a
-               DRAT trace only refutes the clauses it logs, and an
-               assumption-final conflict is not a logged refutation. *)
+               bound units and reusable under any bound, proof-logged
+               or not. *)
             let solve_bounded k =
-              if logged then begin
-                Card.Totalizer.assert_at_most tot k;
-                Solver.solve ~deadline solver
-              end
-              else
-                let assumptions =
-                  match Card.Totalizer.bound_lit tot k with
-                  | Some l -> [ l ]
-                  | None -> []
-                in
-                Solver.solve_with ~deadline ~assumptions solver
+              let assumptions = Option.to_list (Card.Totalizer.bound_lit tot k) in
+              Solver.solve_with ~deadline ~assumptions solver
             in
             let result = ref None in
             while !result = None do
@@ -91,11 +92,11 @@ let descend ~deadline ~logged (enc : Encode.t) model sat_calls =
             match !result with Some r -> r | None -> assert false
           end)
 
-let search ?(deadline = Deadline.none) ?(logged = false) (enc : Encode.t) model =
+let search ?(deadline = Deadline.none) (enc : Encode.t) model =
   let start = Deadline.now () in
   let before = Solver.stats enc.Encode.solver in
   let sat_calls = ref 0 in
-  let outcome = descend ~deadline ~logged enc model sat_calls in
+  let outcome = descend ~deadline enc model sat_calls in
   (* A resident solver's counters span every solve so far; the report
      is this search's share. *)
   let stats = Solver.stats_delta ~now:(Solver.stats enc.Encode.solver) ~before in
@@ -159,7 +160,7 @@ let solve_report ?(deadline = Deadline.none) ?(engine = Sat_backed) ?proof ?inpr
     | Brute_force -> certify_infeasible (solve_brute model)
     | Sat_backed ->
         let enc = Encode.encode ?proof ?inprocess model in
-        let report, stats = search ~deadline ~logged:(Option.is_some proof) enc model in
+        let report, stats = search ~deadline enc model in
         sat_calls := report.sat_calls;
         sat_stats := Some stats;
         report.outcome

@@ -10,9 +10,11 @@
       incremental totalizer bound; the final UNSAT answer is the
       optimality proof.  Bounds are enforced as per-solve assumptions
       ({!Cgra_satoca.Solver.solve_with} on the totalizer output), so
-      the clause database carries no bound units and stays reusable;
-      only certified runs commit bounds as clauses, because a DRAT
-      trace must contain every clause of the refutation it claims.
+      the clause database carries no bound units and stays reusable,
+      proof-logged or not.  A DRAT trace therefore refutes the model
+      itself or nothing: it certifies an [Infeasible] answer (the
+      first solve's, before any bound exists), never the optimality
+      of a descent.
     - [Branch_and_bound]: the direct PB branch-and-bound of {!Bnb}.
     - [Brute_force]: exhaustive enumeration (tests only; <= ~22 vars). *)
 
@@ -50,13 +52,13 @@ val solve :
     When [proof] is supplied, an [Infeasible] answer leaves a complete
     DRAT refutation of the clausified model in the trace, checkable
     with {!Cgra_satoca.Drat.check}.  For [Sat_backed] the trace is
-    captured in-line (the descent loop's bound clauses join the trace
-    as further axioms, so the final UNSAT also certifies optimality of
-    the descent).  The non-clausal engines cross-certify: their
-    [Infeasible] answer triggers one proof-logging SAT refutation of
-    the same model, and an engine disagreement raises [Failure].  If a
-    deadline cuts certification short the trace simply lacks an empty
-    clause ({!Cgra_satoca.Proof.has_empty_clause} is [false]). *)
+    captured in-line; the descent's bounds are assumptions, so its
+    final UNSAT logs no refutation.  The non-clausal engines
+    cross-certify: their [Infeasible] answer triggers one
+    proof-logging SAT refutation of the same model, and an engine
+    disagreement raises [Failure].  If a deadline cuts certification
+    short the trace simply lacks an empty clause
+    ({!Cgra_satoca.Proof.has_empty_clause} is [false]). *)
 
 val solve_report :
   ?deadline:Cgra_util.Deadline.t ->
@@ -72,7 +74,6 @@ val solve_report :
 
 val search :
   ?deadline:Cgra_util.Deadline.t ->
-  ?logged:bool ->
   Encode.t ->
   Model.t ->
   report * Cgra_satoca.Solver.stats
@@ -83,9 +84,10 @@ val search :
     whose learnt clauses and phases carry over.  Both the report's
     [inprocess] counters and the returned stats are this search's
     share of the solver's cumulative counters
-    ({!Cgra_satoca.Solver.stats_delta}).  [logged] (default [false])
-    says the solver logs a DRAT proof, so descent bounds are committed
-    as clauses instead of assumed.  [solve_seconds] is the search
-    alone. *)
+    ({!Cgra_satoca.Solver.stats_delta}).  The descent builds the
+    objective's totalizer once per encoding ({!Encode.t}[.totalizer])
+    and bounds it by assumption, so repeated searches add no clauses
+    or variables, whether or not the solver logs a proof.
+    [solve_seconds] is the search alone. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -118,7 +118,7 @@ let at_least_k solver lits k =
   end
 
 module Totalizer = struct
-  type t = { solver : Solver.t; outputs : Lit.t array; mutable bound : int }
+  type t = { outputs : Lit.t array }
 
   (* Merge two sorted-count output vectors: r.(c-1) == "at least c
      inputs are true".  Only the upward implications are emitted — they
@@ -152,20 +152,9 @@ module Totalizer = struct
         let left, right = split (n / 2) [] lits in
         merge solver (tree solver left) (tree solver right)
 
-  let build solver lits =
-    { solver; outputs = tree solver lits; bound = max_int }
+  let build solver lits = { outputs = tree solver lits }
 
   let outputs t = t.outputs
-
-  let assert_at_most t k =
-    if k < 0 then invalid_arg "Totalizer.assert_at_most: negative bound";
-    if k < t.bound then begin
-      t.bound <- k;
-      (* force "not (at least k+1)" .. only the tightest is needed but
-         the extra units are free and keep the intent obvious *)
-      if k < Array.length t.outputs then
-        Solver.add_clause t.solver [ Lit.negate t.outputs.(k) ]
-    end
 
   let bound_lit t k =
     if k < 0 then invalid_arg "Totalizer.bound_lit: negative bound";

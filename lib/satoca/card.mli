@@ -31,8 +31,9 @@ val at_least_k : Solver.t -> Lit.t list -> int -> unit
 
 (** Incremental totalizer: builds a sorting tree over the literals whose
     output literals [o_1 .. o_n] satisfy (o_j true iff at least j inputs
-    are true).  The objective-descent loop of the ILP solver strengthens
-    the bound by asserting [~o_{k+1}] units without re-encoding. *)
+    are true).  The objective-descent loop of the ILP solver bounds the
+    sum by assuming [~o_{k+1}] ({!bound_lit}), one solve at a time,
+    without re-encoding and without committing a clause. *)
 module Totalizer : sig
   type t
 
@@ -42,21 +43,13 @@ module Totalizer : sig
   val outputs : t -> Lit.t array
   (** [outputs.(j)] is the literal "at least j+1 inputs true". *)
 
-  val assert_at_most : t -> int -> unit
-  (** [assert_at_most t k] adds units forcing [sum <= k]; monotone —
-      later calls may only lower [k].  The unit is permanent; prefer
-      {!bound_lit} with {!Solver.solve_with} when the bound should not
-      outlive one solve (e.g. so a DRAT trace can certify the final
-      bound, or to keep the clause database reusable under a different
-      bound later). *)
-
   val bound_lit : t -> int -> Lit.t option
   (** [bound_lit t k] is the literal meaning [sum <= k] — the negated
       output [~o_{k+1}] — meant to be passed to {!Solver.solve_with} as
-      an assumption, enforcing the bound for one solve without
-      committing the clause database to it.  [None] when [k] is at
-      least the input count (the bound is vacuous).  Does not affect
-      the monotone {!assert_at_most} state.
+      an assumption, enforcing the bound for one solve and leaving the
+      clause database reusable under any other bound (adding it as a
+      unit clause makes the bound permanent).  [None] when [k] is at
+      least the input count (the bound is vacuous).
       @raise Invalid_argument on a negative bound. *)
 end
 

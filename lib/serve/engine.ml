@@ -3,8 +3,6 @@ module Adl = Cgra_arch.Adl
 module Build = Cgra_mrrg.Build
 module Mrrg = Cgra_mrrg.Mrrg
 module Formulation = Cgra_core.Formulation
-module Formulation_intf = Cgra_core.Formulation_intf
-module IM = Cgra_core.Ilp_mapper
 module Solver_spec = Cgra_core.Solver_spec
 module Backend = Cgra_backend.Backend
 module Runner = Cgra_sweep.Runner
@@ -72,40 +70,22 @@ let handle_map_exn t (m : Protocol.map_request) =
       (fun () -> Build.elaborate arch ~ii)
   in
   let deadline = deadline_of t m.Protocol.limit in
-  (* a resident solve logs no proof *)
-  let served =
-    Session.accepts solver && (not m.Protocol.optimize)
-    && not (IM.verdict_solve_needs_proof ~certify:m.Protocol.certify ~explain:m.Protocol.explain)
+  let key = String.concat "|" [ dfg_digest dfg; a_digest; solver.Solver_spec.name ] in
+  let session, _ = Cache.find_or_add t.sessions key (fun () -> Session.create ~solver dfg) in
+  let objective =
+    if m.Protocol.optimize then Formulation.Min_routing else Formulation.Feasibility
   in
-  let label = Option.value m.Protocol.backend ~default:"sat" in
-  if served then begin
-    let formulation = solver.Solver_spec.formulation.Formulation_intf.name in
-    let key = String.concat "|" [ dfg_digest dfg; a_digest; formulation ] in
-    let session, _ = Cache.find_or_add t.sessions key (fun () -> Session.create ~solver dfg) in
-    let o =
-      Session.solve ~deadline ~certify:m.Protocol.certify ~explain:m.Protocol.explain session
-        ~mrrg ~ii
-    in
-    if o.Session.warm_start then Atomic.incr t.warm_starts;
-    Ok
-      (Protocol.verdict_of_result ~mrrg_cache_hit ~cache_hit:o.Session.cache_hit
-         ~warm_start:o.Session.warm_start ~session_solves:o.Session.solves
-         ~engine:(label ^ "-incremental")
-         ~wall_seconds:(Deadline.elapsed_of ~start:t0)
-         o.Session.result)
-  end
-  else
-    let objective =
-      if m.Protocol.optimize then Formulation.Min_routing else Formulation.Feasibility
-    in
-    let result =
-      IM.map ~objective ~solver ~deadline ~certify:m.Protocol.certify
-        ~explain:m.Protocol.explain dfg mrrg
-    in
-    Ok
-      (Protocol.verdict_of_result ~mrrg_cache_hit ~engine:label
-         ~wall_seconds:(Deadline.elapsed_of ~start:t0)
-         result)
+  let o =
+    Session.solve ~deadline ~objective ~certify:m.Protocol.certify ~explain:m.Protocol.explain
+      session ~mrrg ~ii
+  in
+  if o.Session.warm_start then Atomic.incr t.warm_starts;
+  Ok
+    (Protocol.verdict_of_result ~mrrg_cache_hit ~cache_hit:o.Session.cache_hit
+       ~warm_start:o.Session.warm_start ~session_solves:o.Session.solves
+       ~engine:(Option.value m.Protocol.backend ~default:"sat" ^ "-incremental")
+       ~wall_seconds:(Deadline.elapsed_of ~start:t0)
+       o.Session.result)
 
 let handle_map t m =
   try handle_map_exn t m with

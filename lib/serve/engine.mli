@@ -1,26 +1,23 @@
 (** Request execution behind the daemon: name resolution, the two-tier
-    cache, and the resident and one-shot solving paths.
+    cache, and the resident sessions every request is answered by.
 
     {b Tier 1} caches elaborated MRRGs by [(architecture digest, II)] —
     the architecture's canonical ADL text is digested, so the same
     fabric requested by library name, file path or inline ADL shares
     one entry.  {b Tier 2} caches live {!Session}s by
-    [(DFG digest, architecture digest, formulation name)]; each session
-    holds per-II compiled encodings internally (a refinement of keying
+    [(DFG digest, architecture digest, solver name)]; each session
+    holds its per-II steps internally (a refinement of keying
     encodings by [(arch digest, II)] alone — an encoding depends on the
-    DFG and the formulation too, so both belong in the key).
+    DFG, the formulation and the engine too, so all belong in the
+    key).
 
-    A request takes the {b resident path} — session cache, incremental
-    solver, warm starts — exactly when its solver runs on the native
-    SAT engine (any formulation: ["native-sat"], ["conn-sat"]), it does
-    not optimise, and its verdict solve need log no proof: a plain
-    query, an [explain] one, or [certify] with [explain] (certified
-    through the core).  Anything else — optimisation, [certify] without
-    [explain], branch-and-bound, external solvers — takes the
-    {b one-shot path}, a {!Cgra_core.Ilp_mapper.map} call that still
-    reuses the tier-1 MRRG cache.  Both paths run one
-    {!Cgra_core.Ilp_mapper} step (prepare, search, verdict); the
-    one-shot path keeps nothing of it, so served verdicts of every
+    Every map request is one {!Session.solve}: plain, optimising,
+    explained or certified, on any solver.  A session keeps one
+    {!Cgra_core.Ilp_mapper} step (prepare, search, verdict) per II,
+    objective and proof need, so a request's repeat skips the build
+    and, on the native SAT engine, resumes a solver that keeps its
+    learnt clauses; a cold request does what one-shot
+    {!Cgra_core.Ilp_mapper.map} does.  Served verdicts of every
     flavour go through the same replay validation as one-shot CLI
     answers. *)
 

@@ -29,15 +29,15 @@ type map_request = {
   size : int;  (** NxN library size; default 4 *)
   contexts : int;  (** initiation interval II; default 1 *)
   limit : float;  (** per-request deadline seconds; 0 = server default *)
-  optimize : bool;  (** minimise routing cost (bypasses the session cache) *)
+  optimize : bool;  (** minimise routing cost (a session step of its own) *)
   certify : bool;
-      (** DRAT-certified infeasibility; bypasses the session cache
-          unless [explain] is set too, which certifies through the core *)
-  explain : bool;  (** unsat-core diagnosis; served by the session cache *)
+      (** validated evidence for infeasibility: through the core when
+          [explain] is set too, else by the DRAT log of a proof-logged
+          session step of its own *)
+  explain : bool;  (** unsat-core diagnosis *)
   backend : string option;
-      (** a {!Cgra_core.Solver_spec} name, parsed by the engine; a
-          native SAT one (["native-sat"], ["conn-sat"]) is served by
-          the session cache, any other bypasses it *)
+      (** a {!Cgra_core.Solver_spec} name, parsed by the engine; each
+          solver gets its own sessions *)
 }
 
 type payload = Map of map_request | Stats | Shutdown | Ping
@@ -48,18 +48,19 @@ type request = { id : string option; payload : payload }
 type provenance = {
   mrrg_cache_hit : bool;  (** the elaborated MRRG came from the tier-1 cache *)
   cache_hit : bool;
-      (** the compiled encoding for this exact (DFG, arch, II) already
-          lived in the resident solver: formulation build {e and}
-          clausification were both skipped *)
+      (** the session step for this exact (DFG, arch, solver, II,
+          objective, proof need) was already resident: formulation
+          build {e and} clausification were both skipped *)
   warm_start : bool;
-      (** the session solver had solved before, so saved phases,
-          branching activity and learnt clauses carried over *)
+      (** the step's SAT solver had solved before, so saved phases,
+          branching activity and learnt clauses carried over ([false]
+          for engines that keep no solver) *)
   session_solves : int;  (** solves this session has served, after this one *)
   inprocess : (string * int) list;
       (** SAT inprocessing counters of the solve behind the
           verdict ({!Cgra_satoca.Solver.inprocess_counters}): the
-          per-solve delta for session solves, the whole run for
-          one-shot paths; [[]] when no in-process SAT solver ran.
+          per-search delta of a session step, the whole run for the
+          one-shot CLI; [[]] when no in-process SAT solver ran.
           Absent on the wire when empty; older peers parse to [[]]. *)
   build_phases : (string * float) list;
       (** per-phase encode timings of the model built for this request

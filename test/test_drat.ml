@@ -312,26 +312,6 @@ let test_inprocess_ilp_certificate () =
   Alcotest.(check bool) "trace refutes" true (Proof.has_empty_clause proof);
   Alcotest.(check bool) "certificate validates" true (valid (Drat.check proof))
 
-let test_descent_certifies_optimality () =
-  (* minimisation with a strictly positive optimum: the descent cannot
-     stop at the arithmetic floor, so its final UNSAT must close a
-     valid certificate even though the totalizer bound clauses arrive
-     mid-trace *)
-  let m = Model.create () in
-  let a = Model.add_binary m "a" in
-  let b = Model.add_binary m "b" in
-  let c = Model.add_binary m "c" in
-  Model.add_row m [ (1, a); (1, b); (1, c) ] Model.Eq 1;
-  Model.set_objective m (Model.Minimize [ (2, a); (3, b); (4, c) ]);
-  let proof = Proof.create () in
-  (match Solve.solve ~proof m with
-  | Solve.Optimal (assign, obj) ->
-      Alcotest.(check int) "optimum picks the cheapest variable" 2 obj;
-      Alcotest.(check bool) "a chosen" true assign.(0)
-  | other -> Alcotest.failf "expected optimal, got %s" (Format.asprintf "%a" Solve.pp_outcome other));
-  Alcotest.(check bool) "descent closed with a refutation" true (Proof.has_empty_clause proof);
-  Alcotest.(check bool) "optimality certificate validates" true (valid (Drat.check proof))
-
 let suites =
   [
     ( "drat",
@@ -349,8 +329,6 @@ let suites =
         Alcotest.test_case "trace exports (DIMACS/DRAT)" `Quick test_proof_export;
         Alcotest.test_case "all engines certify infeasibility" `Quick
           test_solve_certifies_infeasible;
-        Alcotest.test_case "descent certifies optimality" `Quick
-          test_descent_certifies_optimality;
         Alcotest.test_case "inprocessing certificates validate" `Quick
           test_inprocess_certificates_validate;
         Alcotest.test_case "dropped elimination deletion rejects" `Quick

@@ -291,25 +291,9 @@ let test_totalizer_bound () =
       check_card_encoding ~nbase:n
         ~constrain:(fun s base ->
           let tot = Card.Totalizer.build s base in
-          Card.Totalizer.assert_at_most tot k)
+          Option.iter (fun l -> Solver.add_clause s [ l ]) (Card.Totalizer.bound_lit tot k))
         ~predicate:(fun c -> c <= k))
     [ (5, 0); (5, 2); (6, 3); (6, 1); (4, 4) ]
-
-let test_totalizer_tightening () =
-  (* strengthen the bound step by step on one solver *)
-  let s = Solver.create () in
-  let base = List.init 6 (fun _ -> Lit.pos (Solver.new_var s)) in
-  let tot = Card.Totalizer.build s base in
-  Card.at_least_k s base 3;
-  Card.Totalizer.assert_at_most tot 5;
-  Alcotest.(check bool) "k=5 sat" true (Solver.solve s = Solver.Sat);
-  Card.Totalizer.assert_at_most tot 4;
-  Alcotest.(check bool) "k=4 sat" true (Solver.solve s = Solver.Sat);
-  Card.Totalizer.assert_at_most tot 3;
-  Alcotest.(check bool) "k=3 sat" true (Solver.solve s = Solver.Sat);
-  Alcotest.(check int) "exactly 3 true" 3 (count_true s base);
-  Card.Totalizer.assert_at_most tot 2;
-  Alcotest.(check bool) "k=2 unsat" true (Solver.solve s = Solver.Unsat)
 
 (* [count_at_most_k] counts exactly what [at_most_k_array] stores, with
    and without a guard literal on every clause: fresh literals leave the
@@ -437,7 +421,7 @@ let test_assumptions_unknown_var () =
       ignore (Solver.solve_with ~assumptions:[ Lit.pos 7 ] s))
 
 let test_totalizer_bound_lit_reusable () =
-  (* assumption bounds, unlike assert_at_most, are not monotone: after
+  (* assumption bounds are not monotone: after
      refuting <=2 against an at-least-3 floor the same solver must
      still answer Sat for <=3 *)
   let s = Solver.create () in
@@ -819,7 +803,6 @@ let suites =
         Alcotest.test_case "count_at_most_k counts the stored clauses" `Quick
           test_count_at_most_k;
         Alcotest.test_case "totalizer bound" `Quick test_totalizer_bound;
-        Alcotest.test_case "totalizer tightening" `Quick test_totalizer_tightening;
       ] );
     ( "sat:assumptions",
       [

@@ -313,17 +313,121 @@ let test_session_incremental_ii () =
       | _ -> Alcotest.fail (name ^ ": expected a mapping"))
     [ "native-sat"; "conn-sat" ]
 
-let test_session_refuses_non_sat () =
-  match Session.create ~solver:(solver_spec "native-bnb") (benchmark "mac") with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "a branch-and-bound session was created"
+(* a 2-input adder, whose minimum routing cost is proven in a few SAT
+   calls on the 2x2 fabric *)
+let tiny_adder () =
+  match
+    Dfg.of_text
+      "node a input\nnode b input\nnode s add\nnode o output\n\
+       edge a s 0\nedge b s 1\nedge s o 0\n"
+  with
+  | Ok dfg -> dfg
+  | Error e -> Alcotest.fail e
 
-let test_session_refuses_unlogged_certify () =
-  (* the resident solve logs no proof, so only the core can certify *)
-  let session = Session.create (benchmark "mac") in
-  match Session.solve ~certify:true session ~mrrg:(small_mrrg 1) ~ii:1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "certify without explain was answered uncertified"
+(* one adder feeding three: on the 2x2 orthogonal mesh at II 1 it
+   passes the Hall step but cannot be routed, and branch and bound
+   refutes it in well under a second *)
+let fanout_kernel () =
+  match
+    Dfg.of_text
+      "node x input\nnode a add\nnode b add\nnode c add\nnode d add\n\
+       node ob output\nnode oc output\nnode od output\n\
+       edge x a 0\nedge x a 1\nedge a b 0\nedge a b 1\nedge a c 0\nedge a c 1\n\
+       edge a d 0\nedge a d 1\nedge b ob 0\nedge c oc 0\nedge d od 0\n"
+  with
+  | Ok dfg -> dfg
+  | Error e -> Alcotest.fail e
+
+let test_session_certify_only_served () =
+  (* a certify-only request gets a step of its own whose solver logs a
+     proof: accum@hetero-orth-2x2/ii2 passes the Hall step, so its
+     certificate is the resident solver's checked DRAT refutation, and
+     the repeat reuses the step and its log *)
+  let session = Session.create (benchmark "accum") in
+  let mrrg = small_mrrg ~arch_name:"hetero-orth" 2 in
+  let o1 = Session.solve ~certify:true session ~mrrg ~ii:2 in
+  let o2 = Session.solve ~certify:true session ~mrrg ~ii:2 in
+  List.iter
+    (fun (what, (o : Session.outcome)) ->
+      match o.Session.result with
+      | IM.Infeasible info ->
+          Alcotest.(check bool) (what ^ ": certified") true info.IM.certified;
+          Alcotest.(check (option string)) (what ^ ": evidence") (Some "drat")
+            (Option.map IM.evidence_name info.IM.evidence);
+          Alcotest.(check bool) (what ^ ": proof steps") true (info.IM.proof_steps > 0)
+      | r -> Alcotest.failf "%s: expected infeasible, got %a" what IM.pp_result r)
+    [ ("first", o1); ("repeat", o2) ];
+  Alcotest.(check (list bool)) "cold, then a hit" [ false; true ]
+    [ o1.Session.cache_hit; o2.Session.cache_hit ];
+  (* a plain request needs no proof, so it prepares its own step *)
+  let o3 = Session.solve session ~mrrg ~ii:2 in
+  Alcotest.(check bool) "an unlogged request misses" false o3.Session.cache_hit;
+  Alcotest.(check (list int)) "one II resident" [ 2 ] (Session.compiled_iis session);
+  (* branch and bound keeps no solver, so each search cross-certifies
+     into a proof of its own: a repeat logs what the first answer did,
+     not that plus a second refutation *)
+  let session = Session.create ~solver:(solver_spec "native-bnb") (fanout_kernel ()) in
+  let proof_steps () =
+    match (Session.solve ~certify:true session ~mrrg:(small_mrrg 1) ~ii:1).Session.result with
+    | IM.Infeasible { IM.certified = true; proof_steps; _ } -> proof_steps
+    | r -> Alcotest.failf "B&B: expected a certified infeasibility, got %a" IM.pp_result r
+  in
+  let first = proof_steps () in
+  Alcotest.(check int) "B&B repeat logs one refutation" first (proof_steps ())
+
+let answer_of = function
+  | IM.Mapped (_, i) -> ("feasible", i.IM.objective_value, None)
+  | IM.Infeasible i -> ("infeasible", i.IM.objective_value, Option.map IM.evidence_name i.IM.evidence)
+  | IM.Timeout _ -> ("timeout", None, None)
+
+let test_session_any_solver_agrees_with_map () =
+  (* branch and bound and optimisation are session steps like any
+     other: a fresh session's answer is one-shot [map]'s, objective
+     value and evidence included, and so is its repeat *)
+  List.iter
+    (fun (name, objective, (bench, dfg), ii) ->
+      let cell = Printf.sprintf "%s %s@homo-orth-2x2/ii%d" name bench ii in
+      let solver = solver_spec name and mrrg = small_mrrg ii in
+      let session = Session.create ~solver dfg in
+      let expected = answer_of (IM.map ~objective ~solver dfg mrrg) in
+      List.iter
+        (fun what ->
+          Alcotest.(check (triple string (option int) (option string)))
+            (cell ^ ": " ^ what) expected
+            (answer_of (Session.solve ~objective session ~mrrg ~ii).Session.result))
+        [ "first"; "repeat" ])
+    [
+      ("native-bnb", Cgra_core.Formulation.Feasibility, ("2x2-f", benchmark "2x2-f"), 2);
+      ("native-bnb", Cgra_core.Formulation.Feasibility, ("mac", benchmark "mac"), 2);
+      ("native-sat", Cgra_core.Formulation.Min_routing, ("adder", tiny_adder ()), 1);
+      ("native-sat", Cgra_core.Formulation.Min_routing, ("mac", benchmark "mac"), 1);
+    ]
+
+let test_session_bnb_repeat_is_cold () =
+  (* branch and bound keeps no solver: its repeat reuses the built model
+     ([cache_hit]) but searches from scratch, so it is never warm *)
+  let session = Session.create ~solver:(solver_spec "native-bnb") (benchmark "2x2-f") in
+  let o1 = Session.solve session ~mrrg:(small_mrrg 2) ~ii:2 in
+  let o2 = Session.solve session ~mrrg:(small_mrrg 2) ~ii:2 in
+  Alcotest.(check (list string)) "feasible twice" [ "feasible"; "feasible" ]
+    [ status_of o1.Session.result; status_of o2.Session.result ];
+  Alcotest.(check bool) "repeat hits" true o2.Session.cache_hit;
+  Alcotest.(check bool) "repeat is not warm" false o2.Session.warm_start
+
+let test_session_optimize_reuses_totalizer () =
+  (* every descent bounds the one totalizer the first descent built, by
+     assumption, so optimising repeats add no solver variables *)
+  let session = Session.create (tiny_adder ()) in
+  let vars () =
+    let o = Session.solve ~objective:Cgra_core.Formulation.Min_routing session
+        ~mrrg:(small_mrrg 1) ~ii:1 in
+    (match o.Session.result with
+    | IM.Mapped (_, i) -> Alcotest.(check bool) "proven optimal" true i.IM.proven_optimal
+    | r -> Alcotest.failf "expected a mapping, got %a" IM.pp_result r);
+    Session.solver_vars session
+  in
+  let first = vars () in
+  Alcotest.(check (list int)) "variables after each repeat" [ first; first ] [ vars (); vars () ]
 
 let hall_answer (o : Session.outcome) =
   match o.Session.result with
@@ -542,6 +646,53 @@ let test_engine_certify_explain_served () =
       Alcotest.(check bool) "certified" true v.Protocol.certified;
       Alcotest.(check int) "core groups" 9 (List.length v.Protocol.core))
     [ v1; v2 ]
+
+let test_engine_every_kind_served () =
+  (* optimisation, certify without explain and branch and bound on
+     either formulation all go through a session: the first answer is
+     one-shot [map]'s, the repeat is a hit with the same answer, and only
+     a SAT engine's repeat is warm *)
+  let e = Engine.create () in
+  let adder = tiny_adder () in
+  List.iter
+    (fun (kind, (req : Protocol.map_request), dfg, arch_name) ->
+      let solver = solver_spec (Option.value req.Protocol.backend ~default:"native-sat") in
+      let objective =
+        if req.Protocol.optimize then Cgra_core.Formulation.Min_routing
+        else Cgra_core.Formulation.Feasibility
+      in
+      let reference =
+        Protocol.verdict_of_result ~engine:"" ~wall_seconds:0.0
+          (IM.map ~objective ~solver ~certify:req.Protocol.certify dfg
+             (small_mrrg ~arch_name req.Protocol.contexts))
+      in
+      let answer (v : Protocol.verdict) =
+        ((v.Protocol.status, v.Protocol.objective), (v.Protocol.evidence, v.Protocol.certified))
+      in
+      let same = Alcotest.(check (pair (pair string (option int)) (pair (option string) bool))) in
+      let v1 = handle e req in
+      let v2 = handle e req in
+      same (kind ^ ": first is map's") (answer reference) (answer v1);
+      same (kind ^ ": repeat is map's") (answer reference) (answer v2);
+      Alcotest.(check bool) (kind ^ ": repeat hits") true v2.Protocol.provenance.Protocol.cache_hit;
+      Alcotest.(check bool) (kind ^ ": repeat warm only on SAT")
+        (solver.Cgra_core.Solver_spec.engine
+        = Cgra_core.Solver_spec.Native Cgra_ilp.Solve.Sat_backed)
+        v2.Protocol.provenance.Protocol.warm_start)
+    [
+      ( "optimize",
+        { (map_request ~optimize:true ()) with Protocol.dfg_text = Some (Dfg.to_text adder) },
+        adder, "homo-orth" );
+      ( "certify-only",
+        map_request ~bench:"accum" ~arch:"hetero-orth" ~contexts:2 ~certify:true (),
+        benchmark "accum", "hetero-orth" );
+      ( "native-bnb",
+        map_request ~bench:"2x2-f" ~contexts:2 ~backend:"native-bnb" (),
+        benchmark "2x2-f", "homo-orth" );
+      ( "conn-bnb",
+        map_request ~bench:"2x2-f" ~contexts:2 ~backend:"conn-bnb" (),
+        benchmark "2x2-f", "homo-orth" );
+    ]
 
 let test_engine_explain_runs_unlocked () =
   (* An explained infeasibility spends most of its time extracting and
@@ -827,16 +978,20 @@ let suites =
       [
         Alcotest.test_case "incremental II search in one solver" `Slow
           test_session_incremental_ii;
-        Alcotest.test_case "certify without explain is refused" `Quick
-          test_session_refuses_unlogged_certify;
+        Alcotest.test_case "certify without explain is served" `Quick
+          test_session_certify_only_served;
         Alcotest.test_case "repeated infeasible query stays warm" `Slow
           test_session_repeat_infeasible;
         Alcotest.test_case "outcome stats are per-solve deltas" `Slow
           test_session_per_solve_stats;
         Alcotest.test_case "a cold solve is one-shot's search" `Slow
           test_session_cold_is_oneshot_search;
-        Alcotest.test_case "only native SAT solvers get sessions" `Quick
-          test_session_refuses_non_sat;
+        Alcotest.test_case "B&B and optimising sessions agree with map" `Slow
+          test_session_any_solver_agrees_with_map;
+        Alcotest.test_case "a B&B repeat hits but is never warm" `Quick
+          test_session_bnb_repeat_is_cold;
+        Alcotest.test_case "optimising repeats reuse the totalizer" `Quick
+          test_session_optimize_reuses_totalizer;
         QCheck_alcotest.to_alcotest prop_session_agrees_with_oneshot;
       ] );
     ( "serve-engine",
@@ -849,6 +1004,8 @@ let suites =
           test_engine_conn_sat_served;
         Alcotest.test_case "certify with explain is served with its pinned core" `Slow
           test_engine_certify_explain_served;
+        Alcotest.test_case "every request kind is served and agrees with map" `Slow
+          test_engine_every_kind_served;
         Alcotest.test_case "explaining does not hold the session lock" `Slow
           test_engine_explain_runs_unlocked;
         Alcotest.test_case "each formulation gets its own session" `Slow
