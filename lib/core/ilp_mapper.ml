@@ -81,8 +81,22 @@ let diagnose ?deadline ?proof (f : Formulation_intf.built) (core : Unsat_core.co
    that decided it to log a proof. *)
 let verdict_solve_needs_proof ~certify ~explain = certify && not explain
 
-let verdict ?deadline ?proof ~certify ~explain ~objective ~solver ~build_seconds
-    (f : Formulation_intf.built) (report : Solve.report) =
+(* A certified infeasibility must carry a complete DRAT refutation that
+   the independent checker accepts: the negative-verdict twin of the
+   Check.run pass in [verdict]. *)
+let check_refutation p =
+  Proof.has_empty_clause p
+  &&
+  match Drat.check p with
+  | Drat.Valid -> true
+  | Drat.Invalid msg ->
+      failwith
+        (Printf.sprintf "Ilp_mapper: solver produced an invalid DRAT certificate (bug): %s" msg)
+
+(* [verdict], with the refutation checker given: a resident step
+   reuses what its last check accepted. *)
+let verdict_checked ?deadline ?proof ~check_refutation ~certify ~explain ~objective ~solver
+    ~build_seconds (f : Formulation_intf.built) (report : Solve.report) =
   if Option.is_some proof <> verdict_solve_needs_proof ~certify ~explain then
     invalid_arg "Ilp_mapper.verdict: a solve proof goes with certify and without explain";
   let model = f.Formulation_intf.model in
@@ -124,22 +138,7 @@ let verdict ?deadline ?proof ~certify ~explain ~objective ~solver ~build_seconds
       in
       Infeasible (info ?diagnosis ~objective_value:None ~proven_optimal:true ~certified ())
   | Solve.Infeasible ->
-      (* A certified infeasibility must carry a complete DRAT refutation
-         that the independent checker accepts — the negative-verdict
-         twin of the Check.run pass below. *)
-      let certified =
-        match proof with
-        | None -> false
-        | Some p ->
-            Proof.has_empty_clause p
-            &&
-            (match Drat.check p with
-            | Drat.Valid -> true
-            | Drat.Invalid msg ->
-                failwith
-                  (Printf.sprintf
-                     "Ilp_mapper: solver produced an invalid DRAT certificate (bug): %s" msg))
-      in
+      let certified = match proof with None -> false | Some p -> check_refutation p in
       Infeasible (info ~objective_value:None ~proven_optimal:true ~certified ())
   | Solve.Timeout ->
       Timeout (info ~objective_value:None ~proven_optimal:false ~certified:false ())
@@ -160,6 +159,9 @@ let verdict ?deadline ?proof ~certify ~explain ~objective ~solver ~build_seconds
       (* Check.run just accepted the mapping: the positive verdict is
          certified by construction, whether or not proof logging ran. *)
       Mapped (mapping, info ~objective_value ~proven_optimal ~certified:true ())
+
+let verdict ?deadline ?proof =
+  verdict_checked ?deadline ?proof ~check_refutation
 
 (* The Hall step's answer (see Hall): an infeasibility decided by a
    checked witness before any engine runs.  Under [explain] the model
@@ -230,6 +232,8 @@ type state =
       built : Formulation_intf.built;
       enc : Encode.t option;
       mutable searched : bool;
+      mutable refutation_checked : int option;
+          (* the length of the log [check_refutation] last accepted *)
     }
 
 type step = {
@@ -273,7 +277,7 @@ let prepare ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.defaul
               Some (Encode.encode ?proof built.Formulation_intf.model)
           | Solver_spec.Native _ | Solver_spec.External _ -> None
         in
-        Built { built; enc; searched = false }
+        Built { built; enc; searched = false; refutation_checked = None }
   in
   { dfg; mrrg; solver; objective; proof; state }
 
@@ -332,13 +336,29 @@ let search ?deadline ~started ~certify ~explain step =
       (* A timeout still counts as a search: the solver keeps the
          learnt clauses and phases of the truncated run. *)
       b.searched <- true;
+      (* A resident solver logs every search into the one [step.proof],
+         and a refuted one logs nothing more: a log as long as the last
+         one accepted is that log.  An engine without a solver logs
+         each search into a fresh proof, checked afresh. *)
+      let check_refutation p =
+        match b.enc with
+        | None -> check_refutation p
+        | Some _ ->
+            let steps = Proof.n_steps p in
+            b.refutation_checked = Some steps
+            || check_refutation p
+               && begin
+                    b.refutation_checked <- Some steps;
+                    true
+                  end
+      in
       {
         search_stats;
         resumed;
         conclude =
           (fun () ->
-            verdict ?deadline ?proof ~certify ~explain ~objective:step.objective
-              ~solver:step.solver ~build_seconds built report);
+            verdict_checked ?deadline ?proof ~check_refutation ~certify ~explain
+              ~objective:step.objective ~solver:step.solver ~build_seconds built report);
       }
 
 let map ?objective ?solver ?deadline ?cancel ?warm_start ?(certify = false) ?(explain = false)

@@ -60,10 +60,12 @@ let encode_le mode solver model i ~sign rhs =
   let bound = !bound and n = !n in
   match (le_device ~bound ~n, mode) with
   | Trivial, _ -> ()
-  | Infeasible, Emit -> Solver.add_clause solver []
+  | Infeasible, Emit -> Solver.add_clause_array solver [||]
   | Infeasible, Count (size, extra) -> Card.count_clauses size ~extra 1 0
   | Not_all, Emit ->
-      Solver.add_clause solver (Array.to_list (Array.map Lit.negate (units model i ~sign n)))
+      (* the complements of the units are the units read with the
+         opposite sign *)
+      Solver.add_clause_array solver (units model i ~sign:(-sign) n)
   | Not_all, Count (size, extra) -> Card.count_clauses size ~extra 1 n
   | At_most, Emit -> Card.at_most_k_array solver (units model i ~sign n) bound
   | At_most, Count (size, extra) -> Card.count_at_most_k size ~extra n bound
@@ -87,7 +89,7 @@ let encode_row mode solver model i =
     match mode with
     | Emit ->
         let lits = Array.init len (fun k -> Lit.pos (Model.row_var model i k)) in
-        Solver.add_clause solver (Array.to_list lits);
+        Solver.add_clause_array solver lits;
         Card.at_most_k_array solver lits 1
     | Count (size, extra) ->
         Card.count_clauses size ~extra 1 len;
@@ -99,12 +101,24 @@ let encode_row mode solver model i =
   end
 
 (* A fresh solver holding the model's variables (solver variable [v]
-   is model variable [v]) and their branch priorities, the setup
-   {!encode} and {!encode_grouped} share. *)
-let fresh_solver ?proof ?inprocess model =
+   is model variable [v]), then [extra_vars] more, and the model's
+   branch priorities: the setup {!encode} and {!encode_grouped} share.
+   Everything clausifying the rows [keep] accepts will need is sized
+   first, each row counted with the guard literal [guarded] says it
+   gets, so no variable or clause memory grows while they are added. *)
+let fresh_solver ?proof ?inprocess ?(keep = fun _ -> true) ?(guarded = fun _ -> false)
+    ?(extra_vars = 0) model =
   let solver = Solver.create () in
   (match proof with Some _ -> Solver.set_proof solver proof | None -> ());
   Inprocess.install ?config:inprocess solver;
+  let size = { Card.clauses = 0; literals = 0; vars = 0 } in
+  let unguarded = Count (size, 0) and with_guard = Count (size, 1) in
+  for i = 0 to Model.nrows model - 1 do
+    if keep i then encode_row (if guarded i then with_guard else unguarded) solver model i
+  done;
+  Solver.reserve solver
+    ~vars:(Model.nvars model + extra_vars + size.Card.vars)
+    ~clauses:size.Card.clauses ~literals:size.Card.literals;
   ignore (if Model.nvars model > 0 then Solver.new_vars solver (Model.nvars model) else 0);
   for v = 0 to Model.nvars model - 1 do
     let p = Model.branch_priority model v in
@@ -113,15 +127,8 @@ let fresh_solver ?proof ?inprocess model =
   solver
 
 (* Clausify every row [keep] accepts, each under the guard literal
-   [guard] gives it (none by default).  The clause store is sized for
-   all of them first, so it does not grow while they are added. *)
+   [guard] gives it (none by default). *)
 let add_rows ?(keep = fun _ -> true) ?(guard = fun _ -> None) solver model =
-  let size = { Card.clauses = 0; literals = 0 } in
-  let unguarded = Count (size, 0) and guarded = Count (size, 1) in
-  for i = 0 to Model.nrows model - 1 do
-    if keep i then encode_row (if Option.is_none (guard i) then unguarded else guarded) solver model i
-  done;
-  Solver.reserve solver ~clauses:size.Card.clauses ~literals:size.Card.literals;
   for i = 0 to Model.nrows model - 1 do
     if keep i then begin
       Solver.set_guard solver (guard i);
@@ -131,14 +138,14 @@ let add_rows ?(keep = fun _ -> true) ?(guard = fun _ -> None) solver model =
   Solver.set_guard solver None
 
 let encode ?proof ?inprocess ?keep model =
-  let solver = fresh_solver ?proof ?inprocess model in
+  let solver = fresh_solver ?proof ?inprocess ?keep model in
   add_rows ?keep solver model;
   (* Seed polarities from the model's phase hints by trial propagation,
      so auxiliary encoding variables also receive phases consistent
      with the hinted assignment (critical for warm starts). *)
   if Model.nvars model > 0 then
-    Solver.seed_phases solver
-      (List.init (Model.nvars model) (fun v -> Lit.make v (Model.branch_phase model v)));
+    Solver.seed_phases_array solver
+      (Array.init (Model.nvars model) (fun v -> Lit.make v (Model.branch_phase model v)));
   let objective_lits, objective_offset =
     match Model.objective model with
     | Model.Feasibility -> ([], 0)
@@ -160,7 +167,11 @@ let assignment t model =
 type grouped = { g_solver : Solver.t; selectors : (string * Lit.t) list }
 
 let encode_grouped model =
-  let solver = fresh_solver model in
+  let solver =
+    fresh_solver model
+      ~guarded:(fun i -> Option.is_some (Model.row_group model i))
+      ~extra_vars:(List.length (Model.groups model))
+  in
   let sel = Hashtbl.create 16 in
   let selectors =
     List.map

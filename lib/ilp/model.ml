@@ -41,8 +41,8 @@ type t = {
   row_names : (int, name_spec) Hashtbl.t;
       (* explicitly named rows only; absent rows render as ["c<index>"] *)
   mutable obj : objective;
-  priorities : (var, float) Hashtbl.t;
-  phases : (var, bool) Hashtbl.t;
+  mutable priorities : float array;  (* var -> branch priority *)
+  mutable phases : Bytes.t;          (* var -> '\001' for a true phase hint *)
 }
 
 let create ?(name = "model") () =
@@ -64,21 +64,37 @@ let create ?(name = "model") () =
     pending_name = None;
     row_names = Hashtbl.create 64;
     obj = Feasibility;
-    priorities = Hashtbl.create 64;
-    phases = Hashtbl.create 64;
+    priorities = Array.make 16 0.0;
+    phases = Bytes.make 16 '\000';
   }
+
+(* The formulations hint their placement variables, which come first,
+   so the hint arrays grow only as far as the last hinted variable; a
+   variable past their end reads the default. *)
+let grow_hints t v =
+  if v >= Array.length t.priorities then begin
+    let cap = max (v + 1) (2 * Array.length t.priorities) in
+    let priorities = Array.make cap 0.0 in
+    Array.blit t.priorities 0 priorities 0 (Array.length t.priorities);
+    t.priorities <- priorities;
+    let phases = Bytes.make cap '\000' in
+    Bytes.blit t.phases 0 phases 0 (Bytes.length t.phases);
+    t.phases <- phases
+  end
 
 let set_branch_priority t v p =
   if v < 0 || v >= t.count then invalid_arg "Model.set_branch_priority: out of range";
-  Hashtbl.replace t.priorities v p
+  grow_hints t v;
+  t.priorities.(v) <- p
 
-let branch_priority t v = Option.value ~default:0.0 (Hashtbl.find_opt t.priorities v)
+let branch_priority t v = if v < Array.length t.priorities then t.priorities.(v) else 0.0
 
 let set_branch_phase t v b =
   if v < 0 || v >= t.count then invalid_arg "Model.set_branch_phase: out of range";
-  Hashtbl.replace t.phases v b
+  grow_hints t v;
+  Bytes.set t.phases v (if b then '\001' else '\000')
 
-let branch_phase t v = Option.value ~default:false (Hashtbl.find_opt t.phases v)
+let branch_phase t v = v < Bytes.length t.phases && Bytes.get t.phases v = '\001'
 
 let name t = t.mname
 

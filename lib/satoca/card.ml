@@ -1,33 +1,32 @@
 type encoding = Pairwise | Sequential
 
-let at_least_one solver lits =
-  match lits with
-  | [] -> Solver.add_clause solver [] (* unsatisfiable *)
-  | _ -> Solver.add_clause solver lits
+(* the empty list gives the empty clause: unsatisfiable *)
+let at_least_one solver lits = Solver.add_clause_array solver (Array.of_list lits)
 
 let pairwise solver arr =
   let n = Array.length arr in
   for i = 0 to n - 2 do
     for j = i + 1 to n - 1 do
-      Solver.add_clause solver [ Lit.negate arr.(i); Lit.negate arr.(j) ]
+      Solver.add_binary solver (Lit.negate arr.(i)) (Lit.negate arr.(j))
     done
   done
 
 (* Sinz's sequential counter specialised to k = 1: a ladder of "some
-   x_1..x_i is true" flags. *)
+   x_1..x_i is true" flags, s_i = variable [first + i]. *)
 let sequential_amo solver arr =
   match arr with
   | [||] | [| _ |] -> ()
   | arr ->
       let n = Array.length arr in
-      let s = Array.init (n - 1) (fun _ -> Lit.pos (Solver.new_var solver)) in
-      Solver.add_clause solver [ Lit.negate arr.(0); s.(0) ];
+      let first = Solver.new_vars solver (n - 1) in
+      let s i = Lit.pos (first + i) in
+      Solver.add_binary solver (Lit.negate arr.(0)) (s 0);
       for i = 1 to n - 2 do
-        Solver.add_clause solver [ Lit.negate arr.(i); s.(i) ];
-        Solver.add_clause solver [ Lit.negate s.(i - 1); s.(i) ];
-        Solver.add_clause solver [ Lit.negate arr.(i); Lit.negate s.(i - 1) ]
+        Solver.add_binary solver (Lit.negate arr.(i)) (s i);
+        Solver.add_binary solver (Lit.negate (s (i - 1))) (s i);
+        Solver.add_binary solver (Lit.negate arr.(i)) (Lit.negate (s (i - 1)))
       done;
-      Solver.add_clause solver [ Lit.negate arr.(n - 1); Lit.negate s.(n - 2) ]
+      Solver.add_binary solver (Lit.negate arr.(n - 1)) (Lit.negate (s (n - 2)))
 
 let at_most_one_array ?encoding solver arr =
   let n = Array.length arr in
@@ -53,35 +52,37 @@ let device n k =
   else if k = 1 then if n <= 6 then Pairwise_amo else Ladder
   else Counter
 
-(* Sinz 2005: s.(i).(j) == "at least j+1 of x_0..x_i are true". *)
+(* Sinz 2005: s i j == "at least j+1 of x_0..x_i are true", variable
+   [first + (i * k) + j]. *)
 let counter solver arr k =
   let n = Array.length arr in
-  let s = Array.init (n - 1) (fun _ -> Array.init k (fun _ -> Lit.pos (Solver.new_var solver))) in
-  Solver.add_clause solver [ Lit.negate arr.(0); s.(0).(0) ];
+  let first = Solver.new_vars solver ((n - 1) * k) in
+  let s i j = Lit.pos (first + (i * k) + j) in
+  Solver.add_binary solver (Lit.negate arr.(0)) (s 0 0);
   for j = 1 to k - 1 do
-    Solver.add_clause solver [ Lit.negate s.(0).(j) ]
+    Solver.add_clause_array solver [| Lit.negate (s 0 j) |]
   done;
   for i = 1 to n - 2 do
-    Solver.add_clause solver [ Lit.negate arr.(i); s.(i).(0) ];
-    Solver.add_clause solver [ Lit.negate s.(i - 1).(0); s.(i).(0) ];
+    Solver.add_binary solver (Lit.negate arr.(i)) (s i 0);
+    Solver.add_binary solver (Lit.negate (s (i - 1) 0)) (s i 0);
     for j = 1 to k - 1 do
-      Solver.add_clause solver [ Lit.negate arr.(i); Lit.negate s.(i - 1).(j - 1); s.(i).(j) ];
-      Solver.add_clause solver [ Lit.negate s.(i - 1).(j); s.(i).(j) ]
+      Solver.add_ternary solver (Lit.negate arr.(i)) (Lit.negate (s (i - 1) (j - 1))) (s i j);
+      Solver.add_binary solver (Lit.negate (s (i - 1) j)) (s i j)
     done;
-    Solver.add_clause solver [ Lit.negate arr.(i); Lit.negate s.(i - 1).(k - 1) ]
+    Solver.add_binary solver (Lit.negate arr.(i)) (Lit.negate (s (i - 1) (k - 1)))
   done;
-  Solver.add_clause solver [ Lit.negate arr.(n - 1); Lit.negate s.(n - 2).(k - 1) ]
+  Solver.add_binary solver (Lit.negate arr.(n - 1)) (Lit.negate (s (n - 2) (k - 1)))
 
 let at_most_k_array solver arr k =
   if k < 0 then invalid_arg "Card.at_most_k: negative bound";
   match device (Array.length arr) k with
   | No_clauses -> ()
-  | Units -> Array.iter (fun l -> Solver.add_clause solver [ Lit.negate l ]) arr
+  | Units -> Array.iter (fun l -> Solver.add_clause_array solver [| Lit.negate l |]) arr
   | Pairwise_amo -> pairwise solver arr
   | Ladder -> sequential_amo solver arr
   | Counter -> counter solver arr k
 
-type size = { mutable clauses : int; mutable literals : int }
+type size = { mutable clauses : int; mutable literals : int; mutable vars : int }
 
 let count_clauses size ~extra count len =
   if len + extra >= 2 then begin
@@ -95,8 +96,11 @@ let count_at_most_k size ~extra n k =
   | No_clauses -> ()
   | Units -> count_clauses size ~extra n 1
   | Pairwise_amo -> count_clauses size ~extra (n * (n - 1) / 2) 2
-  | Ladder -> count_clauses size ~extra ((3 * n) - 4) 2
+  | Ladder ->
+      size.vars <- size.vars + n - 1;
+      count_clauses size ~extra ((3 * n) - 4) 2
   | Counter ->
+      size.vars <- size.vars + ((n - 1) * k);
       (* Unguarded, the k-1 units fix s.(0).(1..k-1) false at the root,
          so the solver drops the k binary and k-2 ternary clauses of
          row i = 1 that they satisfy. *)
@@ -111,8 +115,8 @@ let at_least_k solver lits k =
   if k <= 0 then ()
   else begin
     let n = List.length lits in
-    if k > n then Solver.add_clause solver []
-    else if k = n then List.iter (fun l -> Solver.add_clause solver [ l ]) lits
+    if k > n then Solver.add_clause_array solver [||]
+    else if k = n then List.iter (fun l -> Solver.add_clause_array solver [| l |]) lits
     else if k = 1 then at_least_one solver lits
     else at_most_k solver (List.map Lit.negate lits) (n - k)
   end
@@ -125,16 +129,17 @@ module Totalizer = struct
      are what an at-most bound needs to propagate. *)
   let merge solver a b =
     let m = Array.length a and n = Array.length b in
-    let r = Array.init (m + n) (fun _ -> Lit.pos (Solver.new_var solver)) in
+    let first = Solver.new_vars solver (m + n) in
+    let r = Array.init (m + n) (fun i -> Lit.pos (first + i)) in
     for i = 0 to m - 1 do
-      Solver.add_clause solver [ Lit.negate a.(i); r.(i) ]
+      Solver.add_binary solver (Lit.negate a.(i)) r.(i)
     done;
     for j = 0 to n - 1 do
-      Solver.add_clause solver [ Lit.negate b.(j); r.(j) ]
+      Solver.add_binary solver (Lit.negate b.(j)) r.(j)
     done;
     for i = 0 to m - 1 do
       for j = 0 to n - 1 do
-        Solver.add_clause solver [ Lit.negate a.(i); Lit.negate b.(j); r.(i + j + 1) ]
+        Solver.add_ternary solver (Lit.negate a.(i)) (Lit.negate b.(j)) r.(i + j + 1)
       done
     done;
     r

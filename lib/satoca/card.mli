@@ -55,13 +55,14 @@ end
 
 (** {1 Sizing}
 
-    What the solver stores of an encoding, counted without encoding it,
-    the input of {!Solver.reserve}.  Unit clauses are not stored and
-    not counted.  A count bounds what the solver needs: it may shorten
-    or drop a clause but never lengthens one. *)
+    What the solver stores and allocates for an encoding, counted
+    without encoding it, the input of {!Solver.reserve}.  Unit clauses
+    are not stored and not counted.  A count bounds what the solver
+    needs: it may shorten or drop a clause but never lengthens one. *)
 
-type size = { mutable clauses : int; mutable literals : int }
-(** A running count of stored clauses and of their literals. *)
+type size = { mutable clauses : int; mutable literals : int; mutable vars : int }
+(** A running count of stored clauses, of their literals and of the
+    auxiliary variables the encodings allocate. *)
 
 val count_clauses : size -> extra:int -> int -> int -> unit
 (** [count_clauses size ~extra count len] adds [count] clauses of [len]
@@ -70,5 +71,6 @@ val count_clauses : size -> extra:int -> int -> int -> unit
 
 val count_at_most_k : size -> extra:int -> int -> int -> unit
 (** [count_at_most_k size ~extra n k] adds what {!at_most_k_array}
-    stores for [k] over [n] fresh literals: an exact count, as the same
-    device choice makes both.  [extra] as for {!count_clauses}. *)
+    stores and allocates for [k] over [n] fresh literals: an exact
+    count, as the same device choice makes both.  [extra] as for
+    {!count_clauses}. *)

@@ -8,16 +8,29 @@
      the index of its activity in [act].  The header packs the length,
      the learnt and deleted bits, and the clause's slot (its rank among
      all clauses ever stored), which [clause_view] answers by.
-   - A clause watches its first two literals; offset c appears in
-     [watches.(Lit.negate arena.(c + 1))] and
-     [watches.(Lit.negate arena.(c + 2))], so when a literal p is
-     assigned true, [watches.(p)] lists exactly the clauses that just
-     lost a watched literal.
+   - A clause watches its first two literals; offset c appears in the
+     watch slices of [Lit.negate arena.(c + 1)] and
+     [Lit.negate arena.(c + 2)], so when a literal p is assigned true,
+     p's slice lists exactly the clauses that just lost a watched
+     literal.  Every live clause before [unwatched] in the arena is
+     watched; the problem clauses from [unwatched] on are not yet, and
+     [watch_pending] watches them, in clause order, before anything
+     propagates.  A learnt clause is watched at once.
+   - The watch slices share one int array, the watch arena.  Literal
+     l's entries are [watches.(wstart.(l) .. wstart.(l) + wsize.(l) - 1)],
+     with room for [wcap.(l)] words; the word before the slice holds l.
+     A slice that fills moves, in order, to the end of the arena, and
+     its old words become a hole whose first word holds [lnot] of the
+     hole's length.  When the arena is full and holes pass a quarter
+     of the words in use, [compact_watches] moves the slices down in
+     arena order.  A literal that never watched a clause has no slice
+     and [wcap.(l) = 0].
    - Each watch is a (entry, blocker) pair.  A long clause's entry is
      its offset c; a binary clause's entry is tagged as [lnot c]
      (always negative) and its blocker is always its other literal, so
      propagation decides it from that literal's value alone.  A
-     clause's length never changes, so the tag is fixed at [attach].
+     clause's length never changes, so the tag is fixed when it is
+     first watched.
    - The reason clause of an implied literal has that literal at
      position 0; the binary path swaps it there too.  [reason.(v)] is
      that clause's offset, or -1.
@@ -30,12 +43,15 @@
 
    The library is compiled with [-opaque] in dune's default profile, so
    no call into [Veci] or [Lit] is inlined.  [propagate] therefore reads
-   the arena once per call, and the backing arrays of the trail and of
-   each watch list once per propagated literal ([Veci.data]), and
-   indexes them directly.  Those arrays stay valid while they are used:
-   no clause is added during propagation, a moved watch goes to another
-   literal's list, and the trail, which [enqueue] pushes onto, is
-   fetched afresh for each literal. *)
+   the clause arena and the per-literal slice arrays once per call, the
+   trail's backing array once per propagated literal ([Veci.data]), and
+   indexes them directly.  Those stay valid while they are used: no
+   clause or variable is added during propagation, and the trail, which
+   [enqueue] pushes onto, is fetched afresh for each literal.  The watch
+   arena is the exception: a moved watch goes to another literal's
+   slice, and when that slice is full it moves, which may grow or
+   compact the arena in the middle of a traversal.  The traversal then
+   re-reads the arena and its own slice's start. *)
 
 module Veci = Cgra_util.Veci
 module Deadline = Cgra_util.Deadline
@@ -73,7 +89,15 @@ type t = {
   mutable n_slots : int;             (* clauses ever stored *)
   mutable act : float array;         (* learnt clause activities *)
   mutable n_act : int;
-  mutable watches : Veci.t array;    (* literal -> clause offsets *)
+  mutable watches : int array;       (* the watch arena: every literal's slice *)
+  mutable wtop : int;                (* watch-arena words in use *)
+  mutable wdead : int;               (* words of holes left by moved slices *)
+  mutable wstart : int array;        (* literal -> first word of its slice *)
+  mutable wsize : int array;         (* literal -> words its slice holds *)
+  mutable wcap : int array;          (* literal -> words its slice has room for *)
+  mutable unwatched : int;           (* arena offset of the first unwatched clause *)
+  mutable wneed : int array;         (* literal -> pending watch words; 0 between calls *)
+  wtouched : Veci.t;                 (* literals with pending watches, first seen first *)
   mutable assigns : int array;       (* var -> -1 / 0 / 1 *)
   mutable phase : Bytes.t;           (* var -> saved polarity *)
   mutable level : int array;         (* var -> decision level *)
@@ -109,10 +133,6 @@ type t = {
   mutable n_probed_failed : int;
 }
 
-(* Most literals watch a handful of clauses; start small and let the
-   vector double. *)
-let new_watch_list () = Veci.create ~capacity:4 ()
-
 let create () =
   {
     nvars = 0;
@@ -122,7 +142,15 @@ let create () =
     n_slots = 0;
     act = Array.make 16 0.;
     n_act = 0;
-    watches = Array.make 2 (Veci.create ~capacity:1 ());
+    watches = Array.make 64 0;
+    wtop = 0;
+    wdead = 0;
+    wstart = Array.make 2 0;
+    wsize = Array.make 2 0;
+    wcap = Array.make 2 0;
+    unwatched = 0;
+    wneed = Array.make 2 0;
+    wtouched = Veci.create ();
     assigns = Array.make 1 (-1);
     phase = Bytes.make 1 '\000';
     level = Array.make 1 0;
@@ -230,12 +258,16 @@ let grow_arrays t needed =
     t.seen <- grow_bytes t.seen;
     t.heap <- grow_int t.heap 0;
     t.heap_pos <- grow_int t.heap_pos (-1);
-    (* slots past [nvars] hold a placeholder until their variable is
-       allocated: lists are made per variable, not per slot of
-       capacity *)
-    let w = Array.make (2 * cap') (Veci.create ~capacity:1 ()) in
-    Array.blit t.watches 0 w 0 (2 * t.nvars);
-    t.watches <- w
+    (* per literal: no slice until the literal first watches a clause *)
+    let grow_lits a =
+      let a' = Array.make (2 * cap') 0 in
+      Array.blit a 0 a' 0 (2 * cap);
+      a'
+    in
+    t.wstart <- grow_lits t.wstart;
+    t.wsize <- grow_lits t.wsize;
+    t.wcap <- grow_lits t.wcap;
+    t.wneed <- grow_lits t.wneed
   end
 
 (* ---------------- order heap (max-heap on var_act) ---------------- *)
@@ -306,8 +338,6 @@ let alloc_vars t n =
   let first = t.nvars in
   grow_arrays t (first + n);
   for v = first to first + n - 1 do
-    t.watches.(2 * v) <- new_watch_list ();
-    t.watches.((2 * v) + 1) <- new_watch_list ();
     t.nvars <- v + 1;
     t.assigns.(v) <- -1;
     t.reason.(v) <- -1;
@@ -396,11 +426,13 @@ let ensure_words t words =
   let need = t.arena_top + words in
   if need > Array.length t.arena then resize_arena t (max need (2 * Array.length t.arena))
 
-(* A reservation also leaves a quarter more room for learnt clauses:
-   enough for the searches of most mapping queries, which then never
-   copy the arena. *)
-let reserve t ~clauses ~literals =
-  if clauses < 0 || literals < 0 then invalid_arg "Solver.reserve: negative count";
+(* The per-variable arrays grow at most once, to [vars] more variables
+   or to twice their size.  The clause arena also gets a quarter more
+   room for learnt clauses: enough for the searches of most mapping
+   queries, which then never copy the arena. *)
+let reserve t ~vars ~clauses ~literals =
+  if vars < 0 || clauses < 0 || literals < 0 then invalid_arg "Solver.reserve: negative count";
+  grow_arrays t (t.nvars + vars);
   let words = clauses + literals in
   let need = t.arena_top + words in
   if need > Array.length t.arena then resize_arena t (need + (words / 4))
@@ -427,41 +459,151 @@ let store t ~learnt buf n =
   end;
   c
 
-(* Watch lists hold (watch entry, blocker literal) pairs flattened as
-   two consecutive ints; a true blocker lets propagation skip the
-   clause without touching its literals.  A binary clause's entry is
-   tagged (see the header). *)
+(* ---------------- the watch arena ---------------- *)
+
+(* A slice holds (watch entry, blocker literal) pairs flattened as two
+   consecutive ints; a true blocker lets propagation skip the clause
+   without touching its literals.  A binary clause's entry is tagged
+   (see the header). *)
+
+(* Move the slices down over the holes, in arena order, keeping each
+   slice's room. *)
+let compact_watches t =
+  let w = t.watches in
+  let pos = ref 0 and top = ref 0 in
+  while !pos < t.wtop do
+    let h = w.(!pos) in
+    if h < 0 then pos := !pos + lnot h
+    else begin
+      let words = 1 + t.wcap.(h) in
+      if !top < !pos then Array.blit w !pos w !top (1 + t.wsize.(h));
+      t.wstart.(h) <- !top + 1;
+      top := !top + words;
+      pos := !pos + words
+    end
+  done;
+  t.wtop <- !top;
+  t.wdead <- 0
+
+(* Make room for [words] more words at the end of the watch arena:
+   reclaim the holes once they are a quarter of the words in use, and
+   grow the array if that is not enough.  (A slice that doubles leaves
+   a hole as large as its last room, so holes near half the words in
+   use are the steady state.) *)
+let make_watch_room t words =
+  if 4 * t.wdead > t.wtop then compact_watches t;
+  let need = t.wtop + words in
+  if need > Array.length t.watches then begin
+    let w = Array.make (max need (2 * Array.length t.watches)) 0 in
+    Array.blit t.watches 0 w 0 t.wtop;
+    t.watches <- w
+  end
+
+(* Move literal [l]'s slice to the end of the arena with room for
+   [cap] words; its old words become a hole. *)
+let move_slice t l cap =
+  if t.wtop + 1 + cap > Array.length t.watches then make_watch_room t (1 + cap);
+  let w = t.watches and s = t.wstart.(l) and old_cap = t.wcap.(l) in
+  let s' = t.wtop + 1 in
+  w.(s' - 1) <- l;
+  Array.blit w s w s' t.wsize.(l);
+  if old_cap > 0 then begin
+    w.(s - 1) <- lnot (1 + old_cap);
+    t.wdead <- t.wdead + 1 + old_cap
+  end;
+  t.wstart.(l) <- s';
+  t.wcap.(l) <- cap;
+  t.wtop <- s' + cap
+
+(* Room a slice that fills takes on its move: it doubles. *)
+let grown_cap cap = max 4 (2 * cap)
+
+let push_watch t l e blocker =
+  let n = t.wsize.(l) in
+  if n + 2 > t.wcap.(l) then move_slice t l (grown_cap t.wcap.(l));
+  let i = t.wstart.(l) + n in
+  t.watches.(i) <- e;
+  t.watches.(i + 1) <- blocker;
+  t.wsize.(l) <- n + 2
 
 let watch_entry t c = if hdr_len t.arena.(c) = 2 then lnot c else c
 
 let attach t c =
   let e = watch_entry t c and l0 = t.arena.(c + 1) and l1 = t.arena.(c + 2) in
-  Veci.push t.watches.(Lit.negate l0) e;
-  Veci.push t.watches.(Lit.negate l0) l1;
-  Veci.push t.watches.(Lit.negate l1) e;
-  Veci.push t.watches.(Lit.negate l1) l0
+  push_watch t (Lit.negate l0) e l1;
+  push_watch t (Lit.negate l1) e l0
+
+(* Watch every clause from [unwatched] on, as [attach] would one by one:
+   count the words each literal gains, move every slice short of room
+   once (to exactly the room it needs, or to twice its room, whichever
+   is more), then write the entries in clause order. *)
+let watch_pending t =
+  let a = t.arena and need = t.wneed and touched = t.wtouched in
+  Veci.clear touched;
+  let c = ref t.unwatched in
+  while !c < t.arena_top do
+    let h = a.(!c) in
+    let l0 = a.(!c + 1) lxor 1 and l1 = a.(!c + 2) lxor 1 in
+    if need.(l0) = 0 then Veci.push touched l0;
+    need.(l0) <- need.(l0) + 2;
+    if need.(l1) = 0 then Veci.push touched l1;
+    need.(l1) <- need.(l1) + 2;
+    c := !c + hdr_words h
+  done;
+  let cap_for l =
+    max (t.wsize.(l) + need.(l)) (grown_cap t.wcap.(l))
+  in
+  let words = ref 0 in
+  for k = 0 to Veci.size touched - 1 do
+    let l = Veci.get touched k in
+    if t.wsize.(l) + need.(l) > t.wcap.(l) then words := !words + 1 + cap_for l
+  done;
+  (* and a quarter more room, for the slices the first searches move *)
+  if t.wtop + !words > Array.length t.watches then make_watch_room t (!words + (!words / 4));
+  for k = 0 to Veci.size touched - 1 do
+    let l = Veci.get touched k in
+    if t.wsize.(l) + need.(l) > t.wcap.(l) then move_slice t l (cap_for l);
+    need.(l) <- 0
+  done;
+  let w = t.watches and wstart = t.wstart and wsize = t.wsize in
+  let put l e blocker =
+    let n = wsize.(l) in
+    let i = wstart.(l) + n in
+    w.(i) <- e;
+    w.(i + 1) <- blocker;
+    wsize.(l) <- n + 2
+  in
+  let c = ref t.unwatched in
+  while !c < t.arena_top do
+    let h = a.(!c) in
+    let e = if hdr_len h = 2 then lnot !c else !c in
+    let l0 = a.(!c + 1) and l1 = a.(!c + 2) in
+    put (l0 lxor 1) e l1;
+    put (l1 lxor 1) e l0;
+    c := !c + hdr_words h
+  done;
+  t.unwatched <- t.arena_top
 
 let detach t c =
   let e = watch_entry t c in
-  let remove wl =
-    let n = Veci.size wl in
+  let remove l =
+    let w = t.watches and s = t.wstart.(l) and n = t.wsize.(l) in
     let rec go i =
       if i < n then
-        if Veci.get wl i = e then begin
+        if w.(s + i) = e then begin
           (* remove the pair by moving the last pair into its place *)
-          let last_e = Veci.get wl (n - 2) and last_bl = Veci.get wl (n - 1) in
           if i < n - 2 then begin
-            Veci.set wl i last_e;
-            Veci.set wl (i + 1) last_bl
+            w.(s + i) <- w.(s + n - 2);
+            w.(s + i + 1) <- w.(s + n - 1)
           end;
-          Veci.shrink wl (n - 2)
+          t.wsize.(l) <- n - 2
         end
         else go (i + 2)
     in
     go 0
   in
-  remove t.watches.(Lit.negate t.arena.(c + 1));
-  remove t.watches.(Lit.negate t.arena.(c + 2))
+  remove (Lit.negate t.arena.(c + 1));
+  remove (Lit.negate t.arena.(c + 2))
 
 (* ---------------- propagation ---------------- *)
 
@@ -471,8 +613,9 @@ let detach t c =
    when [assigns.(var l) = (l land 1) lxor 1] and false when
    [assigns.(var l) = l land 1]. *)
 let propagate t =
+  if t.unwatched < t.arena_top then watch_pending t;
   let assigns = t.assigns and level = t.level and reason = t.reason in
-  let watches = t.watches and trail = t.trail in
+  let wstart = t.wstart and wsize = t.wsize and wcap = t.wcap and trail = t.trail in
   let arena = t.arena in
   let dl = decision_level t in
   let head = ref t.trail_head and tsize = ref (Veci.size trail) in
@@ -482,19 +625,20 @@ let propagate t =
     incr head;
     t.propagations <- t.propagations + 1;
     let false_lit = p lxor 1 in
-    let wl = watches.(p) in
-    let ws = Veci.data wl in
-    let n = Veci.size wl in
-    (* Rebuild the pair list in place: [j] is the write cursor; clauses
-       that move their watch elsewhere are dropped from this list. *)
-    let i = ref 0 and j = ref 0 in
-    while !i < n && !confl < 0 do
-      let e = Array.unsafe_get ws !i and blocker = Array.unsafe_get ws (!i + 1) in
+    let ws = ref t.watches in
+    (* Rebuild the slice in place: [i] reads and [j] writes, both arena
+       indices; clauses that move their watch elsewhere are dropped
+       from this slice.  [base] is the slice's start, which moves with
+       it if the arena is compacted. *)
+    let base = ref wstart.(p) in
+    let i = ref !base and j = ref !base and lim = ref (!base + wsize.(p)) in
+    while !i < !lim && !confl < 0 do
+      let e = Array.unsafe_get !ws !i and blocker = Array.unsafe_get !ws (!i + 1) in
       i := !i + 2;
       if Array.unsafe_get assigns (blocker lsr 1) = (blocker land 1) lxor 1 then begin
         (* satisfied without touching the clause *)
-        Array.unsafe_set ws !j e;
-        Array.unsafe_set ws (!j + 1) blocker;
+        Array.unsafe_set !ws !j e;
+        Array.unsafe_set !ws (!j + 1) blocker;
         j := !j + 2
       end
       else begin
@@ -514,8 +658,8 @@ let propagate t =
             if Array.unsafe_get assigns (first lsr 1) = (first land 1) lxor 1 then begin
               (* satisfied; keep watching with the true literal as the
                  new blocker *)
-              Array.unsafe_set ws !j e;
-              Array.unsafe_set ws (!j + 1) first;
+              Array.unsafe_set !ws !j e;
+              Array.unsafe_set !ws (!j + 1) first;
               j := !j + 2;
               -1
             end
@@ -536,9 +680,23 @@ let propagate t =
                 let w = Array.unsafe_get arena !k in
                 Array.unsafe_set arena (c + 2) w;
                 Array.unsafe_set arena !k false_lit;
-                let wl' = watches.(w lxor 1) in
-                Veci.push wl' e;
-                Veci.push wl' first;
+                (* watch it from [w]'s negation, never [p] itself: [w]
+                   is not false and [false_lit] is *)
+                let l = w lxor 1 in
+                let n = wsize.(l) in
+                if n + 2 > wcap.(l) then begin
+                  move_slice t l (grown_cap wcap.(l));
+                  ws := t.watches;
+                  let d = wstart.(p) - !base in
+                  base := !base + d;
+                  i := !i + d;
+                  j := !j + d;
+                  lim := !lim + d
+                end;
+                let at = wstart.(l) + n in
+                Array.unsafe_set !ws at e;
+                Array.unsafe_set !ws (at + 1) first;
+                wsize.(l) <- n + 2;
                 -1
               end
               else first
@@ -546,8 +704,8 @@ let propagate t =
           end
         in
         if implied >= 0 then begin
-          Array.unsafe_set ws !j e;
-          Array.unsafe_set ws (!j + 1) blocker;
+          Array.unsafe_set !ws !j e;
+          Array.unsafe_set !ws (!j + 1) blocker;
           j := !j + 2;
           let v = implied lsr 1 in
           if Array.unsafe_get assigns v < 0 then begin
@@ -563,25 +721,25 @@ let propagate t =
       end
     done;
     (* after a conflict, keep the watchers not yet visited *)
-    while !i < n do
-      Array.unsafe_set ws !j (Array.unsafe_get ws !i);
-      Array.unsafe_set ws (!j + 1) (Array.unsafe_get ws (!i + 1));
+    while !i < !lim do
+      Array.unsafe_set !ws !j (Array.unsafe_get !ws !i);
+      Array.unsafe_set !ws (!j + 1) (Array.unsafe_get !ws (!i + 1));
       j := !j + 2;
       i := !i + 2
     done;
-    Veci.shrink wl !j
+    wsize.(p) <- !j - !base
   done;
   t.trail_head <- !tsize;
   !confl
 
-let seed_phases t lits =
+let seed_phases_array t lits =
   if t.ok then begin
     cancel_until t 0;
     t.trail_head <- Veci.size t.trail;
     (* throwaway decision level *)
     Veci.push t.trail_lim (Veci.size t.trail);
     (try
-       List.iter
+       Array.iter
          (fun l ->
            if lit_val t l = -1 then begin
              enqueue t l (-1);
@@ -592,6 +750,8 @@ let seed_phases t lits =
     (* cancel_until saves the propagated values as phases *)
     cancel_until t 0
   end
+
+let seed_phases t lits = seed_phases_array t (Array.of_list lits)
 
 (* ---------------- clause addition (root level only) ---------------- *)
 
@@ -632,70 +792,92 @@ let sort_uniq_prefix buf n =
     !w
   end
 
-(* Copy [lits] into [buf] from index [i]; returns the end index. *)
-let rec gather buf i = function
-  | [] -> i
-  | l :: rest ->
-      buf.(i) <- l;
-      gather buf (i + 1) rest
-
 let prefix_list buf n =
   let rec go i acc = if i < 0 then acc else go (i - 1) (buf.(i) :: acc) in
   go (n - 1) []
 
-let add_clause t lits =
-  if t.ok then begin
-    cancel_until t 0;
-    (* gather guard and literals into the reusable buffer *)
-    let len = List.length lits + if t.guard < 0 then 0 else 1 in
-    if len > Array.length t.cbuf then t.cbuf <- Array.make (max len (2 * Array.length t.cbuf)) 0;
-    let buf = t.cbuf in
-    let n =
-      if t.guard < 0 then gather buf 0 lits
-      else begin
-        buf.(0) <- t.guard;
-        gather buf 1 lits
-      end
-    in
-    (* normalise: sort, dedupe, drop tautologies and false-at-root lits *)
-    let n = sort_uniq_prefix buf n in
+(* Make [cbuf] hold the guard and [len] more literals; returns the index
+   the caller's literals start at. *)
+let clause_buffer t len =
+  let cap = len + 1 in
+  if cap > Array.length t.cbuf then t.cbuf <- Array.make (max cap (2 * Array.length t.cbuf)) 0;
+  if t.guard < 0 then 0
+  else begin
+    t.cbuf.(0) <- t.guard;
+    1
+  end
+
+(* Add the clause [cbuf.(0 .. n-1)].  A clause of two or more literals
+   is stored and left for [watch_pending]; a unit is propagated at once,
+   and the clauses before it are watched first. *)
+let add_buffered t n =
+  cancel_until t 0;
+  let buf = t.cbuf in
+  (* normalise: sort, dedupe, drop tautologies and false-at-root lits *)
+  let n = sort_uniq_prefix buf n in
+  for i = 0 to n - 1 do
+    if buf.(i) lsr 1 >= t.nvars then invalid_arg "Solver.add_clause: unknown variable"
+  done;
+  (* the normalised clause is logically the caller's clause; log it as
+     a proof axiom before any root-level strengthening *)
+  (match t.proof with Some p -> Proof.log_input p (prefix_list buf n) | None -> ());
+  (* sorted and deduplicated, a literal sits right before its
+     complement, if present *)
+  let tautology = ref false in
+  for i = 0 to n - 1 do
+    if lit_val t buf.(i) = 1 || (i + 1 < n && buf.(i + 1) = buf.(i) lxor 1) then
+      tautology := true
+  done;
+  if not !tautology then begin
+    let w = ref 0 in
     for i = 0 to n - 1 do
-      if buf.(i) lsr 1 >= t.nvars then invalid_arg "Solver.add_clause: unknown variable"
-    done;
-    (* the normalised clause is logically the caller's clause; log it as
-       a proof axiom before any root-level strengthening *)
-    (match t.proof with Some p -> Proof.log_input p (prefix_list buf n) | None -> ());
-    (* sorted and deduplicated, a literal sits right before its
-       complement, if present *)
-    let tautology = ref false in
-    for i = 0 to n - 1 do
-      if lit_val t buf.(i) = 1 || (i + 1 < n && buf.(i + 1) = buf.(i) lxor 1) then
-        tautology := true
-    done;
-    if not !tautology then begin
-      let w = ref 0 in
-      for i = 0 to n - 1 do
-        if lit_val t buf.(i) <> 0 then begin
-          buf.(!w) <- buf.(i);
-          incr w
-        end
-      done;
-      let w = !w in
-      (* dropping root-false literals is a unit-propagation inference;
-         the strengthened clause is a derived (RUP) step *)
-      (match t.proof with
-      | Some p when w < n -> Proof.log_add p (prefix_list buf w)
-      | _ -> ());
-      if w = 0 then t.ok <- false
-      else if w = 1 then begin
-        enqueue t buf.(0) (-1);
-        if propagate t >= 0 then begin
-          (match t.proof with Some p -> Proof.log_add p [] | None -> ());
-          t.ok <- false
-        end
+      if lit_val t buf.(i) <> 0 then begin
+        buf.(!w) <- buf.(i);
+        incr w
       end
-      else attach t (store t ~learnt:false buf w)
+    done;
+    let w = !w in
+    (* dropping root-false literals is a unit-propagation inference;
+       the strengthened clause is a derived (RUP) step *)
+    (match t.proof with
+    | Some p when w < n -> Proof.log_add p (prefix_list buf w)
+    | _ -> ());
+    if w = 0 then t.ok <- false
+    else if w = 1 then begin
+      enqueue t buf.(0) (-1);
+      if propagate t >= 0 then begin
+        (match t.proof with Some p -> Proof.log_add p [] | None -> ());
+        t.ok <- false
+      end
     end
+    else ignore (store t ~learnt:false buf w)
+  end
+
+let add_clause_array t lits =
+  if t.ok then begin
+    let n = Array.length lits in
+    let i = clause_buffer t n in
+    Array.blit lits 0 t.cbuf i n;
+    add_buffered t (i + n)
+  end
+
+let add_clause t lits = add_clause_array t (Array.of_list lits)
+
+let add_binary t a b =
+  if t.ok then begin
+    let i = clause_buffer t 2 in
+    t.cbuf.(i) <- a;
+    t.cbuf.(i + 1) <- b;
+    add_buffered t (i + 2)
+  end
+
+let add_ternary t a b c =
+  if t.ok then begin
+    let i = clause_buffer t 3 in
+    t.cbuf.(i) <- a;
+    t.cbuf.(i + 1) <- b;
+    t.cbuf.(i + 2) <- c;
+    add_buffered t (i + 3)
   end
 
 (* ---------------- conflict analysis (first UIP) ---------------- *)
@@ -832,7 +1014,10 @@ let record_learnt t =
     a.(c + 2) <- a.(!best);
     a.(!best) <- tmp;
     t.n_learnt <- t.n_learnt + 1;
+    (* every clause before it is watched: conflicts come from
+       [propagate], which watches the pending ones first *)
     attach t c;
+    t.unwatched <- t.arena_top;
     enqueue t a.(c + 1) c
   end
 
@@ -864,11 +1049,12 @@ let compact t =
     assert (Veci.get olds !lo = c);
     Veci.get news !lo
   in
+  let w = t.watches in
   for l = 0 to (2 * t.nvars) - 1 do
-    let wl = t.watches.(l) in
-    for i = 0 to (Veci.size wl / 2) - 1 do
-      let e = Veci.get wl (2 * i) in
-      Veci.set wl (2 * i) (if e < 0 then lnot (moved (lnot e)) else moved e)
+    let s = t.wstart.(l) in
+    for i = 0 to (t.wsize.(l) / 2) - 1 do
+      let e = w.(s + (2 * i)) in
+      w.(s + (2 * i)) <- (if e < 0 then lnot (moved (lnot e)) else moved e)
     done
   done;
   for i = 0 to Veci.size t.trail - 1 do
@@ -888,6 +1074,7 @@ let compact t =
     end
   done;
   t.arena_top <- !top;
+  t.unwatched <- !top;
   t.dead_words <- 0;
   t.n_act <- !n_act
 

@@ -42,7 +42,10 @@ val new_var : t -> int
 (** Allocate a fresh variable; returns its 0-based index. *)
 
 val new_vars : t -> int -> int
-(** [new_vars t n] allocates [n] variables, returning the first index. *)
+(** [new_vars t n] allocates [n] variables, returning the first index.
+    The block is numbered exactly as [n] calls of {!new_var} would
+    number it; it makes no object per variable (the per-variable
+    arrays grow by doubling). *)
 
 val nvars : t -> int
 
@@ -52,13 +55,30 @@ val add_clause : t -> Lit.t list -> unit
     falsified at the root level) makes the instance permanently
     unsatisfiable.  Must not be called during [solve].  While a guard
     literal is set (see {!set_guard}) it is appended to the clause
-    first. *)
+    first.
 
-val reserve : t -> clauses:int -> literals:int -> unit
-(** [reserve t ~clauses ~literals] makes room for [clauses] more stored
-    clauses holding [literals] literals in all, so that adding them
-    moves no clause memory.  Only clauses of two or more literals are
-    stored; a unit clause is asserted at once and needs no room.  A
+    A clause of two or more literals is stored at once and watched in
+    bulk, with every clause added since the last propagation, the next
+    time the solver propagates; a unit clause propagates at once.  The
+    solver behaves exactly as if each clause were watched as it is
+    added. *)
+
+val add_clause_array : t -> Lit.t array -> unit
+(** {!add_clause} over the literals of an array, which is not kept. *)
+
+val add_binary : t -> Lit.t -> Lit.t -> unit
+(** [add_binary t a b] is [add_clause t [a; b]], without the list. *)
+
+val add_ternary : t -> Lit.t -> Lit.t -> Lit.t -> unit
+(** [add_ternary t a b c] is [add_clause t [a; b; c]], without the
+    list. *)
+
+val reserve : t -> vars:int -> clauses:int -> literals:int -> unit
+(** [reserve t ~vars ~clauses ~literals] makes room for [vars] more
+    variables and for [clauses] more stored clauses holding [literals]
+    literals in all, so that allocating and adding them moves no
+    variable or clause memory.  Only clauses of two or more literals
+    are stored; a unit clause is asserted at once and needs no room.  A
     bound above what is then added costs only the unused room.  The
     room made also holds learnt clauses of a quarter of the reserved
     size, so a short search does not grow the store either. *)
@@ -160,6 +180,9 @@ val seed_phases : t -> Lit.t list -> unit
     consistent with the assignment; everything is then backtracked,
     leaving only saved polarities behind.  Inconsistent literals are
     skipped.  No clauses are added and completeness is unaffected. *)
+
+val seed_phases_array : t -> Lit.t array -> unit
+(** {!seed_phases} over the literals of an array, in array order. *)
 
 val set_random_freq : t -> float -> unit
 (** Fraction of decisions made on a uniformly random unassigned

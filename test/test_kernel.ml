@@ -44,6 +44,35 @@ let test_search_pins () =
       ("2x2-p", "homo-torus-8x8", 0, 1, 307, 705650, 7935);
     ]
 
+(* ---------------- search pin across incremental intake ---------------- *)
+
+(* One optimising search: the first solve finds a mapping, then the
+   descent adds the objective's totalizer to the solved solver and
+   re-solves under bound assumptions until the optimum is proven.  The
+   totalizer's clauses reach a solver that already watches learnt
+   clauses, so the pin covers intake into a searched solver.  Counts
+   are cumulative over the whole descent. *)
+let test_incremental_pin () =
+  let dfg = Option.get (Cgra_dfg.Benchmarks.by_name "2x2-f") in
+  let a = Cgra_arch.Library.make (Option.get (Cgra_arch.Library.find_config ~size:2 "homo-orth")) in
+  let mrrg = Cgra_mrrg.Build.elaborate a ~ii:2 in
+  let f = Cgra_core.Formulation.build ~objective:Cgra_core.Formulation.Min_routing dfg mrrg in
+  let model = f.Cgra_core.Formulation.model in
+  let e = Encode.encode ~inprocess:Inprocess.all_on model in
+  let report, _ = Cgra_ilp.Solve.search e model in
+  let calls = report.Cgra_ilp.Solve.sat_calls in
+  let objective =
+    match report.Cgra_ilp.Solve.outcome with
+    | Cgra_ilp.Solve.Optimal (_, obj) -> obj
+    | o -> Alcotest.failf "expected an optimum, got %a" Cgra_ilp.Solve.pp_outcome o
+  in
+  let st = Solver.stats e.Encode.solver in
+  Alcotest.(check (pair int int)) "2x2-f@homo-orth-2x2/ii2 (objective, SAT calls)" (86, 11)
+    (objective, calls);
+  Alcotest.(check (triple int int int))
+    "2x2-f@homo-orth-2x2/ii2 descent (conflicts, propagations, decisions)" (10169, 29150415, 37032)
+    (st.Solver.conflicts, st.Solver.propagations, st.Solver.decisions)
+
 (* ---------------- search pin through learnt-DB reduction ---------------- *)
 
 (* PHP(9,8): nine pigeons, eight holes, variable [p * 8 + h] = pigeon p
@@ -141,6 +170,99 @@ let prop_binary_heavy_drat =
           | Solver.Unknown, _, _ -> false)
         configs)
 
+(* ---------------- interleaved intake ---------------- *)
+
+(* Random CNFs fed in batches, with a solve between batches.  Some
+   clauses are units, some repeat a literal and some hold a literal and
+   its complement.  A batch may go in under a guard: variable [g]
+   (the last one) is appended to each of its clauses, and a solve that
+   assumes [~g] enforces them.  A batch may also seed phases, which
+   propagates without searching.  Clauses reach the solver through
+   every entry point, so a unit mid-batch, a phase seeding, a solve and
+   a probe each find clauses not yet watched. *)
+type batch = { clauses : Lit.t list list; guarded : bool; assume : bool; seed : bool }
+
+let gen_interleaved =
+  let open QCheck2.Gen in
+  let* nvars = int_range 1 8 in
+  let lit = map2 Lit.make (int_range 0 (nvars - 1)) bool in
+  let clause =
+    frequency
+      [
+        (2, map (fun l -> [ l ]) lit);
+        (3, list_size (return 2) lit);
+        (1, map2 (fun l rest -> l :: Lit.negate l :: rest) lit (list_size (int_range 0 2) lit));
+        (4, list_size (int_range 3 5) lit);
+      ]
+  in
+  let batch =
+    let* clauses = list_size (int_range 0 6) clause
+    and* guarded = bool
+    and* assume = bool
+    and* seed = bool in
+    return { clauses; guarded; assume; seed }
+  in
+  let* batches = list_size (int_range 1 6) batch in
+  return (nvars, batches)
+
+let print_interleaved (nvars, batches) =
+  String.concat ""
+    (List.mapi
+       (fun i b ->
+         Printf.sprintf "batch %d%s%s%s:\n%s" i
+           (if b.guarded then " guarded" else "")
+           (if b.assume then " assume ~g" else "")
+           (if b.seed then " seed" else "")
+           (Cgra_satoca.Dimacs.print ~nvars:(nvars + 1) b.clauses))
+       batches)
+
+let add_any s = function
+  | [ a; b ] -> Solver.add_binary s a b
+  | [ a; b; c ] -> Solver.add_ternary s a b c
+  | c when List.length c mod 2 = 0 -> Solver.add_clause_array s (Array.of_list c)
+  | c -> Solver.add_clause s c
+
+(* Each solve: the verdict is brute force's on every clause added so
+   far (guarded ones with [g]) and the assumption; a model satisfies
+   them all; the proof so far checks, and ends in the empty clause when
+   no assumption is to blame. *)
+let interleaved_agrees config (nvars, batches) =
+  let s = Solver.create () in
+  let proof = Proof.create () in
+  Solver.set_proof s (Some proof);
+  Inprocess.install ~config s;
+  ignore (Solver.new_vars s (nvars + 1));
+  let g = Lit.pos nvars in
+  let added = ref [] in
+  List.for_all
+    (fun b ->
+      Solver.set_guard s (if b.guarded then Some g else None);
+      List.iter
+        (fun c ->
+          add_any s c;
+          added := (if b.guarded then g :: c else c) :: !added)
+        b.clauses;
+      Solver.set_guard s None;
+      if b.seed then Solver.seed_phases s (List.concat b.clauses);
+      let assumptions = if b.assume then [ Lit.negate g ] else [] in
+      let cnf = List.map (fun a -> [ a ]) assumptions @ !added in
+      let expected = Test_sat.brute_force_sat (nvars + 1) cnf in
+      match Solver.solve_with ~assumptions s with
+      | Solver.Sat ->
+          expected && Test_sat.model_satisfies s cnf
+          && Drat.check ~require_empty:false proof = Drat.Valid
+      | Solver.Unsat ->
+          (not expected)
+          && Drat.check ~require_empty:(Solver.failed_assumptions s = []) proof = Drat.Valid
+      | Solver.Unknown -> false)
+    batches
+
+let prop_interleaved_intake =
+  QCheck2.Test.make
+    ~name:"interleaved intake: verdicts = brute force, models satisfy, proofs check" ~count:300
+    ~print:print_interleaved gen_interleaved (fun case ->
+      List.for_all (fun config -> interleaved_agrees config case) configs)
+
 (* ---------------- binary watch entries ---------------- *)
 
 let result = Alcotest.testable (fun fmt r ->
@@ -202,7 +324,10 @@ let suites =
         Alcotest.test_case "search pins" `Quick test_search_pins;
         Alcotest.test_case "binary learnt clause as a reason" `Quick test_binary_learnt_reason;
         Alcotest.test_case "PHP(9,8) pin through learnt-DB reduction" `Slow test_reduce_db_pin;
+        Alcotest.test_case "optimising descent pin across incremental intake" `Slow
+          test_incremental_pin;
       ]
-      @ List.map QCheck_alcotest.to_alcotest [ prop_binary_heavy_agrees; prop_binary_heavy_drat ]
+      @ List.map QCheck_alcotest.to_alcotest
+          [ prop_binary_heavy_agrees; prop_binary_heavy_drat; prop_interleaved_intake ]
     );
   ]

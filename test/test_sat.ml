@@ -295,9 +295,9 @@ let test_totalizer_bound () =
         ~predicate:(fun c -> c <= k))
     [ (5, 0); (5, 2); (6, 3); (6, 1); (4, 4) ]
 
-(* [count_at_most_k] counts exactly what [at_most_k_array] stores, with
-   and without a guard literal on every clause: fresh literals leave the
-   solver nothing to shorten or drop. *)
+(* [count_at_most_k] counts exactly what [at_most_k_array] stores and
+   allocates, with and without a guard literal on every clause: fresh
+   literals leave the solver nothing to shorten or drop. *)
 let test_count_at_most_k () =
   for n = 0 to 12 do
     for k = 0 to n + 1 do
@@ -306,15 +306,16 @@ let test_count_at_most_k () =
           let s = Solver.create () in
           let arr = Array.init n (fun _ -> Lit.pos (Solver.new_var s)) in
           if extra = 1 then Solver.set_guard s (Some (Lit.pos (Solver.new_var s)));
+          let before = Solver.nvars s in
           Card.at_most_k_array s arr k;
           let stored = List.init (Solver.n_clause_slots s) (Solver.clause_view s) in
           let literals = List.fold_left (fun acc c -> acc + Array.length c) 0 stored in
-          let size = { Card.clauses = 0; literals = 0 } in
+          let size = { Card.clauses = 0; literals = 0; vars = 0 } in
           Card.count_at_most_k size ~extra n k;
-          Alcotest.(check (pair int int))
+          Alcotest.(check (triple int int int))
             (Printf.sprintf "n=%d k=%d extra=%d" n k extra)
-            (List.length stored, literals)
-            (size.Card.clauses, size.Card.literals))
+            (List.length stored, literals, Solver.nvars s - before)
+            (size.Card.clauses, size.Card.literals, size.Card.vars))
         [ 0; 1 ]
     done
   done

@@ -375,6 +375,22 @@ let test_session_certify_only_served () =
   let first = proof_steps () in
   Alcotest.(check int) "B&B repeat logs one refutation" first (proof_steps ())
 
+let test_session_refutation_checked_once () =
+  (* a refuted resident solver logs nothing more, so certify-only
+     repeats reuse the first answer's checked refutation: every answer
+     stays certified by the same log *)
+  let session = Session.create (benchmark "accum") in
+  let mrrg = small_mrrg ~arch_name:"hetero-orth" 2 in
+  let proof_steps () =
+    match (Session.solve ~certify:true session ~mrrg ~ii:2).Session.result with
+    | IM.Infeasible { IM.certified = true; proof_steps; _ } -> proof_steps
+    | r -> Alcotest.failf "expected a certified infeasibility, got %a" IM.pp_result r
+  in
+  let first = proof_steps () in
+  Alcotest.(check bool) "a refutation was logged" true (first > 0);
+  Alcotest.(check (list int)) "repeats certified by the same log" [ first; first ]
+    [ proof_steps (); proof_steps () ]
+
 let answer_of = function
   | IM.Mapped (_, i) -> ("feasible", i.IM.objective_value, None)
   | IM.Infeasible i -> ("infeasible", i.IM.objective_value, Option.map IM.evidence_name i.IM.evidence)
@@ -980,6 +996,8 @@ let suites =
           test_session_incremental_ii;
         Alcotest.test_case "certify without explain is served" `Quick
           test_session_certify_only_served;
+        Alcotest.test_case "certify-only repeats reuse the checked refutation" `Quick
+          test_session_refutation_checked_once;
         Alcotest.test_case "repeated infeasible query stays warm" `Slow
           test_session_repeat_infeasible;
         Alcotest.test_case "outcome stats are per-solve deltas" `Slow
