@@ -931,14 +931,8 @@ let conn_gate = 8.0
 let run_conn opts =
   let module Solve = Cgra_ilp.Solve in
   let module FI = Cgra_core.Formulation_intf in
-  Cgra_conn.Conn.ensure_registered ();
   Printf.printf "== Formulation A/B: paper vs conn (limit %.0fs) ==\n" opts.limit;
-  let impl name =
-    match FI.find name with
-    | Some impl -> impl
-    | None -> failwith (Printf.sprintf "bench conn: formulation %S not registered" name)
-  in
-  let paper = impl FI.default_name and conn = impl Cgra_conn.Conn.formulation_name in
+  let paper = FI.paper and conn = FI.conn in
   (* feasible and infeasible cells, both context counts; the 2x2 mac
      cell keeps an unsat verdict in the agreement check *)
   let cells =

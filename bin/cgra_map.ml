@@ -28,11 +28,6 @@ module Serve_server = Cgra_serve.Server
 module Serve_client = Cgra_serve.Client
 open Cmdliner
 
-(* The conn library registers its formulation and backends at module
-   init; nothing here references its modules directly, so force the
-   link explicitly or the registry never sees it. *)
-let () = Cgra_conn.Conn.ensure_registered ()
-
 (* Exit codes: 0 ok, 1 error, 3 undecided (timeout / incomplete
    evidence), 4 uncertified, 5 cross-check disagreement, 6 protocol
    error (daemon/client version or framing mismatch). *)

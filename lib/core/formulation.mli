@@ -43,6 +43,21 @@ val candidates : Dfg.t -> Mrrg.t -> int -> int list
 (** Functional-unit nodes able to host a DFG operation (constraint (3)
     by construction).  Shared with the annealing mapper. *)
 
+val operand_node : Mrrg.t -> int -> int -> int option
+(** [operand_node mrrg p o] is the operand-[o] input port of
+    functional-unit node [p], if it has one. *)
+
+val route_fanins : Mrrg.t -> int -> int list
+(** The routing-node fanins of a node. *)
+
+val route_fanouts : Mrrg.t -> int -> int list
+(** The routing-node fanouts of a node. *)
+
+val dataflow_ranks : Dfg.t -> int array
+(** Per-operation rank in a cycle-tolerant BFS from the source
+    operations; operations reachable only through back-edges rank
+    last.  Both builders stage placement decisions in this order. *)
+
 type profile = {
   placement_seconds : float;
       (** variables and rows for constraints (1)–(3) *)

@@ -15,29 +15,10 @@ type built = {
 type impl = {
   name : string;
   doc : string;
-  build : ?prune:bool -> objective:Formulation.objective -> Dfg.t -> Mrrg.t -> built;
+  build : objective:Formulation.objective -> Dfg.t -> Mrrg.t -> built;
 }
 
 let default_name = "paper"
-
-(* Same discipline as Cgra_backend.Registry: a name-keyed table behind
-   a mutex, registration shadows, snapshot reads.  Formulations are
-   registered at module-init time of their defining library, so a
-   binary that links the library sees its formulations without any
-   imperative setup beyond forcing the linker to keep the module. *)
-let table : (string, impl) Hashtbl.t = Hashtbl.create 8
-let lock = Mutex.create ()
-
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let register impl = with_lock (fun () -> Hashtbl.replace table impl.name impl)
-let find name = with_lock (fun () -> Hashtbl.find_opt table name)
-
-let names () =
-  with_lock (fun () -> Hashtbl.fold (fun name _ acc -> name :: acc) table [])
-  |> List.sort String.compare
 
 (* Seed the exact engine's variable phases from a heuristic solution:
    the first descent of the CDCL search then reproduces the incumbent
@@ -89,8 +70,8 @@ let paper =
     name = default_name;
     doc = "per-edge sub-value routing over the MRRG (DAC'18 \xc2\xa74)";
     build =
-      (fun ?prune ~objective dfg mrrg ->
-        let f, profile = Formulation.build_profiled ~objective ?prune dfg mrrg in
+      (fun ~objective dfg mrrg ->
+        let f, profile = Formulation.build_profiled ~objective dfg mrrg in
         {
           model = f.Formulation.model;
           size = Formulation.size f;
@@ -102,4 +83,24 @@ let paper =
         });
   }
 
-let () = register paper
+let conn =
+  {
+    name = "conn";
+    doc = "connectivity formulation: single-driver route trees + per-sink unit flows";
+    build =
+      (fun ~objective dfg mrrg ->
+        let t, profile = Conn.build_profiled ~objective dfg mrrg in
+        {
+          model = t.Conn.model;
+          size = Conn.size t;
+          phases = Formulation.profile_fields profile;
+          extract = (fun assign -> Conn.mapping t assign);
+          warm = (fun m -> Conn.apply_warm_phases t m);
+          describe_value = (fun j -> Conn.describe_value t j);
+          placement_var = (fun ~op ~fu -> Hashtbl.find_opt t.Conn.f_vars (fu, op));
+        });
+  }
+
+let all = [ paper; conn ]
+let find name = List.find_opt (fun impl -> impl.name = name) all
+let names () = List.map (fun impl -> impl.name) all

@@ -1,21 +1,16 @@
-(** The formulation seam: "compile DFG × MRRG into a 0-1 model" as a
-    first-class, registered value.
+(** The formulations: "compile DFG × MRRG into a 0-1 model" as a
+    value, and the fixed table of the two this mapper has.
 
-    {!Cgra_backend.Registry} made the external {e solver} pluggable;
-    this registry makes the {e constraint structure} pluggable, and
-    {!Solver_spec} pairs the two.  A
-    formulation packages everything {!Ilp_mapper.map} needs beyond the
-    model itself — solution extraction, warm-start phase seeding, and
-    value naming for unsat-core diagnosis — so genuinely different
+    A formulation packages everything {!Ilp_mapper.map} needs beyond
+    the model itself — solution extraction, warm-start phase seeding,
+    and value naming for unsat-core diagnosis — so genuinely different
     encodings (the paper's per-edge sub-value model, the
-    connectivity/flow model of [Cgra_conn]) flow through the same
-    solve / certify / explain / check pipeline unchanged.
+    connectivity/flow model of {!Conn}) flow through the same solve /
+    certify / explain / check pipeline unchanged.  {!Solver_spec} pairs
+    a formulation with an engine.
 
-    The base formulation registers itself here as ["paper"] at
-    module-init time; other libraries do the same for theirs (e.g.
-    [Cgra_conn.Conn] registers ["conn"]).  Since OCaml links library
-    modules only when referenced, binaries that want a non-core
-    formulation call its [ensure_registered] hook once. *)
+    The table is static: every program that links [cgra_core] knows
+    both formulations, with no registration step. *)
 
 module Dfg := Cgra_dfg.Dfg
 module Mrrg := Cgra_mrrg.Mrrg
@@ -45,11 +40,10 @@ type built = {
     vocabulary. *)
 
 type impl = {
-  name : string;  (** registry key, e.g. ["paper"], ["conn"] *)
+  name : string;  (** table key, ["paper"] or ["conn"] *)
   doc : string;   (** one-line description for [cgra_map backends] *)
-  build : ?prune:bool -> objective:Formulation.objective -> Dfg.t -> Mrrg.t -> built;
-      (** compile; [prune] selects corridor restriction where the
-          formulation supports it (default on) *)
+  build : objective:Formulation.objective -> Dfg.t -> Mrrg.t -> built;
+      (** compile, with corridor pruning on *)
 }
 
 val default_name : string
@@ -59,13 +53,18 @@ val paper : impl
 (** The paper's per-edge sub-value model, the formulation of
     {!Solver_spec.default}. *)
 
-val register : impl -> unit
-(** Add (or shadow, by name) a formulation.  Thread-safe. *)
+val conn : impl
+(** The connectivity model of {!Conn}, kept as a differential oracle
+    for {!paper}. *)
+
+val all : impl list
+(** [[paper; conn]]. *)
 
 val find : string -> impl option
+(** The entry of {!all} with this name. *)
 
 val names : unit -> string list
-(** Registered names, sorted. *)
+(** The names of {!all}, in its order. *)
 
 val apply_warm_phases : Formulation.t -> Mapping.t -> unit
 (** Phase-seed a base-formulation model from a heuristic mapping:

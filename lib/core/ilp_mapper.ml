@@ -41,7 +41,7 @@ type result = Mapped of Mapping.t * info | Infeasible of info | Timeout of info
 (* A group core in mapping vocabulary: which operations, values and
    resources the blame falls on.  Group-label vocabulary is shared
    across formulations (see Formulation_intf), so the parse below
-   works for any registered formulation. *)
+   works for either formulation. *)
 let diagnosis_of (f : Formulation_intf.built) ~groups ~minimized ~verified ~sat_calls =
   let ops = ref [] and values = ref [] and resources = ref [] in
   List.iter
@@ -248,8 +248,8 @@ type step = {
 let build ~(solver : Solver_spec.t) ~objective dfg mrrg =
   solver.Solver_spec.formulation.Formulation_intf.build ~objective dfg mrrg
 
-let prepare ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.default) ?deadline
-    ?cancel ?(warm_start = 0.0) ?proof dfg mrrg =
+let prepare ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.default)
+    ?(deadline = Deadline.none) ?(warm_start = 0.0) ?proof dfg mrrg =
   let state =
     match Hall.search dfg mrrg with
     | Some deficiency -> Refuted { deficiency; core_model = None }
@@ -258,16 +258,15 @@ let prepare ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.defaul
         (* phase hints mean nothing to a subprocess solver, and the
            anneal spends the call's own budget, never more *)
         let warm_start =
-          match (solver.Solver_spec.engine, Option.bind deadline Deadline.remaining) with
+          match (solver.Solver_spec.engine, Deadline.remaining deadline) with
           | Solver_spec.External _, _ -> 0.0
           | Solver_spec.Native _, Some left -> Float.min warm_start left
           | Solver_spec.Native _, None -> warm_start
         in
         if warm_start > 0.0 then begin
           let params = if warm_start >= 20.0 then Anneal.thorough else Anneal.moderate in
-          let d = Deadline.after ~seconds:warm_start in
-          let d = match cancel with Some flag -> Deadline.with_cancellation d flag | None -> d in
-          match Anneal.map ~params ~deadline:d dfg mrrg with
+          let deadline = Deadline.within deadline ~seconds:warm_start in
+          match Anneal.map ~params ~deadline dfg mrrg with
           | Anneal.Mapped (m, _) -> built.Formulation_intf.warm m
           | Anneal.Failed _ -> ()
         end;
@@ -361,19 +360,13 @@ let search ?deadline ~started ~certify ~explain step =
               ~objective:step.objective ~solver:step.solver ~build_seconds built report);
       }
 
-let map ?objective ?solver ?deadline ?cancel ?warm_start ?(certify = false) ?(explain = false)
-    dfg mrrg =
+let map ?objective ?solver ?deadline ?warm_start ?(certify = false) ?(explain = false) dfg mrrg
+    =
   let started = Deadline.now () in
-  let deadline =
-    match cancel with
-    | None -> deadline
-    | Some f ->
-        Some (Deadline.with_cancellation (Option.value deadline ~default:Deadline.none) f)
-  in
   let proof =
     if verdict_solve_needs_proof ~certify ~explain then Some (Proof.create ()) else None
   in
-  let step = prepare ?objective ?solver ?deadline ?cancel ?warm_start ?proof dfg mrrg in
+  let step = prepare ?objective ?solver ?deadline ?warm_start ?proof dfg mrrg in
   (search ?deadline ~started ~certify ~explain step).conclude ()
 
 let pp_diagnosis fmt d =

@@ -99,7 +99,6 @@ val map :
   ?objective:Formulation.objective ->
   ?solver:Solver_spec.t ->
   ?deadline:Cgra_util.Deadline.t ->
-  ?cancel:bool Atomic.t ->
   ?warm_start:float ->
   ?certify:bool ->
   ?explain:bool ->
@@ -135,7 +134,7 @@ val map :
     builds is the model the engine solves: nothing rewrites it in
     between.  Every downstream stage — SAT encoding, certification,
     explanation, {!Check.run} validation — is formulation-agnostic, so
-    any registered formulation gets the full pipeline.  A native answer
+    either formulation gets the full pipeline.  A native answer
     and an external one take the same verdict path.  An external solver
     (["highs"], ["cbc"], ["scip"]) gets the model as an LP file, runs
     as a subprocess under the deadline, and its parsed answer is
@@ -158,9 +157,10 @@ val map :
     safe, provided each call gets its own [Dfg.t]/[Mrrg.t] (or shares
     frozen, no-longer-mutated ones read-only).
 
-    [cancel] attaches a shared cancellation flag to every deadline the
-    call polls (including the warm start's internal deadline): raising
-    the flag from any domain makes the call return [Timeout] at the
+    A [deadline] carrying a cancellation flag
+    ({!Cgra_util.Deadline.with_cancellation}) passes it to every
+    deadline the call polls, the warm start's included: raising the
+    flag from any domain makes the call return [Timeout] at the
     engine's next poll.  Portfolio racing uses this to stop losing
     engines.
 
@@ -208,7 +208,6 @@ val prepare :
   ?objective:Formulation.objective ->
   ?solver:Solver_spec.t ->
   ?deadline:Cgra_util.Deadline.t ->
-  ?cancel:bool Atomic.t ->
   ?warm_start:float ->
   ?proof:Cgra_satoca.Proof.t ->
   Dfg.t ->
@@ -216,10 +215,9 @@ val prepare :
   step
 (** Run the Hall step and, when it finds no deficiency, build
     [solver]'s formulation, seed its phases from a [warm_start]
-    anneal (default 0: none; clamped to what is left of [deadline],
-    its own deadline carrying [cancel]) and, on the native SAT engine,
-    clausify it ({!Cgra_ilp.Encode.encode}, logging into [proof] when
-    given).  Defaults as in {!map}.  A step with a [proof] may be kept
+    anneal (default 0: none; it expires with [deadline] and shares its
+    cancellation flag) and, on the native SAT engine, clausify it
+    ({!Cgra_ilp.Encode.encode}, logging into [proof] when given).  Defaults as in {!map}.  A step with a [proof] may be kept
     and searched again: the objective descent bounds by assumption, so
     the log only ever grows by the solver's own inferences.  An engine
     that keeps no solver (branch and bound, an external solver) logs

@@ -6,12 +6,14 @@
     are:
     - ["native-sat"], ["native-bnb"]: the paper formulation on the
       in-process CDCL SAT engine or branch-and-bound;
-    - ["<F>-sat"], ["<F>-bnb"]: registered {!Formulation_intf} entry
-      [F] on the same engines (["conn-sat"], ["conn-bnb"] once
-      [Cgra_conn] is linked);
-    - any {!Cgra_backend.Registry} entry (["highs"], ["cbc"],
-      ["scip"], runtime registrations): the paper formulation exported
-      as an LP file to an external MILP solver. *)
+    - ["conn-sat"], ["conn-bnb"]: the connectivity formulation
+      ({!Formulation_intf.conn}) on the same engines;
+    - ["highs"], ["cbc"], ["scip"]: the paper formulation exported as
+      an LP file to an external MILP solver
+      ({!Cgra_backend.Milp_adapter}).
+
+    The table is fixed.  A caller that wants another solver, such as a
+    test double, builds a {!t} record itself. *)
 
 type engine =
   | Native of Cgra_ilp.Solve.engine  (** in-process, via {!Cgra_ilp.Solve} *)
@@ -30,5 +32,6 @@ val of_name : string -> (t, string) result
 (** Parse a solver name; the error lists {!names}. *)
 
 val names : unit -> string list
-(** Every name {!of_name} accepts now: the native ones first, then the
-    backend registry's. *)
+(** Every name {!of_name} accepts, in the order [cgra_map backends]
+    lists them: [native-sat, native-bnb, conn-sat, conn-bnb, highs,
+    cbc, scip]. *)

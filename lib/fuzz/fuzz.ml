@@ -17,11 +17,6 @@ module Lp_format = Cgra_ilp.Lp_format
 module Job = Cgra_sweep.Job
 module Record = Cgra_sweep.Record
 module Runner = Cgra_sweep.Runner
-module Conn = Cgra_conn.Conn
-
-(* the conn formulation registers itself at module init; force the
-   link so the differential invariant below can find it by name *)
-let () = Conn.ensure_registered ()
 
 type kernel = Benchmark of string | Random of int
 
@@ -285,7 +280,7 @@ let check_solve sample ~limit =
      feasibility question from a different constraint structure, so on
      any sample where both engines finish, the verdicts must coincide
      (a Mapped answer is Check-validated inside the verdict step) *)
-  let conn = Result.get_ok (Cgra_core.Solver_spec.of_name (Conn.formulation_name ^ "-sat")) in
+  let conn = Result.get_ok (Cgra_core.Solver_spec.of_name "conn-sat") in
   (match (paper, engine conn) with
   | IM.Mapped _, IM.Infeasible _ ->
       fail "formulation-vs-conn"

@@ -29,7 +29,7 @@
       i.e. {!Cgra_ilp.Solve.solve_report}) never returns an
       assignment;
     - {b formulation-vs-conn} — the connectivity formulation
-      ({!Cgra_conn.Conn}) and the paper formulation, each model built
+      ({!Cgra_core.Conn}) and the paper formulation, each model built
       and solved directly by the SAT engine (so the Hall step does not
       decide both sides), agree on the sample's feasibility verdict
       whenever both finish (a timeout on either side proves nothing);

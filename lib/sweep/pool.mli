@@ -8,10 +8,6 @@
     queue so overload is reported to the producer ({!submit} returns
     [false]) instead of accumulating without limit.
 
-    The same pool can execute a whole sweep: pass it to
-    {!Scheduler.run} via [?pool] and the sweep's workers run as pool
-    tasks instead of freshly spawned domains.
-
     {b Domain-safety.}  All operations are mutex-protected and may be
     called from any domain.  Tasks must be self-contained (the pool
     swallows their exceptions) and must not call {!drain} or

@@ -114,9 +114,13 @@ let run_variant ?cancel ?certify ?explain (variant : variant) (job : Job.t) =
         if job.Job.limit > 0.0 then Float.min variant.warm_start (job.Job.limit /. 4.0)
         else variant.warm_start
       in
+      let deadline = deadline_of job in
+      let deadline =
+        match cancel with Some flag -> Deadline.with_cancellation deadline flag | None -> deadline
+      in
       match
-        IM.map ~objective:Formulation.Feasibility ~solver:variant.solver
-          ~deadline:(deadline_of job) ?cancel ~warm_start ?certify ?explain dfg mrrg
+        IM.map ~objective:Formulation.Feasibility ~solver:variant.solver ~deadline ~warm_start
+          ?certify ?explain dfg mrrg
       with
       | result ->
           record_of_result job ~engine:variant.name
@@ -152,15 +156,14 @@ let reprove (solver : Solver_spec.t) (job : Job.t) =
             engine = solver.Solver_spec.name;
           })
 
-let run ?cancel ?certify ?explain (job : Job.t) =
-  run_variant ?cancel ?certify ?explain default_variant job
+let run ?certify ?explain (job : Job.t) = run_variant ?certify ?explain default_variant job
 
 (* The Figure-8 baseline: simulated annealing restarted over [seeds]
    RNG streams, each given an equal slice of the job's budget.  The
    first mapping that survives the independent checker wins; running
    out of seeds (or of budget) is a Timeout — annealing can never prove
    infeasibility, so the SA column of Fig. 8 has no Infeasible bars. *)
-let run_anneal ?cancel ?(seeds = 3) (job : Job.t) =
+let run_anneal ?(seeds = 3) (job : Job.t) =
   let t0 = Deadline.now () in
   match prepare job with
   | Error msg -> Record.error job msg
@@ -168,8 +171,7 @@ let run_anneal ?cancel ?(seeds = 3) (job : Job.t) =
       let seeds = max 1 seeds in
       let slice = if job.Job.limit > 0.0 then job.Job.limit /. float_of_int seeds else 0.0 in
       let deadline_for_attempt () =
-        let d = if slice > 0.0 then Deadline.after ~seconds:slice else Deadline.none in
-        match cancel with None -> d | Some flag -> Deadline.with_cancellation d flag
+        if slice > 0.0 then Deadline.after ~seconds:slice else Deadline.none
       in
       let rec attempt seed =
         if seed >= seeds then None

@@ -44,11 +44,12 @@ val record_of_result :
 val run_variant :
   ?cancel:bool Atomic.t -> ?certify:bool -> ?explain:bool -> variant -> Job.t -> Record.t
 (** Run one variant under the job's time budget.  [cancel] attaches a
-    shared cancellation flag (see
-    {!Cgra_util.Deadline.with_cancellation}); a cancelled run records
-    [Timeout].  [certify] (default [false]) requests DRAT-certified
-    infeasibility verdicts (see {!Cgra_core.Ilp_mapper.map}); the
-    record's [certified] field reports the outcome.  [explain] (default
+    shared cancellation flag to the job's deadline (see
+    {!Cgra_util.Deadline.with_cancellation}), the warm start's
+    included; a cancelled run records [Timeout].  [certify] (default
+    [false]) requests DRAT-certified infeasibility verdicts (see
+    {!Cgra_core.Ilp_mapper.map}); the record's [certified] field
+    reports the outcome.  [explain] (default
     [false]) extracts a constraint-group unsat core for an [Infeasible]
     verdict and journals it in the record's [core] field.  An external
     solver that is missing or misbehaves yields an [Error] record
@@ -64,10 +65,10 @@ val reprove : Cgra_core.Solver_spec.t -> Job.t -> Record.t
     than repeating the step.  Errors become [Error] records, as in
     {!run_variant}. *)
 
-val run : ?cancel:bool Atomic.t -> ?certify:bool -> ?explain:bool -> Job.t -> Record.t
+val run : ?certify:bool -> ?explain:bool -> Job.t -> Record.t
 (** [run_variant default_variant]. *)
 
-val run_anneal : ?cancel:bool Atomic.t -> ?seeds:int -> Job.t -> Record.t
+val run_anneal : ?seeds:int -> Job.t -> Record.t
 (** The Figure-8 heuristic baseline: simulated annealing restarted
     over [seeds] (default 3) RNG streams, each slice getting an equal
     share of the job's time limit.  Records [Feasible] (engine ["sa"],

@@ -30,7 +30,7 @@ let cross_check_record (checker : Cgra_core.Solver_spec.t) (primary : Record.t) 
         };
   }
 
-let run ?(jobs = 1) ?pool ?(portfolio = false) ?(racers = []) ?cross_check ?executor ?certify
+let run ?(jobs = 1) ?(portfolio = false) ?(racers = []) ?cross_check ?executor ?certify
     ?explain ?(skip = fun _ -> false) ?(on_event = fun _ -> ()) job_list =
   let t0 = Deadline.now () in
   let all = Array.of_list job_list in
@@ -96,39 +96,9 @@ let run ?(jobs = 1) ?pool ?(portfolio = false) ?(racers = []) ?cross_check ?exec
     guard ()
   in
   let n_workers = max 1 (min jobs (max 1 total)) in
-  (match pool with
-  | None ->
-      let spawned =
-        List.init (n_workers - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
-      in
-      worker 0;
-      List.iter Domain.join spawned
-  | Some pool ->
-      (* Executor reuse: the extra workers run as tasks on a resident
-         pool instead of freshly spawned domains.  The calling domain
-         always works too, so the sweep completes even when the pool
-         rejects every submission (full queue / shutting down) — the
-         claim counter makes over- or under-subscription harmless. *)
-      let accepted = ref 0 in
-      let finished = ref 0 in
-      let m = Mutex.create () in
-      let c = Condition.create () in
-      for k = 1 to n_workers - 1 do
-        let task () =
-          worker k;
-          Mutex.lock m;
-          incr finished;
-          Condition.signal c;
-          Mutex.unlock m
-        in
-        if Pool.submit pool task then incr accepted
-      done;
-      worker 0;
-      Mutex.lock m;
-      while !finished < !accepted do
-        Condition.wait c m
-      done;
-      Mutex.unlock m);
+  let spawned = List.init (n_workers - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1))) in
+  worker 0;
+  List.iter Domain.join spawned;
   let records =
     Array.to_list results
     |> List.mapi (fun i r ->

@@ -27,7 +27,6 @@ type stats = {
 
 val run :
   ?jobs:int ->
-  ?pool:Pool.t ->
   ?portfolio:bool ->
   ?racers:Runner.variant list ->
   ?cross_check:Cgra_core.Solver_spec.t ->
@@ -42,11 +41,7 @@ val run :
     workers (the calling domain plus [jobs - 1] spawned ones; default
     1) and returns their records in input order.
 
-    [pool] reuses a resident {!Pool} instead of spawning fresh domains:
-    the extra workers run as pool tasks (the calling domain always
-    participates, so the sweep completes even if the pool rejects every
-    submission) and the pool survives the call — this is how the
-    mapping daemon amortises domain startup across requests.  [portfolio] races a
+    [portfolio] races a
     variant field per job instead of the single default engine; the
     field is [racers] when non-empty, otherwise
     {!Runner.default_racers} sized to the machine.  [racers] without

@@ -14,6 +14,7 @@ let after ~seconds = { at = now () +. seconds; cancel = None }
 let new_cancellation () = Atomic.make false
 let cancel flag = Atomic.set flag true
 let with_cancellation t flag = { t with cancel = Some flag }
+let within t ~seconds = { t with at = Float.min t.at (now () +. seconds) }
 
 let cancelled t = match t.cancel with None -> false | Some f -> Atomic.get f
 

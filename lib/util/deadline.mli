@@ -28,6 +28,10 @@ val with_cancellation : t -> bool Atomic.t -> t
 (** [with_cancellation t flag] expires when [t] does {e or} as soon as
     [flag] is set, whichever comes first. *)
 
+val within : t -> seconds:float -> t
+(** [within t ~seconds] expires [seconds] from now or when [t] does,
+    whichever comes first, and carries [t]'s cancellation flag. *)
+
 val cancelled : t -> bool
 (** Was the deadline's flag (if any) raised?  [false] for plain
     deadlines, even expired ones. *)

@@ -1,5 +1,4 @@
 module Backend = Cgra_backend.Backend
-module Registry = Cgra_backend.Registry
 module Sol_parse = Cgra_backend.Sol_parse
 module Subprocess = Cgra_backend.Subprocess
 module Model = Cgra_ilp.Model
@@ -13,29 +12,35 @@ module Job = Cgra_sweep.Job
 module Runner = Cgra_sweep.Runner
 module Deadline = Cgra_util.Deadline
 
-(* ---------------- registry ---------------- *)
-
-let test_registry_builtins () =
-  let names = Registry.names () in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (Printf.sprintf "builtin %s listed" n) true (List.mem n names))
-    [ "highs"; "cbc"; "scip" ];
-  Alcotest.(check bool) "native engines are not backends" true
-    (Registry.find "native-sat" = None);
-  Alcotest.(check bool) "unknown name is None" true (Registry.find "no-such-solver" = None)
+(* ---------------- the solver table ---------------- *)
 
 let solver name =
   match Solver_spec.of_name name with
   | Ok s -> s
   | Error e -> Alcotest.failf "solver %s: %s" name e
 
+(* The three MILP adapters are external engines under their own names;
+   the in-process engines are not. *)
+let test_registry_builtins () =
+  List.iter
+    (fun n ->
+      match (solver n).Solver_spec.engine with
+      | Solver_spec.External b -> Alcotest.(check string) (n ^ " backend") n b.Backend.name
+      | Solver_spec.Native _ -> Alcotest.failf "%s resolves to a native engine" n)
+    [ "highs"; "cbc"; "scip" ];
+  Alcotest.(check bool) "native-sat is in-process" true
+    ((solver "native-sat").Solver_spec.engine = Solver_spec.Native Solve.Sat_backed);
+  Alcotest.(check bool) "unknown name is an error" true
+    (Result.is_error (Solver_spec.of_name "no-such-solver"))
+
 (* Every listed name parses back to a spec of that name, and the seven
-   names the CLI, CI and journals use parse to the pairing they stand
-   for. *)
+   names the CLI, CI and journals use are listed in this order and parse
+   to the pairing they stand for. *)
 let test_solver_names_roundtrip () =
-  Cgra_conn.Conn.ensure_registered ();
   let names = Solver_spec.names () in
+  Alcotest.(check (list string)) "the table, in order"
+    [ "native-sat"; "native-bnb"; "conn-sat"; "conn-bnb"; "highs"; "cbc"; "scip" ]
+    names;
   List.iter
     (fun n -> Alcotest.(check string) "name survives the parse" n (solver n).Solver_spec.name)
     names;
@@ -62,27 +67,6 @@ let test_solver_names_roundtrip () =
     ];
   Alcotest.(check bool) "the paper formulation is only native-*" true
     (Result.is_error (Solver_spec.of_name "paper-sat"))
-
-let fake_backend ?(name = "fake") ?(doc = "fake") outcome =
-  {
-    Backend.name;
-    doc;
-    available = (fun () -> Backend.Available { version = Some "fake 1.0" });
-    solve = (fun ?deadline:_ _model -> outcome);
-  }
-
-let test_registry_register_shadow () =
-  Registry.register (fake_backend ~name:"test-fake" ~doc:"first" Solve.Infeasible);
-  Alcotest.(check bool) "registered appears" true (List.mem "test-fake" (Registry.names ()));
-  Registry.register (fake_backend ~name:"test-fake" ~doc:"second" Solve.Infeasible);
-  (match Registry.find "test-fake" with
-  | Some b -> Alcotest.(check string) "re-registration replaces" "second" b.Backend.doc
-  | None -> Alcotest.fail "test-fake lost");
-  (* shadowing a builtin: the registered entry wins by name *)
-  Registry.register (fake_backend ~name:"cbc" ~doc:"shadowed" Solve.Infeasible);
-  match Registry.find "cbc" with
-  | Some b -> Alcotest.(check string) "builtin shadowed" "shadowed" b.Backend.doc
-  | None -> Alcotest.fail "cbc lost"
 
 (* ---------------- Sol_parse unit ---------------- *)
 
@@ -352,7 +336,6 @@ let suites =
     ( "backend:registry",
       [
         Alcotest.test_case "builtins present and typed" `Quick test_registry_builtins;
-        Alcotest.test_case "register and shadow" `Quick test_registry_register_shadow;
         Alcotest.test_case "solver names round-trip" `Quick test_solver_names_roundtrip;
       ] );
     ( "backend:sol-parse",

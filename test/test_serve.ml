@@ -35,7 +35,6 @@ let arch name ~size =
 let small_mrrg ?(arch_name = "homo-orth") ii = Build.elaborate (arch arch_name ~size:2) ~ii
 
 let solver_spec name =
-  Cgra_conn.Conn.ensure_registered ();
   match Cgra_core.Solver_spec.of_name name with Ok s -> s | Error e -> Alcotest.fail e
 
 (* The 2x2 smoke grid: on homo-orth and homo-diag, mac is infeasible at

@@ -193,27 +193,6 @@ let test_store_concurrent_writers () =
 
 (* ---------------- Pool ---------------- *)
 
-(* A resident pool survives across sweeps (the daemon's usage): two
-   consecutive runs on one pool must both complete with the same
-   answers as fresh-domain runs, and the pool must still drain. *)
-let test_scheduler_reuses_pool () =
-  let pool = Pool.create ~workers:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let reference, _ = Scheduler.run ~jobs:2 fast_jobs in
-      let r1, s1 = Scheduler.run ~jobs:2 ~pool fast_jobs in
-      let r2, s2 = Scheduler.run ~jobs:2 ~pool fast_jobs in
-      Alcotest.(check int) "first pooled sweep ran all" (List.length fast_jobs) s1.Scheduler.ran;
-      Alcotest.(check int) "second pooled sweep ran all" (List.length fast_jobs) s2.Scheduler.ran;
-      Alcotest.(check (list string)) "pooled run agrees" (statuses reference) (statuses r1);
-      Alcotest.(check (list string)) "pool is reusable" (statuses reference) (statuses r2);
-      (* The scheduler returns when every job's result is in; the worker
-         that ran the last task may not have cleared its active flag yet,
-         so synchronise with the pool before asserting idleness. *)
-      Pool.drain pool;
-      Alcotest.(check int) "pool idle after sweeps" 0 (Pool.pending pool + Pool.active pool))
-
 let test_pool_bounded_queue () =
   let pool = Pool.create ~queue_capacity:2 ~workers:1 () in
   let gate = Mutex.create () in
@@ -332,11 +311,25 @@ let test_portfolio_cancellation () =
   let cancel = Deadline.new_cancellation () in
   Deadline.cancel cancel;
   let hard = { (job ~bench:"add_16" ~limit:60.0 ()) with Job.size = 4 } in
-  let r = Runner.run ~cancel hard in
+  let r = Runner.run_variant ~cancel Runner.default_variant hard in
   Alcotest.(check string) "pre-cancelled run times out" "timeout"
     (Record.status_to_string r.Record.status);
   Alcotest.(check bool) "and returns immediately, not at the limit" true
     (r.Record.total_seconds < 30.0)
+
+(* The flag reaches the warm start too: its anneal runs under the
+   job's deadline, so a cancelled racer skips the 5 s it would spend
+   annealing before the search. *)
+let test_cancellation_stops_warm_start () =
+  let cancel = Deadline.new_cancellation () in
+  Deadline.cancel cancel;
+  let hard = { (job ~bench:"add_16" ~limit:60.0 ()) with Job.size = 4 } in
+  let warm = { Runner.default_variant with Runner.name = "sat-warm5"; warm_start = 5.0 } in
+  let r = Runner.run_variant ~cancel warm hard in
+  Alcotest.(check string) "pre-cancelled warm run times out" "timeout"
+    (Record.status_to_string r.Record.status);
+  Alcotest.(check bool) "well before the warm start's budget" true
+    (r.Record.total_seconds < 2.5)
 
 (* ---------------- cross-checking ---------------- *)
 
@@ -420,22 +413,28 @@ let test_reprove_bypasses_hall () =
   Alcotest.(check (option string)) "the engine's refutation" (Some "drat") second.Record.evidence;
   Alcotest.(check bool) "a SAT search ran" true (second.Record.sat_calls > 0)
 
-let liar_backend name =
-  (* claims every model infeasible — the adversarial cross-checker the
-     sweep must catch on a feasible cell *)
+(* claims every model infeasible — the adversarial cross-checker the
+   sweep must catch on a feasible cell; a spec record, as any solver
+   outside the fixed table is *)
+let liar =
   let module Backend = Cgra_backend.Backend in
+  let name = "test-liar" in
   {
-    Backend.name;
-    doc = "always claims infeasible (test double)";
-    available = (fun () -> Backend.Available { version = Some "liar 1.0" });
-    solve =
-      (fun ?deadline:_ _model -> Cgra_ilp.Solve.Infeasible);
+    Cgra_core.Solver_spec.name;
+    formulation = Cgra_core.Formulation_intf.paper;
+    engine =
+      Cgra_core.Solver_spec.External
+        {
+          Backend.name;
+          doc = "always claims infeasible (test double)";
+          available = (fun () -> Backend.Available { version = Some "liar 1.0" });
+          solve = (fun ?deadline:_ _model -> Cgra_ilp.Solve.Infeasible);
+        };
   }
 
 let test_scheduler_cross_check_disagreement () =
-  Cgra_backend.Registry.register (liar_backend "test-liar");
   let feasible = job ~bench:"2x2-f" ~contexts:2 () in
-  let records, stats = Scheduler.run ~cross_check:(solver "test-liar") [ feasible ] in
+  let records, stats = Scheduler.run ~cross_check:liar [ feasible ] in
   Alcotest.(check int) "the lie is caught" 1 stats.Scheduler.disagreements;
   match records with
   | [ r ] ->
@@ -449,9 +448,8 @@ let test_scheduler_cross_check_disagreement () =
 let test_scheduler_cross_check_skips_indefinitive () =
   (* a cell the primary cannot decide is never cross-checked: there is
      no verdict to contradict *)
-  Cgra_backend.Registry.register (liar_backend "test-liar");
   let records, stats =
-    Scheduler.run ~cross_check:(solver "test-liar") [ job ~bench:"no-such-benchmark" () ]
+    Scheduler.run ~cross_check:liar [ job ~bench:"no-such-benchmark" () ]
   in
   Alcotest.(check int) "no disagreement on an error cell" 0 stats.Scheduler.disagreements;
   match records with
@@ -533,7 +531,6 @@ let suites =
         Alcotest.test_case "store append/load" `Quick test_store_roundtrip;
         Alcotest.test_case "store missing file" `Quick test_store_missing_file;
         Alcotest.test_case "store concurrent writers" `Quick test_store_concurrent_writers;
-        Alcotest.test_case "scheduler reuses a resident pool" `Slow test_scheduler_reuses_pool;
         Alcotest.test_case "pool bounds its queue" `Quick test_pool_bounded_queue;
         Alcotest.test_case "scheduler deterministic across --jobs" `Slow test_scheduler_deterministic;
         Alcotest.test_case "scheduler records errors, sweep survives" `Slow test_scheduler_error_capture;
@@ -542,6 +539,8 @@ let suites =
         Alcotest.test_case "resume skips journaled jobs" `Slow test_scheduler_resume;
         Alcotest.test_case "portfolio first-definitive agreement" `Slow test_portfolio_definitive;
         Alcotest.test_case "cancellation stops a run" `Slow test_portfolio_cancellation;
+        Alcotest.test_case "cancellation stops a warm start" `Slow
+          test_cancellation_stops_warm_start;
         Alcotest.test_case "verdict compatibility" `Quick test_verdicts_agree;
         Alcotest.test_case "cross-check record roundtrip" `Quick test_cross_record_roundtrip;
         Alcotest.test_case "cross-check re-proves a Hall cell by search" `Quick
