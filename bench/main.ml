@@ -1,10 +1,16 @@
-(* Experiment harness: regenerates every table and figure of the paper.
+(* Experiment harness: regenerates the paper's tables and figures and
+   runs the repository's own measurements.  Table 2 is not here: its one
+   producer is `cgra_map sweep --table`, and the committed 60 s 4x4
+   journal (journals/table2-4x4.jsonl) is its artifact.
 
    Subcommands:
      table1            benchmark characteristics (paper Table 1)
-     table2            feasibility grid, ILP mapper (paper Table 2)
-     fig8              SA mapper vs ILP mapper (paper Figure 8); journaled,
-                       resumable, exits 1 if SA ever beats the exact mapper
+     fig8              SA mapper vs ILP mapper (paper Figure 8): the ILP
+                       side is read from the Table-2 sweep journal, running
+                       only the cells it lacks; the SA side journals to
+                       fig8.sa.jsonl; both resumable; exits 1 if SA ever
+                       beats the exact mapper, 2 if a journal was written
+                       at another --limit
      sizes             formulation sizes per cell (diagnostics)
      sweep             parallel sweep engine scaling (--jobs 1/2/4); appends
                        a run record to BENCH_sweep.json
@@ -28,16 +34,17 @@
                        16x16, mesh vs torus); appends a run record to
                        BENCH_archscale.json and exits 1 if 8x8 mesh
                        elaboration regresses >2x over the journaled baseline
-     all               table1 + table2 + fig8 (default)
+     all               table1 + fig8 (default)
 
    Common options:
-     --limit SECS      per-cell time limit (default 120)
+     --limit SECS      per-cell time limit (default 60, the committed
+                       journal's)
      --size N          array size NxN (default 4, the paper's)
      --benchmark NAME  restrict to one benchmark (repeatable)
      --seeds N         annealing attempts per cell in fig8 (default 3)
      --jobs N          parallel workers for fig8 (default 1)
-     --journal BASE    fig8 journal base path (default "fig8"; writes
-                       BASE.ilp.jsonl and BASE.sa.jsonl, resumable)
+     --journal FILE    the Table-2 sweep journal fig8 reads its ILP side
+                       from (default journals/table2-NxN.jsonl)
 
    The native-vs-external differential is `cgra_map sweep --cross-check
    BACKEND`, not a subcommand here. *)
@@ -46,7 +53,6 @@ module Dfg = Cgra_dfg.Dfg
 module Benchmarks = Cgra_dfg.Benchmarks
 module Lib = Cgra_arch.Library
 module Build = Cgra_mrrg.Build
-module Mrrg = Cgra_mrrg.Mrrg
 module IM = Cgra_core.Ilp_mapper
 module Anneal = Cgra_core.Anneal
 module Formulation = Cgra_core.Formulation
@@ -88,11 +94,11 @@ type options = {
   benchmarks : string list; (* empty = all *)
   seeds : int;
   jobs : int;
-  journal : string;
+  journal : string option; (* None = journals/table2-NxN.jsonl *)
 }
 
 let default_options =
-  { limit = 120.0; size = 4; benchmarks = []; seeds = 3; jobs = 1; journal = "fig8" }
+  { limit = 60.0; size = 4; benchmarks = []; seeds = 3; jobs = 1; journal = None }
 
 let selected_benchmarks opts =
   match opts.benchmarks with
@@ -107,8 +113,6 @@ let table2_columns opts =
     (fun ii ->
       List.map (fun (name, config) -> (name, config, ii)) (Lib.paper_configs ~size:opts.size))
     [ 1; 2 ]
-
-let column_header (name, _, ii) = Printf.sprintf "%s/ii%d" name ii
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -125,93 +129,6 @@ let run_table1 opts =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Table 2                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type cell = Feasible | Infeasible | TimedOut
-
-let cell_char = function Feasible -> "1" | Infeasible -> "0" | TimedOut -> "T"
-
-let mrrg_cache : (string * int * int, Mrrg.t) Hashtbl.t = Hashtbl.create 16
-
-let mrrg_for opts (name, config, ii) =
-  match Hashtbl.find_opt mrrg_cache (name, opts.size, ii) with
-  | Some m -> m
-  | None ->
-      let m = Build.elaborate (Lib.make config) ~ii in
-      Hashtbl.replace mrrg_cache (name, opts.size, ii) m;
-      m
-
-(* Two-phase exact query: a cold attempt first (fast on easy cells and
-   on infeasibility proofs), then a warm-started attempt seeded by a
-   thorough annealing run for the cells where search alone stalls. *)
-let ilp_cell opts column dfg =
-  let mrrg = mrrg_for opts column in
-  let t0 = Deadline.now () in
-  let slice = Float.min (opts.limit /. 3.0) 30.0 in
-  let classify = function
-    | IM.Mapped _ -> Feasible
-    | IM.Infeasible _ -> Infeasible
-    | IM.Timeout _ -> TimedOut
-  in
-  let cold =
-    IM.map ~objective:Formulation.Feasibility ~warm_start:0.0
-      ~deadline:(Deadline.after ~seconds:slice) dfg mrrg
-  in
-  let cell =
-    match classify cold with
-    | (Feasible | Infeasible) as c -> c
-    | TimedOut ->
-        let remaining = opts.limit -. Deadline.elapsed_of ~start:t0 in
-        if remaining <= 1.0 then TimedOut
-        else
-          classify
-            (IM.map ~objective:Formulation.Feasibility
-               ~warm_start:(Float.min 60.0 (remaining /. 2.0))
-               ~deadline:(Deadline.after ~seconds:remaining) dfg mrrg)
-  in
-  (cell, Deadline.elapsed_of ~start:t0)
-
-let run_table2 opts =
-  Printf.printf "== Table 2: mapping feasibility (ILP mapper, %dx%d, limit %.0fs) ==\n" opts.size
-    opts.size opts.limit;
-  let columns = table2_columns opts in
-  Printf.printf "%-14s" "Benchmark";
-  List.iter (fun c -> Printf.printf " %20s" (column_header c)) columns;
-  print_newline ();
-  let totals = Array.make (List.length columns) 0 in
-  let times = ref [] in
-  List.iter
-    (fun (bname, mk) ->
-      let dfg = mk () in
-      Printf.printf "%-14s%!" bname;
-      List.iteri
-        (fun idx column ->
-          let cell, dt = ilp_cell opts column dfg in
-          times := dt :: !times;
-          if cell = Feasible then totals.(idx) <- totals.(idx) + 1;
-          Printf.printf " %14s %4.0fs%!" (cell_char cell) dt)
-        columns;
-      print_newline ())
-    (selected_benchmarks opts);
-  Printf.printf "%-14s" "Total Feasible";
-  Array.iter (fun n -> Printf.printf " %20d" n) totals;
-  print_newline ();
-  (* the paper's runtime remark (>80% of runs within an hour) *)
-  let all = List.length !times in
-  if all > 0 then begin
-    let within limit = List.length (List.filter (fun t -> t < limit) !times) in
-    let sorted = List.sort compare !times in
-    Printf.printf
-      "runtimes: %d/%d cells within 60s, %d/%d within the %.0fs limit, median %.2fs\n"
-      (within 60.0) all
-      (within opts.limit)
-      all opts.limit
-      (List.nth sorted (all / 2))
-  end;
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
 (* Figure 8                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -222,40 +139,62 @@ module Sweep_record = Cgra_sweep.Record
 module Sweep_runner = Cgra_sweep.Runner
 module Sweep_grid = Cgra_sweep.Grid
 
-(* Both mappers sweep the full grid through the scheduler, each side
-   journaling to its own resumable JSONL file: BASE.ilp.jsonl for the
-   exact mapper, BASE.sa.jsonl for the annealing baseline.  A killed
-   run re-entered with the same --journal base redoes only the missing
-   cells. *)
+(* Both mappers sweep the grid through the journaled scheduler, each
+   side resuming its own JSONL file: the exact mapper's is the Table-2
+   sweep journal (`--journal`, default journals/table2-NxN.jsonl, the
+   committed one at 4x4), so only the cells it lacks run; the
+   annealing baseline's is fig8.sa.jsonl.  [Job.key] leaves the limit
+   out, so a journal written at another --limit would silently compare
+   unequal budgets: that is refused before anything runs. *)
+let fig8_journal opts =
+  match opts.journal with
+  | Some path -> path
+  | None -> Printf.sprintf "journals/table2-%dx%d.jsonl" opts.size opts.size
+
+let check_journal_limit opts path jobs =
+  let latest = Sweep_grid.latest_by_key (Sweep_store.load path) in
+  List.iter
+    (fun j ->
+      match Hashtbl.find_opt latest (Sweep_job.key j) with
+      | Some (r : Sweep_record.t) when r.Sweep_record.job.Sweep_job.limit <> opts.limit ->
+          Printf.eprintf
+            "fig8: %s holds records at limit %gs (%s), but --limit is %gs; pass --limit %g or \
+             another journal\n%!"
+            path r.Sweep_record.job.Sweep_job.limit (Sweep_job.to_string j) opts.limit
+            r.Sweep_record.job.Sweep_job.limit;
+          exit 2
+      | _ -> ())
+    jobs
+
 let fig8_side opts ~label ~path ?executor jobs =
-  let done_keys = Sweep_store.completed_keys (Sweep_store.load path) in
-  let skip j = Hashtbl.mem done_keys (Sweep_job.key j) in
-  let store = Sweep_store.append_to path in
   let on_event = function
     | Sweep_sched.Job_started _ -> ()
     | Sweep_sched.Job_finished { index; total; record; _ } ->
-        Sweep_store.append store record;
         Printf.eprintf "  [%s %d/%d] %-10s %s (%.1fs)\n%!" label (index + 1) total
           (Sweep_record.status_to_string record.Sweep_record.status)
           (Sweep_job.to_string record.Sweep_record.job)
           record.Sweep_record.total_seconds
   in
-  let _, stats = Sweep_sched.run ~jobs:opts.jobs ?executor ~skip ~on_event jobs in
-  Sweep_store.close store;
-  if stats.Sweep_sched.skipped > 0 then
-    Printf.eprintf "  [%s] resumed: %d cell(s) from %s\n%!" label stats.Sweep_sched.skipped path;
+  let _, stats =
+    Sweep_sched.run ~jobs:opts.jobs ?executor ~journal:path ~resume:true ~on_event jobs
+  in
+  Printf.eprintf "  [%s] %d ran, %d from %s\n%!" label stats.Sweep_sched.ran
+    stats.Sweep_sched.skipped path;
   Sweep_grid.latest_by_key (Sweep_store.load path)
 
 let run_fig8 opts =
-  Printf.printf "== Figure 8: benchmarks mapped, SA mapper vs ILP mapper (%dx%d) ==\n" opts.size
-    opts.size;
   let benchmarks = List.map fst (selected_benchmarks opts) in
   let jobs =
     Sweep_job.paper_grid ~size:opts.size ~contexts:[ 1; 2 ] ~limit:opts.limit ~benchmarks ()
   in
-  let ilp = fig8_side opts ~label:"ilp" ~path:(opts.journal ^ ".ilp.jsonl") jobs in
+  let ilp_path = fig8_journal opts and sa_path = "fig8.sa.jsonl" in
+  check_journal_limit opts ilp_path jobs;
+  check_journal_limit opts sa_path jobs;
+  Printf.printf "== Figure 8: benchmarks mapped, SA mapper vs ILP mapper (%dx%d) ==\n%!" opts.size
+    opts.size;
+  let ilp = fig8_side opts ~label:"ilp" ~path:ilp_path jobs in
   let sa =
-    fig8_side opts ~label:"sa" ~path:(opts.journal ^ ".sa.jsonl")
+    fig8_side opts ~label:"sa" ~path:sa_path
       ~executor:(fun j -> Sweep_runner.run_anneal ~seeds:opts.seeds j)
       jobs
   in
@@ -309,8 +248,8 @@ let run_sizes opts =
     (fun (bname, mk) ->
       let dfg = mk () in
       List.iter
-        (fun ((cname, _, ii) as column) ->
-          let mrrg = mrrg_for opts column in
+        (fun (cname, config, ii) ->
+          let mrrg = Build.elaborate (Lib.make config) ~ii in
           let f = Formulation.build ~objective:Formulation.Feasibility dfg mrrg in
           Printf.printf "%-14s %s/ii%d: %s\n%!" bname cname ii
             (Format.asprintf "%a" Formulation.pp_size (Formulation.size f)))
@@ -345,7 +284,7 @@ let run_ablation opts =
     (fun (bench, arch, ii) ->
       match (Benchmarks.by_name bench, Lib.find_config ~size:opts.size arch) with
       | Some dfg, Some config ->
-          let mrrg = mrrg_for opts (arch, config, ii) in
+          let mrrg = Build.elaborate (Lib.make config) ~ii in
           Printf.printf "%-24s%!" (Printf.sprintf "%s/%s/ii%d" bench arch ii);
           List.iter
             (fun (_, prune, anchor_sinks, backward_continuity) ->
@@ -1048,7 +987,7 @@ let parse_args () =
         opts := { !opts with jobs = int_of_string v };
         go rest
     | "--journal" :: v :: rest ->
-        opts := { !opts with journal = v };
+        opts := { !opts with journal = Some v };
         go rest
     | cmd :: rest ->
         cmds := cmd :: !cmds;
@@ -1063,7 +1002,6 @@ let () =
   List.iter
     (function
       | "table1" -> run_table1 opts
-      | "table2" -> run_table2 opts
       | "fig8" -> run_fig8 opts
       | "sizes" -> run_sizes opts
       | "ablation" -> run_ablation opts
@@ -1075,7 +1013,6 @@ let () =
       | "archscale" | "arch-scale" -> run_archscale opts
       | "all" ->
           run_table1 opts;
-          run_table2 opts;
           run_fig8 opts
       | other ->
           Printf.eprintf "unknown subcommand %S\n" other;

@@ -711,20 +711,11 @@ let sweep_cmd =
           @ List.map Runner.variant solvers
     in
     let grid = Sweep_job.paper_grid ~size ~contexts ~limit ~benchmarks ~archs () in
-    let skip =
-      if not resume then fun _ -> false
-      else begin
-        let done_keys = Sweep_store.completed_keys (Sweep_store.load out) in
-        fun job -> Hashtbl.mem done_keys (Sweep_job.key job)
-      end
-    in
-    let store = Sweep_store.append_to out in
     let on_event = function
       | Sweep_sched.Job_started { index; total; worker; job } ->
           Printf.eprintf "[%d/%d] w%d start  %s\n%!" (index + 1) total worker
             (Sweep_job.to_string job)
       | Sweep_sched.Job_finished { index; total; worker; record } ->
-          Sweep_store.append store record;
           Printf.eprintf "[%d/%d] w%d %-10s %s (%s, %.2fs)%s%s\n%!" (index + 1) total worker
             (Sweep_record.status_to_string record.Sweep_record.status)
             (Sweep_job.to_string record.Sweep_record.job)
@@ -740,9 +731,9 @@ let sweep_cmd =
                   (if c.Sweep_record.agreed then "" else "  ** DISAGREEMENT **"))
     in
     let records, stats =
-      Sweep_sched.run ~jobs ~portfolio ~racers ?cross_check ~certify ~explain ~skip ~on_event grid
+      Sweep_sched.run ~jobs ~portfolio ~racers ?cross_check ~certify ~explain ~journal:out ~resume
+        ~on_event grid
     in
-    Sweep_store.close store;
     Printf.eprintf "sweep: %d ran, %d skipped (resume), %.1fs wall, journal %s\n%!"
       stats.Sweep_sched.ran stats.Sweep_sched.skipped stats.Sweep_sched.wall_seconds out;
     if table then print_string (Sweep_grid.render (Sweep_store.load out));

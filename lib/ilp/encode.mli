@@ -44,8 +44,7 @@ val encode :
 
     The solver gets the {!Cgra_satoca.Inprocess} scheduler installed;
     [inprocess] overrides its configuration (default:
-    {!Cgra_satoca.Inprocess.default}[ ()], i.e. failed-literal probing
-    on unless the [CGRA_INPROCESS] environment variable says otherwise).
+    {!Cgra_satoca.Inprocess.all_on}, failed-literal probing on).
     Inprocessing is DRAT-transparent, so it composes with [proof]. *)
 
 val assignment : t -> Model.t -> bool array

@@ -19,20 +19,8 @@ let all_off = { all_on with enabled = false }
    restart. *)
 let eager = { all_on with interval = 0 }
 
-(* CGRA_INPROCESS: unset/"on" = [all_on]; "off"/"0"/"none" = disabled;
-   otherwise a comma-separated pass list, e.g. "probe".  Probing is the
-   only pass; other names are ignored. *)
-let default () =
-  match Sys.getenv_opt "CGRA_INPROCESS" with
-  | None | Some "" | Some "on" | Some "1" -> all_on
-  | Some ("off" | "0" | "none") -> all_off
-  | Some spec ->
-      if List.exists (fun s -> String.trim s = "probe") (String.split_on_char ',' spec) then eager
-      else all_off
-
-let install ?config solver =
-  let cfg = match config with Some c -> c | None -> default () in
-  if not cfg.enabled then Solver.set_inprocess solver None
+let install ?(config = all_on) solver =
+  if not config.enabled then Solver.set_inprocess solver None
   else begin
     (* Start the clock at zero conflicts: the first round only fires
        once [interval] conflicts of real search have accrued, so easy
@@ -50,13 +38,13 @@ let install ?config solver =
     let probe_round = ref 0 in
     let hook s =
       let st = Solver.stats s in
-      let due = st.conflicts - !last_conflicts >= cfg.interval in
+      let due = st.conflicts - !last_conflicts >= config.interval in
       if due && Solver.simp_prepare s then begin
         last_conflicts := st.conflicts;
         incr probe_round;
         if !probe_round mod !probe_stride = 0 then begin
           let before = (Solver.stats s).Solver.probed_failed in
-          Probe.run s ~budget:cfg.probe_budget;
+          Probe.run s ~budget:config.probe_budget;
           if (Solver.stats s).Solver.probed_failed = before then
             probe_stride := min 16 (2 * !probe_stride)
           else probe_stride := 1

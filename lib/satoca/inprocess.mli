@@ -27,13 +27,7 @@ val eager : config
     restart ([interval = 0]) — what the differential fuzzers run, so
     probing fires even on small, quickly-decided instances. *)
 
-val default : unit -> config
-(** [all_on], overridden by the [CGRA_INPROCESS] environment variable:
-    ["off"]/["0"]/["none"] disables inprocessing; a comma-separated
-    pass list selects {!eager} when it names ["probe"] (the only pass)
-    and disables inprocessing otherwise — other names are ignored. *)
-
 val install : ?config:config -> Solver.t -> unit
 (** Install the scheduler on a solver (replacing any previous hook);
-    [config] defaults to {!default}[ ()].  With [enabled = false] the
+    [config] defaults to {!all_on}.  With [enabled = false] the
     hook is removed. *)

@@ -31,13 +31,19 @@ let cross_check_record (checker : Cgra_core.Solver_spec.t) (primary : Record.t) 
   }
 
 let run ?(jobs = 1) ?(portfolio = false) ?(racers = []) ?cross_check ?executor ?certify
-    ?explain ?(skip = fun _ -> false) ?(on_event = fun _ -> ()) job_list =
+    ?explain ?journal ?(resume = false) ?(on_event = fun _ -> ()) job_list =
   let t0 = Deadline.now () in
-  let all = Array.of_list job_list in
-  let keep = Array.map (fun j -> not (skip j)) all in
-  let pending = Array.to_list all |> List.filteri (fun i _ -> keep.(i)) |> Array.of_list in
+  let done_keys =
+    match journal with
+    | Some path when resume -> Grid.latest_by_key (Store.load path)
+    | _ -> Hashtbl.create 0
+  in
+  let pending =
+    Array.of_list (List.filter (fun j -> not (Hashtbl.mem done_keys (Job.key j))) job_list)
+  in
   let total = Array.length pending in
   let results = Array.make total None in
+  let store = Option.map Store.append_to journal in
   let next = Atomic.make 0 in
   let event_mutex = Mutex.create () in
   let emit e =
@@ -85,6 +91,7 @@ let run ?(jobs = 1) ?(portfolio = false) ?(racers = []) ?cross_check ?executor ?
         emit (Job_started { index = i; total; worker = w; job });
         let record = execute job in
         results.(i) <- Some record;
+        Option.iter (fun store -> Store.append store record) store;
         emit (Job_finished { index = i; total; worker = w; record });
         loop ()
       end
@@ -96,9 +103,12 @@ let run ?(jobs = 1) ?(portfolio = false) ?(racers = []) ?cross_check ?executor ?
     guard ()
   in
   let n_workers = max 1 (min jobs (max 1 total)) in
-  let spawned = List.init (n_workers - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1))) in
-  worker 0;
-  List.iter Domain.join spawned;
+  Fun.protect
+    ~finally:(fun () -> Option.iter Store.close store)
+    (fun () ->
+      let spawned = List.init (n_workers - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1))) in
+      worker 0;
+      List.iter Domain.join spawned);
   let records =
     Array.to_list results
     |> List.mapi (fun i r ->
@@ -107,7 +117,7 @@ let run ?(jobs = 1) ?(portfolio = false) ?(racers = []) ?cross_check ?executor ?
   let stats =
     {
       ran = total;
-      skipped = Array.length all - total;
+      skipped = List.length job_list - total;
       disagreements = List.length (List.filter Record.disagreement records);
       wall_seconds = Deadline.elapsed_of ~start:t0;
     }

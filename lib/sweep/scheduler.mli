@@ -8,8 +8,8 @@
     still queued.
 
     [on_event] is serialised by a mutex, so callbacks may write to
-    shared channels (progress lines, the JSONL {!Store}) without their
-    own locking; exceptions it raises are swallowed. *)
+    shared channels (progress lines) without their own locking;
+    exceptions it raises are swallowed. *)
 
 type event =
   | Job_started of { index : int; total : int; worker : int; job : Job.t }
@@ -17,7 +17,7 @@ type event =
 
 type stats = {
   ran : int;           (** jobs executed *)
-  skipped : int;       (** jobs dropped by [skip] (resume) *)
+  skipped : int;       (** jobs the journal already held ([resume]) *)
   disagreements : int;
       (** cross-checked cells where the second backend contradicted the
           primary verdict (see {!Record.disagreement}); always 0
@@ -33,7 +33,8 @@ val run :
   ?executor:(Job.t -> Record.t) ->
   ?certify:bool ->
   ?explain:bool ->
-  ?skip:(Job.t -> bool) ->
+  ?journal:string ->
+  ?resume:bool ->
   ?on_event:(event -> unit) ->
   Job.t list ->
   Record.t list * stats
@@ -59,13 +60,18 @@ val run :
 
     [executor] replaces the per-job solver entirely (the annealing
     baseline of [bench fig8] runs through it); [portfolio], [racers],
-    [certify] and [explain] are then ignored, while [skip],
-    [on_event] and [cross_check] still apply.  An executor exception
+    [certify] and [explain] are then ignored, while [journal],
+    [resume], [on_event] and [cross_check] still apply.  An executor exception
     becomes the job's [Error] record.
 
     [certify] requests DRAT-certified verdicts from every job
     (see {!Runner.run_variant}).  [explain] journals a constraint-group
     unsat core with every [Infeasible] record (the definitive 0-cells
-    of the Table-2 grid).  [skip] implements resume: skipped jobs
-    produce no record here (their records already live in the
-    journal). *)
+    of the Table-2 grid).
+
+    [journal] names a JSONL {!Store}: every finished record is appended
+    to it before its [Job_finished] event, and the file is closed when
+    the run returns.  With [resume] (default [false]; ignored without
+    [journal]) the jobs whose {!Job.key} the journal already holds are
+    skipped: they produce no record here and count in
+    [stats.skipped]. *)

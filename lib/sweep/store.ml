@@ -33,8 +33,3 @@ let load path =
     close_in ic;
     records
   end
-
-let completed_keys records =
-  let keys = Hashtbl.create 64 in
-  List.iter (fun (r : Record.t) -> Hashtbl.replace keys (Job.key r.Record.job) ()) records;
-  keys

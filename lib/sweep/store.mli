@@ -23,6 +23,3 @@ val load : string -> Record.t list
 (** All parseable records in file order; [[]] if the file does not
     exist.  Malformed lines (e.g. a torn write from a killed run) are
     skipped silently — their jobs simply run again. *)
-
-val completed_keys : Record.t list -> (string, unit) Hashtbl.t
-(** The {!Job.key}s present in a journal, for resume filtering. *)

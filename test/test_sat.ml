@@ -652,27 +652,6 @@ let test_inprocess_regression_corpus () =
     (random_instances @ crafted_instances);
   Alcotest.(check bool) "probe fired somewhere in the corpus" true (!fired > 0)
 
-(* CGRA_INPROCESS keeps parsing pass lists that name passes this solver
-   no longer has: CI and older scripts set them.  "probe" selects the
-   eager schedule; a list without it disables inprocessing. *)
-let test_inprocess_env () =
-  let saved = Sys.getenv_opt "CGRA_INPROCESS" in
-  let config_for value =
-    Unix.putenv "CGRA_INPROCESS" value;
-    Inprocess.default ()
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "CGRA_INPROCESS" (Option.value saved ~default:""))
-    (fun () ->
-      List.iter
-        (fun value ->
-          Alcotest.(check bool) (value ^ ": eager probing") true (config_for value = Inprocess.eager))
-        [ "substitute,subsume,probe,varelim"; "probe" ];
-      List.iter
-        (fun value ->
-          Alcotest.(check bool) (value ^ ": disabled") false (config_for value).Inprocess.enabled)
-        [ "subsume"; "off" ])
-
 let test_lit_encoding () =
   Alcotest.(check int) "pos var" 3 (Lit.var (Lit.pos 3));
   Alcotest.(check bool) "pos sign" true (Lit.sign (Lit.pos 3));
@@ -837,7 +816,6 @@ let suites =
         ] );
     ( "sat:inprocess",
       Alcotest.test_case "fixed-seed regression corpus" `Quick test_inprocess_regression_corpus
-      :: Alcotest.test_case "CGRA_INPROCESS pass lists" `Quick test_inprocess_env
       :: List.map QCheck_alcotest.to_alcotest [ prop_inprocess_probe_cnf; prop_inprocess_probe_lp ]
     );
   ]

@@ -260,30 +260,28 @@ let test_degenerate_job_is_error () =
       | _ -> Alcotest.failf "%s: expected an error record" what)
     [ ("size", { (job ()) with Job.size = 0 }); ("contexts", job ~contexts:0 ()) ]
 
+let line_count path = List.length (In_channel.with_open_text path In_channel.input_lines)
+
 let test_scheduler_resume () =
   let path = temp_journal () in
-  let store = Store.append_to path in
   (* first run: only the two single-context jobs *)
   let first = [ List.nth fast_jobs 0; List.nth fast_jobs 1 ] in
-  let r1, _ = Scheduler.run ~jobs:1 first in
-  List.iter (Store.append store) r1;
-  Store.close store;
+  let _, s1 = Scheduler.run ~jobs:1 ~journal:path ~resume:true first in
+  Alcotest.(check int) "fresh journal: every job ran" 2 s1.Scheduler.ran;
   (* resumed run over the full list skips what the journal records *)
-  let done_keys = Store.completed_keys (Store.load path) in
-  let skip j = Hashtbl.mem done_keys (Job.key j) in
-  let store = Store.append_to path in
-  let r2, stats = Scheduler.run ~jobs:2 ~skip ~on_event:(function
-      | Scheduler.Job_finished { record; _ } -> Store.append store record
-      | Scheduler.Job_started _ -> ())
-      fast_jobs
-  in
-  Store.close store;
+  let r2, stats = Scheduler.run ~jobs:2 ~journal:path ~resume:true fast_jobs in
   Alcotest.(check int) "only unfinished jobs ran" 2 stats.Scheduler.ran;
   Alcotest.(check int) "finished jobs skipped" 2 stats.Scheduler.skipped;
   Alcotest.(check (list string)) "second run computed the ii2 cells"
     [ "infeasible"; "feasible" ] (statuses r2);
   let merged = Grid.latest_by_key (Store.load path) in
   Alcotest.(check int) "journal now covers the whole grid" 4 (Hashtbl.length merged);
+  (* a complete journal: nothing runs and nothing is appended *)
+  let lines = line_count path in
+  let r3, s3 = Scheduler.run ~jobs:2 ~journal:path ~resume:true fast_jobs in
+  Alcotest.(check int) "complete journal: 0 ran" 0 s3.Scheduler.ran;
+  Alcotest.(check int) "complete journal: no record" 0 (List.length r3);
+  Alcotest.(check int) "complete journal: no line appended" lines (line_count path);
   Sys.remove path
 
 (* ---------------- Portfolio ---------------- *)
@@ -517,6 +515,69 @@ let test_grid_render () =
   Alcotest.(check bool) "rerun overrides earlier line" true
     (Astring.String.is_infix ~affix:"T" table')
 
+(* ---------------- the committed Table-2 journal ---------------- *)
+
+(* The paper's Table 2 (EXPERIMENTS.md): one row per benchmark, one
+   character per column in the paper's order, hetero-orth, hetero-diag,
+   homo-orth and homo-diag at II 1, then the same four at II 2. *)
+let paper_table2 =
+  [
+    ("accum", "11111111"); ("mac", "11111111"); ("add_10", "11111111");
+    ("add_14", "01011111"); ("add_16", "01011111"); ("mult_10", "00111111");
+    ("mult_14", "00011111"); ("mult_16", "00011111"); ("2x2-f", "11111111");
+    ("2x2-p", "11111111"); ("cos_4", "00001111"); ("cosh_4", "00001111");
+    ("exp_4", "01011111"); ("exp_5", "00011111"); ("exp_6", "0000T1T1");
+    ("sinh_4", "00011111"); ("tay_4", "01011111"); ("extreme", "00001111");
+    ("weighted_sum", "00011111");
+  ]
+
+(* The cells the journal maps where the paper prints 0 or T: the
+   deviation list of EXPERIMENTS.md's measured Table 2. *)
+let table2_deviations =
+  [
+    "cos_4@homo-diag/4x4/ii1"; "cosh_4@homo-diag/4x4/ii1"; "exp_4@homo-orth/4x4/ii1";
+    "exp_6@homo-orth/4x4/ii2"; "mult_14@homo-orth/4x4/ii1"; "mult_16@homo-orth/4x4/ii1";
+    "tay_4@homo-orth/4x4/ii1";
+  ]
+
+let test_committed_journal () =
+  let records = Store.load (Test_data.path "../journals/table2-4x4.jsonl") in
+  let latest = Grid.latest_by_key records in
+  let grid = Job.paper_grid ~size:4 ~limit:60.0 () in
+  Alcotest.(check int) "152 records" 152 (List.length records);
+  Alcotest.(check int) "one record per grid key" 152 (Hashtbl.length latest);
+  let columns =
+    List.concat_map
+      (fun ii -> List.map (fun (arch, _) -> (arch, ii)) (Cgra_arch.Library.paper_configs ~size:4))
+      [ 1; 2 ]
+  in
+  let deviations = ref [] in
+  List.iter
+    (fun (j : Job.t) ->
+      let cell = Job.to_string j in
+      let r =
+        match Hashtbl.find_opt latest (Job.key j) with
+        | Some r -> r
+        | None -> Alcotest.failf "%s: not in the journal" cell
+      in
+      Alcotest.(check (float 0.0)) (cell ^ ": 60 s limit") 60.0 r.Record.job.Job.limit;
+      if Record.definitive r then
+        Alcotest.(check bool) (cell ^ ": certified") true r.Record.certified;
+      let paper =
+        let rec index i = function
+          | [] -> Alcotest.failf "%s: no paper column" cell
+          | c :: rest -> if c = (j.Job.arch, j.Job.contexts) then i else index (i + 1) rest
+        in
+        (List.assoc j.Job.benchmark paper_table2).[index 0 columns]
+      in
+      match (r.Record.status, paper) with
+      | Record.Infeasible, '1' -> Alcotest.failf "%s: measured 0, the paper maps it" cell
+      | Record.Feasible, ('0' | 'T') -> deviations := cell :: !deviations
+      | _ -> ())
+    grid;
+  Alcotest.(check (list string)) "cells mapped where the paper prints 0 or T" table2_deviations
+    (List.sort compare !deviations)
+
 let suites =
   [
     ( "sweep",
@@ -555,5 +616,7 @@ let suites =
         Alcotest.test_case "certified sweep validates every verdict" `Slow test_certified_sweep;
         Alcotest.test_case "certification is off by default" `Slow test_uncertified_by_default;
         Alcotest.test_case "table renders from journal" `Slow test_grid_render;
+        Alcotest.test_case "committed Table-2 journal against the paper" `Quick
+          test_committed_journal;
       ] );
   ]
