@@ -15,10 +15,10 @@ type t = {
   g_vars : (int * int * int * int, Model.var) Hashtbl.t;
 }
 
-(* The connectivity builder.  Placement ((1)-(3)) and the cross-value
-   exclusivity ((2)/(4)) are shared vocabulary with the base
-   formulation — same rows, same group labels — so unsat cores and
-   diagnoses read identically.  Routing is where the structure
+(* The connectivity builder.  Placement ((1)-(3)) comes from the base
+   formulation's own emitter, and the cross-value exclusivity ((4)) is
+   shared vocabulary with it — same rows, same group labels — so unsat
+   cores and diagnoses read identically.  Routing is where the structure
    diverges: instead of per-sink occupancy chains, each value grows one
    single-driver route tree (N/A variables) shared by all of its
    sinks, witnessed connected by per-sink unit flows (g variables). *)
@@ -26,48 +26,11 @@ let build_profiled ?(objective = Formulation.Min_routing) ?(prune = true) dfg mr
   let t_start = Deadline.now () in
   let model = Model.create ~name:(Dfg.name dfg ^ "@conn") () in
   let values = Array.of_list (Dfg.values dfg) in
-  let n_ops = Dfg.node_count dfg in
-  let cand = Array.init n_ops (fun q -> Formulation.candidates dfg mrrg q) in
-  let f_vars = Hashtbl.create 256 in
+  let cand, f_vars = Formulation.add_placement model dfg mrrg in
   let n_vars = Hashtbl.create 4096 in
   let a_vars = Hashtbl.create 8192 in
   let g_vars = Hashtbl.create 8192 in
   let fvar p q = Hashtbl.find_opt f_vars (p, q) in
-  let ranks = Formulation.dataflow_ranks dfg in
-
-  (* ----- placement variables and constraints (1)-(3), as in the base
-     formulation ----- *)
-  for q = 0 to n_ops - 1 do
-    let qname = (Dfg.node dfg q).Dfg.name in
-    List.iter
-      (fun p ->
-        let v =
-          Model.add_binary_deferred model (fun () ->
-              Printf.sprintf "F|%s|%s" (Mrrg.node mrrg p).Mrrg.name qname)
-        in
-        Model.set_branch_priority model v (100.0 +. (10.0 *. float_of_int (n_ops - ranks.(q))));
-        Model.set_branch_phase model v true;
-        Hashtbl.replace f_vars (p, q) v)
-      cand.(q);
-    Model.add_row model
-      ~dname:(fun () -> Printf.sprintf "place[%s]" qname)
-      ~group:("place:" ^ qname)
-      (List.map (fun p -> (1, Hashtbl.find f_vars (p, q))) cand.(q))
-      Model.Eq 1
-  done;
-  List.iter
-    (fun p ->
-      let users = ref [] in
-      for q = 0 to n_ops - 1 do
-        match fvar p q with Some v -> users := v :: !users | None -> ()
-      done;
-      if List.length !users > 1 then
-        Model.add_row model
-          ~dname:(fun () -> Printf.sprintf "excl[%s]" (Mrrg.node mrrg p).Mrrg.name)
-          ~group:("excl:" ^ (Mrrg.node mrrg p).Mrrg.name)
-          (List.map (fun v -> (1, v)) !users)
-          Model.Le 1)
-    (Mrrg.func_units mrrg);
   let t_placed = Deadline.now () in
 
   (* ----- per-value route trees and per-sink flows ----- *)

@@ -76,28 +76,16 @@ let dataflow_ranks dfg =
   Array.iteri (fun q r -> if r < 0 then rank.(q) <- n) rank;
   rank
 
-(* The optimized builder.  Emission order — variable creation, row
-   insertion, term order — is bit-for-bit the order of
-   [build_reference] below: corridors are iterated in ascending node
-   id (the order the reference's dense [for] scans visit), and the
-   hashtables holding R/Rk variables are created with the same initial
-   sizes and fed in the same insertion sequence, so their iteration
-   order (constraint (4), objective (10)) is unchanged.  The golden LP
-   pin and the formulation-differential fuzz invariant enforce this. *)
-let build_profiled ?(objective = Min_routing) ?(prune = true) ?(anchor_sinks = true)
-    ?(backward_continuity = true) dfg mrrg =
-  let t_start = Deadline.now () in
-  let model = Model.create ~name:(Dfg.name dfg ^ "@mrrg") () in
-  let values = Array.of_list (Dfg.values dfg) in
+(* Constraints (1)-(2), the rows both formulations open with: one F
+   variable per capable (FU, operation) pair — constraint (3) by
+   omission — with the branch priority and phase that stage placement
+   decisions, then the [place:<op>] rows and the FU [excl:<fu>] rows.
+   Returns the candidate lists and the F variables. *)
+let add_placement model dfg mrrg =
   let n_ops = Dfg.node_count dfg in
   let cand = Array.init n_ops (fun q -> candidates dfg mrrg q) in
   let f_vars = Hashtbl.create 256 in
-  let r_vars = Hashtbl.create 4096 in
-  let rk_vars = Hashtbl.create 8192 in
-  let fvar p q = Hashtbl.find_opt f_vars (p, q) in
   let ranks = dataflow_ranks dfg in
-
-  (* ----- placement variables and constraints (1)-(3) ----- *)
   for q = 0 to n_ops - 1 do
     let qname = (Dfg.node dfg q).Dfg.name in
     List.iter
@@ -126,7 +114,7 @@ let build_profiled ?(objective = Min_routing) ?(prune = true) ?(anchor_sinks = t
     (fun p ->
       let users = ref [] in
       for q = 0 to n_ops - 1 do
-        match fvar p q with Some v -> users := v :: !users | None -> ()
+        match Hashtbl.find_opt f_vars (p, q) with Some v -> users := v :: !users | None -> ()
       done;
       if List.length !users > 1 then
         Model.add_row model
@@ -135,6 +123,25 @@ let build_profiled ?(objective = Min_routing) ?(prune = true) ?(anchor_sinks = t
           (List.map (fun v -> (1, v)) !users)
           Model.Le 1)
     (Mrrg.func_units mrrg);
+  (cand, f_vars)
+
+(* The optimized builder.  Emission order — variable creation, row
+   insertion, term order — is bit-for-bit the order of
+   [build_reference] below: corridors are iterated in ascending node
+   id (the order the reference's dense [for] scans visit), and the
+   hashtables holding R/Rk variables are created with the same initial
+   sizes and fed in the same insertion sequence, so their iteration
+   order (constraint (4), objective (10)) is unchanged.  The golden LP
+   pin and the formulation-differential fuzz invariant enforce this. *)
+let build_profiled ?(objective = Min_routing) ?(prune = true) ?(anchor_sinks = true)
+    ?(backward_continuity = true) dfg mrrg =
+  let t_start = Deadline.now () in
+  let model = Model.create ~name:(Dfg.name dfg ^ "@mrrg") () in
+  let values = Array.of_list (Dfg.values dfg) in
+  let cand, f_vars = add_placement model dfg mrrg in
+  let r_vars = Hashtbl.create 4096 in
+  let rk_vars = Hashtbl.create 8192 in
+  let fvar p q = Hashtbl.find_opt f_vars (p, q) in
   let t_placed = Deadline.now () in
 
   (* ----- per-value routing variables and constraints (5)-(9) ----- *)
@@ -388,6 +395,32 @@ let build_profiled ?(objective = Min_routing) ?(prune = true) ?(anchor_sinks = t
 
 let build ?objective ?prune ?anchor_sinks ?backward_continuity dfg mrrg =
   fst (build_profiled ?objective ?prune ?anchor_sinks ?backward_continuity dfg mrrg)
+
+let placement_var t ~op ~fu = Hashtbl.find_opt t.f_vars (fu, op)
+
+(* The placement rows alone, the leading rows of [build] and of
+   [Conn.build]: what an explained Hall answer checks its core on. *)
+let build_placement dfg mrrg =
+  let t_start = Deadline.now () in
+  let model = Model.create ~name:(Dfg.name dfg ^ "@place") () in
+  let _, f_vars = add_placement model dfg mrrg in
+  let placed = Deadline.now () -. t_start in
+  ( {
+      model;
+      dfg;
+      mrrg;
+      values = Array.of_list (Dfg.values dfg);
+      f_vars;
+      r_vars = Hashtbl.create 1;
+      rk_vars = Hashtbl.create 1;
+    },
+    {
+      placement_seconds = placed;
+      corridor_seconds = 0.0;
+      routing_seconds = 0.0;
+      exclusivity_seconds = 0.0;
+      total_seconds = placed;
+    } )
 
 (* The reference builder: the pre-corridor dense-scan implementation,
    eager names and all, retained verbatim as the differential-testing

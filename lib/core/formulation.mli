@@ -53,10 +53,16 @@ val route_fanins : Mrrg.t -> int -> int list
 val route_fanouts : Mrrg.t -> int -> int list
 (** The routing-node fanouts of a node. *)
 
-val dataflow_ranks : Dfg.t -> int array
-(** Per-operation rank in a cycle-tolerant BFS from the source
-    operations; operations reachable only through back-edges rank
-    last.  Both builders stage placement decisions in this order. *)
+val add_placement :
+  Ilp.Model.t -> Dfg.t -> Mrrg.t -> int list array * ((int * int), Ilp.Model.var) Hashtbl.t
+(** Emit constraints (1)–(2) into a model: an [F(p,q)] variable for
+    every {!candidates} pair (branch priority by dataflow rank, so
+    operations are placed in dataflow order, and phase true), one
+    [place:<op>] row per operation and one [excl:<fu>] row per FU with
+    two or more users.  Returns the candidate lists, indexed by
+    operation, and [f_vars].  The one emitter of these rows: {!build},
+    {!Conn.build} and {!build_placement} all open with them, while
+    {!build_reference} keeps its own copy as the oracle. *)
 
 type profile = {
   placement_seconds : float;
@@ -111,6 +117,20 @@ val build_profiled :
     {!Cgra_mrrg.Mrrg.corridor} bitsets, memoizes forward cones by
     producer-candidate set, and defers variable/row name rendering
     until something (LP export, explain, validation) asks for them. *)
+
+val placement_var : t -> op:int -> fu:int -> Ilp.Model.var option
+(** The variable placing DFG operation [op] on FU node [fu], if [fu]
+    can run it. *)
+
+val build_placement : Dfg.t -> Mrrg.t -> t * profile
+(** A model of {!add_placement}'s rows alone, with no routing variable
+    ([r_vars] and [rk_vars] empty, so {!size} reports [n_r = n_rk = 0])
+    and the [Feasibility] objective; its profile is all [placement].
+    Its rows, variables and names are the leading ones of {!build} and
+    of {!Conn.build}, so a check that reads only [place:]/[excl:] rows
+    on it means what it would on either full model, and its
+    {!placement_var} names the same variable in both.  An explained Hall
+    answer checks its core against it. *)
 
 val build_reference :
   ?objective:objective ->

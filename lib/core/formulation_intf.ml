@@ -9,7 +9,6 @@ type built = {
   extract : bool array -> Mapping.t;
   warm : Mapping.t -> unit;
   describe_value : int -> string;
-  placement_var : op:int -> fu:int -> Model.var option;
 }
 
 type impl = {
@@ -79,7 +78,6 @@ let paper =
           extract = (fun assign -> Extract.mapping f assign);
           warm = (fun m -> apply_warm_phases f m);
           describe_value = (fun j -> Formulation.value_description f j);
-          placement_var = (fun ~op ~fu -> Hashtbl.find_opt f.Formulation.f_vars (fu, op));
         });
   }
 
@@ -97,7 +95,6 @@ let conn =
           extract = (fun assign -> Conn.mapping t assign);
           warm = (fun m -> Conn.apply_warm_phases t m);
           describe_value = (fun j -> Conn.describe_value t j);
-          placement_var = (fun ~op ~fu -> Hashtbl.find_opt t.Conn.f_vars (fu, op));
         });
   }
 

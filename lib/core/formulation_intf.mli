@@ -31,10 +31,6 @@ type built = {
       (** seed the model's branch phases from a heuristic solution *)
   describe_value : int -> string;
       (** human-readable rendering of value [j] for diagnoses *)
-  placement_var : op:int -> fu:int -> Cgra_ilp.Model.var option;
-      (** the variable placing DFG operation [op] on FU node [fu]
-          ([None] when the formulation has none), so an assignment
-          over placements alone can be written in the model's terms *)
 }
 (** One compiled model plus the closures tying it back to mapping
     vocabulary. *)

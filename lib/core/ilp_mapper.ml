@@ -42,7 +42,7 @@ type result = Mapped of Mapping.t * info | Infeasible of info | Timeout of info
    resources the blame falls on.  Group-label vocabulary is shared
    across formulations (see Formulation_intf), so the parse below
    works for either formulation. *)
-let diagnosis_of (f : Formulation_intf.built) ~groups ~minimized ~verified ~sat_calls =
+let diagnosis_of ~describe_value ~groups ~minimized ~verified ~sat_calls =
   let ops = ref [] and values = ref [] and resources = ref [] in
   List.iter
     (fun label ->
@@ -50,7 +50,7 @@ let diagnosis_of (f : Formulation_intf.built) ~groups ~minimized ~verified ~sat_
       | Some (Formulation.Placement op) -> ops := op :: !ops
       | Some (Formulation.Exclusivity node) -> resources := node :: !resources
       | Some (Formulation.Routing j) ->
-          values := f.Formulation_intf.describe_value j :: !values
+          values := describe_value j :: !values
       | None -> ())
     groups;
   {
@@ -73,7 +73,8 @@ let diagnose ?deadline ?proof (f : Formulation_intf.built) (core : Unsat_core.co
         failwith "Ilp_mapper: extracted core is satisfiable on its own (bug)"
     | None -> false
   in
-  diagnosis_of f ~groups:core.Unsat_core.groups ~minimized:core.Unsat_core.minimized ~verified
+  diagnosis_of ~describe_value:f.Formulation_intf.describe_value ~groups:core.Unsat_core.groups
+    ~minimized:core.Unsat_core.minimized ~verified
     ~sat_calls:core.Unsat_core.sat_calls
 
 (* Under [explain] the certificate is the core's own refutation (see
@@ -83,13 +84,15 @@ let verdict_solve_needs_proof ~certify ~explain = certify && not explain
 
 (* A certified infeasibility must carry a complete DRAT refutation that
    the independent checker accepts: the negative-verdict twin of the
-   Check.run pass in [verdict]. *)
-let check_refutation p =
+   Check.run pass in [verdict].  A replay the deadline cuts short
+   certifies nothing. *)
+let check_refutation ?(deadline = Deadline.none) p =
   Proof.has_empty_clause p
   &&
-  match Drat.check p with
-  | Drat.Valid -> true
-  | Drat.Invalid msg ->
+  match Drat.check_until ~deadline p with
+  | Drat.Finished Drat.Valid -> true
+  | Drat.Unfinished -> false
+  | Drat.Finished (Drat.Invalid msg) ->
       failwith
         (Printf.sprintf "Ilp_mapper: solver produced an invalid DRAT certificate (bug): %s" msg)
 
@@ -161,41 +164,42 @@ let verdict_checked ?deadline ?proof ~check_refutation ~certify ~explain ~object
       Mapped (mapping, info ~objective_value ~proven_optimal ~certified:true ())
 
 let verdict ?deadline ?proof =
-  verdict_checked ?deadline ?proof ~check_refutation
+  verdict_checked ?deadline ?proof ~check_refutation:(check_refutation ?deadline)
 
 (* The Hall step's answer (see Hall): an infeasibility decided by a
-   checked witness before any engine runs.  Under [explain] the model
-   [built] is there for the core's sake only: the counting certificate
-   verifies the core against the model's own rows, and one checked
-   assignment per group, each an alternating-path flip, shows it
-   minimal. *)
-let hall_verdict ~started ~certify ~build_seconds ~built dfg mrrg d =
+   checked witness before any engine runs.  Under [explain] the
+   placement model [core_model] (constraints (1)-(2), the leading rows
+   of either formulation) is there for the core's sake only: the
+   counting certificate verifies the core against those rows, and one
+   checked assignment per group, each an alternating-path flip, shows
+   it minimal.  [phases] are its build's, empty on a repeat. *)
+let hall_verdict ~started ~certify ~build_seconds ~core_model ~phases dfg mrrg d =
   let w = Hall.witness d in
   (match Hall.check_witness dfg mrrg w with
   | Ok () -> ()
   | Error msg -> failwith ("Ilp_mapper: the Hall witness fails its checker (bug): " ^ msg));
   let diagnosis =
     Option.map
-      (fun (f : Formulation_intf.built) ->
-        let model = f.Formulation_intf.model in
+      (fun (f : Formulation.t) ->
+        let model = f.Formulation.model in
         let groups = Hall.core_groups dfg mrrg w in
-        diagnosis_of f ~groups
+        diagnosis_of ~describe_value:(Formulation.value_description f) ~groups
           ~verified:(Result.is_ok (Hall.check_counting model groups))
           ~minimized:
-            (Hall.check_relaxations model ~placement_var:f.Formulation_intf.placement_var groups
+            (Hall.check_relaxations model ~placement_var:(Formulation.placement_var f) groups
                (Hall.relaxations dfg mrrg d))
           ~sat_calls:0)
-      built
+      core_model
   in
   Infeasible
     {
       size =
-        (match built with
-        | Some f -> f.Formulation_intf.size
+        (match core_model with
+        | Some f -> Formulation.size f
         | None -> { Formulation.n_f = 0; n_r = 0; n_rk = 0; n_rows = 0 });
       solve_seconds = Deadline.elapsed_of ~start:started -. build_seconds;
       build_seconds;
-      build_phases = (match built with Some f -> f.Formulation_intf.phases | None -> []);
+      build_phases = phases;
       objective_value = None;
       proven_optimal = true;
       sat_calls = 0;
@@ -220,13 +224,14 @@ let solve_built ?deadline ?proof ~(solver : Solver_spec.t) (f : Formulation_intf
       { Solve.outcome; solve_seconds; sat_calls = 0; inprocess = [] }
 
 (* One II's answer state.  A cell the Hall step refutes keeps its
-   deficiency and, once an explained answer asked for it, the model
-   its core is checked against; any other cell keeps its built model
-   and, on the native SAT engine, the encoding each search resumes. *)
+   deficiency and, once an explained answer asked for it, the
+   placement model its core is checked against; any other cell keeps
+   its built model and, on the native SAT engine, the encoding each
+   search resumes. *)
 type state =
   | Refuted of {
       deficiency : Hall.deficiency;
-      mutable core_model : Formulation_intf.built option;
+      mutable core_model : Formulation.t option;
     }
   | Built of {
       built : Formulation_intf.built;
@@ -295,24 +300,26 @@ let no_search =
 let search ?deadline ~started ~certify ~explain step =
   match step.state with
   | Refuted r ->
-      (* the model an explained answer checks its core against, built
-         on first request and kept; a later answer reports no phases *)
-      let built, build_seconds =
+      (* the placement model an explained answer checks its core
+         against, built on first request and kept; a later answer
+         reports no phases *)
+      let core_model, phases, build_seconds =
         match (explain, r.core_model) with
-        | false, _ -> (None, 0.0)
-        | true, Some f -> (Some { f with Formulation_intf.phases = [] }, 0.0)
+        | false, _ -> (None, [], 0.0)
+        | true, Some f -> (Some f, [], 0.0)
         | true, None ->
             let t0 = Deadline.now () in
-            let f = build ~solver:step.solver ~objective:step.objective step.dfg step.mrrg in
+            let f, profile = Formulation.build_placement step.dfg step.mrrg in
             r.core_model <- Some f;
-            (Some f, Deadline.elapsed_of ~start:t0)
+            (Some f, Formulation.profile_fields profile, Deadline.elapsed_of ~start:t0)
       in
       {
         search_stats = no_search;
         resumed = false;
         conclude =
           (fun () ->
-            hall_verdict ~started ~certify ~build_seconds ~built step.dfg step.mrrg r.deficiency);
+            hall_verdict ~started ~certify ~build_seconds ~core_model ~phases step.dfg step.mrrg
+              r.deficiency);
       }
   | Built b ->
       let build_seconds = Deadline.elapsed_of ~start:started in
@@ -337,15 +344,16 @@ let search ?deadline ~started ~certify ~explain step =
       b.searched <- true;
       (* A resident solver logs every search into the one [step.proof],
          and a refuted one logs nothing more: a log as long as the last
-         one accepted is that log.  An engine without a solver logs
-         each search into a fresh proof, checked afresh. *)
+         one accepted is that log; a replay the deadline cut short
+         accepted nothing and is not recorded.  An engine without a
+         solver logs each search into a fresh proof, checked afresh. *)
       let check_refutation p =
         match b.enc with
-        | None -> check_refutation p
+        | None -> check_refutation ?deadline p
         | Some _ ->
             let steps = Proof.n_steps p in
             b.refutation_checked = Some steps
-            || check_refutation p
+            || check_refutation ?deadline p
                && begin
                     b.refutation_checked <- Some steps;
                     true

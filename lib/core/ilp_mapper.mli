@@ -46,22 +46,29 @@ val evidence_name : evidence -> string
 
 type info = {
   size : Formulation.size;
+      (** the built model's {!Formulation.size}; for an explained Hall
+          answer, the placement model's ({!Formulation.build_placement}:
+          [n_r = n_rk = 0], [n_rows] its [place:]/[excl:] rows), and
+          all zero for an unexplained one, which builds no model *)
   solve_seconds : float;
       (** the engine's search alone; for a Hall answer, the step and
           its checks *)
   build_seconds : float;
       (** everything before the search: the Hall step, the formulation
           build, the warm-start anneal when one ran and, on the native
-          SAT engine, clausification; for a Hall answer, the model
-          built for its core.  A resident session's repeat builds and
+          SAT engine, clausification; for an explained Hall answer,
+          the placement model built for its core (0 without
+          [explain]).  A resident session's repeat builds and
           clausifies nothing, so it counts only the wait for the
           session. *)
   build_phases : (string * float) list;
       (** {!Formulation.profile_fields} of the model construction:
           labelled wall-clock seconds per encode phase ([placement],
-          [corridors], [routing_rows], [exclusivity], [total]); empty
-          for an answer whose model was built for an earlier one (a
-          resident session's repeat). *)
+          [corridors], [routing_rows], [exclusivity], [total]); for an
+          explained Hall answer all of it is [placement] (the other
+          phases read 0); empty for an answer whose model was built for
+          an earlier one (a resident session's repeat) and for an
+          unexplained Hall answer. *)
   objective_value : int option;  (** routing cost when optimising *)
   proven_optimal : bool;
   sat_calls : int;               (** SAT invocations; 0 for non-SAT engines *)
@@ -120,12 +127,14 @@ val map :
     run them ({!Hall.search}).  A deficiency answers [Infeasible] with
     [evidence = Some Hall]: its witness must pass
     {!Hall.check_witness}, and [certified] follows [certify].  Without
-    [explain] no model is built.  Under [explain] the model is built
-    and the core is the witness's [place:]/[excl:] groups
-    ({!Hall.core_groups}); [core_verified] comes from
-    {!Hall.check_counting} on the model's rows, [core_minimized] from
-    {!Hall.check_relaxations}, and [core_sat_calls], [sat_calls] and
-    [proof_steps] are 0.  The step runs for every formulation and
+    [explain] no model is built.  Under [explain] the core is the
+    witness's [place:]/[excl:] groups ({!Hall.core_groups}), and only
+    the rows they name are built: the placement model
+    ({!Formulation.build_placement}), constraints (1)–(2) exactly as
+    both formulations emit them, whatever [solver] names.
+    [core_verified] comes from {!Hall.check_counting} on its rows,
+    [core_minimized] from {!Hall.check_relaxations}, and
+    [core_sat_calls], [sat_calls] and [proof_steps] are 0.  The step runs for every formulation and
     every solver; nothing disables it.  Code that needs an engine's
     own refutation builds the model and calls {!solve_built}.
 
@@ -182,7 +191,9 @@ val map :
     every solver.
     [info.certified] reports whether the returned verdict carries
     validated evidence; a certificate cut short by the deadline yields
-    [certified = false], not a failure.
+    [certified = false], not a failure.  The proof's replay polls
+    [deadline] too ({!Cgra_satoca.Drat.check_until}), so a check never
+    runs far past it.
 
     [explain] (default [false]) makes an [Infeasible] verdict carry a
     {!diagnosis}: a group-level unsat core extracted with
@@ -259,8 +270,9 @@ val search :
     learnt clauses, phases and objective totalizer of earlier
     searches, or {!solve_built} from scratch on the kept model for
     branch and bound and external solvers.  A Hall step searches
-    nothing; under [explain] it builds the model its core is checked
-    against, once, and keeps it.  [build_seconds] counts from
+    nothing; under [explain] it builds the placement model its core is
+    checked against ({!Formulation.build_placement}), once, and keeps
+    it.  [build_seconds] counts from
     [started], a {!Cgra_util.Deadline.now} reading.  Searches of one
     step must not run concurrently.
     @raise Invalid_argument (from [conclude]) unless the step's

@@ -98,10 +98,11 @@ let check ?(deadline = Deadline.none) ?proof model labels =
   | Solver.Sat -> Some false
   | Solver.Unknown -> None
   | Solver.Unsat -> (
-      (* [Drat.check] also demands the refutation be complete *)
-      match Drat.check proof with
-      | Drat.Valid -> Some true
-      | Drat.Invalid msg ->
+      (* the replay also demands the refutation be complete *)
+      match Drat.check_until ~deadline proof with
+      | Drat.Finished Drat.Valid -> Some true
+      | Drat.Unfinished -> None
+      | Drat.Finished (Drat.Invalid msg) ->
           failwith ("Unsat_core.check: the core's refutation was rejected (bug): " ^ msg))
 
 let restrict model labels =

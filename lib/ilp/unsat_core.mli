@@ -54,12 +54,13 @@ val check :
     rows of the named groups plus the hard (ungrouped) rows into a
     fresh proof-logged solver ({!Encode.encode}[ ~keep]) and solves.
     [Some true] means the solver refuted those rows {e and}
-    {!Cgra_satoca.Drat.check} accepted the refutation.  Those rows are
-    a subset of the model's, so the same refutation certifies that the
-    whole model is infeasible.  [Some false] means the named groups
-    plus the hard rows are satisfiable.  [None] means the deadline
-    expired.  [proof] (default: a fresh trace) receives the
-    refutation, e.g. to count its steps.
+    {!Cgra_satoca.Drat.check_until} accepted the refutation.  Those
+    rows are a subset of the model's, so the same refutation certifies
+    that the whole model is infeasible.  [Some false] means the named
+    groups plus the hard rows are satisfiable.  [None] means the
+    deadline expired, during the solve or the refutation's replay.
+    [proof] (default: a fresh trace) receives the refutation, e.g. to
+    count its steps.
     @raise Failure if the checker rejects the refutation (a solver
     bug, never an input error). *)
 

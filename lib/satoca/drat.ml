@@ -1,4 +1,5 @@
 module Veci = Cgra_util.Veci
+module Deadline = Cgra_util.Deadline
 
 type verdict = Valid | Invalid of string
 
@@ -312,37 +313,53 @@ let rat st lits =
        with Exit -> ());
       !ok
 
-let check_events ?(require_empty = true) events =
+type replay = Finished of verdict | Unfinished
+
+let poll_every = 128
+
+(* Replay the events in order, stopping at the first failing step or
+   once a contradiction is established (nothing after it can fail),
+   and polling [deadline] every [poll_every] events from the first. *)
+let replay ~deadline ~require_empty events =
   let st = create () in
-  let bad = ref None in
-  let step = ref 0 in
-  List.iter
-    (fun ev ->
-      incr step;
-      if !bad = None && not st.refuted then
+  let rec go step = function
+    | _ when st.refuted -> Finished Valid
+    | [] ->
+        Finished
+          (if require_empty then Invalid "refutation incomplete: no contradiction was derived"
+           else Valid)
+    | _ when (step - 1) mod poll_every = 0 && Deadline.expired deadline -> Unfinished
+    | ev :: rest -> (
         match ev with
         | Proof.Input lits ->
             List.iter (fun l -> ensure_var st (Lit.var l)) lits;
-            install st lits
+            install st lits;
+            go (step + 1) rest
         | Proof.Add lits ->
             List.iter (fun l -> ensure_var st (Lit.var l)) lits;
-            if rup st lits || rat st lits then install st lits
+            if rup st lits || rat st lits then begin
+              install st lits;
+              go (step + 1) rest
+            end
             else
-              bad :=
-                Some
-                  (Printf.sprintf "step %d: clause [%s] is neither RUP nor RAT"
-                     !step (pp_clause lits))
+              Finished
+                (Invalid
+                   (Printf.sprintf "step %d: clause [%s] is neither RUP nor RAT" step
+                      (pp_clause lits)))
         | Proof.Delete lits ->
             List.iter (fun l -> ensure_var st (Lit.var l)) lits;
-            delete st lits)
-    events;
-  match !bad with
-  | Some msg -> Invalid msg
-  | None ->
-      if require_empty && not st.refuted then
-        Invalid "refutation incomplete: no contradiction was derived"
-      else Valid
+            delete st lits;
+            go (step + 1) rest)
+  in
+  go 1 events
+
+let check_events ?(require_empty = true) events =
+  match replay ~deadline:Deadline.none ~require_empty events with
+  | Finished v -> v
+  | Unfinished -> assert false (* [Deadline.none] never expires *)
 
 let check ?require_empty proof = check_events ?require_empty (Proof.events proof)
+
+let check_until ~deadline proof = replay ~deadline ~require_empty:true (Proof.events proof)
 
 let errors = function Valid -> None | Invalid msg -> Some msg

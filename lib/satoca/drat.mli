@@ -24,6 +24,16 @@ val check : ?require_empty:bool -> Proof.t -> verdict
     setting it to [false] checks that every derivation step is sound
     without demanding a contradiction. *)
 
+type replay =
+  | Finished of verdict  (** the replay ran to its verdict *)
+  | Unfinished  (** the deadline expired first; nothing was decided *)
+
+val check_until : deadline:Cgra_util.Deadline.t -> Proof.t -> replay
+(** {!check} (at its default [require_empty]) under a deadline, polled
+    before the first step and every 128 steps after it.  A replay that
+    finishes gives exactly {!check}'s verdict; an expired deadline
+    gives [Unfinished] even on a valid proof. *)
+
 val check_events : ?require_empty:bool -> Proof.event list -> verdict
 (** Same, over a raw event list — the entry point for tampering tests
     and hand-written traces. *)

@@ -588,6 +588,32 @@ let test_map_certify_infeasible () =
       Alcotest.(check int) "no proof logged" 0 info.IM.proof_steps
   | r -> Alcotest.failf "expected infeasible, got %a" IM.pp_result r
 
+(* A replay the deadline cuts short certifies nothing and is not kept
+   as the step's checked refutation: a refuted resident solver answers
+   a repeat without searching, so only an unrecorded replay leaves the
+   repeat uncertified under the same raised flag.  With the flag down
+   the replay finishes and certifies. *)
+let test_cut_replay_not_recorded () =
+  let module Deadline = Cgra_util.Deadline in
+  let dfg, mrrg = accum_hetero_orth_ii2 () in
+  let proof = Cgra_satoca.Proof.create () in
+  let step = IM.prepare ~proof dfg mrrg in
+  let flag = Deadline.new_cancellation () in
+  let cancellable = Deadline.with_cancellation Deadline.none flag in
+  let answer ~deadline ~raise_flag =
+    let a = IM.search ~deadline ~started:(Deadline.now ()) ~certify:true ~explain:false step in
+    if raise_flag then Deadline.cancel flag;
+    match a.IM.conclude () with
+    | IM.Infeasible { IM.certified; evidence = Some IM.Drat; _ } -> certified
+    | r -> Alcotest.failf "expected a DRAT infeasibility, got %a" IM.pp_result r
+  in
+  Alcotest.(check bool) "cut short: uncertified" false
+    (answer ~deadline:cancellable ~raise_flag:true);
+  Alcotest.(check bool) "repeat under the raised flag: still uncertified" false
+    (answer ~deadline:cancellable ~raise_flag:false);
+  Alcotest.(check bool) "no deadline: certified" true
+    (answer ~deadline:Deadline.none ~raise_flag:false)
+
 let test_map_certify_feasible () =
   let dfg = tiny_add_dfg () in
   let mrrg = mrrg_of ~ii:1 1 in
@@ -798,6 +824,8 @@ let suites =
     ( "core:certify",
       [
         Alcotest.test_case "infeasible carries checked DRAT" `Quick test_map_certify_infeasible;
+        Alcotest.test_case "a cut-short DRAT replay is not recorded" `Quick
+          test_cut_replay_not_recorded;
         Alcotest.test_case "feasible certified by checker" `Quick test_map_certify_feasible;
         Alcotest.test_case "uncertified by default" `Quick
           test_map_infeasible_uncertified_by_default;

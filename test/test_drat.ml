@@ -279,6 +279,58 @@ let test_proof_export () =
   Alcotest.(check bool) "DRAT body ends with the empty clause" true
     (Astring.String.is_suffix ~affix:"0\n" drat)
 
+(* ---------------- replay under a deadline ---------------- *)
+
+module Deadline = Cgra_util.Deadline
+
+let proof_of events =
+  let p = Proof.create () in
+  List.iter
+    (function
+      | Proof.Input c -> Proof.log_input p c
+      | Proof.Add c -> Proof.log_add p c
+      | Proof.Delete c -> Proof.log_delete p c)
+    events;
+  p
+
+let test_expired_deadline_unfinished () =
+  List.iter
+    (fun (what, proof) ->
+      Alcotest.(check bool) (what ^ " validates") true (valid (Drat.check proof));
+      match Drat.check_until ~deadline:(Deadline.after ~seconds:0.0) proof with
+      | Drat.Unfinished -> ()
+      | Drat.Finished _ -> Alcotest.failf "%s: replay finished past an expired deadline" what)
+    [ ("php(4,3)", php_proof ()); ("php(6,5)", snd (solve_logged 30 (php_clauses 6 5))) ]
+
+(* Without a deadline the replay is [check]: the same verdict, the
+   same diagnostic, on every trace above, valid or tampered. *)
+let test_no_deadline_is_check () =
+  let php = Proof.events (php_proof ()) in
+  let inputs, derivation = List.partition (function Proof.Input _ -> true | _ -> false) php in
+  let traces =
+    [
+      php;
+      Proof.events (snd (solve_logged 3 mutex_clique_clauses));
+      Proof.events (snd (solve_logged 30 (php_clauses 6 5)));
+      (let _, proof, _ = solve_logged_inproc Inprocess.eager 30 (php_clauses 6 5) in
+       Proof.events proof);
+      List.filter (function Proof.Add (_ :: _) | Proof.Delete _ -> false | _ -> true) php;
+      inputs @ (Proof.Add [ Lit.pos 0 ] :: derivation);
+      List.filter (function Proof.Add [] -> false | _ -> true) php;
+      [ Proof.Input [ Lit.neg 0 ]; Proof.Add [ Lit.pos 0 ] ];
+      [];
+    ]
+  in
+  List.iteri
+    (fun i events ->
+      let proof = proof_of events in
+      let expected = Drat.check proof in
+      match Drat.check_until ~deadline:Deadline.none proof with
+      | Drat.Finished v when v = expected -> ()
+      | Drat.Finished _ -> Alcotest.failf "trace %d: a verdict other than check's" i
+      | Drat.Unfinished -> Alcotest.failf "trace %d: unfinished with no deadline" i)
+    traces
+
 (* ---------------- ILP-layer certification ---------------- *)
 
 module Model = Cgra_ilp.Model
@@ -327,6 +379,9 @@ let suites =
         Alcotest.test_case "RAT fallback" `Quick test_rat_step_accepted;
         Alcotest.test_case "deletions really delete" `Quick test_deletion_is_real;
         Alcotest.test_case "trace exports (DIMACS/DRAT)" `Quick test_proof_export;
+        Alcotest.test_case "expired deadline leaves a valid replay unfinished" `Quick
+          test_expired_deadline_unfinished;
+        Alcotest.test_case "no deadline: check_until is check" `Quick test_no_deadline_is_check;
         Alcotest.test_case "all engines certify infeasibility" `Quick
           test_solve_certifies_infeasible;
         Alcotest.test_case "inprocessing certificates validate" `Quick

@@ -8,7 +8,11 @@ module Benchmarks = Cgra_dfg.Benchmarks
 module Library = Cgra_arch.Library
 module Mrrg = Cgra_mrrg.Mrrg
 module Build = Cgra_mrrg.Build
+module Formulation = Cgra_core.Formulation
 module Formulation_intf = Cgra_core.Formulation_intf
+module Conn = Cgra_core.Conn
+module Model = Cgra_ilp.Model
+module Solver_spec = Cgra_core.Solver_spec
 module Hall = Cgra_core.Hall
 module IM = Cgra_core.Ilp_mapper
 
@@ -90,16 +94,16 @@ let test_zero_candidates () =
 
 let test_counting_rejects_missing_excl () =
   let dfg, mrrg, d = mac_cell () in
-  let built = paper.Formulation_intf.build ~objective:Cgra_core.Formulation.Feasibility dfg mrrg in
-  let model = built.Formulation_intf.model in
+  let f = Formulation.build ~objective:Formulation.Feasibility dfg mrrg in
+  let model = f.Formulation.model in
   let core = Hall.core_groups dfg mrrg (Hall.witness d) in
   Alcotest.(check (result unit string))
     "full core refuted" (Ok ()) (Hall.check_counting model core);
   let excl =
     List.filter
       (fun g ->
-        match Cgra_core.Formulation.group_subject g with
-        | Some (Cgra_core.Formulation.Exclusivity _) -> true
+        match Formulation.group_subject g with
+        | Some (Formulation.Exclusivity _) -> true
         | _ -> false)
       core
   in
@@ -111,18 +115,18 @@ let test_counting_rejects_missing_excl () =
       | Error _ -> ())
     excl;
   Alcotest.(check bool) "relaxations show it minimal" true
-    (Hall.check_relaxations model ~placement_var:built.Formulation_intf.placement_var core
+    (Hall.check_relaxations model ~placement_var:(Formulation.placement_var f) core
        (Hall.relaxations dfg mrrg d));
   (* a relaxation that keeps every group cannot satisfy the core *)
   let relax = Hall.relaxations dfg mrrg d in
   Alcotest.(check bool) "a relaxation with the wrong group is rejected" false
-    (Hall.check_relaxations model ~placement_var:built.Formulation_intf.placement_var core
+    (Hall.check_relaxations model ~placement_var:(Formulation.placement_var f) core
        (List.map (fun (_, pairs) -> ("none", pairs)) relax))
 
 let test_checkers_never_search () =
   let dfg, mrrg, d = mac_cell () in
-  let built = paper.Formulation_intf.build ~objective:Cgra_core.Formulation.Feasibility dfg mrrg in
-  let model = built.Formulation_intf.model in
+  let f = Formulation.build ~objective:Formulation.Feasibility dfg mrrg in
+  let model = f.Formulation.model in
   let w = Hall.witness d in
   let core = Hall.core_groups dfg mrrg w in
   let relax = Hall.relaxations dfg mrrg d in
@@ -130,9 +134,114 @@ let test_checkers_never_search () =
   ignore (Hall.check_witness dfg mrrg w);
   ignore (Hall.check_witness dfg mrrg { w with Hall.fus = [] });
   ignore (Hall.check_counting model core);
-  ignore
-    (Hall.check_relaxations model ~placement_var:built.Formulation_intf.placement_var core relax);
+  ignore (Hall.check_relaxations model ~placement_var:(Formulation.placement_var f) core relax);
   Alcotest.(check int) "no search ran" before (Hall.searches ())
+
+(* ---------------- the placement model an explained answer reads ---------------- *)
+
+let conn = Option.get (Formulation_intf.find "conn")
+
+(* A row as both formulations render it. *)
+let rendered model i =
+  let r = Model.row model i in
+  (Model.row_name model i, r.Model.group, r.Model.terms, r.Model.sense, r.Model.rhs)
+
+let test_placement_rows_lead () =
+  List.iter
+    (fun (dfg, mrrg) ->
+      let place, _ = Formulation.build_placement dfg mrrg in
+      let pm = place.Formulation.model in
+      Alcotest.(check int) "one variable per placement" (Hashtbl.length place.Formulation.f_vars)
+        (Model.nvars pm);
+      List.iter
+        (fun (impl : Formulation_intf.impl) ->
+          let full =
+            (impl.Formulation_intf.build ~objective:Formulation.Feasibility dfg mrrg)
+              .Formulation_intf.model
+          in
+          Alcotest.(check bool) (impl.Formulation_intf.name ^ " has more rows") true
+            (Model.nrows full > Model.nrows pm);
+          for v = 0 to Model.nvars pm - 1 do
+            if Model.var_name pm v <> Model.var_name full v
+               || Model.branch_priority pm v <> Model.branch_priority full v
+               || Model.branch_phase pm v <> Model.branch_phase full v
+            then Alcotest.failf "%s: variable %d differs" impl.Formulation_intf.name v
+          done;
+          for i = 0 to Model.nrows pm - 1 do
+            if rendered pm i <> rendered full i then
+              Alcotest.failf "%s: row %d (%s) differs" impl.Formulation_intf.name i
+                (Model.row_name pm i)
+          done)
+        [ paper; conn ])
+    [
+      (let dfg, mrrg, _ = mac_cell () in
+       (dfg, mrrg));
+      (Benchmarks.mult_10 (), paper_mrrg ~arch:"hetero-orth" ~size:4 ~ii:1);
+      (Benchmarks.accum (), paper_mrrg ~arch:"hetero-orth" ~size:2 ~ii:2);
+    ]
+
+(* Every cell of the 2x2 Table-2 slice the Hall step refutes, and the
+   4x4 CI cell. *)
+let hall_cells () =
+  let slice =
+    List.concat_map
+      (fun (arch, _) ->
+        List.concat_map
+          (fun ii ->
+            let mrrg = paper_mrrg ~arch ~size:2 ~ii in
+            List.map
+              (fun (name, make) -> (Printf.sprintf "%s@%s-2x2/%d" name arch ii, make (), mrrg))
+              Benchmarks.all)
+          [ 1; 2 ])
+      (Library.paper_configs ~size:2)
+  in
+  List.filter_map
+    (fun (label, dfg, mrrg) -> Option.map (fun d -> (label, dfg, mrrg, d)) (Hall.search dfg mrrg))
+    (slice
+    @ [
+        ( "mult_10@hetero-orth-4x4/1",
+          Benchmarks.mult_10 (),
+          paper_mrrg ~arch:"hetero-orth" ~size:4 ~ii:1 );
+      ])
+
+(* The core an explained Hall answer reports is the witness's groups
+   (what the full-model check reported too), under either solver, and
+   the counting and relaxation checks accept it on the placement model
+   and on both full models alike. *)
+let test_hall_cores_differential () =
+  let cells = hall_cells () in
+  Alcotest.(check bool) "the slice has Hall cells" true (List.length cells > 100);
+  List.iter
+    (fun (label, dfg, mrrg, d) ->
+      let groups = Hall.core_groups dfg mrrg (Hall.witness d) in
+      let relax = Hall.relaxations dfg mrrg d in
+      List.iter
+        (fun name ->
+          let solver = Result.get_ok (Solver_spec.of_name name) in
+          match IM.map ~solver ~warm_start:0.0 ~certify:true ~explain:true dfg mrrg with
+          | IM.Infeasible
+              { IM.diagnosis = Some dg; evidence = Some IM.Hall; certified = true; size; _ } ->
+              Alcotest.(check (list string)) (label ^ " " ^ name ^ " core") groups dg.IM.core;
+              if not (dg.IM.core_verified && dg.IM.core_minimized) then
+                Alcotest.failf "%s %s: core not verified and minimal" label name;
+              if size.Formulation.n_r <> 0 || size.Formulation.n_rk <> 0 then
+                Alcotest.failf "%s %s: routing variables built" label name
+          | r -> Alcotest.failf "%s %s: %a" label name IM.pp_result r)
+        [ "native-sat"; "conn-sat" ];
+      let of_formulation (f : Formulation.t) = (f.Formulation.model, Formulation.placement_var f) in
+      let c = Conn.build ~objective:Formulation.Feasibility dfg mrrg in
+      List.iter
+        (fun (what, (model, placement_var)) ->
+          if Hall.check_counting model groups <> Ok () then
+            Alcotest.failf "%s: counting rejects the core on the %s model" label what;
+          if not (Hall.check_relaxations model ~placement_var groups relax) then
+            Alcotest.failf "%s: relaxations rejected on the %s model" label what)
+        [
+          ("placement", of_formulation (fst (Formulation.build_placement dfg mrrg)));
+          ("paper", of_formulation (Formulation.build ~objective:Formulation.Feasibility dfg mrrg));
+          ("conn", (c.Conn.model, fun ~op ~fu -> Hashtbl.find_opt c.Conn.f_vars (fu, op)));
+        ])
+    cells
 
 (* ---------------- random bipartite instances ---------------- *)
 
@@ -251,6 +360,10 @@ let suites =
         Alcotest.test_case "counting rejects a core missing an excl row" `Quick
           test_counting_rejects_missing_excl;
         Alcotest.test_case "checkers call no search" `Quick test_checkers_never_search;
+        Alcotest.test_case "placement rows lead both formulations" `Quick
+          test_placement_rows_lead;
+        Alcotest.test_case "Hall cores: 2x2 slice, both solvers, all models" `Slow
+          test_hall_cores_differential;
       ] );
     ("core:hall:properties", [ QCheck_alcotest.to_alcotest prop_hall_iff_no_matching ]);
   ]

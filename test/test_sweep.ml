@@ -540,6 +540,12 @@ let table2_deviations =
     "tay_4@homo-orth/4x4/ii1";
   ]
 
+(* The journal was written before the DRAT replay polled the query's
+   deadline.  Regenerated at 60 s with `sweep --certify`, the checks of
+   cosh_4@homo-orth/4x4/ii1 and weighted_sum@hetero-orth/4x4/ii1 are cut
+   at the deadline, so those two refutations come out uncertified and
+   the "certified" check below fails on the new file: a faster proof
+   check, not a looser test, is what gives them back. *)
 let test_committed_journal () =
   let records = Store.load (Test_data.path "../journals/table2-4x4.jsonl") in
   let latest = Grid.latest_by_key records in
