@@ -17,11 +17,6 @@ let block_name ~row ~col = Printf.sprintf "%d_%d" row col
 let block_fu ~row ~col = block (block_name ~row ~col) "fu"
 let block_out ~row ~col = { Arch.inst = block (block_name ~row ~col) "reg"; port = "out" }
 
-(* Retained for API compatibility and for architecture variants: the
-   combinational ALU output.  In the bus-based baseline below it feeds
-   only the block-internal register path, not the interconnect. *)
-let block_fu_out ~row ~col = { Arch.inst = block (block_name ~row ~col) "fu"; port = "out" }
-
 let has_multiplier config ~row ~col =
   match config.fu_mix with Homogeneous -> true | Heterogeneous -> (row + col) mod 2 = 0
 

@@ -71,12 +71,6 @@ val block_fu : row:int -> col:int -> string
 val block_out : row:int -> col:int -> Arch.endpoint
 (** The block's registered output endpoint. *)
 
-val block_fu_out : row:int -> col:int -> Arch.endpoint
-(** The block's combinational output: the latency-0 ALU result is
-    exposed to the interconnect directly as well as through the output
-    register, so a block can compute and forward a routed value in the
-    same context. *)
-
 val has_multiplier : config -> row:int -> col:int -> bool
 (** Checkerboard predicate used for the heterogeneous mix. *)
 

@@ -2,7 +2,6 @@ module Dfg = Cgra_dfg.Dfg
 module Mrrg = Cgra_mrrg.Mrrg
 module Model = Cgra_ilp.Model
 module Bitset = Cgra_util.Bitset
-module Deadline = Cgra_util.Deadline
 
 type t = {
   model : Model.t;
@@ -22,8 +21,7 @@ type t = {
    diverges: instead of per-sink occupancy chains, each value grows one
    single-driver route tree (N/A variables) shared by all of its
    sinks, witnessed connected by per-sink unit flows (g variables). *)
-let build_profiled ?(objective = Formulation.Min_routing) ?(prune = true) dfg mrrg =
-  let t_start = Deadline.now () in
+let build ?(objective = Formulation.Min_routing) ?(prune = true) dfg mrrg =
   let model = Model.create ~name:(Dfg.name dfg ^ "@conn") () in
   let values = Array.of_list (Dfg.values dfg) in
   let cand, f_vars = Formulation.add_placement model dfg mrrg in
@@ -31,17 +29,9 @@ let build_profiled ?(objective = Formulation.Min_routing) ?(prune = true) dfg mr
   let a_vars = Hashtbl.create 8192 in
   let g_vars = Hashtbl.create 8192 in
   let fvar p q = Hashtbl.find_opt f_vars (p, q) in
-  let t_placed = Deadline.now () in
 
   (* ----- per-value route trees and per-sink flows ----- *)
   let n_nodes = Mrrg.n_nodes mrrg in
-  let corridor_spent = ref 0.0 in
-  let timed f =
-    let t0 = Deadline.now () in
-    let r = f () in
-    corridor_spent := !corridor_spent +. (Deadline.now () -. t0);
-    r
-  in
   let route_mask =
     lazy
       (let m = Bitset.create n_nodes in
@@ -53,13 +43,11 @@ let build_profiled ?(objective = Formulation.Min_routing) ?(prune = true) dfg mr
     match Hashtbl.find_opt cone_memo cands with
     | Some c -> c
     | None ->
+        let producer_outs =
+          List.concat_map (fun p' -> Formulation.route_fanouts mrrg p') cands
+        in
         let c =
-          timed (fun () ->
-              let producer_outs =
-                List.concat_map (fun p' -> Formulation.route_fanouts mrrg p') cands
-              in
-              if prune then Mrrg.reachable_set mrrg ~starts:producer_outs
-              else Lazy.force route_mask)
+          if prune then Mrrg.reachable_set mrrg ~starts:producer_outs else Lazy.force route_mask
         in
         Hashtbl.replace cone_memo cands c;
         c
@@ -120,8 +108,7 @@ let build_profiled ?(objective = Formulation.Min_routing) ?(prune = true) dfg mr
                 cand.(q)
             in
             let corr =
-              if prune then
-                timed (fun () -> Mrrg.corridor mrrg ~cone ~targets:(List.map fst terms))
+              if prune then Mrrg.corridor mrrg ~cone ~targets:(List.map fst terms)
               else Lazy.force route_mask
             in
             Bitset.union_into ~into:region corr;
@@ -273,7 +260,6 @@ let build_profiled ?(objective = Formulation.Min_routing) ?(prune = true) dfg mr
             corr)
         sinks)
     values;
-  let t_routed = Deadline.now () in
 
   (* route exclusivity across values, as in base constraint (4) *)
   let users_of_route = Hashtbl.create 4096 in
@@ -304,19 +290,7 @@ let build_profiled ?(objective = Formulation.Min_routing) ?(prune = true) dfg mr
            (Hashtbl.fold
               (fun (i, _) v acc -> (weight (Mrrg.node mrrg i), v) :: acc)
               n_vars [])));
-  let t_done = Deadline.now () in
-  let profile =
-    {
-      Formulation.placement_seconds = t_placed -. t_start;
-      corridor_seconds = !corridor_spent;
-      routing_seconds = t_routed -. t_placed -. !corridor_spent;
-      exclusivity_seconds = t_done -. t_routed;
-      total_seconds = t_done -. t_start;
-    }
-  in
-  ({ model; dfg; mrrg; values; f_vars; n_vars; a_vars; g_vars }, profile)
-
-let build ?objective ?prune dfg mrrg = fst (build_profiled ?objective ?prune dfg mrrg)
+  { model; dfg; mrrg; values; f_vars; n_vars; a_vars; g_vars }
 
 (* ----- solution extraction ----- *)
 

@@ -63,15 +63,6 @@ val build :
     {!Cgra_mrrg.Mrrg.corridor} machinery, memoized per
     producer-candidate set. *)
 
-val build_profiled :
-  ?objective:Formulation.objective ->
-  ?prune:bool ->
-  Dfg.t ->
-  Mrrg.t ->
-  t * Formulation.profile
-(** {!build} plus phase timings in the base formulation's profile
-    shape ([placement]/[corridors]/[routing_rows]/[exclusivity]). *)
-
 val mapping : t -> bool array -> Mapping.t
 (** Extract a mapping from a feasible assignment: placement from the
     true [F] variables, and each sink's route by walking its unit flow

@@ -3,7 +3,6 @@ module Op = Cgra_dfg.Op
 module Mrrg = Cgra_mrrg.Mrrg
 module Model = Cgra_ilp.Model
 module Bitset = Cgra_util.Bitset
-module Deadline = Cgra_util.Deadline
 
 type objective = Feasibility | Min_routing | Weighted of (Mrrg.node -> int)
 
@@ -16,23 +15,6 @@ and t = {
   r_vars : (int * int, Model.var) Hashtbl.t;
   rk_vars : (int * int * int, Model.var) Hashtbl.t;
 }
-
-type profile = {
-  placement_seconds : float;
-  corridor_seconds : float;
-  routing_seconds : float;
-  exclusivity_seconds : float;
-  total_seconds : float;
-}
-
-let profile_fields p =
-  [
-    ("placement", p.placement_seconds);
-    ("corridors", p.corridor_seconds);
-    ("routing_rows", p.routing_seconds);
-    ("exclusivity", p.exclusivity_seconds);
-    ("total", p.total_seconds);
-  ]
 
 let candidates dfg mrrg q =
   let op = (Dfg.node dfg q).Dfg.op in
@@ -133,26 +115,17 @@ let add_placement model dfg mrrg =
    sizes and fed in the same insertion sequence, so their iteration
    order (constraint (4), objective (10)) is unchanged.  The golden LP
    pin and the formulation-differential fuzz invariant enforce this. *)
-let build_profiled ?(objective = Min_routing) ?(prune = true) ?(anchor_sinks = true)
+let build ?(objective = Min_routing) ?(prune = true) ?(anchor_sinks = true)
     ?(backward_continuity = true) dfg mrrg =
-  let t_start = Deadline.now () in
   let model = Model.create ~name:(Dfg.name dfg ^ "@mrrg") () in
   let values = Array.of_list (Dfg.values dfg) in
   let cand, f_vars = add_placement model dfg mrrg in
   let r_vars = Hashtbl.create 4096 in
   let rk_vars = Hashtbl.create 8192 in
   let fvar p q = Hashtbl.find_opt f_vars (p, q) in
-  let t_placed = Deadline.now () in
 
   (* ----- per-value routing variables and constraints (5)-(9) ----- *)
   let n_nodes = Mrrg.n_nodes mrrg in
-  let corridor_spent = ref 0.0 in
-  let timed f =
-    let t0 = Deadline.now () in
-    let r = f () in
-    corridor_spent := !corridor_spent +. (Deadline.now () -. t0);
-    r
-  in
   (* every route node, for the unpruned ablation path *)
   let route_mask =
     lazy
@@ -169,16 +142,11 @@ let build_profiled ?(objective = Min_routing) ?(prune = true) ?(anchor_sinks = t
     match Hashtbl.find_opt cone_memo cands with
     | Some x -> x
     | None ->
-        let x =
-          timed (fun () ->
-              let producer_outs = List.concat_map (fun p' -> route_fanouts mrrg p') cands in
-              let cone =
-                if prune then Mrrg.reachable_set mrrg ~starts:producer_outs
-                else Lazy.force route_mask
-              in
-              let producer_out_set = Bitset.of_list n_nodes producer_outs in
-              (producer_outs, cone, producer_out_set))
+        let producer_outs = List.concat_map (fun p' -> route_fanouts mrrg p') cands in
+        let cone =
+          if prune then Mrrg.reachable_set mrrg ~starts:producer_outs else Lazy.force route_mask
         in
+        let x = (producer_outs, cone, Bitset.of_list n_nodes producer_outs) in
         Hashtbl.replace cone_memo cands x;
         x
   in
@@ -247,8 +215,7 @@ let build_profiled ?(objective = Min_routing) ?(prune = true) ?(anchor_sinks = t
              Mrrg.corridor), so its cost scales with the corridor, not
              the graph. *)
           let corr =
-            if prune then
-              timed (fun () -> Mrrg.corridor mrrg ~cone ~targets:(List.map fst terms))
+            if prune then Mrrg.corridor mrrg ~cone ~targets:(List.map fst terms)
             else Lazy.force route_mask
           in
           let in_set i = Bitset.mem corr i in
@@ -350,7 +317,6 @@ let build_profiled ?(objective = Min_routing) ?(prune = true) ?(anchor_sinks = t
               Model.end_row model)
         in_value_set)
     values;
-  let t_routed = Deadline.now () in
 
   (* (4) route exclusivity across values *)
   let users_of_route = Hashtbl.create 4096 in
@@ -381,50 +347,28 @@ let build_profiled ?(objective = Min_routing) ?(prune = true) ?(anchor_sinks = t
            (Hashtbl.fold
               (fun (i, _) v acc -> (weight (Mrrg.node mrrg i), v) :: acc)
               r_vars [])));
-  let t_done = Deadline.now () in
-  let profile =
-    {
-      placement_seconds = t_placed -. t_start;
-      corridor_seconds = !corridor_spent;
-      routing_seconds = t_routed -. t_placed -. !corridor_spent;
-      exclusivity_seconds = t_done -. t_routed;
-      total_seconds = t_done -. t_start;
-    }
-  in
-  ({ model; dfg; mrrg; values; f_vars; r_vars; rk_vars }, profile)
-
-let build ?objective ?prune ?anchor_sinks ?backward_continuity dfg mrrg =
-  fst (build_profiled ?objective ?prune ?anchor_sinks ?backward_continuity dfg mrrg)
+  { model; dfg; mrrg; values; f_vars; r_vars; rk_vars }
 
 let placement_var t ~op ~fu = Hashtbl.find_opt t.f_vars (fu, op)
 
 (* The placement rows alone, the leading rows of [build] and of
    [Conn.build]: what an explained Hall answer checks its core on. *)
 let build_placement dfg mrrg =
-  let t_start = Deadline.now () in
   let model = Model.create ~name:(Dfg.name dfg ^ "@place") () in
   let _, f_vars = add_placement model dfg mrrg in
-  let placed = Deadline.now () -. t_start in
-  ( {
-      model;
-      dfg;
-      mrrg;
-      values = Array.of_list (Dfg.values dfg);
-      f_vars;
-      r_vars = Hashtbl.create 1;
-      rk_vars = Hashtbl.create 1;
-    },
-    {
-      placement_seconds = placed;
-      corridor_seconds = 0.0;
-      routing_seconds = 0.0;
-      exclusivity_seconds = 0.0;
-      total_seconds = placed;
-    } )
+  {
+    model;
+    dfg;
+    mrrg;
+    values = Array.of_list (Dfg.values dfg);
+    f_vars;
+    r_vars = Hashtbl.create 1;
+    rk_vars = Hashtbl.create 1;
+  }
 
 (* The reference builder: the pre-corridor dense-scan implementation,
    eager names and all, retained verbatim as the differential-testing
-   oracle for [build_profiled].  Slow by design — do not "fix" it; the
+   oracle for [build].  Slow by design — do not "fix" it; the
    fuzz invariant compares the optimized builder against it. *)
 let build_reference ?(objective = Min_routing) ?(prune = true) ?(anchor_sinks = true)
     ?(backward_continuity = true) dfg mrrg =
@@ -664,15 +608,6 @@ let value_description t j =
     Printf.sprintf "%s.op%d" (Dfg.node t.dfg e.Dfg.dst).Dfg.name e.Dfg.operand
   in
   Printf.sprintf "%s -> %s" producer (String.concat ", " (List.map sink v.Dfg.sinks))
-
-let describe_group t label =
-  match group_subject label with
-  | Some (Placement op) -> Printf.sprintf "placement of operation %s" op
-  | Some (Exclusivity res) -> Printf.sprintf "exclusive use of resource %s" res
-  | Some (Routing j) when j >= 0 && j < Array.length t.values ->
-      Printf.sprintf "routing of value %d (%s)" j (value_description t j)
-  | Some (Routing j) -> Printf.sprintf "routing of value %d" j
-  | None -> label
 
 type size = { n_f : int; n_r : int; n_rk : int; n_rows : int }
 

@@ -64,25 +64,6 @@ val add_placement :
     {!Conn.build} and {!build_placement} all open with them, while
     {!build_reference} keeps its own copy as the oracle. *)
 
-type profile = {
-  placement_seconds : float;
-      (** variables and rows for constraints (1)–(3) *)
-  corridor_seconds : float;
-      (** forward-cone and per-sink corridor closures (graph traversal
-          only, no row emission) *)
-  routing_seconds : float;
-      (** rows for constraints (5)–(9), corridor time excluded *)
-  exclusivity_seconds : float;
-      (** constraint (4) and the objective *)
-  total_seconds : float;
-}
-(** Wall-clock phase split of one model construction. *)
-
-val profile_fields : profile -> (string * float) list
-(** The profile as labelled seconds, in emission order
-    ([placement]; [corridors]; [routing_rows]; [exclusivity]; [total])
-    — the shape journaled by benchmarks and serve provenance. *)
-
 val build :
   ?objective:objective ->
   ?prune:bool ->
@@ -101,32 +82,22 @@ val build :
     - [anchor_sinks]: strengthen constraint (6) to an equality at the
       sink's operand port;
     - [backward_continuity]: require every used corridor node to have a
-      used predecessor (the dual of constraint (5)). *)
+      used predecessor (the dual of constraint (5)).
 
-val build_profiled :
-  ?objective:objective ->
-  ?prune:bool ->
-  ?anchor_sinks:bool ->
-  ?backward_continuity:bool ->
-  Dfg.t ->
-  Mrrg.t ->
-  t * profile
-(** {!build} plus its phase timings.  This is the implementation;
-    [build] is [fst ∘ build_profiled].  The builder is corridor-sparse:
-    instead of scanning every MRRG node per sink, it iterates packed
-    {!Cgra_mrrg.Mrrg.corridor} bitsets, memoizes forward cones by
-    producer-candidate set, and defers variable/row name rendering
-    until something (LP export, explain, validation) asks for them. *)
+    The builder is corridor-sparse: instead of scanning every MRRG node
+    per sink, it iterates packed {!Cgra_mrrg.Mrrg.corridor} bitsets,
+    memoizes forward cones by producer-candidate set, and defers
+    variable/row name rendering until something (LP export, explain,
+    validation) asks for them. *)
 
 val placement_var : t -> op:int -> fu:int -> Ilp.Model.var option
 (** The variable placing DFG operation [op] on FU node [fu], if [fu]
     can run it. *)
 
-val build_placement : Dfg.t -> Mrrg.t -> t * profile
+val build_placement : Dfg.t -> Mrrg.t -> t
 (** A model of {!add_placement}'s rows alone, with no routing variable
     ([r_vars] and [rk_vars] empty, so {!size} reports [n_r = n_rk = 0])
-    and the [Feasibility] objective; its profile is all [placement].
-    Its rows, variables and names are the leading ones of {!build} and
+    and the [Feasibility] objective.  Its rows, variables and names are the leading ones of {!build} and
     of {!Conn.build}, so a check that reads only [place:]/[excl:] rows
     on it means what it would on either full model, and its
     {!placement_var} names the same variable in both.  An explained Hall
@@ -170,10 +141,6 @@ val group_subject : string -> group_subject option
 val value_description : t -> int -> string
 (** Human-readable [producer -> sink.op, ...] rendering of value [j].
     @raise Invalid_argument on an out-of-range index. *)
-
-val describe_group : t -> string -> string
-(** One-line English description of a group label (falls back to the
-    label itself for foreign labels). *)
 
 type size = { n_f : int; n_r : int; n_rk : int; n_rows : int }
 

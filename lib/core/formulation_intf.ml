@@ -5,7 +5,6 @@ module Mrrg = Cgra_mrrg.Mrrg
 type built = {
   model : Model.t;
   size : Formulation.size;
-  phases : (string * float) list;
   extract : bool array -> Mapping.t;
   warm : Mapping.t -> unit;
   describe_value : int -> string;
@@ -70,11 +69,10 @@ let paper =
     doc = "per-edge sub-value routing over the MRRG (DAC'18 \xc2\xa74)";
     build =
       (fun ~objective dfg mrrg ->
-        let f, profile = Formulation.build_profiled ~objective dfg mrrg in
+        let f = Formulation.build ~objective dfg mrrg in
         {
           model = f.Formulation.model;
           size = Formulation.size f;
-          phases = Formulation.profile_fields profile;
           extract = (fun assign -> Extract.mapping f assign);
           warm = (fun m -> apply_warm_phases f m);
           describe_value = (fun j -> Formulation.value_description f j);
@@ -87,11 +85,10 @@ let conn =
     doc = "connectivity formulation: single-driver route trees + per-sink unit flows";
     build =
       (fun ~objective dfg mrrg ->
-        let t, profile = Conn.build_profiled ~objective dfg mrrg in
+        let t = Conn.build ~objective dfg mrrg in
         {
           model = t.Conn.model;
           size = Conn.size t;
-          phases = Formulation.profile_fields profile;
           extract = (fun assign -> Conn.mapping t assign);
           warm = (fun m -> Conn.apply_warm_phases t m);
           describe_value = (fun j -> Conn.describe_value t j);

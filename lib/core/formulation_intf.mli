@@ -21,9 +21,6 @@ type built = {
       (** variable/row counts in the base formulation's vocabulary:
           [n_f] placement vars, [n_r] per-value vars, [n_rk] per-sink
           vars (formulations without a family report 0) *)
-  phases : (string * float) list;
-      (** labelled wall-clock seconds per encode phase, the shape of
-          {!Formulation.profile_fields} *)
   extract : bool array -> Mapping.t;
       (** read a feasible assignment back into a mapping; the result
           must pass {!Check.run} or the mapper treats it as a bug *)

@@ -25,13 +25,11 @@ type info = {
   size : Formulation.size;
   solve_seconds : float;
   build_seconds : float;
-  build_phases : (string * float) list;
   objective_value : int option;
   proven_optimal : bool;
   sat_calls : int;
   certified : bool;
   proof_steps : int;
-  inprocess : (string * int) list;
   diagnosis : diagnosis option;
   evidence : evidence option;
 }
@@ -96,9 +94,10 @@ let check_refutation ?(deadline = Deadline.none) p =
       failwith
         (Printf.sprintf "Ilp_mapper: solver produced an invalid DRAT certificate (bug): %s" msg)
 
-(* [verdict], with the refutation checker given: a resident step
-   reuses what its last check accepted. *)
-let verdict_checked ?deadline ?proof ~check_refutation ~certify ~explain ~objective ~solver
+(* The verdict an answer concludes with on an engine's report.  The
+   refutation checker is given: a resident step reuses what its last
+   check accepted. *)
+let verdict ?deadline ?proof ~check_refutation ~certify ~explain ~objective ~solver
     ~build_seconds (f : Formulation_intf.built) (report : Solve.report) =
   if Option.is_some proof <> verdict_solve_needs_proof ~certify ~explain then
     invalid_arg "Ilp_mapper.verdict: a solve proof goes with certify and without explain";
@@ -109,13 +108,11 @@ let verdict_checked ?deadline ?proof ~check_refutation ~certify ~explain ~object
       size = f.Formulation_intf.size;
       solve_seconds = report.Solve.solve_seconds;
       build_seconds;
-      build_phases = f.Formulation_intf.phases;
       objective_value;
       proven_optimal;
       sat_calls = report.Solve.sat_calls;
       certified;
       proof_steps = (match proof with Some p -> Proof.n_steps p | None -> 0);
-      inprocess = report.Solve.inprocess;
       diagnosis;
       evidence =
         (match report.Solve.outcome with Solve.Infeasible -> Some Drat | _ -> None);
@@ -163,17 +160,14 @@ let verdict_checked ?deadline ?proof ~check_refutation ~certify ~explain ~object
          certified by construction, whether or not proof logging ran. *)
       Mapped (mapping, info ~objective_value ~proven_optimal ~certified:true ())
 
-let verdict ?deadline ?proof =
-  verdict_checked ?deadline ?proof ~check_refutation:(check_refutation ?deadline)
-
 (* The Hall step's answer (see Hall): an infeasibility decided by a
    checked witness before any engine runs.  Under [explain] the
    placement model [core_model] (constraints (1)-(2), the leading rows
    of either formulation) is there for the core's sake only: the
    counting certificate verifies the core against those rows, and one
    checked assignment per group, each an alternating-path flip, shows
-   it minimal.  [phases] are its build's, empty on a repeat. *)
-let hall_verdict ~started ~certify ~build_seconds ~core_model ~phases dfg mrrg d =
+   it minimal. *)
+let hall_verdict ~started ~certify ~build_seconds ~core_model dfg mrrg d =
   let w = Hall.witness d in
   (match Hall.check_witness dfg mrrg w with
   | Ok () -> ()
@@ -199,13 +193,11 @@ let hall_verdict ~started ~certify ~build_seconds ~core_model ~phases dfg mrrg d
         | None -> { Formulation.n_f = 0; n_r = 0; n_rk = 0; n_rows = 0 });
       solve_seconds = Deadline.elapsed_of ~start:started -. build_seconds;
       build_seconds;
-      build_phases = phases;
       objective_value = None;
       proven_optimal = true;
       sat_calls = 0;
       certified = (certify && match diagnosis with Some d -> d.core_verified | None -> true);
       proof_steps = 0;
-      inprocess = [];
       diagnosis;
       evidence = Some Hall;
     }
@@ -221,7 +213,7 @@ let solve_built ?deadline ?proof ~(solver : Solver_spec.t) (f : Formulation_intf
       let t0 = Deadline.now () in
       let outcome = b.Backend.solve ?deadline f.Formulation_intf.model in
       let solve_seconds = Deadline.elapsed_of ~start:t0 in
-      { Solve.outcome; solve_seconds; sat_calls = 0; inprocess = [] }
+      { Solve.outcome; solve_seconds; sat_calls = 0; stats = Solver.zero_stats }
 
 (* One II's answer state.  A cell the Hall step refutes keeps its
    deficiency and, once an explained answer asked for it, the
@@ -252,6 +244,17 @@ type step = {
 
 let build ~(solver : Solver_spec.t) ~objective dfg mrrg =
   solver.Solver_spec.formulation.Formulation_intf.build ~objective dfg mrrg
+
+(* The engine alone on a freshly built feasibility model: no Hall step,
+   no warm start, no proof. *)
+let reprove ?deadline ~solver dfg mrrg =
+  let t0 = Deadline.now () in
+  let objective = Formulation.Feasibility in
+  let f = build ~solver ~objective dfg mrrg in
+  let build_seconds = Deadline.elapsed_of ~start:t0 in
+  verdict ?deadline ~check_refutation:(check_refutation ?deadline) ~certify:false ~explain:false
+    ~objective ~solver ~build_seconds f
+    (solve_built ?deadline ~solver f)
 
 let prepare ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.default)
     ?(deadline = Deadline.none) ?(warm_start = 0.0) ?proof dfg mrrg =
@@ -292,33 +295,27 @@ let solver_vars step =
 
 type answer = { search_stats : Solver.stats; resumed : bool; conclude : unit -> result }
 
-(* the counters of an answer no in-process SAT solver searched for *)
-let no_search =
-  { Solver.conflicts = 0; decisions = 0; propagations = 0; restarts = 0; learnt = 0;
-    probed_failed = 0 }
-
 let search ?deadline ~started ~certify ~explain step =
   match step.state with
   | Refuted r ->
       (* the placement model an explained answer checks its core
-         against, built on first request and kept; a later answer
-         reports no phases *)
-      let core_model, phases, build_seconds =
+         against, built on first request and kept *)
+      let core_model, build_seconds =
         match (explain, r.core_model) with
-        | false, _ -> (None, [], 0.0)
-        | true, Some f -> (Some f, [], 0.0)
+        | false, _ -> (None, 0.0)
+        | true, Some f -> (Some f, 0.0)
         | true, None ->
             let t0 = Deadline.now () in
-            let f, profile = Formulation.build_placement step.dfg step.mrrg in
+            let f = Formulation.build_placement step.dfg step.mrrg in
             r.core_model <- Some f;
-            (Some f, Formulation.profile_fields profile, Deadline.elapsed_of ~start:t0)
+            (Some f, Deadline.elapsed_of ~start:t0)
       in
       {
-        search_stats = no_search;
+        search_stats = Solver.zero_stats;
         resumed = false;
         conclude =
           (fun () ->
-            hall_verdict ~started ~certify ~build_seconds ~core_model ~phases step.dfg step.mrrg
+            hall_verdict ~started ~certify ~build_seconds ~core_model step.dfg step.mrrg
               r.deficiency);
       }
   | Built b ->
@@ -326,16 +323,20 @@ let search ?deadline ~started ~certify ~explain step =
       let report, search_stats, proof =
         match b.enc with
         | Some enc ->
-            let report, stats = Solve.search ?deadline enc b.built.Formulation_intf.model in
-            (report, stats, step.proof)
+            let report = Solve.search ?deadline enc b.built.Formulation_intf.model in
+            (* A satisfiable model stays satisfiable (descent bounds are
+               assumptions), so once the step maps, its log can never
+               end in a refutation: stop growing it. *)
+            (match report.Solve.outcome with
+            | Solve.Optimal _ | Solve.Feasible _ -> Solver.set_proof enc.Encode.solver None
+            | Solve.Infeasible | Solve.Timeout -> ());
+            (report, report.Solve.stats, step.proof)
         | None ->
             (* an engine that keeps no solver searches from scratch, so
                each search logs into a proof of its own *)
             let proof = Option.map (fun _ -> Proof.create ()) step.proof in
-            (solve_built ?deadline ?proof ~solver:step.solver b.built, no_search, proof)
+            (solve_built ?deadline ?proof ~solver:step.solver b.built, Solver.zero_stats, proof)
       in
-      (* a repeat builds nothing, so it reports no build phases *)
-      let built = if b.searched then { b.built with Formulation_intf.phases = [] } else b.built in
       (* only a kept encoding carries anything over: branch and bound
          and external solvers start from scratch every time *)
       let resumed = b.searched && Option.is_some b.enc in
@@ -364,8 +365,8 @@ let search ?deadline ~started ~certify ~explain step =
         resumed;
         conclude =
           (fun () ->
-            verdict_checked ?deadline ?proof ~check_refutation ~certify ~explain
-              ~objective:step.objective ~solver:step.solver ~build_seconds built report);
+            verdict ?deadline ?proof ~check_refutation ~certify ~explain
+              ~objective:step.objective ~solver:step.solver ~build_seconds b.built report);
       }
 
 let map ?objective ?solver ?deadline ?warm_start ?(certify = false) ?(explain = false) dfg mrrg
@@ -395,8 +396,6 @@ let pp_diagnosis fmt d =
   section "conflicting values" d.conflict_values;
   section "contended resources" d.conflict_resources;
   Format.fprintf fmt "@]"
-
-let result_feasible = function Mapped _ -> true | Infeasible _ | Timeout _ -> false
 
 let pp_result fmt = function
   | Mapped (m, info) ->

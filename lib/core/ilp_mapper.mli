@@ -61,14 +61,6 @@ type info = {
           [explain]).  A resident session's repeat builds and
           clausifies nothing, so it counts only the wait for the
           session. *)
-  build_phases : (string * float) list;
-      (** {!Formulation.profile_fields} of the model construction:
-          labelled wall-clock seconds per encode phase ([placement],
-          [corridors], [routing_rows], [exclusivity], [total]); for an
-          explained Hall answer all of it is [placement] (the other
-          phases read 0); empty for an answer whose model was built for
-          an earlier one (a resident session's repeat) and for an
-          unexplained Hall answer. *)
   objective_value : int option;  (** routing cost when optimising *)
   proven_optimal : bool;
   sat_calls : int;               (** SAT invocations; 0 for non-SAT engines *)
@@ -84,11 +76,6 @@ type info = {
       (** DRAT derivation steps logged; 0 unless certifying, and 0 for
           a Hall answer.  Under [explain] an [Infeasible]'s steps are
           those of the core's refutation. *)
-  inprocess : (string * int) list;
-      (** SAT inprocessing counters ([probed_failed]) of the solver
-          behind the verdict; empty when no in-process
-          SAT solver ran (external backends, pure B&B feasible
-          answers) *)
   diagnosis : diagnosis option;
       (** present only for an [Infeasible] verdict under [~explain:true]
           whose core extraction finished before the deadline *)
@@ -134,9 +121,9 @@ val map :
     both formulations emit them, whatever [solver] names.
     [core_verified] comes from {!Hall.check_counting} on its rows,
     [core_minimized] from {!Hall.check_relaxations}, and
-    [core_sat_calls], [sat_calls] and [proof_steps] are 0.  The step runs for every formulation and
-    every solver; nothing disables it.  Code that needs an engine's
-    own refutation builds the model and calls {!solve_built}.
+    [core_sat_calls], [sat_calls] and [proof_steps] are 0.  The step
+    runs for every formulation and every solver; nothing disables it.
+    Code that needs an engine's own refutation calls {!reprove}.
 
     [solver] picks the formulation and the solver in one value, parsed
     from a name by {!Solver_spec.of_name}.  The model the formulation
@@ -230,7 +217,10 @@ val prepare :
     cancellation flag) and, on the native SAT engine, clausify it
     ({!Cgra_ilp.Encode.encode}, logging into [proof] when given).  Defaults as in {!map}.  A step with a [proof] may be kept
     and searched again: the objective descent bounds by assumption, so
-    the log only ever grows by the solver's own inferences.  An engine
+    the log only ever grows by the solver's own inferences, and it
+    stops growing once a search maps: the solver's sink is detached
+    then ({!Cgra_satoca.Solver.set_proof}), since a model with a
+    solution can never be refuted.  An engine
     that keeps no solver (branch and bound, an external solver) logs
     each search into a fresh proof instead; [proof] then only says
     that the step's searches log one. *)
@@ -251,10 +241,15 @@ type answer = {
           no solver *)
   conclude : unit -> result;
       (** the verdict step: the Hall witness checks (under [explain],
-          the counting certificate and relaxations too), or {!verdict}
-          on the engine's report.  It reads the step's model without
-          changing it, so it may run concurrently with other verdicts
-          and with later searches of the step.
+          the counting certificate and relaxations too), or the
+          engine's report read back through the formulation, where an
+          assignment must pass {!Check.run} and an infeasibility is
+          certified by the DRAT log the search wrote or, under
+          [explain], through its core (see {!map}).  It reads the
+          step's model without changing it (but for
+          {!Cgra_ilp.Model}'s idempotent caches of rendered names), so
+          it may run concurrently with other verdicts and with later
+          searches of the step.
           @raise Failure as {!map} does. *)
 }
 (** What a search found, and the verdict step still to run on it. *)
@@ -268,7 +263,7 @@ val search :
   answer
 (** {!Cgra_ilp.Solve.search} on the step's encoding, which keeps the
     learnt clauses, phases and objective totalizer of earlier
-    searches, or {!solve_built} from scratch on the kept model for
+    searches, or [solver]'s engine from scratch on the kept model for
     branch and bound and external solvers.  A Hall step searches
     nothing; under [explain] it builds the placement model its core is
     checked against ({!Formulation.build_placement}), once, and keeps
@@ -279,55 +274,25 @@ val search :
     [proof] was given exactly when {!verdict_solve_needs_proof} holds
     of [certify] and [explain]. *)
 
-val solve_built :
-  ?deadline:Cgra_util.Deadline.t ->
-  ?proof:Cgra_satoca.Proof.t ->
-  solver:Solver_spec.t ->
-  Formulation_intf.built ->
-  Cgra_ilp.Solve.report
-(** [solver]'s engine alone on the built model —
-    {!Cgra_ilp.Solve.solve_report} for a native engine (on the SAT
-    engine, a fresh encode and {!search}'s search), the LP export and
-    subprocess for an external one.  No Hall step and no warm start;
-    pass the report to {!verdict}.  The sweep's
-    cross-check and the fuzzer use it to have an engine re-prove a
-    cell the Hall step decides.
-    @raise Cgra_backend.Backend.Error as {!map} does. *)
-
 val verdict_solve_needs_proof : certify:bool -> explain:bool -> bool
 (** Whether the solve behind a verdict must log a DRAT proof: under
     [certify] without [explain].  With [explain] the certificate is
-    the core's own refutation, which {!verdict} logs itself. *)
+    the core's own refutation, which the verdict step logs itself. *)
 
-val verdict :
-  ?deadline:Cgra_util.Deadline.t ->
-  ?proof:Cgra_satoca.Proof.t ->
-  certify:bool ->
-  explain:bool ->
-  objective:Formulation.objective ->
-  solver:Solver_spec.t ->
-  build_seconds:float ->
-  Formulation_intf.built ->
-  Cgra_ilp.Solve.report ->
-  result
-(** The step an {!answer} concludes with on an engine's report,
-    exported so that every answer about a built model becomes a
-    [result] the same way (the sweep's cross-check and the fuzzer call
-    it on {!solve_built}'s report).  An assignment is read back
-    through the formulation and must pass {!Check.run}.  An
-    infeasibility is certified by [proof], the DRAT log the verdict
-    solve wrote, which the independent checker must accept.  Under
-    [explain] it is instead explained and, with [certify], certified
-    through its core (see {!map}).  The [info] record takes its
-    counters from the report and the model's [size] and build
-    [phases] from the built model.  The verdict changes nothing in [f]
-    but {!Cgra_ilp.Model}'s idempotent caches of rendered names, so
-    concurrent verdicts on one built model are safe.
-    @raise Invalid_argument unless [proof] is given exactly when
-    {!verdict_solve_needs_proof} holds.
+val reprove :
+  ?deadline:Cgra_util.Deadline.t -> solver:Solver_spec.t -> Dfg.t -> Mrrg.t -> result
+(** [solver]'s engine alone on the cell's freshly built feasibility
+    model: {!Cgra_ilp.Solve.solve_report} for a native engine (on the
+    SAT engine, a fresh encode and {!search}'s search), the LP export
+    and subprocess for an external one.  No Hall step, no warm start,
+    no proof; the answer becomes a [result] through the same verdict
+    step as {!search}'s, so a [Mapped] mapping must pass {!Check.run}.
+    [build_seconds] is the formulation build.  The sweep's cross-check
+    and the fuzzer use it to have an engine re-prove a cell the Hall
+    step decides.
+    @raise Cgra_backend.Backend.Error as {!map} does.
     @raise Failure as {!map} does. *)
 
-val result_feasible : result -> bool
 val pp_result : Format.formatter -> result -> unit
 
 val pp_diagnosis : Format.formatter -> diagnosis -> unit

@@ -256,16 +256,7 @@ let check_solve sample ~limit =
      deficiency, [map] above is exactly that solve on the paper model,
      so its answer is reused. *)
   let mrrg = Build.elaborate (Library.make sample.config) ~ii:sample.ii in
-  let engine (solver : Cgra_core.Solver_spec.t) =
-    let f =
-      solver.Cgra_core.Solver_spec.formulation.Cgra_core.Formulation_intf.build
-        ~objective:Formulation.Feasibility dfg mrrg
-    in
-    let deadline = Deadline.after ~seconds:limit in
-    IM.verdict ~deadline ~certify:false ~explain:false ~objective:Formulation.Feasibility ~solver
-      ~build_seconds:0.0 f
-      (IM.solve_built ~deadline ~solver f)
-  in
+  let engine solver = IM.reprove ~deadline:(Deadline.after ~seconds:limit) ~solver dfg mrrg in
   let hall = Cgra_core.Hall.search dfg mrrg in
   let paper = match hall with None -> result | Some _ -> engine Cgra_core.Solver_spec.default in
   (* a set of operations with too few capable FUs admits no mapping, so

@@ -25,7 +25,7 @@
       by the independent {!Cgra_core.Check};
     - {b hall-vs-engine} — on a sample the Hall step refutes
       ({!Cgra_core.Hall.search}), the paper formulation's model solved
-      directly by the SAT engine ({!Cgra_core.Ilp_mapper.solve_built},
+      directly by the SAT engine ({!Cgra_core.Ilp_mapper.reprove},
       i.e. {!Cgra_ilp.Solve.solve_report}) never returns an
       assignment;
     - {b formulation-vs-conn} — the connectivity formulation

@@ -82,7 +82,7 @@ val add_row : t -> ?name:string -> ?dname:(unit -> string) -> ?group:string ->
 
 (** {2 Zero-allocation row emission}
 
-    The builder's hot path ([Formulation.build_profiled]) emits rows
+    The builder's hot path ([Formulation.build]) emits rows
     directly into the model's flat term storage instead of constructing
     a term list per row: [begin_row] opens a row, [term] appends one
     coefficient–variable pair, [end_row] canonicalizes the stored

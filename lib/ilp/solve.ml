@@ -14,7 +14,7 @@ type report = {
   outcome : outcome;
   solve_seconds : float;
   sat_calls : int;
-  inprocess : (string * int) list;
+  stats : Solver.stats;
 }
 
 let pp_outcome fmt = function
@@ -99,14 +99,12 @@ let search ?(deadline = Deadline.none) (enc : Encode.t) model =
   let outcome = descend ~deadline enc model sat_calls in
   (* A resident solver's counters span every solve so far; the report
      is this search's share. *)
-  let stats = Solver.stats_delta ~now:(Solver.stats enc.Encode.solver) ~before in
-  ( {
-      outcome;
-      solve_seconds = Deadline.elapsed_of ~start;
-      sat_calls = !sat_calls;
-      inprocess = Solver.inprocess_counters stats;
-    },
-    stats )
+  {
+    outcome;
+    solve_seconds = Deadline.elapsed_of ~start;
+    sat_calls = !sat_calls;
+    stats = Solver.stats_delta ~now:(Solver.stats enc.Encode.solver) ~before;
+  }
 
 (* ---------------- brute force ---------------- *)
 
@@ -135,7 +133,7 @@ let cross_certify ~deadline ~proof ?inprocess model sat_calls sat_stats =
   let enc = Encode.encode ~proof ?inprocess model in
   incr sat_calls;
   let r = Solver.solve ~deadline enc.Encode.solver in
-  sat_stats := Some (Solver.stats enc.Encode.solver);
+  sat_stats := Solver.stats enc.Encode.solver;
   match r with
   | Solver.Unsat -> ()
   | Solver.Sat ->
@@ -147,7 +145,7 @@ let cross_certify ~deadline ~proof ?inprocess model sat_calls sat_stats =
 let solve_report ?(deadline = Deadline.none) ?(engine = Sat_backed) ?proof ?inprocess model =
   let start = Deadline.now () in
   let sat_calls = ref 0 in
-  let sat_stats = ref None in
+  let sat_stats = ref Solver.zero_stats in
   let certify_infeasible outcome =
     (match (outcome, proof) with
     | Infeasible, Some proof ->
@@ -160,9 +158,9 @@ let solve_report ?(deadline = Deadline.none) ?(engine = Sat_backed) ?proof ?inpr
     | Brute_force -> certify_infeasible (solve_brute model)
     | Sat_backed ->
         let enc = Encode.encode ?proof ?inprocess model in
-        let report, stats = search ~deadline enc model in
+        let report = search ~deadline enc model in
         sat_calls := report.sat_calls;
-        sat_stats := Some stats;
+        sat_stats := report.stats;
         report.outcome
     | Branch_and_bound ->
         certify_infeasible
@@ -176,10 +174,7 @@ let solve_report ?(deadline = Deadline.none) ?(engine = Sat_backed) ?proof ?inpr
     outcome;
     solve_seconds = Deadline.elapsed_of ~start;
     sat_calls = !sat_calls;
-    inprocess =
-      (match !sat_stats with
-      | Some st -> Solver.inprocess_counters st
-      | None -> []);
+    stats = !sat_stats;
   }
 
 let solve ?deadline ?engine ?proof ?inprocess model =

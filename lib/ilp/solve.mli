@@ -32,11 +32,11 @@ type report = {
   outcome : outcome;
   solve_seconds : float;
   sat_calls : int;  (** SAT invocations (descent steps); 0 for other engines *)
-  inprocess : (string * int) list;
-      (** inprocessing counters of the SAT solver that
-          produced (or certified) the verdict — see
-          {!Cgra_satoca.Solver.inprocess_counters}; empty when no SAT
-          solver ran *)
+  stats : Cgra_satoca.Solver.stats;
+      (** the counters of the SAT solver that produced (or certified)
+          the verdict, this search's share of them
+          ({!Cgra_satoca.Solver.stats_delta}); {!Cgra_satoca.Solver.zero_stats}
+          when no in-process SAT solver ran *)
 }
 
 val solve :
@@ -76,14 +76,13 @@ val search :
   ?deadline:Cgra_util.Deadline.t ->
   Encode.t ->
   Model.t ->
-  report * Cgra_satoca.Solver.stats
+  report
 (** The [Sat_backed] engine's search over an existing encoding of the
     model: one solve, then the objective descent when the model has an
     objective.  {!solve_report} runs it on a fresh {!Encode.encode};
     a serve session runs it again and again on one resident encoding,
-    whose learnt clauses and phases carry over.  Both the report's
-    [inprocess] counters and the returned stats are this search's
-    share of the solver's cumulative counters
+    whose learnt clauses and phases carry over.  The report's [stats]
+    are this search's share of the solver's cumulative counters
     ({!Cgra_satoca.Solver.stats_delta}).  The descent builds the
     objective's totalizer once per encoding ({!Encode.t}[.totalizer])
     and bounds it by assumption, so repeated searches add no clauses

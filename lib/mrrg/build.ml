@@ -1,19 +1,9 @@
 module Arch = Cgra_arch.Arch
 module Primitive = Cgra_arch.Primitive
-module Deadline = Cgra_util.Deadline
 
 let node_name ~ctx ~inst ~port = Printf.sprintf "c%d.%s.%s" ctx inst port
 
-type profile = {
-  instance_seconds : float;
-  wire_seconds : float;
-  total_seconds : float;
-  n_nodes : int;
-  n_edges : int;
-}
-
-let elaborate_profiled arch ~ii =
-  let t0 = Deadline.now () in
+let elaborate arch ~ii =
   let b = Mrrg.Builder.create ~ii in
   (* (inst, port, actual ctx) -> node id, for wiring the connections *)
   let port_node : (string * string * int, int) Hashtbl.t = Hashtbl.create 1024 in
@@ -72,7 +62,6 @@ let elaborate_profiled arch ~ii =
             end
           done)
     (Arch.instances arch);
-  let t1 = Deadline.now () in
   (* wires: combinational, same-context *)
   List.iter
     (fun { Arch.src; dst } ->
@@ -85,15 +74,4 @@ let elaborate_profiled arch ~ii =
         | _ -> () (* the port does not exist in this context (FU busy slot) *)
       done)
     (Arch.connections arch);
-  let mrrg = Mrrg.Builder.freeze b in
-  let t2 = Deadline.now () in
-  ( mrrg,
-    {
-      instance_seconds = t1 -. t0;
-      wire_seconds = t2 -. t1;
-      total_seconds = t2 -. t0;
-      n_nodes = Mrrg.n_nodes mrrg;
-      n_edges = Mrrg.n_edges mrrg;
-    } )
-
-let elaborate arch ~ii = fst (elaborate_profiled arch ~ii)
+  Mrrg.Builder.freeze b

@@ -23,19 +23,5 @@
 val elaborate : Cgra_arch.Arch.t -> ii:int -> Mrrg.t
 (** @raise Invalid_argument if [ii < 1]. *)
 
-type profile = {
-  instance_seconds : float;  (** time spent expanding primitives into nodes *)
-  wire_seconds : float;  (** time spent turning wires into per-context edges *)
-  total_seconds : float;  (** wall-clock for the whole elaboration *)
-  n_nodes : int;
-  n_edges : int;
-}
-(** Where elaboration time went — the [bench arch-scale] harness
-    journals this to track how elaboration scales with array size. *)
-
-val elaborate_profiled : Cgra_arch.Arch.t -> ii:int -> Mrrg.t * profile
-(** {!elaborate} plus a timing/size breakdown of the run.
-    @raise Invalid_argument if [ii < 1]. *)
-
 val node_name : ctx:int -> inst:string -> port:string -> string
 (** The canonical node naming scheme, ["c<ctx>.<inst>.<port>"]. *)

@@ -112,7 +112,7 @@ type t = {
   mutable heap_size : int;
   mutable heap_pos : int array;      (* var -> heap index or -1 *)
   mutable var_inc : float;
-  mutable var_decay : float;
+  var_decay : float;
   mutable cla_inc : float;
   mutable ok : bool;
   mutable model : int array;         (* snapshot after Sat *)
@@ -199,11 +199,9 @@ let random_float t =
   Int64.to_float (Int64.shift_right_logical (next_random t) 11) /. 9007199254740992.0
 
 let set_random_freq t f = t.random_freq <- f
-let set_random_seed t seed = t.rng_state <- Int64.of_int (0x9E3779B9 + seed)
 
 let nvars t = t.nvars
 let ok t = t.ok
-let set_var_decay t d = t.var_decay <- d
 
 let stats t =
   {
@@ -226,6 +224,9 @@ let stats_delta ~(now : stats) ~(before : stats) : stats =
     learnt = now.learnt;
     probed_failed = now.probed_failed - before.probed_failed;
   }
+
+let zero_stats =
+  { conflicts = 0; decisions = 0; propagations = 0; restarts = 0; learnt = 0; probed_failed = 0 }
 
 let inprocess_counters st = [ ("probed_failed", st.probed_failed) ]
 

@@ -156,13 +156,12 @@ val stats_delta : now:stats -> before:stats -> stats
 (** Per-solve view: subtracts every monotone counter; [learnt] is a
     gauge (clauses currently kept) and is taken from [now]. *)
 
+val zero_stats : stats
+(** Every counter 0: the stats of a search no solver ran. *)
+
 val inprocess_counters : stats -> (string * int) list
 (** The inprocessing counters of a stats record as labelled pairs
-    (only [probed_failed]) — the shape reported through
-    [Ilp_mapper.info] and the serve protocol. *)
-
-val set_var_decay : t -> float -> unit
-(** VSIDS decay factor in (0,1); default 0.95. *)
+    (only [probed_failed]). *)
 
 val set_activity : t -> int -> float -> unit
 (** Seed a variable's VSIDS activity — a branching hint: variables with
@@ -187,9 +186,6 @@ val seed_phases_array : t -> Lit.t array -> unit
 val set_random_freq : t -> float -> unit
 (** Fraction of decisions made on a uniformly random unassigned
     variable (default 0.02); 0 disables randomisation. *)
-
-val set_random_seed : t -> int -> unit
-(** Reseed the decision randomiser (deterministic by default). *)
 
 (** {1 Inprocessing support}
 

@@ -29,14 +29,6 @@ type provenance = {
   cache_hit : bool;
   warm_start : bool;
   session_solves : int;
-  inprocess : (string * int) list;
-      (* SAT inprocessing counters of the solve behind the
-         verdict (per-solve delta for sessions, whole run otherwise);
-         [] when no in-process SAT solver ran *)
-  build_phases : (string * float) list;
-      (* per-phase encode timings ({!Cgra_core.Formulation.profile_fields})
-         of the model built for this request; [] when the request reused
-         a cached encoding and built nothing *)
 }
 
 let cold_provenance =
@@ -45,8 +37,6 @@ let cold_provenance =
     cache_hit = false;
     warm_start = false;
     session_solves = 0;
-    inprocess = [];
-    build_phases = [];
   }
 
 type stats = {
@@ -114,16 +104,7 @@ let verdict_of_result ?(mrrg_cache_hit = false) ?(cache_hit = false) ?(warm_star
     | _ -> ([], None)
   in
   let core = match info.IM.diagnosis with Some d -> d.IM.core | None -> [] in
-  let provenance =
-    {
-      mrrg_cache_hit;
-      cache_hit;
-      warm_start;
-      session_solves;
-      inprocess = info.IM.inprocess;
-      build_phases = info.IM.build_phases;
-    }
-  in
+  let provenance = { mrrg_cache_hit; cache_hit; warm_start; session_solves } in
   {
     status;
     engine;
@@ -238,21 +219,12 @@ let request_of_line line =
 
 let provenance_to_json p =
   Jsonl.Obj
-    ([
-       ("mrrg_cache_hit", Jsonl.Bool p.mrrg_cache_hit);
-       ("cache_hit", Jsonl.Bool p.cache_hit);
-       ("warm_start", Jsonl.Bool p.warm_start);
-       ("session_solves", num_int p.session_solves);
-     ]
-    @ (match p.inprocess with
-      | [] -> []
-      | counters ->
-          [ ("inprocess", Jsonl.Obj (List.map (fun (k, n) -> (k, num_int n)) counters)) ])
-    @
-    match p.build_phases with
-    | [] -> []
-    | phases ->
-        [ ("build_phases", Jsonl.Obj (List.map (fun (k, s) -> (k, Jsonl.Num s)) phases)) ])
+    [
+      ("mrrg_cache_hit", Jsonl.Bool p.mrrg_cache_hit);
+      ("cache_hit", Jsonl.Bool p.cache_hit);
+      ("warm_start", Jsonl.Bool p.warm_start);
+      ("session_solves", num_int p.session_solves);
+    ]
 
 let provenance_of_json obj =
   {
@@ -260,21 +232,6 @@ let provenance_of_json obj =
     cache_hit = get_or obj "cache_hit" bool_opt false;
     warm_start = get_or obj "warm_start" bool_opt false;
     session_solves = get_or obj "session_solves" int_opt 0;
-    inprocess =
-      (* absent on the wire from older peers: default to no counters *)
-      (match Jsonl.member "inprocess" obj with
-      | Some (Jsonl.Obj fields) ->
-          List.filter_map
-            (fun (k, j) -> match int_opt j with Some n -> Some (k, n) | None -> None)
-            fields
-      | _ -> []);
-    build_phases =
-      (match Jsonl.member "build_phases" obj with
-      | Some (Jsonl.Obj fields) ->
-          List.filter_map
-            (fun (k, j) -> match float_opt j with Some s -> Some (k, s) | None -> None)
-            fields
-      | _ -> []);
   }
 
 let verdict_to_json v =

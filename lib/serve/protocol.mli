@@ -56,18 +56,6 @@ type provenance = {
           branching activity and learnt clauses carried over ([false]
           for engines that keep no solver) *)
   session_solves : int;  (** solves this session has served, after this one *)
-  inprocess : (string * int) list;
-      (** SAT inprocessing counters of the solve behind the
-          verdict ({!Cgra_satoca.Solver.inprocess_counters}): the
-          per-search delta of a session step, the whole run for the
-          one-shot CLI; [[]] when no in-process SAT solver ran.
-          Absent on the wire when empty; older peers parse to [[]]. *)
-  build_phases : (string * float) list;
-      (** per-phase encode timings of the model built for this request
-          ({!Cgra_core.Formulation.profile_fields}: [placement],
-          [corridors], [routing_rows], [exclusivity], [total], in
-          seconds); [[]] when the compiled encoding was cached and no
-          model was built.  Absent on the wire when empty. *)
 }
 (** How much resident state the request reused.  A one-shot CLI run
     reports {!cold_provenance}. *)
@@ -133,9 +121,8 @@ val verdict_of_result :
 (** Fold a mapper answer into the wire record.  The placement table and
     routing cost are read off the mapping for [Mapped]; the unsat core
     comes from the diagnosis for explained [Infeasible].  The
-    provenance's reuse fields are the optional arguments, each
-    defaulting to a cold answer's ([false], [0]); its [inprocess] and
-    [build_phases] come from the answer's info. *)
+    provenance is the optional arguments, each defaulting to a cold
+    answer's ([false], [0]). *)
 
 (** {1 Wire format} *)
 

@@ -58,7 +58,6 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let pending t = locked t (fun () -> Queue.length t.queue)
 let active t = locked t (fun () -> t.n_active)
 
 let submit t task =

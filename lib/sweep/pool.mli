@@ -22,9 +22,6 @@ val create : ?queue_capacity:int -> workers:int -> unit -> t
 
 val workers : t -> int
 
-val pending : t -> int
-(** Tasks queued but not yet claimed by a worker. *)
-
 val active : t -> int
 (** Tasks currently executing. *)
 

@@ -8,7 +8,6 @@ module Formulation = Cgra_core.Formulation
 module Anneal = Cgra_core.Anneal
 module Check = Cgra_core.Check
 module Solver_spec = Cgra_core.Solver_spec
-module Formulation_intf = Cgra_core.Formulation_intf
 module Deadline = Cgra_util.Deadline
 
 type variant = { name : string; solver : Solver_spec.t; warm_start : float }
@@ -139,14 +138,7 @@ let reprove (solver : Solver_spec.t) (job : Job.t) =
   match prepare job with
   | Error msg -> Record.error job msg
   | Ok (dfg, mrrg) -> (
-      let objective = Formulation.Feasibility in
-      let deadline = deadline_of job in
-      match
-        let f = solver.Solver_spec.formulation.Formulation_intf.build ~objective dfg mrrg in
-        let build_seconds = Deadline.elapsed_of ~start:t0 in
-        IM.verdict ~deadline ~certify:false ~explain:false ~objective ~solver ~build_seconds f
-          (IM.solve_built ~deadline ~solver f)
-      with
+      match IM.reprove ~deadline:(deadline_of job) ~solver dfg mrrg with
       | result ->
           record_of_result job ~engine:solver.Solver_spec.name
             ~total_seconds:(Deadline.elapsed_of ~start:t0) result

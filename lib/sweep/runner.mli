@@ -56,11 +56,9 @@ val run_variant :
     carrying the backend's message, never an exception. *)
 
 val reprove : Cgra_core.Solver_spec.t -> Job.t -> Record.t
-(** The solver's engine alone on the cell's feasibility model: the
-    formulation built and solved by
-    {!Cgra_core.Ilp_mapper.solve_built}, no Hall step and no warm
-    start, the answer read back through
-    {!Cgra_core.Ilp_mapper.verdict}.  The sweep's cross-check uses it,
+(** The solver's engine alone on the cell's feasibility model
+    ({!Cgra_core.Ilp_mapper.reprove}): no Hall step and no warm
+    start.  The sweep's cross-check uses it,
     so the second solver re-proves a cell the Hall step decided rather
     than repeating the step.  Errors become [Error] records, as in
     {!run_variant}. *)

@@ -55,17 +55,3 @@ let fold f acc t =
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (Array.unsafe_get t.data i :: acc) in
   go (t.size - 1) []
-
-let filter_in_place p t =
-  let j = ref 0 in
-  for i = 0 to t.size - 1 do
-    let x = Array.unsafe_get t.data i in
-    if p x then begin
-      Array.unsafe_set t.data !j x;
-      incr j
-    end
-  done;
-  for i = !j to t.size - 1 do
-    Array.unsafe_set t.data i t.dummy
-  done;
-  t.size <- !j

@@ -21,5 +21,3 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_list : 'a t -> 'a list
-val filter_in_place : ('a -> bool) -> 'a t -> unit
-(** Keep only elements satisfying the predicate, preserving order. *)

@@ -149,7 +149,7 @@ let rendered model i =
 let test_placement_rows_lead () =
   List.iter
     (fun (dfg, mrrg) ->
-      let place, _ = Formulation.build_placement dfg mrrg in
+      let place = Formulation.build_placement dfg mrrg in
       let pm = place.Formulation.model in
       Alcotest.(check int) "one variable per placement" (Hashtbl.length place.Formulation.f_vars)
         (Model.nvars pm);
@@ -237,7 +237,7 @@ let test_hall_cores_differential () =
           if not (Hall.check_relaxations model ~placement_var groups relax) then
             Alcotest.failf "%s: relaxations rejected on the %s model" label what)
         [
-          ("placement", of_formulation (fst (Formulation.build_placement dfg mrrg)));
+          ("placement", of_formulation (Formulation.build_placement dfg mrrg));
           ("paper", of_formulation (Formulation.build ~objective:Formulation.Feasibility dfg mrrg));
           ("conn", (c.Conn.model, fun ~op ~fu -> Hashtbl.find_opt c.Conn.f_vars (fu, op)));
         ])

@@ -59,7 +59,7 @@ let test_incremental_pin () =
   let f = Cgra_core.Formulation.build ~objective:Cgra_core.Formulation.Min_routing dfg mrrg in
   let model = f.Cgra_core.Formulation.model in
   let e = Encode.encode ~inprocess:Inprocess.all_on model in
-  let report, _ = Cgra_ilp.Solve.search e model in
+  let report = Cgra_ilp.Solve.search e model in
   let calls = report.Cgra_ilp.Solve.sat_calls in
   let objective =
     match report.Cgra_ilp.Solve.outcome with

@@ -291,19 +291,6 @@ let test_heterogeneous_2x2_checkerboard () =
   Alcotest.(check int) "same nodes" (Mrrg.n_nodes homo) (Mrrg.n_nodes m);
   Alcotest.(check int) "same edges" (Mrrg.n_edges homo) (Mrrg.n_edges m)
 
-let test_elaborate_profiled () =
-  let a = Library.make { Library.default with Library.rows = 2; cols = 2 } in
-  let m, profile = Build.elaborate_profiled a ~ii:1 in
-  Alcotest.(check int) "profile nodes" (Mrrg.n_nodes m) profile.Build.n_nodes;
-  Alcotest.(check int) "profile edges" (Mrrg.n_edges m) profile.Build.n_edges;
-  Alcotest.(check bool) "phases sum below total" true
-    (profile.Build.instance_seconds +. profile.Build.wire_seconds
-    <= profile.Build.total_seconds +. 1e-9);
-  Alcotest.(check bool) "total positive" true (profile.Build.total_seconds >= 0.0);
-  (* the unprofiled entry point elaborates the same graph *)
-  let m' = Build.elaborate a ~ii:1 in
-  Alcotest.(check int) "same graph" (Mrrg.n_nodes m') (Mrrg.n_nodes m)
-
 let suites =
   [
     ( "mrrg:fig1",
@@ -332,6 +319,5 @@ let suites =
         Alcotest.test_case "2x3 torus wrap edges" `Quick test_torus_2x3_adds_wrap_edges;
         Alcotest.test_case "two tile types" `Quick test_two_tile_type_array;
         Alcotest.test_case "hetero checkerboard" `Quick test_heterogeneous_2x2_checkerboard;
-        Alcotest.test_case "profiled elaboration" `Quick test_elaborate_profiled;
       ] );
   ]

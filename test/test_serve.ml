@@ -143,8 +143,6 @@ let test_protocol_response_roundtrip () =
           cache_hit = true;
           warm_start = true;
           session_solves = 3;
-          inprocess = [ ("subsumed", 2); ("eliminated", 1) ];
-          build_phases = [ ("placement", 0.01); ("total", 0.25) ];
         };
     }
   in
@@ -222,8 +220,6 @@ let test_protocol_decision_projection () =
                cache_hit = true;
                warm_start = true;
                session_solves = 12;
-               inprocess = [ ("probed_failed", 4) ];
-               build_phases = [];
              };
          })
   in
@@ -389,6 +385,27 @@ let test_session_refutation_checked_once () =
   Alcotest.(check bool) "a refutation was logged" true (first > 0);
   Alcotest.(check (list int)) "repeats certified by the same log" [ first; first ]
     [ proof_steps (); proof_steps () ]
+
+let test_session_mapped_log_stops () =
+  (* a step that maps can never be refuted, so its solver stops
+     logging: optimising certified repeats leave the log as the first
+     search left it *)
+  let session = Session.create (benchmark "2x2-f") in
+  let mrrg = small_mrrg 2 in
+  let answer () =
+    match
+      (Session.solve ~objective:Cgra_core.Formulation.Min_routing ~certify:true session ~mrrg
+         ~ii:2)
+        .Session.result
+    with
+    | IM.Mapped (_, { IM.objective_value; proof_steps; _ }) -> (objective_value, proof_steps)
+    | r -> Alcotest.failf "expected a mapping, got %a" IM.pp_result r
+  in
+  let first = answer () in
+  Alcotest.(check (pair (option int) int)) "2x2-f@homo-orth-2x2/ii2 (objective, proof steps)"
+    (Some 86, 10169) first;
+  Alcotest.(check (list (pair (option int) int))) "repeats add no proof step" [ first; first ]
+    [ answer (); answer () ]
 
 let answer_of = function
   | IM.Mapped (_, i) -> ("feasible", i.IM.objective_value, None)
@@ -997,6 +1014,8 @@ let suites =
           test_session_certify_only_served;
         Alcotest.test_case "certify-only repeats reuse the checked refutation" `Quick
           test_session_refutation_checked_once;
+        Alcotest.test_case "a mapped step's proof log stops growing" `Slow
+          test_session_mapped_log_stops;
         Alcotest.test_case "repeated infeasible query stays warm" `Slow
           test_session_repeat_infeasible;
         Alcotest.test_case "outcome stats are per-solve deltas" `Slow
