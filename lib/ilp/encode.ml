@@ -166,11 +166,22 @@ let assignment t model =
 
 type grouped = { g_solver : Solver.t; selectors : (string * Lit.t) list }
 
-let encode_grouped model =
+let encode_grouped ?(keep = fun _ -> true) model =
+  (* the groups of the kept rows, in first-use order among them: only
+     they get a selector *)
+  let seen = Hashtbl.create 16 and groups = ref [] in
+  for i = 0 to Model.nrows model - 1 do
+    match Model.row_group model i with
+    | Some g when keep i && not (Hashtbl.mem seen g) ->
+        Hashtbl.replace seen g ();
+        groups := g :: !groups
+    | _ -> ()
+  done;
+  let groups = List.rev !groups in
   let solver =
-    fresh_solver model
+    fresh_solver model ~keep
       ~guarded:(fun i -> Option.is_some (Model.row_group model i))
-      ~extra_vars:(List.length (Model.groups model))
+      ~extra_vars:(List.length groups)
   in
   let sel = Hashtbl.create 16 in
   let selectors =
@@ -179,8 +190,8 @@ let encode_grouped model =
         let l = Lit.pos (Solver.new_var solver) in
         Hashtbl.replace sel g l;
         (g, l))
-      (Model.groups model)
+      groups
   in
-  add_rows solver model ~guard:(fun i ->
+  add_rows solver model ~keep ~guard:(fun i ->
       Option.map (fun g -> Lit.negate (Hashtbl.find sel g)) (Model.row_group model i));
   { g_solver = solver; selectors }

@@ -57,11 +57,18 @@ type grouped = {
           order; assuming a selector true enforces its group's rows *)
 }
 
-val encode_grouped : Model.t -> grouped
+val encode_grouped : ?keep:(int -> bool) -> Model.t -> grouped
 (** Clausify the model with each constraint group relativised to a
     fresh selector literal: every clause of a row in group [g] gets
     [~s_g] appended, so the group is enforced exactly when [s_g] is
     assumed (see {!Cgra_satoca.Solver.solve_with}).  Ungrouped rows are
     encoded hard.  Solving under all selectors is decision-equivalent
     to {!encode} + solve; an [Unsat]'s failed assumptions name the
-    groups in conflict — the raw material of {!Unsat_core}. *)
+    groups in conflict — the raw material of {!Unsat_core}.
+
+    [keep] (default: every row) clausifies only the rows whose index it
+    accepts, as in {!encode}, and only the groups with a kept row get a
+    selector, in first-use order among the kept rows.  An unassumed selector frees its group's rows, so for
+    any set [S] of those groups, solving under [S]'s selectors answers
+    the same on the restricted encoding as on the full one when [keep]
+    accepts every hard row and every row of [S]'s groups. *)

@@ -13,11 +13,20 @@
     [place:op7] or [route:val3].
 
     Cores from final-conflict analysis are sound but often loose;
-    deletion-based shrinking tightens them to a {e minimal} core (every
-    member necessary), reusing one incremental solver — each deletion
-    probe is a [solve_with] on the same clause database.  {!check}
-    then certifies a core with a DRAT-checked refutation of its rows
-    alone, which also certifies the model's infeasibility. *)
+    shrinking tightens them to a {e minimal} core (every member
+    necessary).  The shrink runs on a second, smaller grouped encoding
+    ({!Encode.encode_grouped}[ ~keep]) holding only the hard rows and
+    the rows of the first failed set's groups, once the full one has
+    been dropped: an unassumed selector frees its group on either
+    encoding, so each probe answers as it would on the full one.  Its
+    probes are [solve_with] calls on that one incremental solver, each
+    dropping a chunk of [k] candidates (QuickXplain's chunks), [k]
+    starting at a quarter of the failed set.  An [Unsat] answer keeps
+    only its failed subset and doubles [k]; a [Sat] answer halves [k]
+    and retries the same candidates, except at [k = 1], where it
+    proves the candidate necessary and the next probe drops two.
+    {!check} then certifies a core with a DRAT-checked refutation of
+    its rows alone, which also certifies the model's infeasibility. *)
 
 type core = {
   groups : string list;
@@ -39,9 +48,10 @@ val extract :
   ?deadline:Cgra_util.Deadline.t -> ?minimize:bool -> Model.t -> verdict
 (** Decide the model with every group selectable and, on infeasibility,
     return a core of group labels.  [minimize] (default [true])
-    applies deletion-based shrinking under the same deadline; a
-    deadline hit mid-shrink returns the best sound core found so far
-    with [minimized = false].  A model whose hard rows are themselves
+    applies the chunked shrink under the same deadline; a deadline hit
+    mid-shrink, or already passed when the first answer comes back,
+    returns the best sound core found so far with
+    [minimized = false].  A model whose hard rows are themselves
     contradictory yields an empty core. *)
 
 val check :

@@ -223,21 +223,31 @@ let ref_encode ?proof model =
   seed_phases s ~base:0 model;
   s
 
-let ref_encode_grouped model =
+(* The grouped encoding of the rows [keep] accepts, with a selector for
+   each group that has one, in first-use order among them. *)
+let ref_encode_grouped ?(keep = fun _ -> true) model =
   let s = Solver.create () in
   if Model.nvars model > 0 then ignore (Solver.new_vars s (Model.nvars model));
+  let kept = ref [] in
+  Model.iter_rows model (fun i (row : Model.row) -> if keep i then kept := row :: !kept);
+  let kept = List.rev !kept in
   let sel = Hashtbl.create 16 in
   let selectors =
-    List.map
-      (fun g ->
-        let l = Lit.pos (Solver.new_var s) in
-        Hashtbl.replace sel g l;
-        (g, l))
-      (Model.groups model)
+    List.filter_map
+      (fun (row : Model.row) ->
+        match row.group with
+        | Some g when not (Hashtbl.mem sel g) ->
+            let l = Lit.pos (Solver.new_var s) in
+            Hashtbl.replace sel g l;
+            Some (g, l)
+        | _ -> None)
+      kept
   in
-  Model.iter_rows model (fun _ (row : Model.row) ->
+  List.iter
+    (fun (row : Model.row) ->
       Solver.set_guard s (Option.map (fun g -> Lit.negate (Hashtbl.find sel g)) row.group);
-      ref_encode_row s ~base:0 row);
+      ref_encode_row s ~base:0 row)
+    kept;
   Solver.set_guard s None;
   (s, selectors)
 
@@ -301,13 +311,24 @@ let prop_encode_matches_reference =
       let s = ref_encode ~proof:ref_proof m in
       same_cnf e.Encode.solver s && Proof.events proof = Proof.events ref_proof)
 
+(* Both the whole model and a random subset of its rows (row [i] kept
+   when the [i]-th flag is set, or past the flags). *)
 let prop_encode_grouped_matches_reference =
   QCheck2.Test.make ~name:"flat encode_grouped matches reference" ~count:500
-    ~print:Test_ilp.print_grouped_spec Test_ilp.gen_grouped_spec (fun spec ->
+    ~print:(fun (spec, flags) ->
+      Printf.sprintf "keep %s\n%s"
+        (String.concat "" (List.map (fun b -> if b then "1" else "0") flags))
+        (Test_ilp.print_grouped_spec spec))
+    QCheck2.Gen.(pair Test_ilp.gen_grouped_spec (list_size (int_range 0 10) bool))
+    (fun (spec, flags) ->
       let m = Test_ilp.build_grouped_model spec in
-      let g = Encode.encode_grouped m in
-      let s, selectors = ref_encode_grouped m in
-      g.Encode.selectors = selectors && same_cnf g.Encode.g_solver s)
+      let keep i = Option.value ~default:true (List.nth_opt flags i) in
+      let same ?keep () =
+        let g = Encode.encode_grouped ?keep m in
+        let s, selectors = ref_encode_grouped ?keep m in
+        g.Encode.selectors = selectors && same_cnf g.Encode.g_solver s
+      in
+      same () && same ~keep ())
 
 (* ---------------- pinned clausification sizes ---------------- *)
 

@@ -407,27 +407,91 @@ let gen_grouped_spec =
 
 let print_grouped_spec spec = Lp_format.to_string (build_grouped_model spec)
 
+let core_sound_and_minimal m =
+  let infeasible labels =
+    Solve.solve ~engine:Solve.Brute_force (Unsat_core.restrict m labels) = Solve.Infeasible
+  in
+  match Unsat_core.extract m with
+  | Unsat_core.Unknown -> false
+  | Unsat_core.Satisfiable -> Solve.solve ~engine:Solve.Brute_force m <> Solve.Infeasible
+  | Unsat_core.Core c ->
+      let core = c.Unsat_core.groups in
+      (* sound: the named groups plus hard rows refute on their own *)
+      infeasible core
+      (* verified by the module's own re-solve too *)
+      && Unsat_core.check m core = Some true
+      (* minimal: every member is necessary *)
+      && c.Unsat_core.minimized
+      && List.for_all (fun g -> not (infeasible (List.filter (fun g' -> g' <> g) core))) core
+
 let prop_core_sound_and_minimal =
   QCheck2.Test.make ~name:"unsat core is sound and minimal" ~count:300
     ~print:print_grouped_spec gen_grouped_spec (fun spec ->
-      let m = build_grouped_model spec in
-      let infeasible labels =
-        Solve.solve ~engine:Solve.Brute_force (Unsat_core.restrict m labels) = Solve.Infeasible
-      in
-      match Unsat_core.extract m with
-      | Unsat_core.Unknown -> false
-      | Unsat_core.Satisfiable -> Solve.solve ~engine:Solve.Brute_force m <> Solve.Infeasible
-      | Unsat_core.Core c ->
-          let core = c.Unsat_core.groups in
-          (* sound: the named groups plus hard rows refute on their own *)
-          infeasible core
-          (* verified by the module's own re-solve too *)
-          && Unsat_core.check m core = Some true
-          (* minimal: every member is necessary *)
-          && c.Unsat_core.minimized
-          && List.for_all
-               (fun g -> not (infeasible (List.filter (fun g' -> g' <> g) core)))
-               core)
+      core_sound_and_minimal (build_grouped_model spec))
+
+(* Up to ten groups over at most six variables, each row a clause of
+   two or three literals (a positive literal [x] is the term [x], a
+   negative one the term [-x], lowering the right-hand side by one),
+   cut at the shortest infeasible prefix so the last row is needed.
+   Refuting six variables takes many such clauses, so the first failed
+   set often holds five or more groups: the shrink then drops several
+   candidates per probe and halves its chunks on [Sat] answers, which
+   the four groups of [gen_grouped_spec] never reach. *)
+let gen_many_groups_spec =
+  let open QCheck2.Gen in
+  let* nvars = int_range 3 6 in
+  let gen_clause =
+    let* width = int_range 2 3 in
+    let* vars = shuffle_l (List.init nvars Fun.id) in
+    let* signs = list_repeat width bool in
+    let* g = frequency [ (1, return 0); (8, int_range 1 10) ] in
+    let terms =
+      List.map2
+        (fun pos v -> ((if pos then 1 else -1), v))
+        signs
+        (List.filteri (fun i _ -> i < width) vars)
+    in
+    let negatives = List.length (List.filter (fun (c, _) -> c < 0) terms) in
+    return (terms, 1, 1 - negatives, g)
+  in
+  let+ rows = list_size (int_range 8 40) gen_clause in
+  let prefix n = List.filteri (fun i _ -> i < n) rows in
+  let infeasible n =
+    Solve.solve ~engine:Solve.Brute_force (build_grouped_model (nvars, prefix n)) = Solve.Infeasible
+  in
+  (* infeasibility only grows with the prefix: bisect for the shortest *)
+  let rec shortest lo hi =
+    if lo >= hi then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if infeasible mid then shortest lo mid else shortest (mid + 1) hi
+  in
+  let n = List.length rows in
+  (nvars, if infeasible n then prefix (shortest 0 n) else rows)
+
+let prop_core_sound_and_minimal_many_groups =
+  QCheck2.Test.make ~name:"unsat core of up to ten groups is sound and minimal" ~count:300
+    ~print:print_grouped_spec gen_many_groups_spec (fun spec ->
+      core_sound_and_minimal (build_grouped_model spec))
+
+let test_core_deadline_mid_shrink () =
+  (* the first solve of a small model completes before the solver polls
+     its deadline; the expired deadline then stops the shrink before it
+     starts, leaving the first failed set: sound, not minimized *)
+  let m = Model.create ~name:"abort" () in
+  let x = Model.add_binary m "x" in
+  let y = Model.add_binary m "y" in
+  Model.add_row m ~group:"g1" [ (1, x); (1, y) ] Model.Ge 2;
+  Model.add_row m ~group:"g2" [ (1, x); (1, y) ] Model.Le 1;
+  Model.add_row m ~group:"g3" [ (1, x) ] Model.Le 1;
+  match Unsat_core.extract ~deadline:(Cgra_util.Deadline.after ~seconds:0.0) m with
+  | Unsat_core.Core c ->
+      Alcotest.(check bool) "not minimized" false c.Unsat_core.minimized;
+      Alcotest.(check int) "one SAT call" 1 c.Unsat_core.sat_calls;
+      Alcotest.(check (option bool)) "check accepts the core" (Some true)
+        (Unsat_core.check m c.Unsat_core.groups)
+  | Unsat_core.Satisfiable -> Alcotest.fail "model is infeasible"
+  | Unsat_core.Unknown -> Alcotest.fail "the first solve should complete"
 
 let prop_core_check_matches_brute =
   (* a core check clausifies the named groups and the hard rows only:
@@ -638,7 +702,9 @@ let suites =
         Alcotest.test_case "restrict builds the sub-model" `Quick test_core_restrict;
         Alcotest.test_case "check clausifies only the named groups" `Quick
           test_core_check_keeps_named_rows;
+        Alcotest.test_case "deadline during the shrink" `Quick test_core_deadline_mid_shrink;
         QCheck_alcotest.to_alcotest prop_core_check_matches_brute;
+        QCheck_alcotest.to_alcotest prop_core_sound_and_minimal_many_groups;
       ] );
     ( "ilp:properties",
       List.map QCheck_alcotest.to_alcotest
