@@ -1,10 +1,10 @@
-(* Experiment harness: regenerates the paper's tables and figures and
-   runs the repository's own measurements.  Table 2 is not here: its one
-   producer is `cgra_map sweep --table`, and the committed 60 s 4x4
-   journal (journals/table2-4x4.jsonl) is its artifact.
+(* Experiment harness: regenerates the paper's Figure 8 and runs the
+   repository's own measurements.  The tables are not here: Table 1 is
+   `cgra_map benchmarks`, Table 2's one producer is `cgra_map sweep
+   --table`, and the committed 60 s 4x4 journal
+   (journals/table2-4x4.jsonl) is its artifact.
 
    Subcommands:
-     table1            benchmark characteristics (paper Table 1)
      fig8              SA mapper vs ILP mapper (paper Figure 8): the ILP
                        side is read from the Table-2 sweep journal, running
                        only the cells it lacks; the SA side journals to
@@ -37,7 +37,7 @@
                        16x16, mesh vs torus); appends a run record to
                        BENCH_archscale.json and exits 1 if 8x8 mesh
                        elaboration regresses >2x over the journaled baseline
-     all               table1 + fig8 (default)
+     all               fig8 (default)
 
    Common options:
      --limit SECS      per-cell time limit (default 60, the committed
@@ -52,7 +52,6 @@
    The native-vs-external differential is `cgra_map sweep --cross-check
    BACKEND`, not a subcommand here. *)
 
-module Dfg = Cgra_dfg.Dfg
 module Benchmarks = Cgra_dfg.Benchmarks
 module Lib = Cgra_arch.Library
 module Mrrg = Cgra_mrrg.Mrrg
@@ -120,20 +119,6 @@ let table2_columns opts =
     [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
-(* Table 1                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let run_table1 opts =
-  print_endline "== Table 1: benchmark characteristics ==";
-  Printf.printf "%-14s %6s %12s %12s\n" "Benchmark" "I/Os" "Operations" "#Multiplies";
-  List.iter
-    (fun (name, mk) ->
-      let s = Dfg.stats (mk ()) in
-      Printf.printf "%-14s %6d %12d %12d\n" name s.Dfg.ios s.Dfg.operations s.Dfg.multiplies)
-    (selected_benchmarks opts);
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
 (* Figure 8                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -171,7 +156,7 @@ let check_journal_limit opts path jobs =
       | _ -> ())
     jobs
 
-let fig8_side opts ~label ~path ?executor jobs =
+let fig8_side opts ~label ~path ~execute jobs =
   let on_event = function
     | Sweep_sched.Job_started _ -> ()
     | Sweep_sched.Job_finished { index; total; record; _ } ->
@@ -181,7 +166,7 @@ let fig8_side opts ~label ~path ?executor jobs =
           record.Sweep_record.total_seconds
   in
   let _, stats =
-    Sweep_sched.run ~jobs:opts.jobs ?executor ~journal:path ~resume:true ~on_event jobs
+    Sweep_sched.run ~jobs:opts.jobs ~journal:path ~resume:true ~on_event ~execute jobs
   in
   Printf.eprintf "  [%s] %d ran, %d from %s\n%!" label stats.Sweep_sched.ran
     stats.Sweep_sched.skipped path;
@@ -197,10 +182,9 @@ let run_fig8 opts =
   check_journal_limit opts sa_path jobs;
   Printf.printf "== Figure 8: benchmarks mapped, SA mapper vs ILP mapper (%dx%d) ==\n%!" opts.size
     opts.size;
-  let ilp = fig8_side opts ~label:"ilp" ~path:ilp_path jobs in
+  let ilp = fig8_side opts ~label:"ilp" ~path:ilp_path ~execute:Sweep_runner.run jobs in
   let sa =
-    fig8_side opts ~label:"sa" ~path:sa_path
-      ~executor:(fun j -> Sweep_runner.run_anneal ~seeds:opts.seeds j)
+    fig8_side opts ~label:"sa" ~path:sa_path ~execute:(Sweep_runner.run_anneal ~seeds:opts.seeds)
       jobs
   in
   let feasible_count tbl arch ii =
@@ -338,7 +322,7 @@ let run_sweep_scaling opts =
   let rows =
     List.map
       (fun n ->
-        let records, stats = Scheduler.run ~jobs:n jobs in
+        let records, stats = Scheduler.run ~jobs:n ~execute:Sweep_runner.run jobs in
         let undecided =
           List.length (List.filter (fun r -> not (Cgra_sweep.Record.definitive r)) records)
         in
@@ -1025,7 +1009,6 @@ let () =
   let cmds = if cmds = [] then [ "all" ] else cmds in
   List.iter
     (function
-      | "table1" -> run_table1 opts
       | "fig8" -> run_fig8 opts
       | "sizes" -> run_sizes opts
       | "ablation" -> run_ablation opts
@@ -1035,9 +1018,7 @@ let () =
       | "conn" -> run_conn opts
       | "serve" -> run_serve opts
       | "archscale" | "arch-scale" -> run_archscale opts
-      | "all" ->
-          run_table1 opts;
-          run_fig8 opts
+      | "all" -> run_fig8 opts
       | other ->
           Printf.eprintf "unknown subcommand %S\n" other;
           exit 2)

@@ -23,6 +23,7 @@ module Backend = Cgra_backend.Backend
 module Solver_spec = Cgra_core.Solver_spec
 module Jsonl = Cgra_sweep.Jsonl
 module Runner = Cgra_sweep.Runner
+module Portfolio = Cgra_sweep.Portfolio
 module Serve_protocol = Cgra_serve.Protocol
 module Serve_server = Cgra_serve.Server
 module Serve_client = Cgra_serve.Client
@@ -151,14 +152,6 @@ let json_arg =
      so one-shot and served answers diff cleanly."
   in
   Arg.(value & flag & info [ "json" ] ~doc)
-
-let formulation_arg =
-  let doc =
-    "ILP formulation: $(b,paper) (the DAC'18 per-edge sub-value model) or $(b,conn) (the \
-     connectivity-based single-driver-tree model).  Both compile to the same solver \
-     pipeline and must agree on every verdict."
-  in
-  Arg.(value & opt (some string) None & info [ "formulation" ] ~docv:"NAME" ~doc)
 
 (* The one-shot CLI and the daemon share the wire record; a one-shot
    answer reports cold provenance. *)
@@ -607,31 +600,24 @@ let fuzz_arch_cmd =
           $ verbose_arg)
 
 let lp_cmd =
-  let run bench arch size contexts optimize formulation =
+  let run bench arch size contexts optimize solver =
     let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     let objective = if optimize then Formulation.Min_routing else Formulation.Feasibility in
-    let fname = Option.value formulation ~default:Formulation_intf.default_name in
-    let impl =
-      match Formulation_intf.find fname with
-      | Some impl -> impl
-      | None ->
-          or_die
-            (Error
-               (Printf.sprintf "unknown formulation %S (known: %s)" fname
-                  (String.concat ", " (Formulation_intf.names ()))))
-    in
-    let f = impl.Formulation_intf.build ~objective dfg mrrg in
+    let solver = Option.value solver ~default:Solver_spec.default in
+    let f = solver.Solver_spec.formulation.Formulation_intf.build ~objective dfg mrrg in
     print_string (Lp_format.to_string f.Formulation_intf.model)
   in
   Cmd.v
     (Cmd.info "lp"
        ~doc:
-         "Print the ILP formulation in CPLEX LP format (for inspection or an external solver).")
+         "Print the ILP formulation in CPLEX LP format (for inspection or an external solver).  \
+          The model is the formulation of the $(b,--backend) solver: the connectivity model \
+          for conn-sat and conn-bnb, the paper's for every other solver (the default).")
     Term.(
       const run $ benchmark_arg $ arch_arg $ size_arg $ contexts_arg $ optimize_arg
-      $ formulation_arg)
+      $ backend_arg)
 
 (* ---------------- sweep ---------------- *)
 
@@ -694,20 +680,26 @@ let sweep_cmd =
   in
   let racers_arg =
     let doc =
-      "Add this solver (see $(b,backends)) as an extra $(b,--portfolio) racer (repeatable); \
-       ignored without $(b,--portfolio)."
+      "Add this solver (see $(b,backends)) as an extra racer (repeatable); implies \
+       $(b,--portfolio)."
     in
     Arg.(value & opt_all solver_conv [] & info [ "racer" ] ~docv:"BACKEND" ~doc)
   in
   let run jobs portfolio certify explain cross_check racer_solvers resume out table benchmarks
       archs contexts limit size =
     let contexts = if contexts = [] then [ 1; 2 ] else contexts in
-    let racers =
-      match racer_solvers with
-      | [] -> []
-      | solvers ->
-          Runner.default_racers (Domain.recommended_domain_count ())
-          @ List.map Runner.variant solvers
+    (* The one place the racer field is sized: one racer per core, so
+       nothing idles on wide machines and narrow ones are never
+       oversubscribed. *)
+    let variants =
+      if portfolio || racer_solvers <> [] then
+        Runner.default_racers (Domain.recommended_domain_count ())
+        @ List.map Runner.variant racer_solvers
+      else [ Runner.default_variant ]
+    in
+    let execute = Portfolio.race ~variants ~certify ~explain in
+    let execute =
+      match cross_check with Some c -> Runner.cross_checked c execute | None -> execute
     in
     let grid = Sweep_job.paper_grid ~size ~contexts ~limit ~benchmarks ~archs () in
     let on_event = function
@@ -730,8 +722,7 @@ let sweep_cmd =
                   (if c.Sweep_record.agreed then "" else "  ** DISAGREEMENT **"))
     in
     let records, stats =
-      Sweep_sched.run ~jobs ~portfolio ~racers ?cross_check ~certify ~explain ~journal:out ~resume
-        ~on_event grid
+      Sweep_sched.run ~jobs ~journal:out ~resume ~on_event ~execute grid
     in
     Printf.eprintf "sweep: %d ran, %d skipped (resume), %.1fs wall, journal %s\n%!"
       stats.Sweep_sched.ran stats.Sweep_sched.skipped stats.Sweep_sched.wall_seconds out;

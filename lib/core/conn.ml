@@ -21,7 +21,7 @@ type t = {
    diverges: instead of per-sink occupancy chains, each value grows one
    single-driver route tree (N/A variables) shared by all of its
    sinks, witnessed connected by per-sink unit flows (g variables). *)
-let build ?(objective = Formulation.Min_routing) ?(prune = true) dfg mrrg =
+let build ?(objective = Formulation.Min_routing) dfg mrrg =
   let model = Model.create ~name:(Dfg.name dfg ^ "@conn") () in
   let values = Array.of_list (Dfg.values dfg) in
   let cand, f_vars = Formulation.add_placement model dfg mrrg in
@@ -32,12 +32,6 @@ let build ?(objective = Formulation.Min_routing) ?(prune = true) dfg mrrg =
 
   (* ----- per-value route trees and per-sink flows ----- *)
   let n_nodes = Mrrg.n_nodes mrrg in
-  let route_mask =
-    lazy
-      (let m = Bitset.create n_nodes in
-       List.iter (Bitset.add m) (Mrrg.route_nodes mrrg);
-       m)
-  in
   let cone_memo : (int list, Bitset.t) Hashtbl.t = Hashtbl.create 16 in
   let cone_of cands =
     match Hashtbl.find_opt cone_memo cands with
@@ -46,9 +40,7 @@ let build ?(objective = Formulation.Min_routing) ?(prune = true) dfg mrrg =
         let producer_outs =
           List.concat_map (fun p' -> Formulation.route_fanouts mrrg p') cands
         in
-        let c =
-          if prune then Mrrg.reachable_set mrrg ~starts:producer_outs else Lazy.force route_mask
-        in
+        let c = Mrrg.reachable_set mrrg ~starts:producer_outs in
         Hashtbl.replace cone_memo cands c;
         c
   in
@@ -107,10 +99,7 @@ let build ?(objective = Formulation.Min_routing) ?(prune = true) dfg mrrg =
                       None)
                 cand.(q)
             in
-            let corr =
-              if prune then Mrrg.corridor mrrg ~cone ~targets:(List.map fst terms)
-              else Lazy.force route_mask
-            in
+            let corr = Mrrg.corridor mrrg ~cone ~targets:(List.map fst terms) in
             Bitset.union_into ~into:region corr;
             (k, sink, q, terms, corr))
           value.Dfg.sinks

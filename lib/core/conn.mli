@@ -54,12 +54,11 @@ type t = {
           src may be a functional-unit node (producer source edge) *)
 }
 
-val build :
-  ?objective:Formulation.objective -> ?prune:bool -> Dfg.t -> Mrrg.t -> t
+val build : ?objective:Formulation.objective -> Dfg.t -> Mrrg.t -> t
 (** Construct the full model.  [objective] defaults to [Min_routing]
-    (over tree-node occupancy); [prune] (default on) restricts
-    variables to producer→sink corridors exactly as the base builder
-    does — the same {!Cgra_mrrg.Mrrg.reachable_set} /
+    (over tree-node occupancy).  Variables are restricted to
+    producer→sink corridors exactly as the base builder's default
+    pruning does — the same {!Cgra_mrrg.Mrrg.reachable_set} /
     {!Cgra_mrrg.Mrrg.corridor} machinery, memoized per
     producer-candidate set. *)
 

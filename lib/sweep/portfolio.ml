@@ -4,16 +4,7 @@ module Deadline = Cgra_util.Deadline
    (Feasible or Infeasible — both are proofs, and complete engines
    cannot disagree) wins and cancels the rest through the shared flag
    that every engine's deadline polls. *)
-let race ?variants ?certify ?explain (job : Job.t) =
-  let variants =
-    match variants with
-    | Some vs -> vs
-    | None ->
-        (* Size the default field to the machine: one domain per racer,
-           leaving nothing idle on wide machines and never
-           oversubscribing narrow ones. *)
-        Runner.default_racers (Domain.recommended_domain_count ())
-  in
+let race ~variants ?certify ?explain (job : Job.t) =
   match variants with
   | [] -> invalid_arg "Portfolio.race: empty variant list"
   | [ v ] -> Runner.run_variant ?certify ?explain v job

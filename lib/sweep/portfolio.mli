@@ -15,14 +15,14 @@
     [sat_calls] are the winner's own statistics. *)
 
 val race :
-  ?variants:Runner.variant list ->
+  variants:Runner.variant list ->
   ?certify:bool ->
   ?explain:bool ->
   Job.t ->
   Record.t
-(** Race [variants] — by default {!Runner.default_racers} sized from
-    [Domain.recommended_domain_count ()], so wide machines field more
-    racers automatically.  A variant may name an external MILP solver
+(** Race [variants]; a portfolio sized to the machine is
+    {!Runner.default_racers} of [Domain.recommended_domain_count ()].
+    A variant may name an external MILP solver
     (see {!Runner.variant}); an external racer that errors (missing
     binary, bad answer) simply never becomes definitive and cannot
     poison the race.
@@ -30,5 +30,6 @@ val race :
     {!Runner.run_variant}); the winner's [certified] field is reported.
     [explain] asks each racer for a constraint-group unsat core on an
     [Infeasible] verdict; the winner's [core] is journaled.
-    @raise Invalid_argument if the racer list is empty.  A
-    singleton list degenerates to a plain {!Runner.run_variant} call. *)
+    A singleton list is exactly {!Runner.run_variant}: no domain is
+    spawned, and the record is that variant's own.
+    @raise Invalid_argument if the racer list is empty. *)

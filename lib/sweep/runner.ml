@@ -104,11 +104,26 @@ let record_of_result (job : Job.t) ~engine ~total_seconds result =
     cross = None;
   }
 
-let run_variant ?cancel ?certify ?explain (variant : variant) (job : Job.t) =
+(* Every runner's frame: prepare the job, run [solve] on its DFG and
+   MRRG, and give the record it returns the engine and the elapsed wall
+   time.  A job that does not prepare is an engine-less [Error] record;
+   an exception from [solve] is an [Error] record naming [engine] and
+   the time spent. *)
+let guarded ~engine (job : Job.t) solve =
   let t0 = Deadline.now () in
-  match prepare job with
+  match try prepare job with e -> Error (Printexc.to_string e) with
   | Error msg -> Record.error job msg
   | Ok (dfg, mrrg) -> (
+      match solve dfg mrrg with
+      | record -> record ~engine ~total_seconds:(Deadline.elapsed_of ~start:t0)
+      | exception e ->
+          { (Record.error job (Printexc.to_string e)) with
+            Record.total_seconds = Deadline.elapsed_of ~start:t0;
+            engine;
+          })
+
+let run_variant ?cancel ?certify ?explain (variant : variant) (job : Job.t) =
+  guarded ~engine:variant.name job (fun dfg mrrg ->
       let warm_start =
         if job.Job.limit > 0.0 then Float.min variant.warm_start (job.Job.limit /. 4.0)
         else variant.warm_start
@@ -117,38 +132,41 @@ let run_variant ?cancel ?certify ?explain (variant : variant) (job : Job.t) =
       let deadline =
         match cancel with Some flag -> Deadline.with_cancellation deadline flag | None -> deadline
       in
-      match
-        IM.map ~objective:Formulation.Feasibility ~solver:variant.solver ~deadline ~warm_start
-          ?certify ?explain dfg mrrg
-      with
-      | result ->
-          record_of_result job ~engine:variant.name
-            ~total_seconds:(Deadline.elapsed_of ~start:t0) result
-      | exception e ->
-          { (Record.error job (Printexc.to_string e)) with
-            Record.total_seconds = Deadline.elapsed_of ~start:t0;
-            engine = variant.name;
-          })
+      record_of_result job
+        (IM.map ~objective:Formulation.Feasibility ~solver:variant.solver ~deadline ~warm_start
+           ?certify ?explain dfg mrrg))
 
 (* The engine's own answer, as a cross-check needs it: the model built
    and handed to the solver directly, so a cell the Hall step decides
    for [map] is still refuted by the engine here. *)
 let reprove (solver : Solver_spec.t) (job : Job.t) =
-  let t0 = Deadline.now () in
-  match prepare job with
-  | Error msg -> Record.error job msg
-  | Ok (dfg, mrrg) -> (
-      match IM.reprove ~deadline:(deadline_of job) ~solver dfg mrrg with
-      | result ->
-          record_of_result job ~engine:solver.Solver_spec.name
-            ~total_seconds:(Deadline.elapsed_of ~start:t0) result
-      | exception e ->
-          { (Record.error job (Printexc.to_string e)) with
-            Record.total_seconds = Deadline.elapsed_of ~start:t0;
-            engine = solver.Solver_spec.name;
-          })
+  guarded ~engine:solver.Solver_spec.name job (fun dfg mrrg ->
+      record_of_result job (IM.reprove ~deadline:(deadline_of job) ~solver dfg mrrg))
 
 let run ?certify ?explain (job : Job.t) = run_variant ?certify ?explain default_variant job
+
+(* The checker gets the primary's time budget; its timeout or error is
+   inconclusive, recorded but never a disagreement
+   ([Record.verdicts_agree]). *)
+let cross_checked (checker : Solver_spec.t) execute (job : Job.t) =
+  let primary = execute job in
+  if not (Record.definitive primary) then primary
+  else
+    let second = reprove checker job in
+    {
+      primary with
+      Record.cross =
+        Some
+          {
+            Record.backend = checker.Solver_spec.name;
+            status = second.Record.status;
+            objective = second.Record.objective;
+            agreed =
+              Record.verdicts_agree ~status:primary.Record.status
+                ~objective:primary.Record.objective ~status2:second.Record.status
+                ~objective2:second.Record.objective;
+          };
+    }
 
 (* The Figure-8 baseline: simulated annealing restarted over [seeds]
    RNG streams, each given an equal slice of the job's budget.  The
@@ -156,10 +174,7 @@ let run ?certify ?explain (job : Job.t) = run_variant ?certify ?explain default_
    out of seeds (or of budget) is a Timeout — annealing can never prove
    infeasibility, so the SA column of Fig. 8 has no Infeasible bars. *)
 let run_anneal ?(seeds = 3) (job : Job.t) =
-  let t0 = Deadline.now () in
-  match prepare job with
-  | Error msg -> Record.error job msg
-  | Ok (dfg, mrrg) ->
+  guarded ~engine:"sa" job (fun dfg mrrg ->
       let seeds = max 1 seeds in
       let slice = if job.Job.limit > 0.0 then job.Job.limit /. float_of_int seeds else 0.0 in
       let deadline_for_attempt () =
@@ -177,18 +192,10 @@ let run_anneal ?(seeds = 3) (job : Job.t) =
       let status =
         match attempt 0 with Some _ -> Record.Feasible | None -> Record.Timeout
       in
-      let total = Deadline.elapsed_of ~start:t0 in
-      {
-        Record.job;
-        status;
-        engine = "sa";
-        total_seconds = total;
-        solve_seconds = total;
-        build_seconds = 0.0;
-        sat_calls = 0;
-        certified = false;
-        objective = None;
-        core = [];
-        evidence = None;
-        cross = None;
-      }
+      fun ~engine ~total_seconds ->
+        { (Record.error job "") with
+          Record.status;
+          engine;
+          total_seconds;
+          solve_seconds = total_seconds;
+        })

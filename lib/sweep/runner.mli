@@ -7,7 +7,9 @@
     DFG, architecture and MRRG, so concurrent invocations on separate
     domains (the scheduler's workers, the portfolio's racers) share no
     mutable state.  Exceptions never escape: any failure becomes an
-    [Error] record. *)
+    [Error] record — with engine ["-"] when the job's names or
+    dimensions do not resolve ({!prepare}), else naming the engine and
+    the time spent. *)
 
 type variant = {
   name : string;  (** recorded as the winning engine in the journal *)
@@ -58,13 +60,24 @@ val run_variant :
 val reprove : Cgra_core.Solver_spec.t -> Job.t -> Record.t
 (** The solver's engine alone on the cell's feasibility model
     ({!Cgra_core.Ilp_mapper.reprove}): no Hall step and no warm
-    start.  The sweep's cross-check uses it,
+    start.  {!cross_checked} uses it,
     so the second solver re-proves a cell the Hall step decided rather
     than repeating the step.  Errors become [Error] records, as in
     {!run_variant}. *)
 
 val run : ?certify:bool -> ?explain:bool -> Job.t -> Record.t
 (** [run_variant default_variant]. *)
+
+val cross_checked : Cgra_core.Solver_spec.t -> (Job.t -> Record.t) -> Job.t -> Record.t
+(** [cross_checked checker execute job] is [execute job] with, when
+    that answer is definitive ([Feasible]/[Infeasible]), a second
+    opinion from [checker] ({!reprove}, under the same time budget)
+    folded into the record's [cross] field.  A contradiction (see
+    {!Record.verdicts_agree}) marks the record as a
+    {!Record.disagreement}.  A checker that times out, errors, or is
+    simply not installed is inconclusive — recorded, never a
+    disagreement.  A [Timeout] or [Error] primary is returned as is:
+    there is no verdict to contradict. *)
 
 val run_anneal : ?seeds:int -> Job.t -> Record.t
 (** The Figure-8 heuristic baseline: simulated annealing restarted

@@ -6,32 +6,7 @@ type stats = { ran : int; skipped : int; disagreements : int; wall_seconds : flo
 
 module Deadline = Cgra_util.Deadline
 
-(* Run the cross-check solver on a cell the primary answered
-   definitively and fold the second opinion into the record.  The
-   checker's engine solves the model itself ([Runner.reprove]), so a
-   Hall-decided cell gets an independent refutation.  It gets the same
-   time budget; its timeout or error is inconclusive, recorded but
-   never a disagreement. *)
-let cross_check_record (checker : Cgra_core.Solver_spec.t) (primary : Record.t) =
-  let second = Runner.reprove checker primary.Record.job in
-  let agreed =
-    Record.verdicts_agree ~status:primary.Record.status ~objective:primary.Record.objective
-      ~status2:second.Record.status ~objective2:second.Record.objective
-  in
-  {
-    primary with
-    Record.cross =
-      Some
-        {
-          Record.backend = checker.Cgra_core.Solver_spec.name;
-          status = second.Record.status;
-          objective = second.Record.objective;
-          agreed;
-        };
-  }
-
-let run ?(jobs = 1) ?(portfolio = false) ?(racers = []) ?cross_check ?executor ?certify
-    ?explain ?journal ?(resume = false) ?(on_event = fun _ -> ()) job_list =
+let run ?(jobs = 1) ?journal ?(resume = false) ?(on_event = fun _ -> ()) ~execute job_list =
   let t0 = Deadline.now () in
   let done_keys =
     match journal with
@@ -50,37 +25,7 @@ let run ?(jobs = 1) ?(portfolio = false) ?(racers = []) ?cross_check ?executor ?
     Mutex.lock event_mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock event_mutex) (fun () -> try on_event e with _ -> ())
   in
-  let execute job =
-    let primary =
-      try
-        match executor with
-        | Some f -> f job
-        | None ->
-            if portfolio then
-              let variants = match racers with [] -> None | vs -> Some vs in
-              Portfolio.race ?variants ?certify ?explain job
-            else Runner.run ?certify ?explain job
-      with e -> Record.error job (Printexc.to_string e)
-    in
-    match cross_check with
-    | Some checker when Record.definitive primary -> (
-        try cross_check_record checker primary
-        with e ->
-          (* The check, not the answer, failed: keep the verdict and
-             record an inconclusive second opinion. *)
-          {
-            primary with
-            Record.cross =
-              Some
-                {
-                  Record.backend = checker.Cgra_core.Solver_spec.name;
-                  status = Record.Error (Printexc.to_string e);
-                  objective = None;
-                  agreed = true;
-                };
-          })
-    | _ -> primary
-  in
+  let execute job = try execute job with e -> Record.error job (Printexc.to_string e) in
   let worker w =
     (* Claim jobs by fetch-and-add: each index is taken exactly once,
        and the claiming worker is the only writer of results.(i). *)
@@ -97,7 +42,7 @@ let run ?(jobs = 1) ?(portfolio = false) ?(racers = []) ?cross_check ?executor ?
       end
     in
     (* A worker must never die with jobs still queued: any escape from
-       the loop machinery itself (executor exceptions are already
+       the loop machinery itself ([execute] exceptions are already
        per-job records) re-enters on the next index. *)
     let rec guard () = try loop () with _ -> guard () in
     guard ()

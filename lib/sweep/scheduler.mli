@@ -1,5 +1,10 @@
 (** The sweep work queue: fan a job list out over OCaml 5 domains.
 
+    The scheduler knows nothing about mapping: it runs one job function
+    per job.  Callers compose that function — {!Runner.run},
+    {!Portfolio.race}, {!Runner.run_anneal}, wrapped in
+    {!Runner.cross_checked} for a second opinion.
+
     Workers claim jobs from a shared atomic counter, so the schedule is
     dynamic (long jobs do not stall the queue) while the result list
     stays in input order — the answers are deterministic regardless of
@@ -19,59 +24,28 @@ type stats = {
   ran : int;           (** jobs executed *)
   skipped : int;       (** jobs the journal already held ([resume]) *)
   disagreements : int;
-      (** cross-checked cells where the second backend contradicted the
-          primary verdict (see {!Record.disagreement}); always 0
-          without [cross_check] *)
+      (** records whose cross-check contradicted the primary verdict
+          ({!Record.disagreement}); 0 unless [execute] cross-checks *)
   wall_seconds : float;
 }
 
 val run :
   ?jobs:int ->
-  ?portfolio:bool ->
-  ?racers:Runner.variant list ->
-  ?cross_check:Cgra_core.Solver_spec.t ->
-  ?executor:(Job.t -> Record.t) ->
-  ?certify:bool ->
-  ?explain:bool ->
   ?journal:string ->
   ?resume:bool ->
   ?on_event:(event -> unit) ->
+  execute:(Job.t -> Record.t) ->
   Job.t list ->
   Record.t list * stats
-(** [run ~jobs job_list] executes the non-skipped jobs on [jobs]
-    workers (the calling domain plus [jobs - 1] spawned ones; default
-    1) and returns their records in input order.
-
-    [portfolio] races a
-    variant field per job instead of the single default engine; the
-    field is [racers] when non-empty, otherwise
-    {!Runner.default_racers} sized to the machine.  [racers] without
-    [portfolio] is ignored.
-
-    [cross_check] is a solver to run ({!Runner.reprove}: its engine on
-    the built model, without the Hall step) as a second, independent
-    prover on every cell whose primary answer is
-    definitive ([Feasible]/[Infeasible]).  The second opinion is folded
-    into the record's [cross] field and journaled with it; a
-    contradiction (see {!Record.verdicts_agree}) marks the record as a
-    disagreement and is counted in [stats.disagreements].  A checker
-    that times out, errors, or is simply not installed is inconclusive
-    — recorded, never a disagreement, and never a sweep failure.
-
-    [executor] replaces the per-job solver entirely (the annealing
-    baseline of [bench fig8] runs through it); [portfolio], [racers],
-    [certify] and [explain] are then ignored, while [journal],
-    [resume], [on_event] and [cross_check] still apply.  An executor exception
-    becomes the job's [Error] record.
-
-    [certify] requests DRAT-certified verdicts from every job
-    (see {!Runner.run_variant}).  [explain] journals a constraint-group
-    unsat core with every [Infeasible] record (the definitive 0-cells
-    of the Table-2 grid).
+(** [run ~jobs ~execute job_list] applies [execute] to the non-skipped
+    jobs on [jobs] workers (the calling domain plus [jobs - 1] spawned
+    ones; default 1) and returns their records in input order.
+    [execute] runs concurrently on several domains, so it must share no
+    mutable state across jobs; an exception it raises becomes the job's
+    [Error] record naming the exception.
 
     [journal] names a JSONL {!Store}: every finished record is appended
     to it before its [Job_finished] event, and the file is closed when
-    the run returns.  With [resume] (default [false]; ignored without
-    [journal]) the jobs whose {!Job.key} the journal already holds are
-    skipped: they produce no record here and count in
-    [stats.skipped]. *)
+    the run returns.  With [resume] (default [false]) the jobs whose
+    {!Job.key} the journal already holds are skipped: they produce no
+    record here and count in [stats.skipped]. *)

@@ -218,7 +218,7 @@ let test_pool_bounded_queue () =
 
 let test_scheduler_deterministic () =
   let run n =
-    let records, stats = Scheduler.run ~jobs:n fast_jobs in
+    let records, stats = Scheduler.run ~jobs:n ~execute:Runner.run fast_jobs in
     Alcotest.(check int) "all jobs ran" (List.length fast_jobs) stats.Scheduler.ran;
     records
   in
@@ -236,7 +236,7 @@ let test_scheduler_deterministic () =
 
 let test_scheduler_error_capture () =
   let jobs = [ job (); job ~bench:"no-such-benchmark" (); job ~bench:"2x2-f" ~contexts:2 () ] in
-  let records, stats = Scheduler.run ~jobs:2 jobs in
+  let records, stats = Scheduler.run ~jobs:2 ~execute:Runner.run jobs in
   Alcotest.(check int) "sweep completed" 3 stats.Scheduler.ran;
   Alcotest.(check (list string))
     "bad job is an error, neighbours unaffected"
@@ -247,6 +247,37 @@ let test_scheduler_error_capture () =
       Alcotest.(check bool) "error names the benchmark" true
         (Astring.String.is_infix ~affix:"no-such-benchmark" msg)
   | _ -> Alcotest.fail "expected an error record"
+
+(* A job function that raises: the scheduler turns the exception into
+   that job's [Error] record, journals it, and runs the other jobs. *)
+exception Job_blew_up
+
+let test_scheduler_execute_raises () =
+  let path = temp_journal () in
+  let bad = job ~bench:"2x2-f" () in
+  let execute j = if Job.key j = Job.key bad then raise Job_blew_up else Runner.run j in
+  let records, stats =
+    Scheduler.run ~jobs:2 ~journal:path ~execute [ job (); bad; job ~bench:"2x2-f" ~contexts:2 () ]
+  in
+  Alcotest.(check int) "every job ran" 3 stats.Scheduler.ran;
+  Alcotest.(check (list string))
+    "the raising job is an error, the others answer"
+    [ "infeasible"; "error"; "feasible" ]
+    (statuses records);
+  (match (List.nth records 1).Record.status with
+  | Record.Error msg ->
+      Alcotest.(check bool) "error names the exception" true
+        (Astring.String.is_infix ~affix:"Job_blew_up" msg)
+  | _ -> Alcotest.fail "expected an error record");
+  let journaled =
+    List.filter (fun (r : Record.t) -> Job.key r.Record.job = Job.key bad) (Store.load path)
+  in
+  (match journaled with
+  | [ r ] ->
+      Alcotest.(check string) "its line reaches the journal" "error"
+        (Record.status_to_string r.Record.status)
+  | rs -> Alcotest.failf "expected 1 journaled record for the job, got %d" (List.length rs));
+  Sys.remove path
 
 let test_degenerate_job_is_error () =
   (* A size-0 fabric or a zero II names no cell: [Runner.run] promises
@@ -266,10 +297,10 @@ let test_scheduler_resume () =
   let path = temp_journal () in
   (* first run: only the two single-context jobs *)
   let first = [ List.nth fast_jobs 0; List.nth fast_jobs 1 ] in
-  let _, s1 = Scheduler.run ~jobs:1 ~journal:path ~resume:true first in
+  let _, s1 = Scheduler.run ~jobs:1 ~journal:path ~resume:true ~execute:Runner.run first in
   Alcotest.(check int) "fresh journal: every job ran" 2 s1.Scheduler.ran;
   (* resumed run over the full list skips what the journal records *)
-  let r2, stats = Scheduler.run ~jobs:2 ~journal:path ~resume:true fast_jobs in
+  let r2, stats = Scheduler.run ~jobs:2 ~journal:path ~resume:true ~execute:Runner.run fast_jobs in
   Alcotest.(check int) "only unfinished jobs ran" 2 stats.Scheduler.ran;
   Alcotest.(check int) "finished jobs skipped" 2 stats.Scheduler.skipped;
   Alcotest.(check (list string)) "second run computed the ii2 cells"
@@ -278,7 +309,7 @@ let test_scheduler_resume () =
   Alcotest.(check int) "journal now covers the whole grid" 4 (Hashtbl.length merged);
   (* a complete journal: nothing runs and nothing is appended *)
   let lines = line_count path in
-  let r3, s3 = Scheduler.run ~jobs:2 ~journal:path ~resume:true fast_jobs in
+  let r3, s3 = Scheduler.run ~jobs:2 ~journal:path ~resume:true ~execute:Runner.run fast_jobs in
   Alcotest.(check int) "complete journal: 0 ran" 0 s3.Scheduler.ran;
   Alcotest.(check int) "complete journal: no record" 0 (List.length r3);
   Alcotest.(check int) "complete journal: no line appended" lines (line_count path);
@@ -289,7 +320,9 @@ let test_scheduler_resume () =
 let test_portfolio_definitive () =
   List.iter
     (fun j ->
-      let raced = Portfolio.race j in
+      let raced =
+        Portfolio.race ~variants:(Runner.default_racers (Domain.recommended_domain_count ())) j
+      in
       let single = Runner.run j in
       Alcotest.(check bool) "portfolio answer is definitive" true (Record.definitive raced);
       Alcotest.(check string) "portfolio agrees with single-engine Sat_backed"
@@ -385,7 +418,9 @@ let test_scheduler_cross_check_agrees () =
   (* native-bnb re-proves what native-sat decided; a complete second
      engine can only confirm (or time out — inconclusive) *)
   let records, stats =
-    Scheduler.run ~cross_check:(solver "native-bnb") [ job (); job ~bench:"2x2-f" ~contexts:2 () ]
+    Scheduler.run
+      ~execute:(Runner.cross_checked (solver "native-bnb") Runner.run)
+      [ job (); job ~bench:"2x2-f" ~contexts:2 () ]
   in
   Alcotest.(check int) "no disagreements" 0 stats.Scheduler.disagreements;
   List.iter
@@ -432,7 +467,9 @@ let liar =
 
 let test_scheduler_cross_check_disagreement () =
   let feasible = job ~bench:"2x2-f" ~contexts:2 () in
-  let records, stats = Scheduler.run ~cross_check:liar [ feasible ] in
+  let records, stats =
+    Scheduler.run ~execute:(Runner.cross_checked liar Runner.run) [ feasible ]
+  in
   Alcotest.(check int) "the lie is caught" 1 stats.Scheduler.disagreements;
   match records with
   | [ r ] ->
@@ -447,7 +484,8 @@ let test_scheduler_cross_check_skips_indefinitive () =
   (* a cell the primary cannot decide is never cross-checked: there is
      no verdict to contradict *)
   let records, stats =
-    Scheduler.run ~cross_check:liar [ job ~bench:"no-such-benchmark" () ]
+    Scheduler.run ~execute:(Runner.cross_checked liar Runner.run)
+      [ job ~bench:"no-such-benchmark" () ]
   in
   Alcotest.(check int) "no disagreement on an error cell" 0 stats.Scheduler.disagreements;
   match records with
@@ -474,7 +512,7 @@ let test_certified_sweep () =
      evidence: Check-accepted mappings for feasible cells, checked DRAT
      refutations for infeasible ones.  Covers the SAT engine directly
      and the B&B cross-certification through a portfolio race. *)
-  let records, _ = Scheduler.run ~jobs:2 ~certify:true fast_jobs in
+  let records, _ = Scheduler.run ~jobs:2 ~execute:(Runner.run ~certify:true) fast_jobs in
   Alcotest.(check (list string))
     "statuses unchanged by certification"
     [ "infeasible"; "infeasible"; "infeasible"; "feasible" ]
@@ -500,7 +538,7 @@ let test_uncertified_by_default () =
 (* ---------------- Grid ---------------- *)
 
 let test_grid_render () =
-  let records, _ = Scheduler.run ~jobs:2 fast_jobs in
+  let records, _ = Scheduler.run ~jobs:2 ~execute:Runner.run fast_jobs in
   let table = Grid.render records in
   List.iter
     (fun needle ->
@@ -601,6 +639,8 @@ let suites =
         Alcotest.test_case "pool bounds its queue" `Quick test_pool_bounded_queue;
         Alcotest.test_case "scheduler deterministic across --jobs" `Slow test_scheduler_deterministic;
         Alcotest.test_case "scheduler records errors, sweep survives" `Slow test_scheduler_error_capture;
+        Alcotest.test_case "scheduler turns a raising job into its error record" `Quick
+          test_scheduler_execute_raises;
         Alcotest.test_case "degenerate size or contexts is an error record" `Quick
           test_degenerate_job_is_error;
         Alcotest.test_case "resume skips journaled jobs" `Slow test_scheduler_resume;
