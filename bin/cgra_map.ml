@@ -140,9 +140,9 @@ let solver_conv =
 
 let backend_arg =
   let doc =
-    "Solver (see $(b,backends)): a native engine on a formulation (native-sat, native-bnb, \
-     conn-sat, conn-bnb) or an external MILP solver (highs, cbc, scip) run as a subprocess \
-     over the LP export, with its answer replayed through the independent checkers."
+    "Solver (see $(b,backends)): the built-in SAT engine on a formulation (native-sat, \
+     conn-sat) or an external MILP solver (highs, cbc, scip) run as a subprocess over the LP \
+     export, with its answer replayed through the independent checkers."
   in
   Arg.(value & opt (some solver_conv) None & info [ "backend" ] ~docv:"NAME" ~doc)
 
@@ -254,11 +254,9 @@ let backends_cmd =
         let s = Result.get_ok (Solver_spec.of_name name) in
         let status, doc =
           match s.Solver_spec.engine with
-          | Solver_spec.Native e ->
-              let engine = if e = Cgra_ilp.Solve.Branch_and_bound then "B&B" else "CDCL SAT" in
+          | Solver_spec.Native ->
               ( "available",
-                Printf.sprintf "built-in %s; %s" engine
-                  s.Solver_spec.formulation.Formulation_intf.doc )
+                "built-in CDCL SAT; " ^ s.Solver_spec.formulation.Formulation_intf.doc )
           | Solver_spec.External b -> (
               match b.Backend.available () with
               | Backend.Available { version = Some v } ->
@@ -614,7 +612,7 @@ let lp_cmd =
        ~doc:
          "Print the ILP formulation in CPLEX LP format (for inspection or an external solver).  \
           The model is the formulation of the $(b,--backend) solver: the connectivity model \
-          for conn-sat and conn-bnb, the paper's for every other solver (the default).")
+          for conn-sat, the paper's for every other solver (the default).")
     Term.(
       const run $ benchmark_arg $ arch_arg $ size_arg $ contexts_arg $ optimize_arg
       $ backend_arg)

@@ -118,15 +118,21 @@ let parse_int what = function
       | None -> Error (Printf.sprintf "%s: expected integer, got %S" what a))
   | List _ -> Error (Printf.sprintf "%s: expected integer" what)
 
+(* A count field: an integer no smaller than [least]. *)
+let parse_count what ~least v =
+  Result.bind (parse_int what v) (fun n ->
+      if n >= least then Ok n
+      else Error (Printf.sprintf "%s: expected an integer >= %d, got %d" what least n))
+
 let parse_fu_field (spec : Primitive.fu_spec) = function
   | List [ Atom "inputs"; v ] ->
-      Result.map (fun n -> { spec with Primitive.n_inputs = n }) (parse_int "inputs" v)
+      Result.map (fun n -> { spec with Primitive.n_inputs = n }) (parse_count "inputs" ~least:0 v)
   | List [ Atom "latency"; v ] ->
-      Result.map (fun n -> { spec with Primitive.latency = n }) (parse_int "latency" v)
+      Result.map (fun n -> { spec with Primitive.latency = n }) (parse_count "latency" ~least:0 v)
   | List [ Atom "ii"; v ] ->
       Result.map
         (fun n -> { spec with Primitive.initiation_interval = n })
-        (parse_int "ii" v)
+        (parse_count "ii" ~least:1 v)
   | List (Atom "ops" :: ops) ->
       let rec go acc = function
         | [] -> Ok { spec with Primitive.supported = List.rev acc }
@@ -144,7 +150,8 @@ let parse_fu_field (spec : Primitive.fu_spec) = function
 
 let parse_prim = function
   | Atom "reg" -> Ok Primitive.Register
-  | List [ Atom "mux"; n ] -> Result.map (fun n -> Primitive.Multiplexer n) (parse_int "mux" n)
+  | List [ Atom "mux"; n ] ->
+      Result.map (fun n -> Primitive.Multiplexer n) (parse_count "mux" ~least:1 n)
   | List (Atom "fu" :: fields) ->
       let init =
         { Primitive.supported = []; n_inputs = 2; latency = 0; initiation_interval = 1 }

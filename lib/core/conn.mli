@@ -30,8 +30,8 @@
     [formulation-vs-conn] fuzz invariant enforces this).
 
     {!Formulation_intf.conn} wraps this module as formulation
-    ["conn"], which makes ["conn-sat"]/["conn-bnb"] valid
-    {!Solver_spec} names. *)
+    ["conn"], which makes ["conn-sat"] a valid {!Solver_spec}
+    name. *)
 
 module Dfg := Cgra_dfg.Dfg
 module Mrrg := Cgra_mrrg.Mrrg

@@ -202,10 +202,9 @@ let hall_verdict ~started ~certify ~build_seconds ~core_model dfg mrrg d =
       evidence = Some Hall;
     }
 
-let solve_built ?deadline ?proof ~(solver : Solver_spec.t) (f : Formulation_intf.built) =
+let solve_built ?deadline ~(solver : Solver_spec.t) (f : Formulation_intf.built) =
   match solver.Solver_spec.engine with
-  | Solver_spec.Native engine ->
-      Solve.solve_report ?deadline ~engine ?proof f.Formulation_intf.model
+  | Solver_spec.Native -> Solve.solve_report ?deadline f.Formulation_intf.model
   | Solver_spec.External b ->
       (* LP export, subprocess, replayed solution (see
          {!Cgra_backend.Milp_adapter}); no DRAT trace exists, so an
@@ -218,8 +217,8 @@ let solve_built ?deadline ?proof ~(solver : Solver_spec.t) (f : Formulation_intf
 (* One II's answer state.  A cell the Hall step refutes keeps its
    deficiency and, once an explained answer asked for it, the
    placement model its core is checked against; any other cell keeps
-   its built model and, on the native SAT engine, the encoding each
-   search resumes. *)
+   its built model and, on the native engine, the encoding each search
+   resumes. *)
 type state =
   | Refuted of {
       deficiency : Hall.deficiency;
@@ -268,8 +267,8 @@ let prepare ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.defaul
         let warm_start =
           match (solver.Solver_spec.engine, Deadline.remaining deadline) with
           | Solver_spec.External _, _ -> 0.0
-          | Solver_spec.Native _, Some left -> Float.min warm_start left
-          | Solver_spec.Native _, None -> warm_start
+          | Solver_spec.Native, Some left -> Float.min warm_start left
+          | Solver_spec.Native, None -> warm_start
         in
         if warm_start > 0.0 then begin
           let params = if warm_start >= 20.0 then Anneal.thorough else Anneal.moderate in
@@ -280,9 +279,8 @@ let prepare ?(objective = Formulation.Feasibility) ?(solver = Solver_spec.defaul
         end;
         let enc =
           match solver.Solver_spec.engine with
-          | Solver_spec.Native Solve.Sat_backed ->
-              Some (Encode.encode ?proof built.Formulation_intf.model)
-          | Solver_spec.Native _ | Solver_spec.External _ -> None
+          | Solver_spec.Native -> Some (Encode.encode ?proof built.Formulation_intf.model)
+          | Solver_spec.External _ -> None
         in
         Built { built; enc; searched = false; refutation_checked = None }
   in
@@ -320,7 +318,7 @@ let search ?deadline ~started ~certify ~explain step =
       }
   | Built b ->
       let build_seconds = Deadline.elapsed_of ~start:started in
-      let report, search_stats, proof =
+      let report =
         match b.enc with
         | Some enc ->
             let report = Solve.search ?deadline enc b.built.Formulation_intf.model in
@@ -330,15 +328,11 @@ let search ?deadline ~started ~certify ~explain step =
             (match report.Solve.outcome with
             | Solve.Optimal _ | Solve.Feasible _ -> Solver.set_proof enc.Encode.solver None
             | Solve.Infeasible | Solve.Timeout -> ());
-            (report, report.Solve.stats, step.proof)
-        | None ->
-            (* an engine that keeps no solver searches from scratch, so
-               each search logs into a proof of its own *)
-            let proof = Option.map (fun _ -> Proof.create ()) step.proof in
-            (solve_built ?deadline ?proof ~solver:step.solver b.built, Solver.zero_stats, proof)
+            report
+        | None -> solve_built ?deadline ~solver:step.solver b.built
       in
-      (* only a kept encoding carries anything over: branch and bound
-         and external solvers start from scratch every time *)
+      (* only a kept encoding carries anything over: an external solver
+         starts from scratch every time *)
       let resumed = b.searched && Option.is_some b.enc in
       (* A timeout still counts as a search: the solver keeps the
          learnt clauses and phases of the truncated run. *)
@@ -346,26 +340,22 @@ let search ?deadline ~started ~certify ~explain step =
       (* A resident solver logs every search into the one [step.proof],
          and a refuted one logs nothing more: a log as long as the last
          one accepted is that log; a replay the deadline cut short
-         accepted nothing and is not recorded.  An engine without a
-         solver logs each search into a fresh proof, checked afresh. *)
+         accepted nothing and is not recorded. *)
       let check_refutation p =
-        match b.enc with
-        | None -> check_refutation ?deadline p
-        | Some _ ->
-            let steps = Proof.n_steps p in
-            b.refutation_checked = Some steps
-            || check_refutation ?deadline p
-               && begin
-                    b.refutation_checked <- Some steps;
-                    true
-                  end
+        let steps = Proof.n_steps p in
+        b.refutation_checked = Some steps
+        || check_refutation ?deadline p
+           && begin
+                b.refutation_checked <- Some steps;
+                true
+              end
       in
       {
-        search_stats;
+        search_stats = report.Solve.stats;
         resumed;
         conclude =
           (fun () ->
-            verdict ?deadline ?proof ~check_refutation ~certify ~explain
+            verdict ?deadline ?proof:step.proof ~check_refutation ~certify ~explain
               ~objective:step.objective ~solver:step.solver ~build_seconds b.built report);
       }
 

@@ -1,7 +1,7 @@
 (** The ILP mapper: the paper's end-to-end flow (Fig. 7, ILP side).
 
     Builds the formulation from a DFG and an MRRG, hands it to an exact
-    0-1 engine, and extracts a verified mapping.  Because the engines
+    0-1 solver, and extracts a verified mapping.  Because the solvers
     are complete, [Infeasible] is a {e proof} that no mapping exists —
     the property that distinguishes this mapper from heuristics. *)
 
@@ -63,7 +63,7 @@ type info = {
           session. *)
   objective_value : int option;  (** routing cost when optimising *)
   proven_optimal : bool;
-  sat_calls : int;               (** SAT invocations; 0 for non-SAT engines *)
+  sat_calls : int;               (** SAT invocations; 0 for a Hall answer or an external solver *)
   certified : bool;
       (** the verdict carries validated evidence: a {!Check}-accepted
           mapping for [Mapped]; for a certified [Infeasible], a Hall
@@ -171,11 +171,11 @@ val map :
     [certify] (default [false]) makes an [Infeasible] verdict carry a
     DRAT refutation, independently re-validated by
     {!Cgra_satoca.Drat.check} before the call returns.  Without
-    [explain], the verdict solve itself is proof-logged and the B&B
-    engine cross-certifies through a proof-logging SAT run (see
-    {!Cgra_ilp.Solve.solve}).  With [explain], the verdict solve logs
-    nothing and the certificate is the core's refutation (below), for
-    every solver.
+    [explain], the verdict solve itself is proof-logged (see
+    {!Cgra_ilp.Solve.solve}); an external solver logs no DRAT, so its
+    infeasibility stays uncertified.  With [explain], the verdict
+    solve logs nothing and the certificate is the core's refutation
+    (below), for every solver.
     [info.certified] reports whether the returned verdict carries
     validated evidence; a certificate cut short by the deadline yields
     [certified = false], not a failure.  The proof's replay polls
@@ -199,7 +199,7 @@ val map :
 
 type step
 (** One II's answer state: the Hall step's deficiency, or the built
-    model and, on the native SAT engine, its clausified solver.  A
+    model and, on the native engine, its clausified solver.  A
     serve session keeps one per II; {!map} searches one once. *)
 
 val prepare :
@@ -214,16 +214,14 @@ val prepare :
 (** Run the Hall step and, when it finds no deficiency, build
     [solver]'s formulation, seed its phases from a [warm_start]
     anneal (default 0: none; it expires with [deadline] and shares its
-    cancellation flag) and, on the native SAT engine, clausify it
+    cancellation flag) and, on the native engine, clausify it
     ({!Cgra_ilp.Encode.encode}, logging into [proof] when given).  Defaults as in {!map}.  A step with a [proof] may be kept
     and searched again: the objective descent bounds by assumption, so
     the log only ever grows by the solver's own inferences, and it
     stops growing once a search maps: the solver's sink is detached
     then ({!Cgra_satoca.Solver.set_proof}), since a model with a
-    solution can never be refuted.  An engine
-    that keeps no solver (branch and bound, an external solver) logs
-    each search into a fresh proof instead; [proof] then only says
-    that the step's searches log one. *)
+    solution can never be refuted.  An external solver keeps no solver
+    and logs nothing into [proof]. *)
 
 val solver_vars : step -> int
 (** Variables of the step's kept SAT solver; 0 when it keeps none
@@ -232,13 +230,12 @@ val solver_vars : step -> int
 type answer = {
   search_stats : Cgra_satoca.Solver.stats;
       (** this search's share of the step's solver counters; all zero
-          when no in-process SAT solver searched (a Hall answer,
-          branch and bound, an external solver) *)
+          when no in-process SAT solver searched (a Hall answer, an
+          external solver) *)
   resumed : bool;
       (** the step's kept SAT encoding had been searched before, so its
           learnt clauses and phases carried over; never for a Hall
-          answer, branch and bound or an external solver, which keep
-          no solver *)
+          answer or an external solver, which keep no solver *)
   conclude : unit -> result;
       (** the verdict step: the Hall witness checks (under [explain],
           the counting certificate and relaxations too), or the
@@ -263,8 +260,7 @@ val search :
   answer
 (** {!Cgra_ilp.Solve.search} on the step's encoding, which keeps the
     learnt clauses, phases and objective totalizer of earlier
-    searches, or [solver]'s engine from scratch on the kept model for
-    branch and bound and external solvers.  A Hall step searches
+    searches, or an external solver from scratch on the kept model.  A Hall step searches
     nothing; under [explain] it builds the placement model its core is
     checked against ({!Formulation.build_placement}), once, and keeps
     it.  [build_seconds] counts from
@@ -282,9 +278,9 @@ val verdict_solve_needs_proof : certify:bool -> explain:bool -> bool
 val reprove :
   ?deadline:Cgra_util.Deadline.t -> solver:Solver_spec.t -> Dfg.t -> Mrrg.t -> result
 (** [solver]'s engine alone on the cell's freshly built feasibility
-    model: {!Cgra_ilp.Solve.solve_report} for a native engine (on the
-    SAT engine, a fresh encode and {!search}'s search), the LP export
-    and subprocess for an external one.  No Hall step, no warm start,
+    model: {!Cgra_ilp.Solve.solve_report} (a fresh encode and
+    {!search}'s search) for the native engine, the LP export and
+    subprocess for an external one.  No Hall step, no warm start,
     no proof; the answer becomes a [result] through the same verdict
     step as {!search}'s, so a [Mapped] mapping must pass {!Check.run}.
     [build_seconds] is the formulation build.  The sweep's cross-check

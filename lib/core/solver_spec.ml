@@ -1,22 +1,17 @@
-module Solve = Cgra_ilp.Solve
 module Backend = Cgra_backend.Backend
 module Milp_adapter = Cgra_backend.Milp_adapter
 
-type engine = Native of Solve.engine | External of Backend.t
+type engine = Native | External of Backend.t
 type t = { name : string; formulation : Formulation_intf.impl; engine : engine }
 
-let default =
-  { name = "native-sat"; formulation = Formulation_intf.paper; engine = Native Solve.Sat_backed }
+let default = { name = "native-sat"; formulation = Formulation_intf.paper; engine = Native }
 
 (* "native" stands for the paper formulation; the other one names
    itself.  The external solvers read the paper formulation's LP
    export. *)
 let all =
-  List.concat_map
-    (fun (prefix, formulation) ->
-      List.map
-        (fun (suffix, e) -> { name = prefix ^ "-" ^ suffix; formulation; engine = Native e })
-        [ ("sat", Solve.Sat_backed); ("bnb", Solve.Branch_and_bound) ])
+  List.map
+    (fun (prefix, formulation) -> { name = prefix ^ "-sat"; formulation; engine = Native })
     [ ("native", Formulation_intf.paper); ("conn", Formulation_intf.conn) ]
   @ List.map
       (fun (b : Backend.t) ->

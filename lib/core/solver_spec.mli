@@ -4,10 +4,10 @@
     A name is parsed once, at the edge (CLI flags, the serve wire
     request, bench options); everything below takes a {!t}.  The names
     are:
-    - ["native-sat"], ["native-bnb"]: the paper formulation on the
-      in-process CDCL SAT engine or branch-and-bound;
-    - ["conn-sat"], ["conn-bnb"]: the connectivity formulation
-      ({!Formulation_intf.conn}) on the same engines;
+    - ["native-sat"]: the paper formulation on the in-process CDCL
+      SAT engine ({!Cgra_ilp.Solve});
+    - ["conn-sat"]: the connectivity formulation
+      ({!Formulation_intf.conn}) on the same engine;
     - ["highs"], ["cbc"], ["scip"]: the paper formulation exported as
       an LP file to an external MILP solver
       ({!Cgra_backend.Milp_adapter}).
@@ -16,7 +16,7 @@
     test double, builds a {!t} record itself. *)
 
 type engine =
-  | Native of Cgra_ilp.Solve.engine  (** in-process, via {!Cgra_ilp.Solve} *)
+  | Native  (** the in-process CDCL SAT engine, {!Cgra_ilp.Solve} *)
   | External of Cgra_backend.Backend.t  (** subprocess over the LP export *)
 
 type t = {
@@ -33,5 +33,4 @@ val of_name : string -> (t, string) result
 
 val names : unit -> string list
 (** Every name {!of_name} accepts, in the order [cgra_map backends]
-    lists them: [native-sat, native-bnb, conn-sat, conn-bnb, highs,
-    cbc, scip]. *)
+    lists them: [native-sat, conn-sat, highs, cbc, scip]. *)

@@ -2,8 +2,6 @@ module Solver = Cgra_satoca.Solver
 module Card = Cgra_satoca.Card
 module Deadline = Cgra_util.Deadline
 
-type engine = Sat_backed | Branch_and_bound | Brute_force
-
 type outcome =
   | Optimal of bool array * int
   | Feasible of bool array * int
@@ -22,8 +20,6 @@ let pp_outcome fmt = function
   | Feasible (_, obj) -> Format.fprintf fmt "feasible (objective %d, not proven optimal)" obj
   | Infeasible -> Format.fprintf fmt "infeasible"
   | Timeout -> Format.fprintf fmt "timeout"
-
-(* ---------------- SAT-backed engine ---------------- *)
 
 (* The objective's totalizer, built at the first descent that needs a
    bound and kept on the encoding, so every later descent on a
@@ -106,76 +102,10 @@ let search ?(deadline = Deadline.none) (enc : Encode.t) model =
     stats = Solver.stats_delta ~now:(Solver.stats enc.Encode.solver) ~before;
   }
 
-(* ---------------- brute force ---------------- *)
-
-let solve_brute model =
-  let n = Model.nvars model in
-  if n > 22 then invalid_arg "Solve: brute force limited to 22 variables";
-  let best = ref None in
-  for mask = 0 to (1 lsl n) - 1 do
-    let assign v = (mask lsr v) land 1 = 1 in
-    if Model.feasible model assign then begin
-      let obj = Model.objective_value model assign in
-      match !best with
-      | Some (_, b) when b <= obj -> ()
-      | _ -> best := Some (Array.init n assign, obj)
-    end
-  done;
-  match !best with Some (a, obj) -> Optimal (a, obj) | None -> Infeasible
-
-(* ---------------- unified front end ---------------- *)
-
-(* Non-clausal engines (B&B, brute force) cannot emit DRAT inferences,
-   so an [Infeasible] answer is cross-certified: a proof-logging SAT
-   refutation of the same model is produced, and a disagreement between
-   the engines is a bug worth crashing on. *)
-let cross_certify ~deadline ~proof ?inprocess model sat_calls sat_stats =
-  let enc = Encode.encode ~proof ?inprocess model in
-  incr sat_calls;
-  let r = Solver.solve ~deadline enc.Encode.solver in
-  sat_stats := Solver.stats enc.Encode.solver;
-  match r with
-  | Solver.Unsat -> ()
-  | Solver.Sat ->
-      failwith
-        "Solve: certification refuted the engine — the SAT solver found the \
-         supposedly infeasible model satisfiable"
-  | Solver.Unknown -> () (* deadline expired: the certificate stays incomplete *)
-
-let solve_report ?(deadline = Deadline.none) ?(engine = Sat_backed) ?proof ?inprocess model =
+let solve_report ?(deadline = Deadline.none) ?proof ?inprocess model =
   let start = Deadline.now () in
-  let sat_calls = ref 0 in
-  let sat_stats = ref Solver.zero_stats in
-  let certify_infeasible outcome =
-    (match (outcome, proof) with
-    | Infeasible, Some proof ->
-        cross_certify ~deadline ~proof ?inprocess model sat_calls sat_stats
-    | _ -> ());
-    outcome
-  in
-  let outcome =
-    match engine with
-    | Brute_force -> certify_infeasible (solve_brute model)
-    | Sat_backed ->
-        let enc = Encode.encode ?proof ?inprocess model in
-        let report = search ~deadline enc model in
-        sat_calls := report.sat_calls;
-        sat_stats := report.stats;
-        report.outcome
-    | Branch_and_bound ->
-        certify_infeasible
-          (match Bnb.solve ~deadline model with
-          | Bnb.Optimal (a, obj) -> Optimal (a, obj)
-          | Bnb.Infeasible -> Infeasible
-          | Bnb.Timeout (Some (a, obj)) -> Feasible (a, obj)
-          | Bnb.Timeout None -> Timeout)
-  in
-  {
-    outcome;
-    solve_seconds = Deadline.elapsed_of ~start;
-    sat_calls = !sat_calls;
-    stats = !sat_stats;
-  }
+  let report = search ~deadline (Encode.encode ?proof ?inprocess model) model in
+  { report with solve_seconds = Deadline.elapsed_of ~start }
 
-let solve ?deadline ?engine ?proof ?inprocess model =
-  (solve_report ?deadline ?engine ?proof ?inprocess model).outcome
+let solve ?deadline ?proof ?inprocess model =
+  (solve_report ?deadline ?proof ?inprocess model).outcome

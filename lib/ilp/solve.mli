@@ -1,24 +1,20 @@
-(** Engine-agnostic solving of 0-1 models.
+(** Solving 0-1 models with the in-process CDCL SAT solver.
 
-    This is the stand-in for the paper's Gurobi call.  Every engine is
+    This is the stand-in for the paper's Gurobi call.  The search is
     complete, so the tri-state answer carries the same guarantees the
     paper relies on: a definite optimum, a definite infeasibility, or a
     timeout.
 
-    - [Sat_backed] (default): clausify the model into the CDCL solver
-      and minimise the objective by solution-improving descent over an
-      incremental totalizer bound; the final UNSAT answer is the
-      optimality proof.  Bounds are enforced as per-solve assumptions
-      ({!Cgra_satoca.Solver.solve_with} on the totalizer output), so
-      the clause database carries no bound units and stays reusable,
-      proof-logged or not.  A DRAT trace therefore refutes the model
-      itself or nothing: it certifies an [Infeasible] answer (the
-      first solve's, before any bound exists), never the optimality
-      of a descent.
-    - [Branch_and_bound]: the direct PB branch-and-bound of {!Bnb}.
-    - [Brute_force]: exhaustive enumeration (tests only; <= ~22 vars). *)
-
-type engine = Sat_backed | Branch_and_bound | Brute_force
+    The model is clausified into the solver ({!Encode.encode}) and the
+    objective minimised by solution-improving descent over an
+    incremental totalizer bound; the final UNSAT answer is the
+    optimality proof.  Bounds are enforced as per-solve assumptions
+    ({!Cgra_satoca.Solver.solve_with} on the totalizer output), so the
+    clause database carries no bound units and stays reusable,
+    proof-logged or not.  A DRAT trace therefore refutes the model
+    itself or nothing: it certifies an [Infeasible] answer (the first
+    solve's, before any bound exists), never the optimality of a
+    descent. *)
 
 type outcome =
   | Optimal of bool array * int
@@ -31,55 +27,46 @@ type outcome =
 type report = {
   outcome : outcome;
   solve_seconds : float;
-  sat_calls : int;  (** SAT invocations (descent steps); 0 for other engines *)
+  sat_calls : int;  (** SAT invocations (the first solve and each descent step) *)
   stats : Cgra_satoca.Solver.stats;
       (** the counters of the SAT solver that produced (or certified)
           the verdict, this search's share of them
-          ({!Cgra_satoca.Solver.stats_delta}); {!Cgra_satoca.Solver.zero_stats}
-          when no in-process SAT solver ran *)
+          ({!Cgra_satoca.Solver.stats_delta}) *)
 }
 
 val solve :
   ?deadline:Cgra_util.Deadline.t ->
-  ?engine:engine ->
   ?proof:Cgra_satoca.Proof.t ->
   ?inprocess:Cgra_satoca.Inprocess.config ->
   Model.t ->
   outcome
-(** Solve the model.  No engine rewrites it first: the model handed
-    in is the one clausified or searched, with or without [proof].
+(** Solve the model: {!solve_report}'s outcome.  The model handed in
+    is the one clausified, with or without [proof]: nothing rewrites
+    it first.
 
     When [proof] is supplied, an [Infeasible] answer leaves a complete
     DRAT refutation of the clausified model in the trace, checkable
-    with {!Cgra_satoca.Drat.check}.  For [Sat_backed] the trace is
-    captured in-line; the descent's bounds are assumptions, so its
-    final UNSAT logs no refutation.  The non-clausal engines
-    cross-certify: their [Infeasible] answer triggers one
-    proof-logging SAT refutation of the same model, and an engine
-    disagreement raises [Failure].  If a deadline cuts certification
-    short the trace simply lacks an empty clause
-    ({!Cgra_satoca.Proof.has_empty_clause} is [false]). *)
+    with {!Cgra_satoca.Drat.check}.  The descent's bounds are
+    assumptions, so its final UNSAT logs no refutation. *)
 
 val solve_report :
   ?deadline:Cgra_util.Deadline.t ->
-  ?engine:engine ->
   ?proof:Cgra_satoca.Proof.t ->
   ?inprocess:Cgra_satoca.Inprocess.config ->
   Model.t ->
   report
-(** Like {!solve} with timing and search statistics.  [inprocess]
-    overrides the SAT solver's inprocessing configuration (see
-    {!Encode.encode}); the benchmark harness uses it for on/off A-B
-    runs. *)
+(** {!Encode.encode} followed by {!search}, with [solve_seconds]
+    counting both.  [inprocess] overrides the SAT solver's
+    inprocessing configuration (see {!Encode.encode}); the benchmark
+    harness uses it for on/off A-B runs. *)
 
 val search :
   ?deadline:Cgra_util.Deadline.t ->
   Encode.t ->
   Model.t ->
   report
-(** The [Sat_backed] engine's search over an existing encoding of the
-    model: one solve, then the objective descent when the model has an
-    objective.  {!solve_report} runs it on a fresh {!Encode.encode};
+(** The search over an existing encoding of the model: one solve,
+    then the objective descent when the model has an objective.  {!solve_report} runs it on a fresh {!Encode.encode};
     a serve session runs it again and again on one resident encoding,
     whose learnt clauses and phases carry over.  The report's [stats]
     are this search's share of the solver's cumulative counters

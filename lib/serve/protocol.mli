@@ -54,7 +54,8 @@ type provenance = {
   warm_start : bool;
       (** the step's SAT solver had solved before, so saved phases,
           branching activity and learnt clauses carried over ([false]
-          for engines that keep no solver) *)
+          for a Hall answer or an external solver, which keep no
+          solver) *)
   session_solves : int;  (** solves this session has served, after this one *)
 }
 (** How much resident state the request reused.  A one-shot CLI run

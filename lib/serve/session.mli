@@ -13,9 +13,9 @@
     - a {b repeat} skips both formulation build and clausification
       ([cache_hit]) and, on the native SAT engine, re-searches a
       solver that keeps the learnt clauses and saved phases of its
-      earlier searches ([warm_start]).  Branch and bound and external
-      solvers keep no solver: their repeat reuses the built model and
-      searches it from scratch.
+      earlier searches ([warm_start]).  An external solver keeps no
+      solver: its repeat reuses the built model and searches it from
+      scratch.
 
     Steps share nothing: each II's formula has its own variables, so
     nothing learnt at one II could constrain another, and an
@@ -45,15 +45,14 @@ type outcome = {
   warm_start : bool;
       (** this step's SAT solver had completed at least one prior
           solve ([false] wherever no solver is kept: an II the Hall
-          step refuted, branch and bound, an external solver) *)
+          step refuted, an external solver) *)
   solves : int;  (** total solves served by this session, including this one *)
   solve_stats : Cgra_satoca.Solver.stats;
       (** {e this} solve's share of the II's solver counters — a
           {!Cgra_satoca.Solver.stats_delta} against the pre-solve
           snapshot, not the cumulative totals.  Two sequential solves
           therefore report disjoint work.  All zero when no kept
-          SAT solver searched (a Hall answer, branch and bound, an
-          external solver). *)
+          SAT solver searched (a Hall answer, an external solver). *)
 }
 
 val create : ?solver:Cgra_core.Solver_spec.t -> Cgra_dfg.Dfg.t -> t

@@ -37,11 +37,18 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* [parse] on the file's text; a path that exists but cannot be read
+   (a directory, no permission) is an [Error] like an unknown name. *)
+let parse_file what parse path =
+  match read_file path with
+  | text -> parse text
+  | exception Sys_error e -> Error (Printf.sprintf "cannot read %s %S: %s" what path e)
+
 let load_benchmark name =
   match Benchmarks.by_name name with
   | Some dfg -> Ok dfg
   | None ->
-      if Sys.file_exists name then Dfg.of_text (read_file name)
+      if Sys.file_exists name then parse_file "benchmark" Dfg.of_text name
       else Error (Printf.sprintf "unknown benchmark %S (see `cgra_map benchmarks`)" name)
 
 let load_arch ~size name =
@@ -53,7 +60,7 @@ let load_arch ~size name =
         match Lib.find_gallery name with
         | Some config -> Ok (Lib.make config)
         | None ->
-            if Sys.file_exists name then Adl.of_string (read_file name)
+            if Sys.file_exists name then parse_file "architecture" Adl.of_string name
             else
               Error
                 (Printf.sprintf

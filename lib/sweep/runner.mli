@@ -94,11 +94,13 @@ val prepare : Job.t -> (Cgra_dfg.Dfg.t * Cgra_mrrg.Mrrg.t, string) result
     refuses, is an [Error]. *)
 
 val load_benchmark : string -> (Cgra_dfg.Dfg.t, string) result
-(** Resolve a benchmark by built-in name, else as a [.dfg] file path. *)
+(** Resolve a benchmark by built-in name, else as a [.dfg] file path.
+    A path that exists but cannot be read (a directory) is an [Error]. *)
 
 val load_arch : size:int -> string -> (Cgra_arch.Arch.t, string) result
 (** Resolve an architecture by library name at [size], else as an ADL
-    file path (whose own dimensions then apply).  A [size] below 1 is
+    file path (whose own dimensions then apply); a path that exists but
+    cannot be read is an [Error].  A [size] below 1 is
     an [Error] whatever the name: the CLI, the daemon and the sweep all
     load through here, so none of them reaches the library with an
     empty grid. *)

@@ -205,7 +205,23 @@ let test_adl_errors () =
   check_err "bad primitive" "(arch a (inst x (frob 3)))";
   check_err "bad op" "(arch a (inst x (fu (ops zorp))))";
   check_err "bad endpoint" "(arch a (inst x reg) (wire x xout))";
-  check_err "dangling wire" "(arch a (inst x reg) (wire y.out x.in))"
+  check_err "dangling wire" "(arch a (inst x reg) (wire y.out x.in))";
+  (* out-of-range counts: the error names the field and the value *)
+  List.iter
+    (fun (field, value, text) ->
+      match Adl.of_string text with
+      | Ok _ -> Alcotest.failf "%s %s: expected failure" field value
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s named in %S" field value e)
+            true
+            (Astring.String.is_infix ~affix:field e && Astring.String.is_infix ~affix:value e))
+    [
+      ("ii", "0", "(arch a (inst p (fu (inputs 1) (latency 0) (ii 0) (ops input))))");
+      ("latency", "-3", "(arch a (inst p (fu (latency -3) (ops add))))");
+      ("inputs", "-1", "(arch a (inst p (fu (inputs -1) (ops add))))");
+      ("mux", "-2", "(arch a (inst m (mux -2)))");
+    ]
 
 (* ---------------- topology ---------------- *)
 

@@ -26,20 +26,20 @@ let test_registry_builtins () =
     (fun n ->
       match (solver n).Solver_spec.engine with
       | Solver_spec.External b -> Alcotest.(check string) (n ^ " backend") n b.Backend.name
-      | Solver_spec.Native _ -> Alcotest.failf "%s resolves to a native engine" n)
+      | Solver_spec.Native -> Alcotest.failf "%s resolves to the native engine" n)
     [ "highs"; "cbc"; "scip" ];
   Alcotest.(check bool) "native-sat is in-process" true
-    ((solver "native-sat").Solver_spec.engine = Solver_spec.Native Solve.Sat_backed);
+    ((solver "native-sat").Solver_spec.engine = Solver_spec.Native);
   Alcotest.(check bool) "unknown name is an error" true
     (Result.is_error (Solver_spec.of_name "no-such-solver"))
 
-(* Every listed name parses back to a spec of that name, and the seven
+(* Every listed name parses back to a spec of that name, and the five
    names the CLI, CI and journals use are listed in this order and parse
    to the pairing they stand for. *)
 let test_solver_names_roundtrip () =
   let names = Solver_spec.names () in
   Alcotest.(check (list string)) "the table, in order"
-    [ "native-sat"; "native-bnb"; "conn-sat"; "conn-bnb"; "highs"; "cbc"; "scip" ]
+    [ "native-sat"; "conn-sat"; "highs"; "cbc"; "scip" ]
     names;
   List.iter
     (fun n -> Alcotest.(check string) "name survives the parse" n (solver n).Solver_spec.name)
@@ -52,15 +52,11 @@ let test_solver_names_roundtrip () =
         s.Solver_spec.formulation.Formulation_intf.name;
       Alcotest.(check string) (n ^ " engine") engine
         (match s.Solver_spec.engine with
-        | Solver_spec.Native Solve.Sat_backed -> "sat"
-        | Solver_spec.Native Solve.Branch_and_bound -> "bnb"
-        | Solver_spec.Native Solve.Brute_force -> "brute"
+        | Solver_spec.Native -> "sat"
         | Solver_spec.External b -> b.Backend.name))
     [
       ("native-sat", "paper", "sat");
-      ("native-bnb", "paper", "bnb");
       ("conn-sat", "conn", "sat");
-      ("conn-bnb", "conn", "bnb");
       ("highs", "paper", "highs");
       ("cbc", "paper", "cbc");
       ("scip", "paper", "scip");

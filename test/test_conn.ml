@@ -164,30 +164,22 @@ let test_small_grid_agreement () =
 (* ---------------- the conn model itself ---------------- *)
 
 let test_conn_backends_registered () =
-  List.iter
-    (fun (name, engine) ->
-      let s = solver name in
-      Alcotest.(check string) (name ^ " formulation") "conn"
-        s.Solver_spec.formulation.Cgra_core.Formulation_intf.name;
-      Alcotest.(check bool) (name ^ " engine") true
-        (s.Solver_spec.engine = Solver_spec.Native engine))
-    [ ("conn-sat", Cgra_ilp.Solve.Sat_backed); ("conn-bnb", Cgra_ilp.Solve.Branch_and_bound) ];
+  let s = solver "conn-sat" in
+  Alcotest.(check string) "conn-sat formulation" "conn"
+    s.Solver_spec.formulation.Cgra_core.Formulation_intf.name;
+  Alcotest.(check bool) "conn-sat engine" true (s.Solver_spec.engine = Solver_spec.Native);
   Alcotest.(check (list string)) "both formulations in the table" [ "paper"; "conn" ]
     (Cgra_core.Formulation_intf.names ())
 
 let test_conn_backend_maps () =
   let dfg = dfg_of "2x2-f" in
   let mrrg = cell_mrrg ~size:2 ~arch:"homo-orth" ~ii:2 in
-  List.iter
-    (fun backend ->
-      match
-        IM.map ~solver:(solver backend) ~warm_start:0.0 ~deadline:(Deadline.after ~seconds:60.0)
-          dfg mrrg
-      with
-      | IM.Mapped (m, _) ->
-          Alcotest.(check bool) (backend ^ " mapping legal") true (Check.is_legal m)
-      | r -> Alcotest.failf "%s: expected feasible, got %s" backend (status r))
-    [ "conn-sat"; "conn-bnb" ]
+  match
+    IM.map ~solver:(solver "conn-sat") ~warm_start:0.0 ~deadline:(Deadline.after ~seconds:60.0)
+      dfg mrrg
+  with
+  | IM.Mapped (m, _) -> Alcotest.(check bool) "conn-sat mapping legal" true (Check.is_legal m)
+  | r -> Alcotest.failf "conn-sat: expected feasible, got %s" (status r)
 
 let contains ~needle hay =
   let nh = String.length hay and nn = String.length needle in
@@ -301,7 +293,7 @@ let suites =
       [
         Alcotest.test_case "backends and formulation registered" `Quick
           test_conn_backends_registered;
-        Alcotest.test_case "conn-sat/conn-bnb map end-to-end" `Quick test_conn_backend_maps;
+        Alcotest.test_case "conn-sat maps end-to-end" `Quick test_conn_backend_maps;
         Alcotest.test_case "unknown formulation rejected" `Quick
           test_unknown_formulation_rejected;
         Alcotest.test_case "small grid pinned agreement" `Quick test_small_grid_agreement;

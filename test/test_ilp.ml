@@ -6,6 +6,30 @@ module Rng = Cgra_util.Rng
 
 (* ---------------- helpers ---------------- *)
 
+(* The exact 0-1 reference: enumerate every assignment of the model's
+   variables and keep the cheapest feasible one.  It shares no
+   clausification with the SAT engine; small models only. *)
+let brute_solve model =
+  let n = Model.nvars model in
+  if n > 22 then invalid_arg "brute_solve: limited to 22 variables";
+  let best = ref None in
+  for mask = 0 to (1 lsl n) - 1 do
+    let assign v = (mask lsr v) land 1 = 1 in
+    if Model.feasible model assign then begin
+      let obj = Model.objective_value model assign in
+      match !best with
+      | Some (_, b) when b <= obj -> ()
+      | _ -> best := Some (Array.init n assign, obj)
+    end
+  done;
+  match !best with
+  | Some (a, obj) -> Solve.Optimal (a, obj)
+  | None -> Solve.Infeasible
+
+(* The SAT engine and its brute-force reference, for the fixed models
+   below. *)
+let engines = [ (fun m -> Solve.solve m); brute_solve ]
+
 let assignment_of_array a v = a.(v)
 
 let check_feasible name model = function
@@ -71,12 +95,12 @@ let vertex_cover_triangle () =
 let test_triangle_all_engines () =
   let m = vertex_cover_triangle () in
   List.iter
-    (fun engine ->
-      match Solve.solve ~engine m with
+    (fun solve ->
+      match solve m with
       | Solve.Optimal (a, 2) ->
           Alcotest.(check bool) "feasible" true (Model.feasible m (assignment_of_array a))
       | o -> Alcotest.failf "expected optimum 2, got %a" Solve.pp_outcome o)
-    [ Solve.Sat_backed; Solve.Branch_and_bound; Solve.Brute_force ]
+    engines
 
 let test_infeasible_model () =
   let m = Model.create () in
@@ -85,9 +109,8 @@ let test_infeasible_model () =
   Model.add_row m [ (1, x); (1, y) ] Model.Ge 2;
   Model.add_row m [ (1, x); (1, y) ] Model.Le 1;
   List.iter
-    (fun engine ->
-      Alcotest.(check bool) "infeasible" true (Solve.solve ~engine m = Solve.Infeasible))
-    [ Solve.Sat_backed; Solve.Branch_and_bound; Solve.Brute_force ]
+    (fun solve -> Alcotest.(check bool) "infeasible" true (solve m = Solve.Infeasible))
+    engines
 
 let test_negative_coefficients () =
   (* min -x - 2y  s.t. x + y <= 1  -> optimum -2 at y=1 *)
@@ -97,11 +120,11 @@ let test_negative_coefficients () =
   Model.add_row m [ (1, x); (1, y) ] Model.Le 1;
   Model.set_objective m (Model.Minimize [ (-1, x); (-2, y) ]);
   List.iter
-    (fun engine ->
-      match Solve.solve ~engine m with
+    (fun solve ->
+      match solve m with
       | Solve.Optimal (a, -2) -> Alcotest.(check bool) "y chosen" true a.(y)
       | o -> Alcotest.failf "expected -2, got %a" Solve.pp_outcome o)
-    [ Solve.Sat_backed; Solve.Branch_and_bound; Solve.Brute_force ]
+    engines
 
 let test_equality_rows () =
   (* x + y + z = 2, min x -> 0 with y=z=1 *)
@@ -112,12 +135,12 @@ let test_equality_rows () =
   Model.add_row m [ (1, x); (1, y); (1, z) ] Model.Eq 2;
   Model.set_objective m (Model.Minimize [ (1, x) ]);
   List.iter
-    (fun engine ->
-      match Solve.solve ~engine m with
+    (fun solve ->
+      match solve m with
       | Solve.Optimal (a, 0) ->
           Alcotest.(check bool) "y and z" true (a.(y) && a.(z) && not a.(x))
       | o -> Alcotest.failf "expected 0, got %a" Solve.pp_outcome o)
-    [ Solve.Sat_backed; Solve.Branch_and_bound; Solve.Brute_force ]
+    engines
 
 let test_feasibility_objective () =
   let m = Model.create () in
@@ -138,11 +161,11 @@ let test_weighted_coefficients () =
   Model.add_row m [ (3, x); (2, y); (1, z) ] Model.Le 3;
   Model.set_objective m (Model.Minimize [ (-3, x); (-2, y); (-1, z) ]);
   List.iter
-    (fun engine ->
-      match Solve.solve ~engine m with
+    (fun solve ->
+      match solve m with
       | Solve.Optimal (_, -3) -> ()
       | o -> Alcotest.failf "expected -3, got %a" Solve.pp_outcome o)
-    [ Solve.Sat_backed; Solve.Branch_and_bound; Solve.Brute_force ]
+    engines
 
 (* ---------------- presolve ---------------- *)
 
@@ -367,10 +390,10 @@ let test_core_restrict () =
   Model.add_row m ~group:"hi" [ (1, x); (1, y) ] Model.Le 1;
   Model.set_objective m (Model.Minimize [ (1, x) ]);
   let sub = Unsat_core.restrict m [ "lo" ] in
-  (match Solve.solve ~engine:Solve.Brute_force sub with
+  (match brute_solve sub with
   | Solve.Optimal _ -> ()
   | _ -> Alcotest.fail "lo alone should be satisfiable");
-  match Solve.solve ~engine:Solve.Brute_force (Unsat_core.restrict m [ "lo"; "hi" ]) with
+  match brute_solve (Unsat_core.restrict m [ "lo"; "hi" ]) with
   | Solve.Infeasible -> ()
   | _ -> Alcotest.fail "lo+hi should be infeasible"
 
@@ -409,11 +432,11 @@ let print_grouped_spec spec = Lp_format.to_string (build_grouped_model spec)
 
 let core_sound_and_minimal m =
   let infeasible labels =
-    Solve.solve ~engine:Solve.Brute_force (Unsat_core.restrict m labels) = Solve.Infeasible
+    brute_solve (Unsat_core.restrict m labels) = Solve.Infeasible
   in
   match Unsat_core.extract m with
   | Unsat_core.Unknown -> false
-  | Unsat_core.Satisfiable -> Solve.solve ~engine:Solve.Brute_force m <> Solve.Infeasible
+  | Unsat_core.Satisfiable -> brute_solve m <> Solve.Infeasible
   | Unsat_core.Core c ->
       let core = c.Unsat_core.groups in
       (* sound: the named groups plus hard rows refute on their own *)
@@ -457,7 +480,7 @@ let gen_many_groups_spec =
   let+ rows = list_size (int_range 8 40) gen_clause in
   let prefix n = List.filteri (fun i _ -> i < n) rows in
   let infeasible n =
-    Solve.solve ~engine:Solve.Brute_force (build_grouped_model (nvars, prefix n)) = Solve.Infeasible
+    brute_solve (build_grouped_model (nvars, prefix n)) = Solve.Infeasible
   in
   (* infeasibility only grows with the prefix: bisect for the shortest *)
   let rec shortest lo hi =
@@ -505,7 +528,7 @@ let prop_core_check_matches_brute =
     (fun (spec, named) ->
       let m = build_grouped_model spec in
       let labels = List.map (Printf.sprintf "g%d") named in
-      let brute = Solve.solve ~engine:Solve.Brute_force (Unsat_core.restrict m labels) in
+      let brute = brute_solve (Unsat_core.restrict m labels) in
       Unsat_core.check m labels = Some (brute = Solve.Infeasible))
 
 let prop_core_extraction_preserves_verdict =
@@ -514,7 +537,7 @@ let prop_core_extraction_preserves_verdict =
   QCheck2.Test.make ~name:"core extraction agrees with plain solving" ~count:300
     ~print:print_grouped_spec gen_grouped_spec (fun spec ->
       let m = build_grouped_model spec in
-      let plain = Solve.solve ~engine:Solve.Brute_force m in
+      let plain = brute_solve m in
       match Unsat_core.extract ~minimize:false m with
       | Unsat_core.Core _ -> plain = Solve.Infeasible
       | Unsat_core.Satisfiable -> plain <> Solve.Infeasible
@@ -557,17 +580,7 @@ let prop_sat_engine_matches_brute =
     (fun seed ->
       let rng = Rng.create ~seed in
       let m = random_model rng in
-      outcome_matches m (Solve.solve ~engine:Solve.Sat_backed m)
-        (Solve.solve ~engine:Solve.Brute_force m))
-
-let prop_bnb_engine_matches_brute =
-  QCheck2.Test.make ~name:"b&b engine matches brute force" ~count:250
-    QCheck2.Gen.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = Rng.create ~seed in
-      let m = random_model rng in
-      outcome_matches m (Solve.solve ~engine:Solve.Branch_and_bound m)
-        (Solve.solve ~engine:Solve.Brute_force m))
+      outcome_matches m (Solve.solve m) (brute_solve m))
 
 let prop_presolve_preserves_outcome =
   QCheck2.Test.make ~name:"presolve preserves optimum" ~count:250
@@ -575,12 +588,12 @@ let prop_presolve_preserves_outcome =
     (fun seed ->
       let rng = Rng.create ~seed in
       let m = random_model rng in
-      let plain = Solve.solve ~engine:Solve.Sat_backed m in
+      let plain = Solve.solve m in
       let p = Presolve.run m in
       if p.Presolve.infeasible then plain = Solve.Infeasible
       else
         let lifted =
-          match Solve.solve ~engine:Solve.Sat_backed p.Presolve.reduced with
+          match Solve.solve p.Presolve.reduced with
           | Solve.Optimal (a, obj) ->
               Solve.Optimal (Presolve.lift ~original:m p a, obj + p.Presolve.objective_offset)
           | other -> other
@@ -625,22 +638,20 @@ let gen_model_spec =
 
 let print_model_spec spec = Lp_format.to_string (build_model spec)
 
-let prop_differential_sat_vs_bnb =
-  QCheck2.Test.make ~name:"differential: sat-backed vs b&b agree" ~count:300
+let prop_differential_sat_vs_brute =
+  QCheck2.Test.make ~name:"differential: sat-backed vs brute force agree" ~count:300
     ~print:print_model_spec gen_model_spec (fun spec ->
       let m = build_model spec in
-      outcome_matches m
-        (Solve.solve ~engine:Solve.Sat_backed m)
-        (Solve.solve ~engine:Solve.Branch_and_bound m))
+      outcome_matches m (Solve.solve m) (brute_solve m))
 
 let prop_differential_status_stable_under_proof =
   (* proof logging must never change the verdict, only observe it *)
   QCheck2.Test.make ~name:"differential: proof logging preserves verdict" ~count:100
     ~print:print_model_spec gen_model_spec (fun spec ->
       let m = build_model spec in
-      let plain = Solve.solve ~engine:Solve.Sat_backed m in
+      let plain = Solve.solve m in
       let proof = Cgra_satoca.Proof.create () in
-      let logged = Solve.solve ~engine:Solve.Sat_backed ~proof m in
+      let logged = Solve.solve ~proof m in
       match (plain, logged) with
       | Solve.Infeasible, Solve.Infeasible ->
           Cgra_satoca.Proof.has_empty_clause proof
@@ -656,8 +667,8 @@ let prop_lp_roundtrip_random =
       match Lp_format.of_string (Lp_format.to_string m) with
       | Error _ -> false
       | Ok m' ->
-          let a = Solve.solve ~engine:Solve.Brute_force m in
-          let b = Solve.solve ~engine:Solve.Brute_force m' in
+          let a = brute_solve m in
+          let b = brute_solve m' in
           (match (a, b) with
           | Solve.Infeasible, Solve.Infeasible -> true
           | Solve.Optimal (_, oa), Solve.Optimal (_, ob) -> oa = ob
@@ -710,8 +721,7 @@ let suites =
       List.map QCheck_alcotest.to_alcotest
         [
           prop_sat_engine_matches_brute;
-          prop_bnb_engine_matches_brute;
-          prop_differential_sat_vs_bnb;
+          prop_differential_sat_vs_brute;
           prop_differential_status_stable_under_proof;
           prop_presolve_preserves_outcome;
           prop_lp_roundtrip_random;

@@ -132,7 +132,7 @@ let gen_binary_heavy =
   let* clauses = shuffle_l (bins @ longs) in
   return (nvars, clauses)
 
-let print_cnf (nvars, clauses) = Cgra_satoca.Dimacs.print ~nvars clauses
+let print_cnf (nvars, clauses) = Test_sat.print_dimacs ~nvars clauses
 
 (* Plain CDCL, and eager probing, whose probes run the same propagation
    kernel from the root at solve start and between restarts. *)
@@ -213,7 +213,7 @@ let print_interleaved (nvars, batches) =
            (if b.guarded then " guarded" else "")
            (if b.assume then " assume ~g" else "")
            (if b.seed then " seed" else "")
-           (Cgra_satoca.Dimacs.print ~nvars:(nvars + 1) b.clauses))
+           (Test_sat.print_dimacs ~nvars:(nvars + 1) b.clauses))
        batches)
 
 let add_any s = function

@@ -1,7 +1,6 @@
 module Solver = Cgra_satoca.Solver
 module Lit = Cgra_satoca.Lit
 module Card = Cgra_satoca.Card
-module Dimacs = Cgra_satoca.Dimacs
 module Rng = Cgra_util.Rng
 
 (* ---------------- brute force reference ---------------- *)
@@ -22,6 +21,18 @@ let eval_clauses nvars clauses m =
 let brute_force_sat nvars clauses =
   let rec go m = m < 1 lsl nvars && (eval_clauses nvars clauses m || go (m + 1)) in
   go 0
+
+(* A clause list as DIMACS CNF: the QCheck printer of the CNF
+   properties here and in the kernel suite. *)
+let print_dimacs ~nvars clauses =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf (Printf.sprintf "p cnf %d %d\n" nvars (List.length clauses));
+  List.iter
+    (fun c ->
+      List.iter (fun l -> Buffer.add_string buf (Printf.sprintf "%d " (Lit.to_dimacs l))) c;
+      Buffer.add_string buf "0\n")
+    clauses;
+  Buffer.contents buf
 
 let solve_clauses nvars clauses =
   let s = Solver.create () in
@@ -472,37 +483,6 @@ let prop_solve_with_agrees_with_units =
           List.for_all (fun l -> List.mem l assumptions) failed
           && not (brute_force_sat nvars (clauses @ List.map (fun l -> [ l ]) failed)))
 
-(* ---------------- DIMACS ---------------- *)
-
-let test_dimacs_roundtrip () =
-  let clauses =
-    [ [ Lit.pos 0; Lit.neg 1 ]; [ Lit.pos 2 ]; [ Lit.neg 0; Lit.pos 1; Lit.neg 2 ] ]
-  in
-  let text = Dimacs.print ~nvars:3 clauses in
-  match Dimacs.parse text with
-  | Error e -> Alcotest.fail e
-  | Ok (nv, clauses') ->
-      Alcotest.(check int) "nvars" 3 nv;
-      Alcotest.(check bool) "clauses equal" true (clauses = clauses')
-
-let test_dimacs_load_solve () =
-  let text = "c a comment\np cnf 2 2\n1 2 0\n-1 2 0\n" in
-  let s = Solver.create () in
-  (match Dimacs.load s text with Ok () -> () | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "sat" true (Solver.solve s = Solver.Sat);
-  Alcotest.(check bool) "x2 true" true (Solver.value s 1)
-
-let test_dimacs_errors () =
-  (match Dimacs.parse "p cnf x 1\n1 0\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected bad p-line");
-  (match Dimacs.parse "1 2\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected unterminated clause");
-  match Dimacs.parse "1 foo 0\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected bad literal"
-
 let gen_cnf =
   let open QCheck2.Gen in
   let* nvars = int_range 1 8 in
@@ -511,29 +491,6 @@ let gen_cnf =
   in
   let* clauses = list_size (int_range 0 10) (list_size (int_range 0 4) gen_lit) in
   return (nvars, clauses)
-
-let prop_dimacs_roundtrip_random =
-  (* parse ∘ print = id, including duplicate literals, repeated clauses
-     and the empty clause — the printer must not normalise anything *)
-  QCheck2.Test.make ~name:"dimacs roundtrip is identity" ~count:300
-    ~print:(fun (nvars, clauses) -> Dimacs.print ~nvars clauses)
-    gen_cnf
-    (fun (nvars, clauses) -> Dimacs.parse (Dimacs.print ~nvars clauses) = Ok (nvars, clauses))
-
-let test_dimacs_whitespace_tolerant () =
-  (* tabs, CR line endings and runs of blanks are all legal separators,
-     and a clause may span lines *)
-  let text = "c\tcomment\r\np cnf  3\t2\r\n1\t-2  0\r\n-1 \t 3 0\n" in
-  (match Dimacs.parse text with
-  | Error e -> Alcotest.fail e
-  | Ok (nv, clauses) ->
-      Alcotest.(check int) "nvars" 3 nv;
-      Alcotest.(check bool) "clauses" true
-        (clauses = [ [ Lit.pos 0; Lit.neg 1 ]; [ Lit.neg 0; Lit.pos 2 ] ]));
-  match Dimacs.parse "p cnf 2 1\n1\n2 0\n" with
-  | Error e -> Alcotest.fail e
-  | Ok (_, clauses) ->
-      Alcotest.(check bool) "clause spans lines" true (clauses = [ [ Lit.pos 0; Lit.pos 1 ] ])
 
 (* ---------------- inprocessing differential fuzzers ----------------
 
@@ -559,7 +516,7 @@ let model_satisfies s clauses =
 let prop_inprocess_probe_cnf =
   QCheck2.Test.make ~name:"inprocess probe alone: CNF verdict = all-off = brute force"
     ~count:250
-    ~print:(fun (nvars, clauses) -> Dimacs.print ~nvars clauses)
+    ~print:(fun (nvars, clauses) -> print_dimacs ~nvars clauses)
     gen_cnf
     (fun (nvars, clauses) ->
       let expected = brute_force_sat nvars clauses in
@@ -582,8 +539,8 @@ let prop_inprocess_probe_lp =
   QCheck2.Test.make ~name:"inprocess probe alone: LP optimum = all-off" ~count:200
     ~print:Test_ilp.print_model_spec Test_ilp.gen_model_spec (fun spec ->
       let m = Test_ilp.build_model spec in
-      let on = Solve.solve ~engine:Solve.Sat_backed ~inprocess:Inprocess.eager m in
-      let off = Solve.solve ~engine:Solve.Sat_backed ~inprocess:Inprocess.all_off m in
+      let on = Solve.solve ~inprocess:Inprocess.eager m in
+      let off = Solve.solve ~inprocess:Inprocess.all_off m in
       Test_ilp.outcome_matches m on off)
 
 let test_inprocess_regression_corpus () =
@@ -798,13 +755,6 @@ let suites =
         Alcotest.test_case "totalizer bound_lit reusable" `Quick
           test_totalizer_bound_lit_reusable;
       ] );
-    ( "sat:dimacs",
-      [
-        Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
-        Alcotest.test_case "load+solve" `Quick test_dimacs_load_solve;
-        Alcotest.test_case "parse errors" `Quick test_dimacs_errors;
-        Alcotest.test_case "whitespace tolerant" `Quick test_dimacs_whitespace_tolerant;
-      ] );
     ( "sat:properties",
       List.map QCheck_alcotest.to_alcotest
         [
@@ -812,7 +762,6 @@ let suites =
           prop_sat_model_valid;
           prop_at_most_k_random;
           prop_solve_with_agrees_with_units;
-          prop_dimacs_roundtrip_random;
         ] );
     ( "sat:inprocess",
       Alcotest.test_case "fixed-seed regression corpus" `Quick test_inprocess_regression_corpus

@@ -319,20 +319,6 @@ let tiny_adder () =
   | Ok dfg -> dfg
   | Error e -> Alcotest.fail e
 
-(* one adder feeding three: on the 2x2 orthogonal mesh at II 1 it
-   passes the Hall step but cannot be routed, and branch and bound
-   refutes it in well under a second *)
-let fanout_kernel () =
-  match
-    Dfg.of_text
-      "node x input\nnode a add\nnode b add\nnode c add\nnode d add\n\
-       node ob output\nnode oc output\nnode od output\n\
-       edge x a 0\nedge x a 1\nedge a b 0\nedge a b 1\nedge a c 0\nedge a c 1\n\
-       edge a d 0\nedge a d 1\nedge b ob 0\nedge c oc 0\nedge d od 0\n"
-  with
-  | Ok dfg -> dfg
-  | Error e -> Alcotest.fail e
-
 let test_session_certify_only_served () =
   (* a certify-only request gets a step of its own whose solver logs a
      proof: accum@hetero-orth-2x2/ii2 passes the Hall step, so its
@@ -357,18 +343,7 @@ let test_session_certify_only_served () =
   (* a plain request needs no proof, so it prepares its own step *)
   let o3 = Session.solve session ~mrrg ~ii:2 in
   Alcotest.(check bool) "an unlogged request misses" false o3.Session.cache_hit;
-  Alcotest.(check (list int)) "one II resident" [ 2 ] (Session.compiled_iis session);
-  (* branch and bound keeps no solver, so each search cross-certifies
-     into a proof of its own: a repeat logs what the first answer did,
-     not that plus a second refutation *)
-  let session = Session.create ~solver:(solver_spec "native-bnb") (fanout_kernel ()) in
-  let proof_steps () =
-    match (Session.solve ~certify:true session ~mrrg:(small_mrrg 1) ~ii:1).Session.result with
-    | IM.Infeasible { IM.certified = true; proof_steps; _ } -> proof_steps
-    | r -> Alcotest.failf "B&B: expected a certified infeasibility, got %a" IM.pp_result r
-  in
-  let first = proof_steps () in
-  Alcotest.(check int) "B&B repeat logs one refutation" first (proof_steps ())
+  Alcotest.(check (list int)) "one II resident" [ 2 ] (Session.compiled_iis session)
 
 let test_session_refutation_checked_once () =
   (* a refuted resident solver logs nothing more, so certify-only
@@ -413,9 +388,9 @@ let answer_of = function
   | IM.Timeout _ -> ("timeout", None, None)
 
 let test_session_any_solver_agrees_with_map () =
-  (* branch and bound and optimisation are session steps like any
-     other: a fresh session's answer is one-shot [map]'s, objective
-     value and evidence included, and so is its repeat *)
+  (* the connectivity formulation and optimisation are session steps
+     like any other: a fresh session's answer is one-shot [map]'s,
+     objective value and evidence included, and so is its repeat *)
   List.iter
     (fun (name, objective, (bench, dfg), ii) ->
       let cell = Printf.sprintf "%s %s@homo-orth-2x2/ii%d" name bench ii in
@@ -429,16 +404,34 @@ let test_session_any_solver_agrees_with_map () =
             (answer_of (Session.solve ~objective session ~mrrg ~ii).Session.result))
         [ "first"; "repeat" ])
     [
-      ("native-bnb", Cgra_core.Formulation.Feasibility, ("2x2-f", benchmark "2x2-f"), 2);
-      ("native-bnb", Cgra_core.Formulation.Feasibility, ("mac", benchmark "mac"), 2);
+      ("conn-sat", Cgra_core.Formulation.Feasibility, ("2x2-f", benchmark "2x2-f"), 2);
+      ("conn-sat", Cgra_core.Formulation.Feasibility, ("mac", benchmark "mac"), 2);
       ("native-sat", Cgra_core.Formulation.Min_routing, ("adder", tiny_adder ()), 1);
       ("native-sat", Cgra_core.Formulation.Min_routing, ("mac", benchmark "mac"), 1);
     ]
 
-let test_session_bnb_repeat_is_cold () =
-  (* branch and bound keeps no solver: its repeat reuses the built model
-     ([cache_hit]) but searches from scratch, so it is never warm *)
-  let session = Session.create ~solver:(solver_spec "native-bnb") (benchmark "2x2-f") in
+(* an external solver that decides the model in process: a test double
+   for the subprocess adapters, which keep no resident solver *)
+let in_process_external =
+  let module Backend = Cgra_backend.Backend in
+  let name = "test-in-process" in
+  {
+    Cgra_core.Solver_spec.name;
+    formulation = Cgra_core.Formulation_intf.paper;
+    engine =
+      Cgra_core.Solver_spec.External
+        {
+          Backend.name;
+          doc = "the SAT engine behind the external interface (test double)";
+          available = (fun () -> Backend.Available { version = None });
+          solve = (fun ?deadline model -> Cgra_ilp.Solve.solve ?deadline model);
+        };
+  }
+
+let test_session_external_repeat_is_cold () =
+  (* an external solver keeps no solver: its repeat reuses the built
+     model ([cache_hit]) but searches from scratch, so it is never warm *)
+  let session = Session.create ~solver:in_process_external (benchmark "2x2-f") in
   let o1 = Session.solve session ~mrrg:(small_mrrg 2) ~ii:2 in
   let o2 = Session.solve session ~mrrg:(small_mrrg 2) ~ii:2 in
   Alcotest.(check (list string)) "feasible twice" [ "feasible"; "feasible" ]
@@ -680,10 +673,9 @@ let test_engine_certify_explain_served () =
     [ v1; v2 ]
 
 let test_engine_every_kind_served () =
-  (* optimisation, certify without explain and branch and bound on
-     either formulation all go through a session: the first answer is
-     one-shot [map]'s, the repeat is a hit with the same answer, and only
-     a SAT engine's repeat is warm *)
+  (* optimisation, certify without explain and the connectivity
+     formulation all go through a session: the first answer is one-shot
+     [map]'s, and the repeat is a warm hit with the same answer *)
   let e = Engine.create () in
   let adder = tiny_adder () in
   List.iter
@@ -707,9 +699,7 @@ let test_engine_every_kind_served () =
       same (kind ^ ": first is map's") (answer reference) (answer v1);
       same (kind ^ ": repeat is map's") (answer reference) (answer v2);
       Alcotest.(check bool) (kind ^ ": repeat hits") true v2.Protocol.provenance.Protocol.cache_hit;
-      Alcotest.(check bool) (kind ^ ": repeat warm only on SAT")
-        (solver.Cgra_core.Solver_spec.engine
-        = Cgra_core.Solver_spec.Native Cgra_ilp.Solve.Sat_backed)
+      Alcotest.(check bool) (kind ^ ": repeat is warm") true
         v2.Protocol.provenance.Protocol.warm_start)
     [
       ( "optimize",
@@ -718,11 +708,8 @@ let test_engine_every_kind_served () =
       ( "certify-only",
         map_request ~bench:"accum" ~arch:"hetero-orth" ~contexts:2 ~certify:true (),
         benchmark "accum", "hetero-orth" );
-      ( "native-bnb",
-        map_request ~bench:"2x2-f" ~contexts:2 ~backend:"native-bnb" (),
-        benchmark "2x2-f", "homo-orth" );
-      ( "conn-bnb",
-        map_request ~bench:"2x2-f" ~contexts:2 ~backend:"conn-bnb" (),
+      ( "conn-sat",
+        map_request ~bench:"2x2-f" ~contexts:2 ~backend:"conn-sat" (),
         benchmark "2x2-f", "homo-orth" );
     ]
 
@@ -792,10 +779,27 @@ let test_engine_bad_requests () =
   (match Engine.handle_map e { (map_request ()) with Protocol.contexts = 0 } with
   | Error ("bad_request", _) -> ()
   | _ -> Alcotest.fail "accepted contexts=0");
-  match Engine.handle_map e (map_request ~size:0 ()) with
+  (match Engine.handle_map e (map_request ~size:0 ()) with
   | Error ("bad_request", _) -> ()
   | Error (code, msg) -> Alcotest.failf "size 0 answered %s: %s" code msg
-  | Ok _ -> Alcotest.fail "accepted size 0"
+  | Ok _ -> Alcotest.fail "accepted size 0");
+  (* a directory exists but cannot be read as a file: name resolution
+     says so with an Error, not an exception *)
+  let dir = Filename.temp_dir "cgra_unreadable" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      Alcotest.(check bool) "load_benchmark on a directory" true
+        (Result.is_error (Cgra_sweep.Runner.load_benchmark dir));
+      Alcotest.(check bool) "load_arch on a directory" true
+        (Result.is_error (Cgra_sweep.Runner.load_arch ~size:4 dir));
+      List.iter
+        (fun (what, req) ->
+          match Engine.handle_map e req with
+          | Error ("bad_request", _) -> ()
+          | Error (code, msg) -> Alcotest.failf "%s directory answered %s: %s" what code msg
+          | Ok _ -> Alcotest.failf "accepted a directory as %s" what)
+        [ ("benchmark", map_request ~bench:dir ()); ("arch", map_request ~arch:dir ()) ])
 
 let test_engine_concurrent_mixed_keys () =
   (* Four domains hammer two different (dfg, arch, ii) keys through one
@@ -1022,10 +1026,10 @@ let suites =
           test_session_per_solve_stats;
         Alcotest.test_case "a cold solve is one-shot's search" `Slow
           test_session_cold_is_oneshot_search;
-        Alcotest.test_case "B&B and optimising sessions agree with map" `Slow
+        Alcotest.test_case "conn-sat and optimising sessions agree with map" `Slow
           test_session_any_solver_agrees_with_map;
-        Alcotest.test_case "a B&B repeat hits but is never warm" `Quick
-          test_session_bnb_repeat_is_cold;
+        Alcotest.test_case "an external repeat hits but is never warm" `Quick
+          test_session_external_repeat_is_cold;
         Alcotest.test_case "optimising repeats reuse the totalizer" `Quick
           test_session_optimize_reuses_totalizer;
         QCheck_alcotest.to_alcotest prop_session_agrees_with_oneshot;

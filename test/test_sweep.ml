@@ -415,11 +415,12 @@ let test_cross_record_roundtrip () =
     (Astring.String.is_infix ~affix:"disagreement" (Record.to_line ok))
 
 let test_scheduler_cross_check_agrees () =
-  (* native-bnb re-proves what native-sat decided; a complete second
-     engine can only confirm (or time out — inconclusive) *)
+  (* conn-sat re-proves what native-sat decided on the other
+     formulation; a complete second engine can only confirm (or time
+     out — inconclusive) *)
   let records, stats =
     Scheduler.run
-      ~execute:(Runner.cross_checked (solver "native-bnb") Runner.run)
+      ~execute:(Runner.cross_checked (solver "conn-sat") Runner.run)
       [ job (); job ~bench:"2x2-f" ~contexts:2 () ]
   in
   Alcotest.(check int) "no disagreements" 0 stats.Scheduler.disagreements;
@@ -428,7 +429,7 @@ let test_scheduler_cross_check_agrees () =
       match r.Record.cross with
       | None -> Alcotest.failf "definitive cell %s not cross-checked" (Job.key r.Record.job)
       | Some c ->
-          Alcotest.(check string) "checker recorded" "native-bnb" c.Record.backend;
+          Alcotest.(check string) "checker recorded" "conn-sat" c.Record.backend;
           Alcotest.(check bool) "no contradiction" true c.Record.agreed)
     records
 
@@ -510,8 +511,7 @@ let test_run_anneal () =
 let test_certified_sweep () =
   (* Every definitive verdict of a certified sweep must carry validated
      evidence: Check-accepted mappings for feasible cells, checked DRAT
-     refutations for infeasible ones.  Covers the SAT engine directly
-     and the B&B cross-certification through a portfolio race. *)
+     refutations for infeasible ones. *)
   let records, _ = Scheduler.run ~jobs:2 ~execute:(Runner.run ~certify:true) fast_jobs in
   Alcotest.(check (list string))
     "statuses unchanged by certification"
@@ -522,12 +522,7 @@ let test_certified_sweep () =
       Alcotest.(check bool)
         (Printf.sprintf "%s is certified" (Job.key r.Record.job))
         true r.Record.certified)
-    records;
-  let bnb = Runner.variant ~name:"bnb" ~warm_start:0.0 (solver "native-bnb") in
-  let r = Runner.run_variant ~certify:true bnb (job ()) in
-  Alcotest.(check string) "b&b proves the cell" "infeasible"
-    (Record.status_to_string r.Record.status);
-  Alcotest.(check bool) "b&b infeasibility is cross-certified" true r.Record.certified
+    records
 
 let test_uncertified_by_default () =
   let r = Runner.run (job ()) in
