@@ -23,6 +23,11 @@
                        infeasible 2x2 cells; appends a run record to
                        BENCH_explain.json and exits 1 if any core is not
                        minimized and verified
+     certify           certification cost on three routing-infeasible 2x2
+                       cells: plain vs --certify wall (best of 3); appends
+                       a run record to BENCH_certify.json and exits 1 on
+                       an uncertified refutation or a certify/plain ratio
+                       above 1.5
      conn              formulation A/B: the paper's per-edge model vs the
                        connectivity model on shared cells — encode size,
                        encode/solve time per formulation; appends a run
@@ -478,21 +483,22 @@ let run_inprocess opts =
 let explain_cells =
   [ ("accum", "hetero-orth", 2); ("accum", "hetero-diag", 2); ("accum", "homo-orth", 2) ]
 
+(* The best time of [reps] calls of [f], and the last call's answer. *)
+let best_of reps f =
+  let t = ref infinity and answer = ref None in
+  for _ = 1 to reps do
+    let t0 = Deadline.now () in
+    answer := Some (f ());
+    t := Float.min !t (Deadline.elapsed_of ~start:t0)
+  done;
+  (!t, Option.get !answer)
+
 let run_explain opts =
   let reps = 3 in
   Printf.printf "== Explanation overhead (2x2 routing-infeasible cells, best of %d) ==\n" reps;
   Printf.printf "  %-24s %9s %9s %9s %5s %8s %s\n" "cell" "plain" "explain" "extract" "core"
     "SATcalls" "core status";
-  (* the best time of [reps] calls, and the last call's answer *)
-  let best f =
-    let t = ref infinity and answer = ref None in
-    for _ = 1 to reps do
-      let t0 = Deadline.now () in
-      answer := Some (f ());
-      t := Float.min !t (Deadline.elapsed_of ~start:t0)
-    done;
-    (!t, Option.get !answer)
-  in
+  let best f = best_of reps f in
   let rows =
     List.map
       (fun (bench, arch_name, ii) ->
@@ -544,6 +550,75 @@ let run_explain opts =
        ]);
   if not (List.for_all fst rows) then begin
     Printf.eprintf "explain: a core is not minimized and verified\n%!";
+    exit 1
+  end;
+  print_newline ()
+
+(* ------------------------------------------------------------------ *)
+(* Certification cost: proof logging and hint checking                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The same routing-infeasible cells as [explain]: [plain] is the bare
+   infeasibility proof, [certify] the proof-logged search plus the
+   hint check of its refutation.  Each time is the best of [reps]; the
+   gate is on the ratio of the two. *)
+let certify_gate = 1.5
+
+let run_certify opts =
+  let reps = 3 in
+  Printf.printf "== Certification cost (2x2 routing-infeasible cells, best of %d) ==
+" reps;
+  Printf.printf "  %-24s %9s %9s %6s %8s %s
+" "cell" "plain" "certify" "ratio" "steps" "verdict";
+  let best f = best_of reps f in
+  let rows =
+    List.map
+      (fun (bench, arch_name, ii) ->
+        let cell = Printf.sprintf "%s@%s/ii%d" bench arch_name ii in
+        let dfg = Option.get (Benchmarks.by_name bench) in
+        let arch = Lib.make (Option.get (Lib.find_config ~size:2 arch_name)) in
+        let mrrg = Build.elaborate arch ~ii in
+        let map certify =
+          IM.map ~deadline:(Deadline.after ~seconds:opts.limit) ~warm_start:0.0 ~certify dfg mrrg
+        in
+        let plain, _ = best (fun () -> map false) in
+        let certified, answer = best (fun () -> map true) in
+        let ratio = certified /. plain in
+        let steps, good =
+          match answer with
+          | IM.Infeasible i -> (i.IM.proof_steps, i.IM.certified && i.IM.proof_steps > 0)
+          | _ -> (0, false)
+        in
+        Printf.printf "  %-24s %8.3fs %8.3fs %5.2fx %8d %s
+%!" cell plain certified ratio steps
+          (if good then "certified refutation" else "NOT a certified refutation");
+        ( good && ratio <= certify_gate,
+          Jsonl.Obj
+            [
+              ("benchmark", Jsonl.Str bench);
+              ("arch", Jsonl.Str arch_name);
+              ("size", Jsonl.Num 2.0);
+              ("contexts", Jsonl.Num (float_of_int ii));
+              ("plain_seconds", Jsonl.Num plain);
+              ("certify_seconds", Jsonl.Num certified);
+              ("ratio", Jsonl.Num ratio);
+              ("proof_steps", Jsonl.Num (float_of_int steps));
+              ("certified", Jsonl.Bool good);
+            ] ))
+      explain_cells
+  in
+  record_bench_run ~name:"certify"
+    (Jsonl.Obj
+       [
+         ("unix_time", Jsonl.Num (Unix.gettimeofday ()));
+         ("reps", Jsonl.Num (float_of_int reps));
+         ("limit", Jsonl.Num opts.limit);
+         ("gate", Jsonl.Num certify_gate);
+         ("cells", Jsonl.List (List.map snd rows));
+       ]);
+  if not (List.for_all fst rows) then begin
+    Printf.eprintf "certify: a refutation is uncertified or costs over %.1fx the plain search\n%!"
+      certify_gate;
     exit 1
   end;
   print_newline ()
@@ -1015,6 +1090,7 @@ let () =
       | "sweep" -> run_sweep_scaling opts
       | "inprocess" -> run_inprocess opts
       | "explain" -> run_explain opts
+      | "certify" -> run_certify opts
       | "conn" -> run_conn opts
       | "serve" -> run_serve opts
       | "archscale" | "arch-scale" -> run_archscale opts

@@ -20,8 +20,9 @@ type t = {
   mutable totalizer : Cgra_satoca.Card.Totalizer.t option;
       (** the objective's totalizer over [objective_lits], built by the
           first objective descent that bounds the objective
-          ({!Solve.search}) and reused by every later descent on this
-          encoding, so a repeated search adds no variables *)
+          ({!Solve.search}) with outputs up to its first incumbent, and
+          reused by every later descent on this encoding, so a repeated
+          search adds no variables *)
 }
 
 val encode :

@@ -21,19 +21,18 @@ let pp_outcome fmt = function
   | Infeasible -> Format.fprintf fmt "infeasible"
   | Timeout -> Format.fprintf fmt "timeout"
 
-(* The objective's totalizer, built at the first descent that needs a
-   bound and kept on the encoding, so every later descent on a
-   resident solver reuses it. *)
-let totalizer (enc : Encode.t) =
-  match enc.Encode.totalizer with
-  | Some tot -> tot
-  | None ->
-      let units =
-        List.concat_map (fun (w, l) -> List.init w (fun _ -> l)) enc.Encode.objective_lits
-      in
-      let tot = Card.Totalizer.build enc.Encode.solver units in
-      enc.Encode.totalizer <- Some tot;
-      tot
+(* Build the objective's totalizer with outputs for bounds up to
+   [bound], an objective value some model reaches, and keep it on the
+   encoding.  A descent asks only for bounds below its first incumbent,
+   so the tree stops there; covering the incumbent itself lets a later
+   descent on a resident solver start from it. *)
+let build_totalizer (enc : Encode.t) ~bound =
+  let units =
+    List.concat_map (fun (w, l) -> List.init w (fun _ -> l)) enc.Encode.objective_lits
+  in
+  let tot = Card.Totalizer.build ~cap:(bound + 1) enc.Encode.solver units in
+  enc.Encode.totalizer <- Some tot;
+  tot
 
 let descend ~deadline (enc : Encode.t) model sat_calls =
   let solver = enc.Encode.solver in
@@ -53,30 +52,39 @@ let descend ~deadline (enc : Encode.t) model sat_calls =
             Model.objective_value model (fun v -> assign.(v)) - enc.Encode.objective_offset
           in
           let best = ref (norm_value !best_assign) in
-          if enc.Encode.objective_lits = [] then
+          if enc.Encode.objective_lits = [] || !best = 0 then
             Optimal (!best_assign, Model.objective_value model (fun v -> !best_assign.(v)))
           else begin
-            let tot = totalizer enc in
+            let tot =
+              ref
+                (match enc.Encode.totalizer with
+                | Some tot -> tot
+                | None -> build_totalizer enc ~bound:!best)
+            in
             (* Each descent step enforces the strictly tighter bound as
                an assumption, so the clause database stays free of
                bound units and reusable under any bound, proof-logged
-               or not. *)
-            let solve_bounded k =
-              let assumptions = Option.to_list (Card.Totalizer.bound_lit tot k) in
-              Solver.solve_with ~deadline ~assumptions solver
-            in
+               or not.  A kept tree may stop short of this descent's
+               incumbent: it then bounds by its largest bound, which a
+               model met when it was built. *)
             let result = ref None in
             while !result = None do
               if !best = 0 then result := Some (Optimal (!best_assign, enc.Encode.objective_offset))
               else begin
+                let k = min (!best - 1) (Array.length (Card.Totalizer.outputs !tot) - 1) in
+                let assumptions = Option.to_list (Card.Totalizer.bound_lit !tot k) in
                 incr sat_calls;
-                match solve_bounded (!best - 1) with
+                match Solver.solve_with ~deadline ~assumptions solver with
                 | Solver.Sat ->
                     let a = Encode.assignment enc model in
                     let v = norm_value a in
                     (* The bound guarantees strict improvement. *)
                     best_assign := a;
                     best := v
+                | Solver.Unsat when k < !best - 1 ->
+                    (* no model within the kept tree's bounds after all:
+                       build one that reaches the incumbent *)
+                    tot := build_totalizer enc ~bound:!best
                 | Solver.Unsat ->
                     result :=
                       Some (Optimal (!best_assign, !best + enc.Encode.objective_offset))

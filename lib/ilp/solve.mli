@@ -71,9 +71,13 @@ val search :
     whose learnt clauses and phases carry over.  The report's [stats]
     are this search's share of the solver's cumulative counters
     ({!Cgra_satoca.Solver.stats_delta}).  The descent builds the
-    objective's totalizer once per encoding ({!Encode.t}[.totalizer])
-    and bounds it by assumption, so repeated searches add no clauses
-    or variables, whether or not the solver logs a proof.
+    objective's totalizer once per encoding ({!Encode.t}[.totalizer]),
+    with outputs only up to its first incumbent (the bounds it asks
+    for are below it), and bounds it by assumption, so repeated
+    searches add no clauses or variables, whether or not the solver
+    logs a proof.  A later descent whose first incumbent is past those
+    outputs starts from the tree's largest bound, which a model met
+    before; only a tree no model meets is built again.
     [solve_seconds] is the search alone. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -122,29 +122,32 @@ let at_least_k solver lits k =
   end
 
 module Totalizer = struct
-  type t = { outputs : Lit.t array }
+  type t = { outputs : Lit.t array; inputs : int }
 
-  (* Merge two sorted-count output vectors: r.(c-1) == "at least c
-     inputs are true".  Only the upward implications are emitted — they
-     are what an at-most bound needs to propagate. *)
-  let merge solver a b =
+  (* Merge two sorted-count output vectors, keeping the first [cap]
+     outputs: r.(c-1) == "at least c inputs are true".  Only the upward
+     implications are emitted — they are what an at-most bound needs to
+     propagate.  A count past the cap needs no output: every output
+     below it is forced by pairs (i, j) with i + j + 1 under the cap. *)
+  let merge ~cap solver a b =
     let m = Array.length a and n = Array.length b in
-    let first = Solver.new_vars solver (m + n) in
-    let r = Array.init (m + n) (fun i -> Lit.pos (first + i)) in
-    for i = 0 to m - 1 do
+    let out = min (m + n) cap in
+    let first = Solver.new_vars solver out in
+    let r = Array.init out (fun i -> Lit.pos (first + i)) in
+    for i = 0 to min m out - 1 do
       Solver.add_binary solver (Lit.negate a.(i)) r.(i)
     done;
-    for j = 0 to n - 1 do
+    for j = 0 to min n out - 1 do
       Solver.add_binary solver (Lit.negate b.(j)) r.(j)
     done;
-    for i = 0 to m - 1 do
-      for j = 0 to n - 1 do
+    for i = 0 to min m (out - 1) - 1 do
+      for j = 0 to min n (out - 1 - i) - 1 do
         Solver.add_ternary solver (Lit.negate a.(i)) (Lit.negate b.(j)) r.(i + j + 1)
       done
     done;
     r
 
-  let rec tree solver = function
+  let rec tree ~cap solver = function
     | [] -> [||]
     | [ l ] -> [| l |]
     | lits ->
@@ -155,13 +158,23 @@ module Totalizer = struct
           | [] -> (List.rev acc, [])
         in
         let left, right = split (n / 2) [] lits in
-        merge solver (tree solver left) (tree solver right)
+        merge ~cap solver (tree ~cap solver left) (tree ~cap solver right)
 
-  let build solver lits = { outputs = tree solver lits }
+  let build ?cap solver lits =
+    let inputs = List.length lits in
+    let cap =
+      match cap with
+      | Some c when c < 1 -> invalid_arg "Totalizer.build: cap below 1"
+      | Some c -> c
+      | None -> inputs
+    in
+    { outputs = tree ~cap solver lits; inputs }
 
   let outputs t = t.outputs
 
   let bound_lit t k =
     if k < 0 then invalid_arg "Totalizer.bound_lit: negative bound";
-    if k < Array.length t.outputs then Some (Lit.negate t.outputs.(k)) else None
+    if k >= t.inputs then None
+    else if k < Array.length t.outputs then Some (Lit.negate t.outputs.(k))
+    else invalid_arg "Totalizer.bound_lit: bound past the cap"
 end

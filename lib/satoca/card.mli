@@ -37,11 +37,17 @@ val at_least_k : Solver.t -> Lit.t list -> int -> unit
 module Totalizer : sig
   type t
 
-  val build : Solver.t -> Lit.t list -> t
-  (** Clausify the tree; inputs may repeat. *)
+  val build : ?cap:int -> Solver.t -> Lit.t list -> t
+  (** Clausify the tree; inputs may repeat.  With [cap], every node
+      keeps only its first [cap] outputs, so the tree can bound the sum
+      by [cap - 1] or less: about n·cap clauses instead of n²/2.
+      Without it (or with [cap] at least the input count) it has every
+      output.
+      @raise Invalid_argument on a cap below 1. *)
 
   val outputs : t -> Lit.t array
-  (** [outputs.(j)] is the literal "at least j+1 inputs true". *)
+  (** [outputs.(j)] is the literal "at least j+1 inputs true", for [j]
+      below the cap. *)
 
   val bound_lit : t -> int -> Lit.t option
   (** [bound_lit t k] is the literal meaning [sum <= k] — the negated
@@ -50,7 +56,8 @@ module Totalizer : sig
       clause database reusable under any other bound (adding it as a
       unit clause makes the bound permanent).  [None] when [k] is at
       least the input count (the bound is vacuous).
-      @raise Invalid_argument on a negative bound. *)
+      @raise Invalid_argument on a negative bound, or one below the
+      input count that the cap leaves no output for. *)
 end
 
 (** {1 Sizing}

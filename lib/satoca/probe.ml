@@ -20,11 +20,8 @@ let run solver ~budget =
     | [] -> ()
     | l :: rest ->
         if Solver.ok solver && within_budget () then begin
-          if Solver.root_value solver l = -1 && Solver.probe_lit solver l then begin
+          if Solver.root_value solver l = -1 && Solver.probe_lit solver l then
             Solver.note_probed_failed solver;
-            (* the failed assumption's negation is a root fact *)
-            Solver.simp_add_unit solver (Lit.negate l)
-          end;
           go rest
         end
   in

@@ -72,6 +72,22 @@ let hdr_words h = 1 + hdr_len h + (h land learnt_bit)
 
 type result = Sat | Unsat | Unknown
 
+(* Proof logging, while a {!Proof} sink is attached.  Every stored
+   clause has a proof ID, [ids.(slot)]; a root-level fact has one too,
+   the ID of a unit clause that holds it, once some lemma cites it.
+   [hints], [chain] and [dropped] collect the hints of the lemma being
+   derived; [roots] lists the level-0 variables whose units it already
+   cites, marked [root_mark] in [seen]. *)
+type logger = {
+  proof : Proof.t;
+  ids : Veci.t;
+  mutable unit_ids : int array;  (* var -> ID of its root unit, 0 none yet *)
+  hints : Veci.t;
+  chain : Veci.t;  (* reasons resolved on, latest first *)
+  dropped : Veci.t;  (* reasons of the literals minimisation drops *)
+  roots : Veci.t;
+}
+
 type stats = {
   conflicts : int;
   decisions : int;
@@ -125,7 +141,7 @@ type t = {
   mutable restarts : int;
   mutable rng_state : int64;
   mutable random_freq : float;  (* fraction of random decisions *)
-  mutable proof : Proof.t option;  (* DRAT sink; None = no logging *)
+  mutable log : logger option;  (* proof sink; None = no logging *)
   mutable failed : int list;    (* failed assumptions of the last solve_with *)
   mutable guard : int;          (* literal appended to every added clause, or -1 *)
   mutable cbuf : int array;     (* add_clause's normalisation buffer *)
@@ -177,7 +193,7 @@ let create () =
     restarts = 0;
     rng_state = 0x9E3779B97F4A7C15L;
     random_freq = 0.02;
-    proof = None;
+    log = None;
     failed = [];
     guard = -1;
     cbuf = Array.make 16 0;
@@ -185,7 +201,22 @@ let create () =
     n_probed_failed = 0;
   }
 
-let set_proof t proof = t.proof <- proof
+let set_proof t proof =
+  match proof with
+  | None -> t.log <- None
+  | Some p ->
+      (* clauses stored before the sink have no ID: 0 names none *)
+      t.log <-
+        Some
+          {
+            proof = p;
+            ids = Veci.make t.n_slots 0;
+            unit_ids = [||];
+            hints = Veci.create ();
+            chain = Veci.create ();
+            dropped = Veci.create ();
+            roots = Veci.create ();
+          }
 
 (* SplitMix64 step, for randomised decisions *)
 let next_random t =
@@ -438,9 +469,11 @@ let reserve t ~vars ~clauses ~literals =
   let need = t.arena_top + words in
   if need > Array.length t.arena then resize_arena t (need + (words / 4))
 
-(* Store [buf.(0 .. n-1)] as a new clause (n >= 2) and return its
-   offset.  A learnt clause also gets an activity, [t.cla_inc]. *)
-let store t ~learnt buf n =
+(* Store [buf.(0 .. n-1)] as a new clause (n >= 2) with proof ID [id]
+   and return its offset.  A learnt clause also gets an activity,
+   [t.cla_inc]. *)
+let store t ~learnt ~id buf n =
+  (match t.log with Some lg -> Veci.push lg.ids id | None -> ());
   ensure_words t (n + if learnt then 2 else 1);
   let c = t.arena_top and a = t.arena in
   a.(c) <- header ~slot:t.n_slots ~len:n ~learnt;
@@ -459,6 +492,88 @@ let store t ~learnt buf n =
     t.arena_top <- t.arena_top + 1
   end;
   c
+
+(* ---------------- proof hints ---------------- *)
+
+(* Marks in [seen], beside conflict analysis's 1: a level-0 variable
+   whose unit the lemma being derived already cites, and a literal
+   minimisation dropped whose reason is not cited yet.  Analysis never
+   reads a level-0 variable's mark, and tests the others only against
+   0, so neither changes the search. *)
+let root_mark = '\003'
+let dropped_mark = '\002'
+
+let clause_id lg t c = Veci.get lg.ids (hdr_slot t.arena.(c))
+
+let set_unit_id lg v id =
+  let n = Array.length lg.unit_ids in
+  if v >= n then begin
+    let a = Array.make (max (v + 1) (2 * n)) 0 in
+    Array.blit lg.unit_ids 0 a 0 n;
+    lg.unit_ids <- a
+  end;
+  lg.unit_ids.(v) <- id
+
+(* The ID of the unit clause holding variable [v]'s root value.  The
+   first time a lemma cites it, it is derived from [v]'s reason and the
+   units of the reason's other literals, all false at the root.  A
+   fact with neither (asserted before the sink was attached) has none:
+   0, which no checker accepts. *)
+let rec root_unit t lg v =
+  let id = if v < Array.length lg.unit_ids then lg.unit_ids.(v) else 0 in
+  if id > 0 then id
+  else
+    let c = t.reason.(v) in
+    if c < 0 then 0
+    else begin
+      let n = hdr_len t.arena.(c) in
+      let hints = Array.make n 0 in
+      for j = 1 to n - 1 do
+        hints.(j - 1) <- root_unit t lg (t.arena.(c + 1 + j) lsr 1)
+      done;
+      hints.(n - 1) <- clause_id lg t c;
+      let id = Proof.log_add ~counted:false lg.proof [| t.arena.(c + 1) |] 1 hints n in
+      set_unit_id lg v id;
+      id
+    end
+
+(* Cite the unit of level-0 variable [v] once in the lemma being
+   derived. *)
+let cite_root t lg v =
+  if Bytes.get t.seen v <> root_mark then begin
+    Bytes.set t.seen v root_mark;
+    Veci.push lg.roots v;
+    Veci.push lg.hints (root_unit t lg v)
+  end
+
+(* Complete the lemma's hints: after the root units, the reasons of
+   dropped literals, then the chain oldest first, ending at the
+   conflict.  Clears the root marks. *)
+let finish_hints t lg =
+  Veci.iter (Veci.push lg.hints) lg.dropped;
+  for i = Veci.size lg.chain - 1 downto 0 do
+    Veci.push lg.hints (Veci.get lg.chain i)
+  done;
+  Veci.iter (fun v -> Bytes.set t.seen v '\000') lg.roots;
+  Veci.clear lg.roots;
+  Veci.clear lg.chain;
+  Veci.clear lg.dropped
+
+(* Log [lits.(0 .. n-1)] as a lemma with the hints collected. *)
+let log_hinted lg lits n =
+  Proof.log_add lg.proof lits n (Veci.data lg.hints) (Veci.size lg.hints)
+
+(* Log the empty clause: clause [c] is false at the root. *)
+let log_root_conflict t c =
+  match t.log with
+  | None -> ()
+  | Some lg ->
+      Veci.clear lg.hints;
+      for j = c + 1 to c + hdr_len t.arena.(c) do
+        Veci.push lg.hints (root_unit t lg (t.arena.(j) lsr 1))
+      done;
+      Veci.push lg.hints (clause_id lg t c);
+      ignore (log_hinted lg [||] 0)
 
 (* ---------------- the watch arena ---------------- *)
 
@@ -793,10 +908,6 @@ let sort_uniq_prefix buf n =
     !w
   end
 
-let prefix_list buf n =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (buf.(i) :: acc) in
-  go (n - 1) []
-
 (* Make [cbuf] hold the guard and [len] more literals; returns the index
    the caller's literals start at. *)
 let clause_buffer t len =
@@ -821,7 +932,7 @@ let add_buffered t n =
   done;
   (* the normalised clause is logically the caller's clause; log it as
      a proof axiom before any root-level strengthening *)
-  (match t.proof with Some p -> Proof.log_input p (prefix_list buf n) | None -> ());
+  let input = match t.log with Some lg -> Proof.log_input lg.proof buf n | None -> 0 in
   (* sorted and deduplicated, a literal sits right before its
      complement, if present *)
   let tautology = ref false in
@@ -830,6 +941,16 @@ let add_buffered t n =
       tautology := true
   done;
   if not !tautology then begin
+    (* dropping root-false literals is a unit-propagation inference:
+       the strengthened clause is a lemma, derived from the units of
+       the dropped literals and the input *)
+    (match t.log with
+    | Some lg ->
+        Veci.clear lg.hints;
+        for i = 0 to n - 1 do
+          if lit_val t buf.(i) = 0 then Veci.push lg.hints (root_unit t lg (buf.(i) lsr 1))
+        done
+    | None -> ());
     let w = ref 0 in
     for i = 0 to n - 1 do
       if lit_val t buf.(i) <> 0 then begin
@@ -838,20 +959,24 @@ let add_buffered t n =
       end
     done;
     let w = !w in
-    (* dropping root-false literals is a unit-propagation inference;
-       the strengthened clause is a derived (RUP) step *)
-    (match t.proof with
-    | Some p when w < n -> Proof.log_add p (prefix_list buf w)
-    | _ -> ());
+    let id =
+      match t.log with
+      | Some lg when w < n ->
+          Veci.push lg.hints input;
+          log_hinted lg buf w
+      | _ -> input
+    in
     if w = 0 then t.ok <- false
     else if w = 1 then begin
       enqueue t buf.(0) (-1);
-      if propagate t >= 0 then begin
-        (match t.proof with Some p -> Proof.log_add p [] | None -> ());
+      (match t.log with Some lg -> set_unit_id lg (buf.(0) lsr 1) id | None -> ());
+      let confl = propagate t in
+      if confl >= 0 then begin
+        log_root_conflict t confl;
         t.ok <- false
       end
     end
-    else ignore (store t ~learnt:false buf w)
+    else ignore (store t ~learnt:false ~id buf w)
   end
 
 let add_clause_array t lits =
@@ -898,8 +1023,25 @@ let redundant t q =
        !ok
      end
 
+(* Cite the reason of [v], a variable whose literal minimisation
+   dropped, after the reasons of the dropped literals it rests on and
+   the units of its root literals: the reason becomes unit once they
+   are all false. *)
+let rec cite_dropped t lg v =
+  Bytes.set t.seen v '\001';
+  let r = t.reason.(v) in
+  for j = r + 2 to r + hdr_len t.arena.(r) do
+    let u = t.arena.(j) lsr 1 in
+    if Bytes.get t.seen u = dropped_mark then cite_dropped t lg u
+    else if t.level.(u) = 0 then cite_root t lg u
+  done;
+  Veci.push lg.dropped (clause_id lg t r)
+
 (* Learns into [t.learnt_buf], asserting literal first; returns the
-   backtrack level. *)
+   backtrack level.  While a proof is logged it also collects the
+   learnt clause's hints: the units of the root literals it resolved
+   away, the reasons of the literals minimisation drops, and the
+   reasons it resolved on in trail order, ending at the conflict. *)
 let analyze t confl =
   let seen = t.seen and arena = t.arena and learnt_out = t.learnt_buf in
   let counter = ref 0 in
@@ -908,11 +1050,13 @@ let analyze t confl =
   let idx = ref (Veci.size t.trail - 1) in
   Veci.clear learnt_out;
   Veci.push learnt_out 0 (* room for the asserting literal *);
+  (match t.log with Some lg -> Veci.clear lg.hints | None -> ());
   let continue = ref true in
   while !continue do
     let c = !confl in
     let h = arena.(c) in
     if h land learnt_bit <> 0 then cla_bump t c;
+    (match t.log with Some lg -> Veci.push lg.chain (clause_id lg t c) | None -> ());
     let start = if !p = -1 then 0 else 1 in
     for j = c + 1 + start to c + hdr_len h do
       let q = arena.(j) in
@@ -923,6 +1067,8 @@ let analyze t confl =
         if t.level.(v) >= decision_level t then incr counter
         else Veci.push learnt_out q
       end
+      else if t.level.(v) = 0 then
+        match t.log with Some lg -> cite_root t lg v | None -> ()
     done;
     (* pick next node on the trail to expand *)
     while Bytes.get seen (Veci.get t.trail !idx lsr 1) = '\000' do
@@ -948,7 +1094,16 @@ let analyze t confl =
       Veci.set learnt_out !kept q;
       incr kept
     end
+    else if Option.is_some t.log then Bytes.set seen (q lsr 1) dropped_mark
   done;
+  (match t.log with
+  | Some lg ->
+      for i = !kept to n - 1 do
+        let v = Veci.get learnt_out i lsr 1 in
+        if Bytes.get seen v = dropped_mark then cite_dropped t lg v
+      done;
+      finish_hints t lg
+  | None -> ());
   for i = 1 to n - 1 do
     Bytes.set seen (Veci.get learnt_out i lsr 1) '\000'
   done;
@@ -1000,10 +1155,13 @@ let analyze_final t a =
 let record_learnt t =
   let learnt = t.learnt_buf in
   let n = Veci.size learnt in
-  (match t.proof with Some p -> Proof.log_add p (Veci.to_list learnt) | None -> ());
-  if n = 1 then enqueue t (Veci.get learnt 0) (-1)
+  let id = match t.log with Some lg -> log_hinted lg (Veci.data learnt) n | None -> 0 in
+  if n = 1 then begin
+    enqueue t (Veci.get learnt 0) (-1);
+    match t.log with Some lg -> set_unit_id lg (Veci.get learnt 0 lsr 1) id | None -> ()
+  end
   else begin
-    let c = store t ~learnt:true (Veci.data learnt) n in
+    let c = store t ~learnt:true ~id (Veci.data learnt) n in
     let a = t.arena in
     (* position 1 must hold a literal from the backtrack level so the
        watch invariant holds immediately after the jump *)
@@ -1104,11 +1262,7 @@ let reduce_db t =
     let c = arr.(i) in
     detach t c;
     a.(c) <- a.(c) lor deleted_bit;
-    (match t.proof with
-    | Some p ->
-        let rec lits j acc = if j = c then acc else lits (j - 1) (a.(j) :: acc) in
-        Proof.log_delete p (lits (c + hdr_len a.(c)) [])
-    | None -> ());
+    (match t.log with Some lg -> Proof.log_delete lg.proof (clause_id lg t c) | None -> ());
     t.n_learnt <- t.n_learnt - 1;
     t.dead_words <- t.dead_words + hdr_words a.(c)
   done;
@@ -1175,7 +1329,7 @@ let solve_with ?(deadline = Deadline.none) ~assumptions t =
            t.conflicts <- t.conflicts + 1;
            decr conflicts_left;
            if decision_level t = 0 then begin
-             (match t.proof with Some p -> Proof.log_add p [] | None -> ());
+             log_root_conflict t confl;
              t.ok <- false;
              (* a root conflict refutes the clause set itself: no
                 assumption is to blame, [failed] stays empty *)
@@ -1297,7 +1451,15 @@ let simp_prepare t =
     false
   else begin
     (* root facts need no reason clauses; clearing them leaves the
-       clauses that implied them free for [reduce_db] to collect *)
+       clauses that implied them free for [reduce_db] to collect.  A
+       logged fact's unit is derived first, while its reason holds. *)
+    (match t.log with
+    | Some lg ->
+        for i = 0 to Veci.size t.trail - 1 do
+          let v = Veci.get t.trail i lsr 1 in
+          if t.reason.(v) >= 0 then ignore (root_unit t lg v)
+        done
+    | None -> ());
     for i = 0 to Veci.size t.trail - 1 do
       t.reason.(Veci.get t.trail i lsr 1) <- -1
     done;
@@ -1329,20 +1491,32 @@ let iter_binary t f =
 
 let root_value t l = lit_val t l
 
-let simp_add_unit t l =
-  (match t.proof with Some p -> Proof.log_add p [ l ] | None -> ());
-  if t.ok then
-    match lit_val t l with
-    | 1 -> ()
-    | 0 ->
-        (match t.proof with Some p -> Proof.log_add p [] | None -> ());
-        t.ok <- false
-    | _ ->
-        enqueue t l (-1);
-        if propagate t >= 0 then begin
-          (match t.proof with Some p -> Proof.log_add p [] | None -> ());
-          t.ok <- false
-        end
+(* The hints of a failed probe's unit, before backtracking: walk the
+   probe's level back from the conflict, citing the reasons of the
+   literals it rests on, oldest first, then the conflict. *)
+let probe_hints t lg confl =
+  let seen = t.seen in
+  Veci.clear lg.hints;
+  let mark c from =
+    for j = c + from to c + hdr_len t.arena.(c) do
+      let v = t.arena.(j) lsr 1 in
+      if t.level.(v) > 0 then Bytes.set seen v '\001' else cite_root t lg v
+    done
+  in
+  mark confl 1;
+  Veci.push lg.chain (clause_id lg t confl);
+  for i = Veci.size t.trail - 1 downto Veci.get t.trail_lim 0 do
+    let v = Veci.get t.trail i lsr 1 in
+    if Bytes.get seen v = '\001' then begin
+      Bytes.set seen v '\000';
+      let r = t.reason.(v) in
+      if r >= 0 then begin
+        Veci.push lg.chain (clause_id lg t r);
+        mark r 2
+      end
+    end
+  done;
+  finish_hints t lg
 
 let probe_lit t l =
   if (not t.ok) || decision_level t > 0 || lit_val t l <> -1 then false
@@ -1350,7 +1524,20 @@ let probe_lit t l =
     Veci.push t.trail_lim (Veci.size t.trail);
     enqueue t l (-1);
     let confl = propagate t in
+    if confl >= 0 then (match t.log with Some lg -> probe_hints t lg confl | None -> ());
     cancel_until t 0;
+    if confl >= 0 then begin
+      (* the probe failed: its negation is a root fact *)
+      let nl = Lit.negate l in
+      let id = match t.log with Some lg -> log_hinted lg [| nl |] 1 | None -> 0 in
+      enqueue t nl (-1);
+      (match t.log with Some lg -> set_unit_id lg (nl lsr 1) id | None -> ());
+      let confl = propagate t in
+      if confl >= 0 then begin
+        log_root_conflict t confl;
+        t.ok <- false
+      end
+    end;
     confl >= 0
   end
 

@@ -99,15 +99,21 @@ val ok : t -> bool
 (** [false] once a root-level conflict has been established. *)
 
 val set_proof : t -> Proof.t option -> unit
-(** Attach (or detach) a DRAT proof sink.  While attached, every clause
+(** Attach (or detach) a proof sink.  While attached, every clause
     added is logged as a proof axiom and every inference the solver
-    makes — root-level strengthening, learnt clauses, learnt-clause
-    deletions and the final empty clause of an [Unsat] answer — is
-    logged as a derivation step, so an [Unsat] verdict leaves a
-    certificate that {!Drat.check} (or any external DRAT checker)
-    validates against the logged CNF.  Attach {e before} the first
-    [add_clause]; logging costs one [option] test per event when
-    disabled. *)
+    makes — root-level strengthening, learnt clauses, failed-literal
+    units, learnt-clause deletions and the final empty clause of an
+    [Unsat] answer — is logged as a lemma with its hints, the IDs of
+    the clauses it follows from by unit propagation in propagation
+    order (conflict analysis already visits them).  An [Unsat] verdict
+    so leaves a certificate that {!Drat.check} validates against the
+    logged CNF by walking the hints, and that any external DRAT checker
+    validates from {!Proof.to_drat}.  A level-0 fact a lemma cites gets
+    a unit lemma of its own, not counted in {!Proof.n_steps}.  Attach
+    {e before} the first [add_clause]: clauses stored earlier have no
+    ID, and a lemma citing one fails the check.  Collecting hints
+    changes no search decision; without a sink the solver collects none
+    and logging costs one [option] test per event. *)
 
 val solve : ?deadline:Cgra_util.Deadline.t -> t -> result
 (** Decide the current clause set.  After [Sat], {!value} reads the
@@ -195,7 +201,8 @@ val set_random_freq : t -> float -> unit
     start and between Luby restarts.  Every function below assumes —
     and preserves — the quiescent root state: decision level 0,
     propagation queue drained.  Every derived clause flows through the
-    attached {!Proof} sink, so DRAT certificates stay checkable.  Not
+    attached {!Proof} sink with its hints, so certificates stay
+    checkable.  Not
     intended for use outside the [Cgra_satoca] library. *)
 
 val set_inprocess : t -> (t -> unit) option -> unit
@@ -208,7 +215,8 @@ val set_inprocess : t -> (t -> unit) option -> unit
 val simp_prepare : t -> bool
 (** Must be called (and return [true]) before any other simplification
     in a hook invocation.  Verifies the quiescent root state and clears
-    the reason indices of root-level facts (they need none).  Returns
+    the reason indices of root-level facts (they need none; while a
+    proof is logged, each such fact first gets its unit lemma).  Returns
     [false] when simplification must not run (conflict already
     established, or non-root state). *)
 
@@ -230,16 +238,13 @@ val iter_binary : t -> (Lit.t -> Lit.t -> unit) -> unit
 val root_value : t -> Lit.t -> int
 (** -1 unassigned / 0 false / 1 true under the root assignment. *)
 
-val simp_add_unit : t -> Lit.t -> unit
-(** Assert a {e derived} root unit (logged as a derivation step, not an
-    input axiom; the guard literal is not appended) and propagate it.
-    If that falsifies the clause set, the empty clause is logged and
-    the solver is no longer {!ok}. *)
-
 val probe_lit : t -> Lit.t -> bool
 (** Assume the literal on a throwaway decision level and propagate.
-    Returns [true] when this fails — i.e. the negation is implied; the
-    caller then asserts it with {!simp_add_unit}.  Always backtracks to the
-    root; propagated polarities are retained as saved phases. *)
+    Returns [true] when this fails: the negation is then asserted as a
+    {e derived} root unit (a lemma hinted by the failed propagation,
+    not an input axiom; the guard literal is not appended) and
+    propagated.  If that falsifies the clause set, the empty clause is
+    logged and the solver is no longer {!ok}.  Always backtracks to the
+    root first; propagated polarities are retained as saved phases. *)
 
 val note_probed_failed : t -> unit

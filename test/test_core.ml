@@ -650,6 +650,53 @@ let test_extract_routes_cover_edges () =
       Alcotest.(check bool) "cost positive" true (Mapping.routing_cost m > 0)
   | r -> Alcotest.failf "expected mapping, got %a" IM.pp_result r
 
+(* The extraction before it bucketed the routes: a scan of every
+   sub-value variable per (value, sink). *)
+let reference_extract (f : Formulation.t) assign =
+  let placement =
+    Hashtbl.fold
+      (fun (p, q) v acc -> if assign.(v) then (q, p) :: acc else acc)
+      f.Formulation.f_vars []
+    |> List.sort compare
+  in
+  let index producer =
+    let found = ref (-1) in
+    Array.iteri
+      (fun idx (v : Dfg.value) -> if v.Dfg.producer = producer then found := idx)
+      f.Formulation.values;
+    !found
+  in
+  let routes =
+    Array.to_list f.Formulation.values
+    |> List.concat_map (fun (value : Dfg.value) ->
+           List.mapi
+             (fun k sink ->
+               let j = index value.Dfg.producer in
+               let nodes =
+                 Hashtbl.fold
+                   (fun (i, j', k') v acc -> if j' = j && k' = k && assign.(v) then i :: acc else acc)
+                   f.Formulation.rk_vars []
+                 |> List.sort compare
+               in
+               { Mapping.value_producer = value.Dfg.producer; sink; nodes })
+             value.Dfg.sinks)
+  in
+  { Mapping.dfg = f.Formulation.dfg; mrrg = f.Formulation.mrrg; placement; routes }
+
+let test_extract_matches_reference () =
+  List.iter
+    (fun (bench, size, ii) ->
+      let dfg = Option.get (Benchmarks.by_name bench) in
+      let f = Formulation.build ~objective:Formulation.Feasibility dfg (mrrg_of ~ii size) in
+      match Solve.solve f.Formulation.model with
+      | Solve.Optimal (assign, _) | Solve.Feasible (assign, _) ->
+          let m = Extract.mapping f assign and r = reference_extract f assign in
+          Alcotest.(check bool) (bench ^ ": same placement") true
+            (m.Mapping.placement = r.Mapping.placement);
+          Alcotest.(check bool) (bench ^ ": same routes") true (m.Mapping.routes = r.Mapping.routes)
+      | o -> Alcotest.failf "%s: %a" bench Solve.pp_outcome o)
+    [ ("accum", 4, 1); ("mac", 4, 1); ("2x2-f", 2, 2) ]
+
 (* ---------------- configuration generation ---------------- *)
 
 let test_configgen () =
@@ -762,6 +809,8 @@ let suites =
           test_map_warm_start_honours_deadline;
         Alcotest.test_case "dual context" `Quick test_map_dual_context_uses_both;
         Alcotest.test_case "extraction covers edges" `Quick test_extract_routes_cover_edges;
+        Alcotest.test_case "extraction matches the per-sink scan" `Quick
+          test_extract_matches_reference;
       ] );
     ( "core:objective",
       [

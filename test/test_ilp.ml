@@ -2,6 +2,7 @@ module Model = Cgra_ilp.Model
 module Solve = Cgra_ilp.Solve
 module Presolve = Cgra_ilp.Presolve
 module Lp_format = Cgra_ilp.Lp_format
+module Encode = Cgra_ilp.Encode
 module Rng = Cgra_util.Rng
 
 (* ---------------- helpers ---------------- *)
@@ -166,6 +167,33 @@ let test_weighted_coefficients () =
       | Solve.Optimal (_, -3) -> ()
       | o -> Alcotest.failf "expected -3, got %a" Solve.pp_outcome o)
     engines
+
+(* A kept totalizer whose bounds no model meets (a descent never keeps
+   one; it is planted here): the descent finds its largest bound
+   refuted, builds the tree again up to its incumbent and still proves
+   the optimum; a repeat then reuses that tree. *)
+let test_descent_rebuilds_short_totalizer () =
+  let m = Model.create () in
+  let xs = List.init 6 (fun i -> Model.add_binary m (Printf.sprintf "x%d" i)) in
+  Model.add_row m (List.map (fun x -> (1, x)) xs) Model.Ge 3;
+  Model.set_objective m (Model.Minimize (List.map (fun x -> (1, x)) xs));
+  let enc = Encode.encode m in
+  let solver = enc.Encode.solver in
+  (* bounds up to 1 only; any incumbent is at least 3 *)
+  let units = List.map snd enc.Encode.objective_lits in
+  enc.Encode.totalizer <- Some (Cgra_satoca.Card.Totalizer.build ~cap:2 solver units);
+  let optimum () =
+    match (Solve.search enc m).Solve.outcome with
+    | Solve.Optimal (_, v) -> v
+    | o -> Alcotest.failf "expected an optimum, got %a" Solve.pp_outcome o
+  in
+  let before = Cgra_satoca.Solver.nvars solver in
+  Alcotest.(check int) "optimum through a rebuilt totalizer" 3 (optimum ());
+  Alcotest.(check bool) "the tree was built again" true
+    (Cgra_satoca.Solver.nvars solver > before);
+  let vars = Cgra_satoca.Solver.nvars solver in
+  Alcotest.(check int) "a repeat proves it again" 3 (optimum ());
+  Alcotest.(check int) "and adds no variable" vars (Cgra_satoca.Solver.nvars solver)
 
 (* ---------------- presolve ---------------- *)
 
@@ -690,6 +718,8 @@ let suites =
         Alcotest.test_case "equality rows" `Quick test_equality_rows;
         Alcotest.test_case "feasibility objective" `Quick test_feasibility_objective;
         Alcotest.test_case "weighted coefficients" `Quick test_weighted_coefficients;
+        Alcotest.test_case "a descent past the kept totalizer rebuilds it" `Quick
+          test_descent_rebuilds_short_totalizer;
       ] );
     ( "ilp:presolve",
       [

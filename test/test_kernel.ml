@@ -67,10 +67,10 @@ let test_incremental_pin () =
     | o -> Alcotest.failf "expected an optimum, got %a" Cgra_ilp.Solve.pp_outcome o
   in
   let st = Solver.stats e.Encode.solver in
-  Alcotest.(check (pair int int)) "2x2-f@homo-orth-2x2/ii2 (objective, SAT calls)" (86, 11)
+  Alcotest.(check (pair int int)) "2x2-f@homo-orth-2x2/ii2 (objective, SAT calls)" (86, 10)
     (objective, calls);
   Alcotest.(check (triple int int int))
-    "2x2-f@homo-orth-2x2/ii2 descent (conflicts, propagations, decisions)" (10169, 29150415, 37032)
+    "2x2-f@homo-orth-2x2/ii2 descent (conflicts, propagations, decisions)" (8958, 26257333, 18793)
     (st.Solver.conflicts, st.Solver.propagations, st.Solver.decisions)
 
 (* ---------------- search pin through learnt-DB reduction ---------------- *)
@@ -110,7 +110,9 @@ let test_reduce_db_pin () =
     (st.Solver.conflicts, st.Solver.propagations, st.Solver.decisions);
   Alcotest.(check int) "learnt clauses kept" 6681 st.Solver.learnt;
   Alcotest.(check int) "proof steps" 46611 (Proof.n_steps proof);
-  Alcotest.(check bool) "refutation checks" true (Drat.check proof = Drat.Valid)
+  Alcotest.(check bool) "refutation checks" true (Drat.check proof = Drat.Valid);
+  Alcotest.(check bool) "the oracle accepts it too" true
+    (Drat_oracle.check (Proof.events proof) = Drat.Valid)
 
 (* ---------------- binary-heavy differential properties ---------------- *)
 
@@ -137,6 +139,11 @@ let print_cnf (nvars, clauses) = Test_sat.print_dimacs ~nvars clauses
 (* Plain CDCL, and eager probing, whose probes run the same propagation
    kernel from the root at solve start and between restarts. *)
 let configs = [ Inprocess.all_off; Inprocess.eager ]
+
+(* Both the hint checker and the test tree's RUP/RAT oracle accept. *)
+let checks ?require_empty proof =
+  Drat.check ?require_empty proof = Drat.Valid
+  && Drat_oracle.check ?require_empty (Proof.events proof) = Drat.Valid
 
 let solve_logged config nvars clauses =
   let s = Solver.create () in
@@ -165,8 +172,8 @@ let prop_binary_heavy_drat =
       List.for_all
         (fun config ->
           match solve_logged config nvars clauses with
-          | Solver.Unsat, _, proof -> Drat.check proof = Drat.Valid
-          | Solver.Sat, _, proof -> Drat.check ~require_empty:false proof = Drat.Valid
+          | Solver.Unsat, _, proof -> checks proof
+          | Solver.Sat, _, proof -> checks ~require_empty:false proof
           | Solver.Unknown, _, _ -> false)
         configs)
 
@@ -250,10 +257,9 @@ let interleaved_agrees config (nvars, batches) =
       match Solver.solve_with ~assumptions s with
       | Solver.Sat ->
           expected && Test_sat.model_satisfies s cnf
-          && Drat.check ~require_empty:false proof = Drat.Valid
+          && checks ~require_empty:false proof
       | Solver.Unsat ->
-          (not expected)
-          && Drat.check ~require_empty:(Solver.failed_assumptions s = []) proof = Drat.Valid
+          (not expected) && checks ~require_empty:(Solver.failed_assumptions s = []) proof
       | Solver.Unknown -> false)
     batches
 
@@ -315,7 +321,7 @@ let test_binary_learnt_reason () =
   Solver.add_clause s [ a ];
   Solver.add_clause s [ b ];
   Alcotest.check result "unsat" Solver.Unsat (Solver.solve s);
-  Alcotest.(check bool) "refutation checks" true (Drat.check proof = Drat.Valid)
+  Alcotest.(check bool) "refutation checks" true (checks proof)
 
 let suites =
   [

@@ -296,15 +296,65 @@ let test_at_least_k () =
         ~predicate:(fun c -> c >= k))
     [ (5, 0); (5, 2); (6, 3); (7, 6); (4, 4) ]
 
+(* Uncapped, and capped just above the bound or past it: a capped tree
+   bounds the sum exactly like the full one, for every bound it
+   covers, and refuses the others. *)
 let test_totalizer_bound () =
   List.iter
     (fun (n, k) ->
-      check_card_encoding ~nbase:n
-        ~constrain:(fun s base ->
-          let tot = Card.Totalizer.build s base in
-          Option.iter (fun l -> Solver.add_clause s [ l ]) (Card.Totalizer.bound_lit tot k))
-        ~predicate:(fun c -> c <= k))
-    [ (5, 0); (5, 2); (6, 3); (6, 1); (4, 4) ]
+      List.iter
+        (fun cap ->
+          check_card_encoding ~nbase:n
+            ~constrain:(fun s base ->
+              let tot = Card.Totalizer.build ?cap s base in
+              Option.iter (fun l -> Solver.add_clause s [ l ]) (Card.Totalizer.bound_lit tot k))
+            ~predicate:(fun c -> c <= k))
+        [ None; Some (k + 1); Some (k + 3) ])
+    [ (5, 0); (5, 2); (6, 3); (6, 1); (4, 4); (7, 2); (8, 3) ];
+  let s = Solver.create () in
+  let base = List.init 6 (fun _ -> Lit.pos (Solver.new_var s)) in
+  let tot = Card.Totalizer.build ~cap:3 s base in
+  Alcotest.(check int) "three outputs" 3 (Array.length (Card.Totalizer.outputs tot));
+  Alcotest.(check bool) "a bound past the inputs is vacuous" true
+    (Card.Totalizer.bound_lit tot 6 = None);
+  Alcotest.check_raises "bound past the cap rejected"
+    (Invalid_argument "Totalizer.bound_lit: bound past the cap") (fun () ->
+      ignore (Card.Totalizer.bound_lit tot 4))
+
+(* A capped totalizer under a bound it covers, and a random partial
+   assignment of its inputs (by assumption): satisfiable exactly when
+   the inputs assumed true do not pass the bound, and a model never
+   does.  Inputs may repeat, as the objective's weighted units do. *)
+let prop_capped_totalizer =
+  QCheck2.Test.make ~name:"capped totalizer bounds like arithmetic" ~count:300
+    ~print:(fun (n, k, cap, picks) ->
+      Printf.sprintf "n=%d k=%d cap=%d assumed=[%s]" n k cap
+        (String.concat ";" (List.map (fun (i, b) -> Printf.sprintf "%d:%b" i b) picks)))
+    QCheck2.Gen.(
+      let* n = int_range 1 9 in
+      let* k = int_range 0 n in
+      let* cap = int_range (k + 1) (n + 1) in
+      let* picks = list_size (int_range 0 n) (pair (int_range 0 (n - 1)) bool) in
+      return (n, k, cap, picks))
+    (fun (n, k, cap, picks) ->
+      let s = Solver.create () in
+      let nvars = max 1 (n - 1) in
+      let vars = List.init nvars (fun _ -> Solver.new_var s) in
+      (* input i is variable i mod (n - 1): the last input repeats one *)
+      let inputs = List.init n (fun i -> Lit.pos (List.nth vars (i mod nvars))) in
+      let tot = Card.Totalizer.build ~cap s inputs in
+      let picks = List.sort_uniq compare (List.map (fun (i, b) -> (i mod nvars, b)) picks) in
+      let consistent = List.for_all (fun (v, b) -> not (List.mem (v, not b) picks)) picks in
+      let assumptions =
+        Option.to_list (Card.Totalizer.bound_lit tot k)
+        @ List.map (fun (v, b) -> Lit.make (List.nth vars v) b) picks
+      in
+      let count value = List.length (List.filter value inputs) in
+      let forced = count (fun l -> List.mem (Lit.var l, true) picks) in
+      match Solver.solve_with ~assumptions s with
+      | Solver.Sat -> consistent && count (Solver.lit_value s) <= k
+      | Solver.Unsat -> (not consistent) || forced > k
+      | Solver.Unknown -> false)
 
 (* [count_at_most_k] counts exactly what [at_most_k_array] stores and
    allocates, with and without a guard literal on every clause: fresh
@@ -687,13 +737,14 @@ let test_add_clause_root_false_logged () =
   Solver.add_clause s [ Lit.neg 0 ];
   Solver.add_clause s [ Lit.pos 2; Lit.pos 0; Lit.pos 1 ];
   Alcotest.check clause_list "root-false literal removed" [ [| Lit.pos 1; Lit.pos 2 |] ] (stored s);
+  (* the lemma cites the unit [~x0] (ID 1), then the input (ID 2) *)
   Alcotest.(check bool) "input logged sorted, strengthened clause logged as derived" true
     (Cgra_satoca.Proof.events proof
     = Cgra_satoca.Proof.
         [
           Input [ Lit.neg 0 ];
           Input [ Lit.pos 0; Lit.pos 1; Lit.pos 2 ];
-          Add [ Lit.pos 1; Lit.pos 2 ];
+          Add ([ Lit.pos 1; Lit.pos 2 ], [ 1; 2 ]);
         ]);
   Solver.add_clause s [ Lit.neg 1 ];
   Solver.add_clause s [ Lit.neg 2 ];
@@ -740,6 +791,7 @@ let suites =
         Alcotest.test_case "count_at_most_k counts the stored clauses" `Quick
           test_count_at_most_k;
         Alcotest.test_case "totalizer bound" `Quick test_totalizer_bound;
+        QCheck_alcotest.to_alcotest prop_capped_totalizer;
       ] );
     ( "sat:assumptions",
       [

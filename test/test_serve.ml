@@ -378,7 +378,7 @@ let test_session_mapped_log_stops () =
   in
   let first = answer () in
   Alcotest.(check (pair (option int) int)) "2x2-f@homo-orth-2x2/ii2 (objective, proof steps)"
-    (Some 86, 10169) first;
+    (Some 86, 8958) first;
   Alcotest.(check (list (pair (option int) int))) "repeats add no proof step" [ first; first ]
     [ answer (); answer () ]
 
